@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 # Below this norm (in pressure-sum units) a direction vector is treated as
@@ -57,10 +59,15 @@ def wrap_angle(raw_degrees: float) -> Angle:
     return Angle(raw_degrees)
 
 
+def angular_errors(pred_deg: np.ndarray, true_deg: np.ndarray) -> np.ndarray:
+    """Elementwise wrap-aware separation of angles in [0, 360), within [0, 180]."""
+    d = np.abs(np.asarray(pred_deg, dtype=np.float64) - true_deg)
+    return np.minimum(d, 360.0 - d)
+
+
 def angular_error(a: Angle, b: Angle) -> float:
     """Wrap-aware separation between two angles, in degrees within [0, 180]."""
-    d = abs(a.degrees - b.degrees)
-    return min(d, 360.0 - d)
+    return float(angular_errors(a.degrees, b.degrees))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,18 +83,33 @@ class FeatureStats:
         object.__setattr__(self, "std", std)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+def write_table(
+    path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[float | str]]
+) -> None:
+    """Write a header and comma-separated rows, UTF-8 with LF line endings.
+
+    Numbers are printed with 9 significant digits; strings are written as
+    given. Every CSV the package writes goes through here.
+    """
+    lines = [",".join(columns)]
+    lines.extend(
+        ",".join(v if isinstance(v, str) else format(float(v), ".9g") for v in row)
+        for row in rows
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_csv(samples: Sequence[LabeledSample], path: str | Path) -> None:
     """Write samples to ``path`` in the package CSV schema."""
-    lines = [",".join(CSV_COLUMNS)]
-    for s in samples:
-        row = (*s.frame.p_ch, s.frame.p_atm, s.pose.delta, s.pose.phi.degrees)
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(
+        path,
+        CSV_COLUMNS,
+        (
+            (*s.frame.p_ch, s.frame.p_atm, s.pose.delta, s.pose.phi.degrees)
+            for s in samples
+        ),
+    )
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -177,12 +192,3 @@ def feature_stats(train: Sequence[LabeledSample]) -> FeatureStats:
                 f"channel {j} is constant in the training set (std = {s})"
             )
     return FeatureStats(mean=tuple(mean), std=tuple(std))
-
-
-def standardize(
-    frame: SensorFrame, stats: FeatureStats
-) -> tuple[float, float, float, float]:
-    """Map chamber pressures to z-scores under the given training stats."""
-    return tuple(
-        (p - m) / s for p, m, s in zip(frame.p_ch, stats.mean, stats.std)
-    )

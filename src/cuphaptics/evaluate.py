@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, angular_error, estimate_direction
-from .dataset import LabeledSample, SplitSpec, split
+from .core import Angle, angular_errors, estimate_direction
+from .dataset import LabeledSample, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, TrainConfig, predict_angle, train
 
@@ -76,32 +76,28 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
+def _errors(pairs: Sequence[PredictionPair], metric: str) -> np.ndarray:
+    """Wrap-aware angular error per pair; every pair must carry a prediction."""
+    if not pairs:
+        raise InvalidInputError(f"{metric} requires at least one pair")
+    if any(pair.phi_pred is None for pair in pairs):
+        raise InvalidInputError(
+            f"{metric} got an absent prediction; exclude those first"
+        )
+    return angular_errors(
+        [pair.phi_pred.degrees for pair in pairs],
+        [pair.phi_true.degrees for pair in pairs],
+    )
+
+
 def rmse_deg(pairs: Sequence[PredictionPair]) -> float:
     """sqrt(mean(angular_error^2)); every pair must carry a prediction."""
-    if not pairs:
-        raise InvalidInputError("rmse_deg requires at least one pair")
-    errs = []
-    for pair in pairs:
-        if pair.phi_pred is None:
-            raise InvalidInputError(
-                "rmse_deg got an absent prediction; exclude those first"
-            )
-        errs.append(angular_error(pair.phi_pred, pair.phi_true))
-    return float(np.sqrt(np.mean(np.square(errs))))
+    return float(np.sqrt(np.mean(np.square(_errors(pairs, "rmse_deg")))))
 
 
 def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     """Mean absolute wrap-aware angular error."""
-    if not pairs:
-        raise InvalidInputError("mae_deg requires at least one pair")
-    errs = []
-    for pair in pairs:
-        if pair.phi_pred is None:
-            raise InvalidInputError(
-                "mae_deg got an absent prediction; exclude those first"
-            )
-        errs.append(angular_error(pair.phi_pred, pair.phi_true))
-    return float(np.mean(errs))
+    return float(np.mean(_errors(pairs, "mae_deg")))
 
 
 def evaluate_model_based(samples: Sequence[LabeledSample]) -> list[PredictionPair]:
@@ -156,8 +152,9 @@ def run_comparison(
     train_config: TrainConfig,
     seeds: Sequence[int],
 ) -> tuple[EvalReport, dict[str, list[PredictionPair]]]:
-    """compare() plus the first seed's per-sample pairs for scatter export.
+    """Split, train, and score both methods once per seed; aggregate.
 
+    Also returns the first seed's per-sample pairs for scatter export.
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition.
     """
@@ -187,32 +184,17 @@ def run_comparison(
     return report, first_pairs
 
 
-def compare(
-    samples: Sequence[LabeledSample],
-    split_spec: SplitSpec,
-    train_config: TrainConfig,
-    seeds: Sequence[int],
-) -> EvalReport:
-    """Split, train, and score both methods once per seed; aggregate."""
-    report, _ = run_comparison(samples, split_spec, train_config, seeds)
-    return report
-
-
 def export_scatter(
     results: Mapping[str, Iterable[PredictionPair]], path: str | Path
 ) -> None:
     """Write defined predictions as `phi_true_deg,phi_pred_deg,method` rows."""
-
-    def fmt(v: float) -> str:
-        return format(v, ".9g")
-
-    lines = ["phi_true_deg,phi_pred_deg,method"]
-    for method, pairs in results.items():
-        for pair in pairs:
-            if pair.phi_pred is None:
-                continue
-            lines.append(
-                f"{fmt(pair.phi_true.degrees)},{fmt(pair.phi_pred.degrees)},{method}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(
+        path,
+        ("phi_true_deg", "phi_pred_deg", "method"),
+        (
+            (pair.phi_true.degrees, pair.phi_pred.degrees, method)
+            for method, pairs in results.items()
+            for pair in pairs
+            if pair.phi_pred is not None
+        ),
+    )

@@ -17,6 +17,9 @@ Model file format (versioned, little-endian):
     params  per layer: weight matrix row-major (out x in) f64, bias f64 * out
 
 The byte length must match the header exactly; anything else is rejected.
+The params block is the flat vector W0, b0, W1, b1, ... that ``train``
+optimizes; ``train``, ``save_model`` and ``load_model`` all cut per-layer
+views out of one vector in that order, so they agree by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
 when the caller supplies them.
 """
@@ -32,9 +35,14 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .core import EPS_ZERO, Angle, SensorFrame, wrap_angle
+from .core import EPS_ZERO, Angle, SensorFrame, angular_errors, wrap_angle
 from .dataset import FeatureStats, LabeledSample, feature_stats
-from .errors import ConfigError, InvalidInputError, ModelFormatError
+from .errors import (
+    ConfigError,
+    DegenerateChannelError,
+    InvalidInputError,
+    ModelFormatError,
+)
 from .rng import make_generator, substream
 
 DEFAULT_LAYER_SIZES = (4, 16, 32, 16, 2)
@@ -183,9 +191,21 @@ def init_model(
     )
 
 
-def parameter_list(model: MlpModel) -> list[np.ndarray]:
-    """All parameters in the fixed order weights-then-biases, layer by layer."""
-    return list(model.weights) + list(model.biases)
+def _flat_parameters(model: MlpModel) -> np.ndarray:
+    """All parameters as one vector in file order: W0, b0, W1, b1, ..."""
+    return np.concatenate(
+        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
+    )
+
+
+def _layer_views(
+    flat: np.ndarray, layer_sizes: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight (out x in) and bias views into a flat vector."""
+    shapes = [s for i, o in zip(layer_sizes, layer_sizes[1:]) for s in ((o, i), (o,))]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    views = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
+    return views[0::2], views[1::2]
 
 
 def _forward_batch(
@@ -254,20 +274,19 @@ def _backward_arrays(
     biases: Sequence[np.ndarray],
     x: np.ndarray,
     t: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    grad_w: Sequence[np.ndarray],
+    grad_b: Sequence[np.ndarray],
+) -> None:
+    """Write the mean-batch-loss gradients into ``grad_w`` and ``grad_b``."""
     activations, preacts = _forward_batch(weights, biases, x)
     n = x.shape[0]
     # d(mean over n*2 elements of (a-t)^2) / da = (a - t) / n
     grad = (activations[-1] - t) / n
-    n_layers = len(weights)
-    grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
-    for k in reversed(range(n_layers)):
-        grad_w[k] = grad.T @ activations[k]
-        grad_b[k] = grad.sum(axis=0)
+    for k in reversed(range(len(weights))):
+        np.matmul(grad.T, activations[k], out=grad_w[k])
+        grad.sum(axis=0, out=grad_b[k])
         if k > 0:
             grad = (grad @ weights[k]) * (preacts[k - 1] > 0.0)
-    return grad_w, grad_b
 
 
 def backward(
@@ -286,7 +305,10 @@ def backward(
         raise InvalidInputError(
             f"batch size mismatch: {x.shape[0]} inputs vs {t.shape[0]} targets"
         )
-    return _backward_arrays(model.weights, model.biases, x, t)
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    _backward_arrays(model.weights, model.biases, x, t, grad_w, grad_b)
+    return grad_w, grad_b
 
 
 def rmsprop_step(
@@ -311,30 +333,9 @@ def rmsprop_step(
     return new_params, replace(state, v=tuple(new_v))
 
 
-def _design_matrices(
-    samples: Sequence[LabeledSample], stats: FeatureStats | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inputs, targets, true angles in degrees) for a sample list."""
-    x = np.array([s.frame.p_ch for s in samples], dtype=np.float64)
-    if stats is not None:
-        x = (x - np.asarray(stats.mean)) / np.asarray(stats.std)
-    t = np.array(
-        [target_encoding(s.pose.phi) for s in samples], dtype=np.float64
-    )
-    phi = np.array([s.pose.phi.degrees for s in samples], dtype=np.float64)
-    return x, t, phi
-
-
-def _angular_rmse(outputs: np.ndarray, phi_true_deg: np.ndarray) -> float:
-    """Wrap-aware RMSE of decoded outputs; ~zero vectors are skipped."""
-    norms = np.hypot(outputs[:, 0], outputs[:, 1])
-    defined = norms > EPS_ZERO
-    if not defined.any():
-        return math.nan
-    pred = np.degrees(np.arctan2(outputs[defined, 1], outputs[defined, 0])) % 360.0
-    diff = np.abs(pred - phi_true_deg[defined])
-    err = np.minimum(diff, 360.0 - diff)
-    return float(np.sqrt(np.mean(err**2)))
+def _standardize(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
+    """Z-score chamber pressures (last axis) under training-set stats."""
+    return (x - np.asarray(stats.mean)) / np.asarray(stats.std)
 
 
 # Substream indices off the training seed: 0 is parameter init
@@ -358,26 +359,38 @@ def train(
     """
     if not train_set or not val_set:
         raise ConfigError("train and validation sets must both be non-empty")
-    stats = feature_stats(train_set) if config.standardize else None
-    x_train, t_train, _ = _design_matrices(train_set, stats)
-    x_val, t_val, phi_val = _design_matrices(val_set, stats)
+    x_train, x_val = (
+        np.array([s.frame.p_ch for s in part], dtype=np.float64)
+        for part in (train_set, val_set)
+    )
+    stats = None
+    if config.standardize:
+        stats = feature_stats(train_set)
+        x_train, x_val = _standardize(x_train, stats), _standardize(x_val, stats)
+    t_train, t_val = (
+        np.array([target_encoding(s.pose.phi) for s in part], dtype=np.float64)
+        for part in (train_set, val_set)
+    )
+    phi_val = np.array([s.pose.phi.degrees for s in val_set], dtype=np.float64)
 
     model0 = init_model(
         config.seed,
         input_mode="standardized" if config.standardize else "raw",
         stats=stats,
     )
-    weights = [w.copy() for w in model0.weights]
-    biases = [b.copy() for b in model0.biases]
-    opt = RmspropState.initial(
-        weights + biases, lr=config.lr, rho=config.rho, eps=config.eps
-    )
+    sizes = model0.layer_sizes
+    # Parameters, gradient and RMSprop state are one vector each. The
+    # per-layer views alias params and grads, so both are written in place.
+    params = _flat_parameters(model0)
+    grads = np.empty_like(params)
+    weights, biases = _layer_views(params, sizes)
+    grad_w, grad_b = _layer_views(grads, sizes)
+    opt = RmspropState.initial([params], lr=config.lr, rho=config.rho, eps=config.eps)
     shuffle_rng = substream(config.seed, _SHUFFLE_STREAM)
 
     initial_val = _batch_loss(weights, biases, x_val, t_val)
     best_val = initial_val
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best_params = params.copy()
     best_epoch = 0
 
     n = len(train_set)
@@ -387,22 +400,27 @@ def train(
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            grad_w, grad_b = _backward_arrays(
-                weights, biases, x_train[idx], t_train[idx]
+            _backward_arrays(
+                weights, biases, x_train[idx], t_train[idx], grad_w, grad_b
             )
-            updated, opt = rmsprop_step(weights + biases, grad_w + grad_b, opt)
-            weights = updated[: len(weights)]
-            biases = updated[len(weights) :]
+            (updated,), opt = rmsprop_step([params], [grads], opt)
+            params[:] = updated
         train_loss = _batch_loss(weights, biases, x_train, t_train)
-        val_loss = _batch_loss(weights, biases, x_val, t_val)
-        val_out, _ = _forward_batch(weights, biases, x_val)
+        val_out = _forward_batch(weights, biases, x_val)[0][-1]
+        val_loss = float(np.mean((val_out - t_val) ** 2))
+        # Decoded validation angles; ~zero output vectors carry none.
+        defined = np.hypot(val_out[:, 0], val_out[:, 1]) > EPS_ZERO
+        val_rmse = math.nan
+        if defined.any():
+            pred = np.degrees(np.arctan2(val_out[defined, 1], val_out[defined, 0]))
+            err = angular_errors(pred % 360.0, phi_val[defined])
+            val_rmse = float(np.sqrt(np.mean(err**2)))
         history_train.append(train_loss)
         history_val.append(val_loss)
-        history_rmse.append(_angular_rmse(val_out[-1], phi_val))
+        history_rmse.append(val_rmse)
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
+            best_params = params.copy()
             best_epoch = epoch
             stale_epochs = 0
         else:
@@ -410,8 +428,9 @@ def train(
             if stale_epochs > config.patience:
                 break
 
+    best_weights, best_biases = _layer_views(best_params, sizes)
     model = MlpModel(
-        layer_sizes=model0.layer_sizes,
+        layer_sizes=sizes,
         weights=tuple(best_weights),
         biases=tuple(best_biases),
         input_mode=model0.input_mode,
@@ -432,7 +451,7 @@ def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
     x = np.asarray(frame.p_ch, dtype=np.float64)
     if model.input_mode == "standardized":
         assert model.stats is not None  # enforced by MlpModel
-        x = (x - np.asarray(model.stats.mean)) / np.asarray(model.stats.std)
+        x = _standardize(x, model.stats)
     return forward(model, x)
 
 
@@ -453,9 +472,7 @@ def save_model(
         assert model.stats is not None
         parts.append(np.asarray(model.stats.mean, dtype="<f8").tobytes())
         parts.append(np.asarray(model.stats.std, dtype="<f8").tobytes())
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts.append(_flat_parameters(model).astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
     if metadata is not None:
         sidecar = Path(str(path) + ".json")
@@ -503,24 +520,24 @@ def load_model(path: str | Path) -> MlpModel:
     sizes = struct.unpack(f"<{depth}I", cur.take(4 * depth))
     if any(s < 1 for s in sizes):
         raise ModelFormatError(f"non-positive layer size in {sizes}")
-    stats = None
+    stats_block = None  # means then stds
     if mode_byte == 1:
-        mean = cur.f64(sizes[0])
-        std = cur.f64(sizes[0])
+        stats_block = cur.f64(2 * sizes[0])
         if sizes[0] != 4:
             raise ModelFormatError(
                 f"standardized models must take 4 inputs, file says {sizes[0]}"
             )
-        stats = FeatureStats(mean=tuple(mean), std=tuple(std))
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(cur.f64(fan_out * fan_in).reshape(fan_out, fan_in))
-        biases.append(cur.f64(fan_out))
+    n_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    params = cur.f64(n_params)
     if cur.pos != len(buf):
         raise ModelFormatError(
             f"{len(buf) - cur.pos} trailing bytes after parameters"
         )
+    weights, biases = _layer_views(params, sizes)
     try:
+        stats = None
+        if stats_block is not None:
+            stats = FeatureStats(mean=tuple(stats_block[:4]), std=tuple(stats_block[4:]))
         return MlpModel(
             layer_sizes=sizes,
             weights=tuple(weights),
@@ -528,5 +545,5 @@ def load_model(path: str | Path) -> MlpModel:
             input_mode="standardized" if mode_byte == 1 else "raw",
             stats=stats,
         )
-    except InvalidInputError as exc:
-        raise ModelFormatError(f"invalid parameters in model file: {exc}") from exc
+    except (InvalidInputError, DegenerateChannelError) as exc:
+        raise ModelFormatError(f"invalid model file contents: {exc}") from exc

@@ -14,7 +14,7 @@ field itself is not frozen between steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -28,6 +28,7 @@ from .core import (
     Vector2,
     estimate_direction,
 )
+from .dataset import write_table
 from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, decode_angle, network_output
 from .rng import derive_seed, substream
@@ -217,7 +218,7 @@ class BatchSpec:
 
 @dataclass(frozen=True)
 class BatchRow:
-    """Aggregated outcome of one grid cell."""
+    """Aggregated outcome of one grid cell; fields in BATCH_CSV_COLUMNS order."""
 
     delta0_mm: float
     phi0_deg: float
@@ -272,23 +273,4 @@ def batch_search(
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
     """Write batch results in the fixed six-column schema."""
-
-    def fmt(v: float) -> str:
-        return format(v, ".9g")
-
-    lines = [",".join(BATCH_CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    fmt(r.delta0_mm),
-                    fmt(r.phi0_deg),
-                    fmt(r.noise_sigma_kpa),
-                    r.estimator,
-                    fmt(r.success_rate),
-                    fmt(r.mean_steps),
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, BATCH_CSV_COLUMNS, (astuple(r) for r in rows))

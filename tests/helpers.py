@@ -1,9 +1,10 @@
-"""Shared test utilities: the finite-difference gradient checker."""
+"""Shared test utilities: the finite-difference gradient checker and a
+model-file writer with chosen standardization stats."""
 
 import numpy as np
 
-from cuphaptics import backward, init_model
-from cuphaptics.mlp import _forward_batch
+from cuphaptics import FeatureStats, backward, init_model, save_model
+from cuphaptics.mlp import MODEL_MAGIC, _forward_batch
 from cuphaptics.rng import make_generator
 
 FD_STEP = 1e-6
@@ -61,3 +62,17 @@ def gradient_check_trials(n_trials, base_seed=10_000, sizes=SMALL_SIZES):
                 )
         checked += 1
     return checked, skipped, worst
+
+
+def write_model_with_stats(path, mean, std):
+    """Write a standardized 4-16-32-16-2 model file carrying these stats.
+
+    The stats go in as raw bytes, bypassing FeatureStats validation, so a
+    file can hold values (NaN, zero spread) that the loader must reject.
+    """
+    stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 1.0, 1.0, 1.0))
+    save_model(init_model(0, input_mode="standardized", stats=stats), path)
+    blob = bytearray(path.read_bytes())
+    offset = len(MODEL_MAGIC) + 1 + 4 + 4 * 5  # magic, mode, depth, sizes
+    blob[offset : offset + 64] = np.array([*mean, *std], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cuphaptics import load_model
+from helpers import write_model_with_stats
 from cuphaptics.cli import (
     DATASET_FILENAME,
     HISTORY_FILENAME,
@@ -343,3 +344,17 @@ class TestPredict:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mean0, std0", [(float("nan"), 1.0), (90.0, 0.0)], ids=["nan-mean", "zero-std"]
+    )
+    def test_model_with_bad_stats_is_runtime_error(self, tmp_path, capsys, mean0, std0):
+        bad = tmp_path / "bad.cupmlp"
+        write_model_with_stats(
+            bad, mean=(mean0, 91.0, 92.0, 93.0), std=(std0, 1.0, 1.0, 1.0)
+        )
+        code = main(
+            ["predict", "--p-ch", "96,96,96,96", "--method", "mlp", "--model", str(bad)]
+        )
+        assert code == 1
+        assert "model file" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from cuphaptics import (
     VacuumPressures,
     Vector2,
     angular_error,
+    angular_errors,
     estimate_direction,
     model_direction,
     vacuum_pressures,
@@ -65,6 +67,16 @@ class TestAngularError:
     @given(finite_angles)
     def test_self_distance_zero(self, a):
         assert angular_error(wrap_angle(a), wrap_angle(a)) == 0.0
+
+    def test_elementwise_matches_scalar(self):
+        pred = [350.0, 30.0, 0.0, 179.5, 10.0]
+        true = [10.0, 90.0, 180.0, 359.5, 10.0]
+        errs = angular_errors(np.array(pred), np.array(true))
+        assert errs.shape == (5,)
+        assert list(errs) == [
+            angular_error(Angle(p), Angle(t)) for p, t in zip(pred, true)
+        ]
+        assert list(errs) == pytest.approx([20.0, 60.0, 180.0, 180.0, 0.0])
 
 
 class TestVector2:

@@ -10,7 +10,6 @@ from cuphaptics import (
     PressureFieldParams,
     SplitSpec,
     TrainConfig,
-    compare,
     evaluate_mlp,
     evaluate_model_based,
     export_scatter,
@@ -115,14 +114,14 @@ def samples():
 
 class TestCompare:
     def test_single_seed_flagged_with_zero_std(self, samples):
-        report = compare(samples, SplitSpec(), quick_config(), seeds=[3])
+        report, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds=[3])
         assert report.single_run is True
         assert report.mlp.rmse_std_deg == 0.0
         assert report.model_based.rmse_std_deg == 0.0
         assert len(report.mlp.per_seed) == 1
 
     def test_row_structure_and_fold_accounting(self, samples):
-        report = compare(samples, SplitSpec(), quick_config(), seeds=[1, 2])
+        report, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds=[1, 2])
         assert report.seeds == (1, 2)
         assert len(report.mlp.per_seed) == 2
         assert len(report.model_based.per_seed) == 2
@@ -132,18 +131,18 @@ class TestCompare:
             assert row.n_scored + row.n_undefined == report.n_validation
 
     def test_deterministic_report(self, samples):
-        a = compare(samples, SplitSpec(), quick_config(), seeds=[1, 2])
-        b = compare(samples, SplitSpec(), quick_config(), seeds=[1, 2])
+        a, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds=[1, 2])
+        b, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds=[1, 2])
         assert a.to_json() == b.to_json()
 
     def test_json_stable_field_order(self, samples):
-        report = compare(samples, SplitSpec(), quick_config(), seeds=[1])
+        report, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds=[1])
         text = report.to_json()
         assert text.index('"seeds"') < text.index('"mlp"') < text.index('"model_based"')
 
     def test_needs_a_seed(self, samples):
         with pytest.raises(ConfigError):
-            compare(samples, SplitSpec(), quick_config(), seeds=[])
+            run_comparison(samples, SplitSpec(), quick_config(), seeds=[])
 
 
 class TestExportScatter:

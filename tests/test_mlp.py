@@ -38,7 +38,7 @@ from cuphaptics import (
 from cuphaptics import SplitSpec
 from cuphaptics import split as split_samples
 from cuphaptics.rng import substream
-from helpers import gradient_check_trials
+from helpers import gradient_check_trials, write_model_with_stats
 
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
 
@@ -409,6 +409,26 @@ class TestPersistence:
         save_model(init_model(0), path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ModelFormatError, match="trailing"):
+            load_model(path)
+
+    def test_params_block_is_the_flat_vector(self, tmp_path):
+        model = init_model(3)
+        path = tmp_path / "m.cupmlp"
+        save_model(model, path)
+        flat = np.concatenate(
+            [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
+        )
+        assert path.read_bytes().endswith(flat.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize(
+        "mean0, std0", [(math.nan, 1.0), (90.0, 0.0)], ids=["nan-mean", "zero-std"]
+    )
+    def test_bad_stats_rejected(self, tmp_path, mean0, std0):
+        path = tmp_path / "m.cupmlp"
+        write_model_with_stats(
+            path, mean=(mean0, 91.0, 92.0, 93.0), std=(std0, 1.0, 1.0, 1.0)
+        )
+        with pytest.raises(ModelFormatError, match="channel 1"):
             load_model(path)
 
     def test_sidecar_metadata(self, tmp_path):

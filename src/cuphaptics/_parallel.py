@@ -1,49 +1,23 @@
-"""Worker-pool sizing shared by the batch operations.
+"""Two sequential names kept only for perfbench's tracer.
 
-The environment variable CUPHAPTICS_THREADS caps how many worker threads
-a parallelizable operation may use; 0 or unset means automatic (one per
-task up to the CPU count). Results always come back in input order, so
-parallel and sequential execution are indistinguishable.
+Nothing in the package imports ``map_ordered`` or ``resolve_workers``;
+``TRACED`` in ``perfbench/tracing.py`` looks them up here. This module
+goes when a benchmark change drops them from ``TRACED``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-from .errors import ConfigError
-
-THREADS_ENV = "CUPHAPTICS_THREADS"
+from typing import Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
+def map_ordered(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
+    """``[fn(x) for x in items]``."""
+    return [fn(item) for item in items]
+
+
 def resolve_workers(n_tasks: int) -> int:
-    """Worker count for ``n_tasks`` under the CUPHAPTICS_THREADS cap."""
-    if n_tasks <= 0:
-        return 1
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw == "":
-        cap = 0
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV} must be a non-negative integer, got {raw!r}"
-            ) from None
-        if cap < 0:
-            raise ConfigError(f"{THREADS_ENV} must be >= 0, got {cap}")
-    auto = min(n_tasks, os.cpu_count() or 1)
-    return auto if cap == 0 else min(cap, n_tasks)
-
-
-def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-    """Apply ``fn`` to every item, possibly in parallel, preserving order."""
-    workers = resolve_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Always 1: every operation runs in the calling thread."""
+    return 1

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from .core import SensorFrame, Vector2, estimate_direction
+from .core import SensorFrame, estimate_direction
 from .dataset import SplitSpec, read_csv, split, write_csv
 from .errors import (
     ConfigError,
@@ -36,7 +36,7 @@ from .evaluate import (
 )
 from .mlp import (
     TrainConfig,
-    decode_angle,
+    decode_estimate,
     load_model,
     network_output,
     save_model,
@@ -246,15 +246,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     frame = SensorFrame(p_ch=_parse_pressures(args.p_ch), p_atm=args.p_atm)
     if args.method == "model":
         estimate = estimate_direction(frame)
-        v = estimate.v_pred
-        phi = estimate.phi_pred
     else:
         if args.model is None:
             raise ConfigError("--model is required when --method mlp")
-        model = load_model(args.model)
-        out = network_output(model, frame)
-        v = Vector2(float(out[0]), float(out[1]))
-        phi = decode_angle(out)
+        estimate = decode_estimate(network_output(load_model(args.model), frame))
+    v, phi = estimate.v_pred, estimate.phi_pred
     if args.format == "json":
         payload = {
             "method": args.method,

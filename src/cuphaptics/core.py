@@ -5,8 +5,7 @@ degrees normalized to [0, 360). The tool frame is a 2D cup-fixed frame;
 chambers 1 and 4 sit on the +x side, chambers 3 and 4 on the +y side, so
 pairwise chamber sums give a vector that points toward the better seal.
 
-Everything here is an immutable value or a pure function and is safe to
-use from any number of threads.
+Everything here is an immutable value or a pure function.
 """
 
 from __future__ import annotations
@@ -161,6 +160,11 @@ class DirectionEstimate:
     phi_pred: Angle | None
 
 
+def direction_angle(v: Vector2) -> Angle | None:
+    """Polar angle of the direction ``v``; None when its norm is ~zero."""
+    return v.polar_angle() if v.norm() > EPS_ZERO else None
+
+
 def vacuum_pressures(frame: SensorFrame) -> VacuumPressures:
     """Convert absolute chamber pressures to gauge (vacuum) pressures."""
     return VacuumPressures(tuple(frame.p_atm - p for p in frame.p_ch))
@@ -174,8 +178,7 @@ def model_direction(vp: VacuumPressures) -> DirectionEstimate:
     """
     p1, p2, p3, p4 = vp.p
     v = Vector2((p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2))
-    phi = v.polar_angle() if v.norm() > EPS_ZERO else None
-    return DirectionEstimate(v_pred=v, phi_pred=phi)
+    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v))
 
 
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:

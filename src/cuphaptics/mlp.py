@@ -12,7 +12,7 @@ Model file format (versioned, little-endian):
     magic   7 bytes  b"CUPMLP1"
     mode    u8       0 = raw inputs, 1 = standardized
     depth   u32      number of entries in layer_sizes
-    sizes   u32 * depth
+    sizes   u32 * depth   first 4 (chamber pressures), last 2 (cos, sin)
     stats   f64 * (2 * sizes[0])   means then stds; standardized mode only
     params  per layer: weight matrix row-major (out x in) f64, bias f64 * out
 
@@ -35,7 +35,15 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .core import EPS_ZERO, Angle, SensorFrame, angular_errors, wrap_angle
+from .core import (
+    EPS_ZERO,
+    Angle,
+    DirectionEstimate,
+    SensorFrame,
+    Vector2,
+    angular_errors,
+    direction_angle,
+)
 from .dataset import FeatureStats, LabeledSample, feature_stats
 from .errors import (
     ConfigError,
@@ -242,12 +250,16 @@ def target_encoding(phi: Angle) -> tuple[float, float]:
 
 def decode_angle(output: Sequence[float]) -> Angle | None:
     """Polar angle of a 2-vector output; None when the vector is ~zero."""
+    return decode_estimate(output).phi_pred
+
+
+def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
+    """Direction estimate for a 2-vector output: the vector and its angle."""
     x, y = (float(v) for v in output)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"output must be finite, got ({x}, {y})")
-    if math.hypot(x, y) <= EPS_ZERO:
-        return None
-    return wrap_angle(math.degrees(math.atan2(y, x)))
+    v = Vector2(x, y)
+    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v))
 
 
 def loss(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -520,13 +532,13 @@ def load_model(path: str | Path) -> MlpModel:
     sizes = struct.unpack(f"<{depth}I", cur.take(4 * depth))
     if any(s < 1 for s in sizes):
         raise ModelFormatError(f"non-positive layer size in {sizes}")
+    if sizes[0] != 4 or sizes[-1] != 2:
+        raise ModelFormatError(
+            f"model must map 4 inputs to 2 outputs, file says {sizes[0]} -> {sizes[-1]}"
+        )
     stats_block = None  # means then stds
     if mode_byte == 1:
         stats_block = cur.f64(2 * sizes[0])
-        if sizes[0] != 4:
-            raise ModelFormatError(
-                f"standardized models must take 4 inputs, file says {sizes[0]}"
-            )
     n_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
     params = cur.f64(n_params)
     if cur.pos != len(buf):

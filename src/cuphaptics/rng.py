@@ -2,8 +2,7 @@
 
 All randomness in this package flows through PCG64 generators built here.
 Substreams are derived as ``seed XOR index`` so that per-sample (or
-per-step) draws are independent of execution order and safe to produce in
-parallel.
+per-step) draws are independent of execution order.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ field itself is not frozen between steps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -30,10 +31,9 @@ from .core import (
 )
 from .dataset import write_table
 from .errors import ConfigError, InvalidInputError
-from .mlp import MlpModel, decode_angle, network_output
+from .mlp import MlpModel, decode_estimate, network_output
 from .rng import derive_seed, substream
 from .synth import CupGeometry, PressureFieldParams, synth_frame
-from ._parallel import map_ordered
 
 BATCH_CSV_COLUMNS = (
     "delta0_mm",
@@ -80,11 +80,7 @@ class MlpEstimator:
     def estimate(
         self, frame: SensorFrame, pose: GroundTruthPose
     ) -> DirectionEstimate:
-        out = network_output(self.model, frame)
-        return DirectionEstimate(
-            v_pred=Vector2(float(out[0]), float(out[1])),
-            phi_pred=decode_angle(out),
-        )
+        return decode_estimate(network_output(self.model, frame))
 
 
 @dataclass(frozen=True)
@@ -238,19 +234,17 @@ def batch_search(
 
     Cell order: delta0 (outer), then phi0, then noise, then estimator.
     Each repetition runs under seed = derive(spec.seed, cell, rep), so the
-    table is reproducible and independent of worker scheduling.
+    table is reproducible.
     ``mean_steps`` averages over all repetitions, successful or not.
     """
-    cells = [
-        (d0, phi0, noise, est)
-        for d0 in spec.delta0_values_mm
-        for phi0 in spec.phi0_values_deg
-        for noise in spec.noise_values_kpa
-        for est in spec.estimators
-    ]
-
-    def run_cell(indexed_cell) -> BatchRow:
-        cell_idx, (d0, phi0, noise, est) = indexed_cell
+    cells = itertools.product(
+        spec.delta0_values_mm,
+        spec.phi0_values_deg,
+        spec.noise_values_kpa,
+        spec.estimators,
+    )
+    rows = []
+    for cell_idx, (d0, phi0, noise, est) in enumerate(cells):
         pose0 = GroundTruthPose(delta=d0, phi=Angle(phi0))
         cell_params = replace(params, noise_sigma_kpa=noise)
         outcomes = []
@@ -259,16 +253,17 @@ def batch_search(
                 config, estimator=est, seed=derive_seed(spec.seed, cell_idx, rep)
             )
             outcomes.append(run_search(pose0, run_config, geom, cell_params))
-        return BatchRow(
-            delta0_mm=d0,
-            phi0_deg=phi0,
-            noise_sigma_kpa=noise,
-            estimator=est.name,
-            success_rate=float(np.mean([r.success for r in outcomes])),
-            mean_steps=float(np.mean([r.steps for r in outcomes])),
+        rows.append(
+            BatchRow(
+                delta0_mm=d0,
+                phi0_deg=phi0,
+                noise_sigma_kpa=noise,
+                estimator=est.name,
+                success_rate=float(np.mean([r.success for r in outcomes])),
+                mean_steps=float(np.mean([r.steps for r in outcomes])),
+            )
         )
-
-    return map_ordered(run_cell, list(enumerate(cells)))
+    return rows
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:

@@ -29,29 +29,24 @@ from .dataset import LabeledSample
 from .errors import ConfigError, InvalidInputError
 from .rng import substream
 
+# Chamber-center directions, chambers 1-4. The pairwise-sum direction
+# formula is only valid for this placement (up to reflection), so it is
+# not configurable.
 CHAMBER_ANGLES_DEG = (315.0, 225.0, 135.0, 45.0)
 
 
 @dataclass(frozen=True)
 class CupGeometry:
-    """Cup lip radius and the fixed quadrant-diagonal chamber layout, mm."""
+    """Cup lip and chamber-center radii, mm; chambers sit at CHAMBER_ANGLES_DEG."""
 
     r_cup_mm: float = 15.0
     r_chamber_mm: float = 10.0
-    chamber_angles_deg: tuple[float, float, float, float] = CHAMBER_ANGLES_DEG
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r_chamber_mm < self.r_cup_mm):
             raise ConfigError(
                 f"need 0 < r_chamber < r_cup, got r_chamber={self.r_chamber_mm}, "
                 f"r_cup={self.r_cup_mm}"
-            )
-        if tuple(self.chamber_angles_deg) != CHAMBER_ANGLES_DEG:
-            # The pairwise-sum direction formula is only valid for this
-            # placement (up to reflection), so it is not configurable.
-            raise ConfigError(
-                f"chamber_angles_deg must be {CHAMBER_ANGLES_DEG}, "
-                f"got {tuple(self.chamber_angles_deg)}"
             )
 
 
@@ -113,7 +108,7 @@ def coverage_depth(geom: CupGeometry, pose: GroundTruthPose, chamber: int) -> fl
     """
     if chamber not in (1, 2, 3, 4):
         raise InvalidInputError(f"chamber must be 1..4, got {chamber}")
-    alpha = geom.chamber_angles_deg[chamber - 1]
+    alpha = CHAMBER_ANGLES_DEG[chamber - 1]
     return (
         geom.r_chamber_mm * math.cos(math.radians(alpha - pose.phi.degrees))
         - pose.delta

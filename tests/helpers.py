@@ -1,5 +1,5 @@
-"""Shared test utilities: the finite-difference gradient checker and a
-model-file writer with chosen standardization stats."""
+"""Shared test utilities: the finite-difference gradient checker and
+model-file writers with chosen standardization stats or layer sizes."""
 
 import numpy as np
 
@@ -76,3 +76,16 @@ def write_model_with_stats(path, mean, std):
     offset = len(MODEL_MAGIC) + 1 + 4 + 4 * 5  # magic, mode, depth, sizes
     blob[offset : offset + 64] = np.array([*mean, *std], dtype="<f8").tobytes()
     path.write_bytes(bytes(blob))
+
+
+def write_model_with_sizes(path, sizes, standardized):
+    """Write a model file of any layer sizes, bypassing the 4-channel
+    FeatureStats check, so a file can hold shapes the loader must reject."""
+    save_model(init_model(0, layer_sizes=sizes), path)
+    if standardized:
+        blob = path.read_bytes()
+        mode = len(MODEL_MAGIC)
+        header = mode + 1 + 4 + 4 * len(sizes)  # magic, mode, depth, sizes
+        stats = np.array([0.0] * sizes[0] + [1.0] * sizes[0], dtype="<f8").tobytes()
+        head = blob[:mode] + b"\x01" + blob[mode + 1 : header]
+        path.write_bytes(head + stats + blob[header:])

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cuphaptics import load_model
-from helpers import write_model_with_stats
+from helpers import write_model_with_sizes, write_model_with_stats
 from cuphaptics.cli import (
     DATASET_FILENAME,
     HISTORY_FILENAME,
@@ -14,6 +14,12 @@ from cuphaptics.cli import (
     SCATTER_MODEL_BASED_FILENAME,
     SEARCH_FILENAME,
     main,
+)
+
+
+# Layer sizes the estimators cannot run: they feed 4 inputs and decode 2 outputs.
+WRONG_SHAPES = pytest.mark.parametrize(
+    "sizes", [(4, 3), (4, 1), (3, 2)], ids=["4-3", "4-1", "3-2"]
 )
 
 
@@ -261,6 +267,29 @@ class TestSearch:
         assert len(rows) == 2
         assert all(row["estimator"] == "mlp" for row in rows)
 
+    @WRONG_SHAPES
+    def test_model_of_wrong_shape_is_runtime_error(self, tmp_path, capsys, sizes):
+        bad = tmp_path / "bad.cupmlp"
+        write_model_with_sizes(bad, sizes, standardized=True)
+        code = main(
+            [
+                "search",
+                "--estimator",
+                "mlp",
+                "--model",
+                str(bad),
+                "--phi-points",
+                "1",
+                "--reps",
+                "1",
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_mlp_without_model_is_usage_error(self, tmp_path, capsys):
         code = main(["search", "--estimator", "mlp", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -358,3 +387,14 @@ class TestPredict:
         )
         assert code == 1
         assert "model file" in capsys.readouterr().err
+
+    @WRONG_SHAPES
+    def test_model_of_wrong_shape_is_runtime_error(self, tmp_path, capsys, sizes):
+        bad = tmp_path / "bad.cupmlp"
+        write_model_with_sizes(bad, sizes, standardized=False)
+        code = main(
+            ["predict", "--p-ch", "96,96,96,96", "--method", "mlp", "--model", str(bad)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -38,7 +38,11 @@ from cuphaptics import (
 from cuphaptics import SplitSpec
 from cuphaptics import split as split_samples
 from cuphaptics.rng import substream
-from helpers import gradient_check_trials, write_model_with_stats
+from helpers import (
+    gradient_check_trials,
+    write_model_with_sizes,
+    write_model_with_stats,
+)
 
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
 
@@ -429,6 +433,16 @@ class TestPersistence:
             path, mean=(mean0, 91.0, 92.0, 93.0), std=(std0, 1.0, 1.0, 1.0)
         )
         with pytest.raises(ModelFormatError, match="channel 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardized"])
+    @pytest.mark.parametrize(
+        "sizes", [(4, 3), (4, 1), (3, 2)], ids=["4-3", "4-1", "3-2"]
+    )
+    def test_wrong_input_or_output_width_rejected(self, tmp_path, sizes, standardized):
+        path = tmp_path / "m.cupmlp"
+        write_model_with_sizes(path, sizes, standardized)
+        with pytest.raises(ModelFormatError, match="4 inputs to 2 outputs"):
             load_model(path)
 
     def test_sidecar_metadata(self, tmp_path):

@@ -1,10 +1,12 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
 from cuphaptics import (
     Angle,
+    BatchRow,
     BatchSpec,
     ConfigError,
     CupGeometry,
@@ -26,7 +28,7 @@ from cuphaptics import (
     write_batch_csv,
 )
 from cuphaptics import GenerationConfig
-from cuphaptics._parallel import THREADS_ENV, resolve_workers
+from cuphaptics.rng import derive_seed
 
 GEOM = CupGeometry()
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
@@ -250,38 +252,47 @@ class TestBatchSearch:
                 estimators=(OracleEstimator(),),
             )
 
-
-class TestParallelism:
-    def test_results_independent_of_thread_cap(self, monkeypatch):
+    def test_rows_are_rep_means_in_cell_order(self):
         spec = BatchSpec(
-            delta0_values_mm=(12.0, 14.0),
-            phi0_values_deg=(0.0, 90.0, 180.0),
-            noise_values_kpa=(0.3,),
-            estimators=(ModelBasedEstimator(),),
-            reps=2,
-            seed=4,
+            delta0_values_mm=(14.0, 18.0),
+            phi0_values_deg=(0.0, 120.0, 240.0),
+            noise_values_kpa=(0.3, 4.0),
+            estimators=(ModelBasedEstimator(), OracleEstimator()),
+            reps=4,
+            seed=11,
         )
-        config = SearchConfig(estimator=ModelBasedEstimator(), seed=0)
-        monkeypatch.setenv(THREADS_ENV, "1")
-        serial = batch_search(spec, config, GEOM, PressureFieldParams())
-        monkeypatch.setenv(THREADS_ENV, "4")
-        parallel = batch_search(spec, config, GEOM, PressureFieldParams())
-        assert serial == parallel
-
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert resolve_workers(1) == 1
-        assert 1 <= resolve_workers(1000)  # auto mode
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert resolve_workers(8) == 2
-        assert resolve_workers(1) == 1
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert resolve_workers(8) >= 1
-
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "lots")
-        with pytest.raises(ConfigError):
-            resolve_workers(4)
-        monkeypatch.setenv(THREADS_ENV, "-1")
-        with pytest.raises(ConfigError):
-            resolve_workers(4)
+        config = SearchConfig(
+            estimator=OracleEstimator(), step_size_mm=2.0, max_steps=6, seed=0
+        )
+        rows = batch_search(spec, config, GEOM, PressureFieldParams())
+        cells = [
+            (d0, phi0, noise, est)
+            for d0 in spec.delta0_values_mm
+            for phi0 in spec.phi0_values_deg
+            for noise in spec.noise_values_kpa
+            for est in spec.estimators
+        ]
+        expected = []
+        for i, (d0, phi0, noise, est) in enumerate(cells):
+            runs = [
+                run_search(
+                    pose(d0, phi0),
+                    replace(config, estimator=est, seed=derive_seed(spec.seed, i, rep)),
+                    GEOM,
+                    PressureFieldParams(noise_sigma_kpa=noise),
+                )
+                for rep in range(spec.reps)
+            ]
+            expected.append(
+                BatchRow(
+                    delta0_mm=d0,
+                    phi0_deg=phi0,
+                    noise_sigma_kpa=noise,
+                    estimator=est.name,
+                    success_rate=float(np.mean([r.success for r in runs])),
+                    mean_steps=float(np.mean([r.steps for r in runs])),
+                )
+            )
+        assert rows == expected
+        # Rates strictly between 0 and 1 show that each rep draws its own noise.
+        assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 0.75, 1.0}

@@ -19,13 +19,7 @@ from typing import Sequence
 
 from .core import SensorFrame, estimate_direction
 from .dataset import SplitSpec, read_csv, split, write_csv
-from .errors import (
-    ConfigError,
-    CsvParseError,
-    CupHapticsError,
-    InvalidInputError,
-    ModelFormatError,
-)
+from .errors import ConfigError, CupHapticsError, InvalidInputError
 from .evaluate import (
     MLP_METHOD,
     MODEL_BASED_METHOD,
@@ -85,10 +79,9 @@ def _parse_pressures(raw: str) -> tuple[float, float, float, float]:
             f"--p-ch needs exactly 4 comma-separated values, got {len(parts)}"
         )
     try:
-        values = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--p-ch values must be numbers, got {raw!r}") from None
-    return values
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -150,20 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     save_model(model, model_path, metadata=metadata)
     history_path = out / HISTORY_FILENAME
-    history_path.write_text(
-        json.dumps(
-            {
-                "train_loss": list(history.train_loss),
-                "val_loss": list(history.val_loss),
-                "val_rmse_deg": list(history.val_rmse_deg),
-                "best_epoch": history.best_epoch,
-                "initial_val_loss": history.initial_val_loss,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    history_path.write_text(json.dumps(asdict(history), indent=2) + "\n", encoding="utf-8")
     rmse_text = f"{val_rmse:.3f} deg" if val_rmse is not None else "n/a"
     print(
         f"wrote {model_path} and {history_path} "
@@ -385,10 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvParseError, ModelFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CupHapticsError as exc:  # any remaining package error is runtime
+    except (CupHapticsError, OSError) as exc:  # every other failure is runtime
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,10 @@
-"""Dataset persistence, train/validation splitting, and feature statistics.
+"""Datasets: the ``Samples`` table, CSV persistence, splitting, feature stats.
+
+A dataset is one ``Samples``: a read-only (n, 7) float64 table whose
+columns follow the CSV schema below. ``samples.table`` is that array,
+``samples.p_ch`` and ``samples.phi_deg`` are column views, and
+``samples[i]`` builds the ``LabeledSample`` (frame and pose) of row i,
+so per-row objects exist only where a caller asks for one.
 
 The on-disk format is a plain CSV with the exact header
 
@@ -15,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +51,61 @@ class LabeledSample:
 
     frame: SensorFrame
     pose: GroundTruthPose
+
+
+def _labeled(row: Sequence[float]) -> LabeledSample:
+    *p_ch, p_atm, delta, phi = row
+    return LabeledSample(
+        frame=SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm),
+        pose=GroundTruthPose(delta=delta, phi=Angle(phi)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """A dataset as one read-only (n, 7) float64 table in CSV_COLUMNS order.
+
+    Indexing with an int gives that row's ``LabeledSample``; indexing with a
+    slice, an index array or a mask gives another ``Samples``.
+    """
+
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        table = self.table
+        if not (
+            isinstance(table, np.ndarray)
+            and table.dtype == np.float64
+            and table.shape[1:] == (len(CSV_COLUMNS),)
+        ):
+            raise InvalidInputError(
+                f"samples table must be float64 of shape (n, {len(CSV_COLUMNS)}), "
+                f"got {np.asarray(table).dtype} of shape {np.shape(table)}"
+            )
+        table = np.ascontiguousarray(table).view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @property
+    def p_ch(self) -> np.ndarray:
+        """Chamber pressures, kPa: an (n, 4) view."""
+        return self.table[:, 0:4]
+
+    @property
+    def phi_deg(self) -> np.ndarray:
+        """True yaw, degrees in [0, 360): an (n,) view."""
+        return self.table[:, 6]
+
+    def __len__(self) -> int:
+        return self.table.shape[0]
+
+    def __getitem__(self, key) -> LabeledSample | Samples:
+        if isinstance(key, (int, np.integer)):
+            return _labeled(self.table[key].tolist())
+        return Samples(self.table[key])
+
+    def __iter__(self) -> Iterator[LabeledSample]:
+        return map(_labeled, self.table.tolist())
 
 
 @dataclass(frozen=True)
@@ -100,16 +161,9 @@ def write_table(
         fh.write("\n".join(lines) + "\n")
 
 
-def write_csv(samples: Sequence[LabeledSample], path: str | Path) -> None:
+def write_csv(samples: Samples, path: str | Path) -> None:
     """Write samples to ``path`` in the package CSV schema."""
-    write_table(
-        path,
-        CSV_COLUMNS,
-        (
-            (*s.frame.p_ch, s.frame.p_atm, s.pose.delta, s.pose.phi.degrees)
-            for s in samples
-        ),
-    )
+    write_table(path, CSV_COLUMNS, (row.tolist() for row in samples.table))
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -124,7 +178,7 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     return value
 
 
-def read_csv(path: str | Path) -> list[LabeledSample]:
+def read_csv(path: str | Path) -> Samples:
     """Read a dataset CSV, validating the header and every cell.
 
     ``phi_deg`` must lie in [0, 360]; an exact 360 (a 9-significant-digit
@@ -140,7 +194,8 @@ def read_csv(path: str | Path) -> list[LabeledSample]:
             f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
             line=1,
         )
-    samples = []
+    table = np.empty((len(rows) - 1, len(CSV_COLUMNS)))
+    n = 0
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue  # tolerate a trailing blank line
@@ -161,29 +216,26 @@ def read_csv(path: str | Path) -> list[LabeledSample]:
             pose = GroundTruthPose(delta=values[5], phi=Angle(phi))
         except InvalidInputError as exc:
             raise CsvParseError(str(exc), line=line_no) from exc
-        samples.append(LabeledSample(frame=frame, pose=pose))
-    return samples
+        table[n] = (*values[:6], pose.phi.degrees)  # an exact 360 stored as 0
+        n += 1
+    return Samples(table[:n])
 
 
-def split(
-    samples: Sequence[LabeledSample], spec: SplitSpec
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
+def split(samples: Samples, spec: SplitSpec) -> tuple[Samples, Samples]:
     """Partition samples into (train, validation) by a seeded shuffle."""
     n = len(samples)
     if n < 2:
         raise ConfigError(f"need at least 2 samples to split, got {n}")
     n_train = round(n * spec.train_fraction)
     perm = make_generator(spec.seed).permutation(n)
-    train = [samples[i] for i in perm[:n_train]]
-    val = [samples[i] for i in perm[n_train:]]
-    return train, val
+    return samples[perm[:n_train]], samples[perm[n_train:]]
 
 
-def feature_stats(train: Sequence[LabeledSample]) -> FeatureStats:
+def feature_stats(train: Samples) -> FeatureStats:
     """Per-channel mean/std of chamber pressures. Training set only."""
-    if not train:
+    if not len(train):
         raise ConfigError("cannot compute feature stats of an empty set")
-    x = np.array([s.frame.p_ch for s in train], dtype=np.float64)
+    x = train.p_ch
     mean = x.mean(axis=0)
     std = x.std(axis=0)  # population convention (divide by n)
     for j, s in enumerate(std, start=1):

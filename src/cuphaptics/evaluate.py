@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, angular_errors, estimate_direction
-from .dataset import LabeledSample, SplitSpec, split, write_table
+from .core import Angle, SensorFrame, angular_errors, estimate_direction
+from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, TrainConfig, predict_angle, train
 
@@ -100,23 +100,25 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     return float(np.mean(_errors(pairs, "mae_deg")))
 
 
-def evaluate_model_based(samples: Sequence[LabeledSample]) -> list[PredictionPair]:
+def _frames(samples: Samples) -> Iterator[tuple[SensorFrame, Angle]]:
+    """Each row's sensor frame and true yaw; no other per-row object."""
+    for *p_ch, p_atm, _, phi in samples.table.tolist():
+        yield SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm), Angle(phi)
+
+
+def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
     """Pressure-difference estimate per sample."""
     return [
-        PredictionPair(
-            phi_true=s.pose.phi, phi_pred=estimate_direction(s.frame).phi_pred
-        )
-        for s in samples
+        PredictionPair(phi_true=phi, phi_pred=estimate_direction(frame).phi_pred)
+        for frame, phi in _frames(samples)
     ]
 
 
-def evaluate_mlp(
-    model: MlpModel, samples: Sequence[LabeledSample]
-) -> list[PredictionPair]:
+def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
     """Network estimate per sample."""
     return [
-        PredictionPair(phi_true=s.pose.phi, phi_pred=predict_angle(model, s.frame))
-        for s in samples
+        PredictionPair(phi_true=phi, phi_pred=predict_angle(model, frame))
+        for frame, phi in _frames(samples)
     ]
 
 
@@ -147,7 +149,7 @@ def _summarize(method: str, rows: Sequence[SeedMetrics]) -> MethodSummary:
 
 
 def run_comparison(
-    samples: Sequence[LabeledSample],
+    samples: Samples,
     split_spec: SplitSpec,
     train_config: TrainConfig,
     seeds: Sequence[int],

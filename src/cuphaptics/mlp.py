@@ -44,7 +44,7 @@ from .core import (
     angular_errors,
     direction_angle,
 )
-from .dataset import FeatureStats, LabeledSample, feature_stats
+from .dataset import FeatureStats, Samples, feature_stats
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -106,27 +106,22 @@ class RmspropState:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.lr > 0.0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         v = tuple(np.asarray(a, dtype=np.float64) for a in self.v)
         for a in v:
-            if (a < 0.0).any():
-                raise InvalidInputError("squared-gradient average must be >= 0")
+            if not (np.isfinite(a).all() and (a >= 0.0).all()):
+                raise InvalidInputError("squared-gradient average must be finite and >= 0")
         object.__setattr__(self, "v", v)
 
     @classmethod
-    def initial(
-        cls,
-        params: Sequence[np.ndarray],
-        lr: float = 1e-3,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-    ) -> "RmspropState":
-        return cls(v=tuple(np.zeros_like(p) for p in params), lr=lr, rho=rho, eps=eps)
+    def initial(cls, params: Sequence[np.ndarray], **hyper: float) -> "RmspropState":
+        """Zero averages shaped like ``params``; ``hyper`` may set lr, rho, eps."""
+        return cls(v=tuple(np.zeros_like(p) for p in params), **hyper)
 
 
 @dataclass(frozen=True)
@@ -153,12 +148,8 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        # The optimizer state checks lr, rho and eps.
+        RmspropState(v=(), lr=self.lr, rho=self.rho, eps=self.eps)
 
 
 @dataclass(frozen=True)
@@ -356,8 +347,8 @@ _SHUFFLE_STREAM = 1
 
 
 def train(
-    train_set: Sequence[LabeledSample],
-    val_set: Sequence[LabeledSample],
+    train_set: Samples,
+    val_set: Samples,
     config: TrainConfig,
 ) -> tuple[MlpModel, TrainHistory]:
     """Mini-batch RMSprop with early stopping on validation loss.
@@ -369,21 +360,20 @@ def train(
     ``max_epochs`` or once more than ``patience`` consecutive epochs fail
     to improve validation loss.
     """
-    if not train_set or not val_set:
+    if not (len(train_set) and len(val_set)):
         raise ConfigError("train and validation sets must both be non-empty")
     x_train, x_val = (
-        np.array([s.frame.p_ch for s in part], dtype=np.float64)
-        for part in (train_set, val_set)
+        np.ascontiguousarray(part.p_ch) for part in (train_set, val_set)
     )
     stats = None
     if config.standardize:
         stats = feature_stats(train_set)
         x_train, x_val = _standardize(x_train, stats), _standardize(x_val, stats)
     t_train, t_val = (
-        np.array([target_encoding(s.pose.phi) for s in part], dtype=np.float64)
+        np.array([target_encoding(Angle(p)) for p in part.phi_deg.tolist()])
         for part in (train_set, val_set)
     )
-    phi_val = np.array([s.pose.phi.degrees for s in val_set], dtype=np.float64)
+    phi_val = val_set.phi_deg
 
     model0 = init_model(
         config.seed,

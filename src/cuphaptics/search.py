@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -34,15 +34,6 @@ from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, decode_estimate, network_output
 from .rng import derive_seed, substream
 from .synth import CupGeometry, PressureFieldParams, synth_frame
-
-BATCH_CSV_COLUMNS = (
-    "delta0_mm",
-    "phi0_deg",
-    "noise_sigma_kpa",
-    "estimator",
-    "success_rate",
-    "mean_steps",
-)
 
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
@@ -110,13 +101,13 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.step_size_mm > 0.0:
-            raise ConfigError(f"step_size_mm must be > 0, got {self.step_size_mm}")
+        if not 0.0 < self.step_size_mm < math.inf:
+            raise ConfigError(f"step_size_mm must be finite and > 0, got {self.step_size_mm}")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.success_delta_mm < 0.0:
+        if not 0.0 <= self.success_delta_mm < math.inf:
             raise ConfigError(
-                f"success_delta_mm must be >= 0, got {self.success_delta_mm}"
+                f"success_delta_mm must be finite and >= 0, got {self.success_delta_mm}"
             )
 
 
@@ -157,36 +148,27 @@ def run_search(
     pose = pose0
     trajectory = [pose]
     estimates: list[DirectionEstimate] = []
-    while True:
-        if pose.delta <= config.success_delta_mm:
-            return SearchResult(
-                success=True,
-                steps=len(estimates),
-                trajectory=tuple(trajectory),
-                estimates=tuple(estimates),
-            )
+    reason = None
+    while pose.delta > config.success_delta_mm:
         if len(estimates) >= config.max_steps:
-            return SearchResult(
-                success=False,
-                steps=len(estimates),
-                trajectory=tuple(trajectory),
-                estimates=tuple(estimates),
-                failure_reason=FAILURE_BUDGET_EXHAUSTED,
-            )
+            reason = FAILURE_BUDGET_EXHAUSTED
+            break
         rng = substream(config.seed, len(estimates))
         frame = synth_frame(geom, params, pose, rng)
         estimate = config.estimator.estimate(frame, pose)
         if estimate.phi_pred is None:
-            return SearchResult(
-                success=False,
-                steps=len(estimates),
-                trajectory=tuple(trajectory),
-                estimates=tuple(estimates),
-                failure_reason=FAILURE_NO_GRADIENT,
-            )
+            reason = FAILURE_NO_GRADIENT
+            break
         pose = search_step(pose, estimate, config.step_size_mm)
         trajectory.append(pose)
         estimates.append(estimate)
+    return SearchResult(
+        success=reason is None,
+        steps=len(estimates),
+        trajectory=tuple(trajectory),
+        estimates=tuple(estimates),
+        failure_reason=reason,
+    )
 
 
 @dataclass(frozen=True)
@@ -214,7 +196,7 @@ class BatchSpec:
 
 @dataclass(frozen=True)
 class BatchRow:
-    """Aggregated outcome of one grid cell; fields in BATCH_CSV_COLUMNS order."""
+    """Aggregated outcome of one grid cell; the fields are the CSV columns."""
 
     delta0_mm: float
     phi0_deg: float
@@ -222,6 +204,9 @@ class BatchRow:
     estimator: str
     success_rate: float
     mean_steps: float
+
+
+BATCH_CSV_COLUMNS = tuple(f.name for f in fields(BatchRow))
 
 
 def batch_search(

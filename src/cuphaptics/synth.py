@@ -25,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .core import PRESSURE_TOLERANCE_KPA, Angle, GroundTruthPose, SensorFrame
-from .dataset import LabeledSample
+from .dataset import CSV_COLUMNS, Samples
 from .errors import ConfigError, InvalidInputError
 from .rng import substream
 
@@ -43,10 +43,10 @@ class CupGeometry:
     r_chamber_mm: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r_chamber_mm < self.r_cup_mm):
+        if not (0.0 < self.r_chamber_mm < self.r_cup_mm < math.inf):
             raise ConfigError(
-                f"need 0 < r_chamber < r_cup, got r_chamber={self.r_chamber_mm}, "
-                f"r_cup={self.r_cup_mm}"
+                "need 0 < r_chamber < r_cup, both finite, "
+                f"got r_chamber={self.r_chamber_mm}, r_cup={self.r_cup_mm}"
             )
 
 
@@ -61,20 +61,21 @@ class PressureFieldParams:
     p_atm_kpa: float = 101.325
 
     def __post_init__(self) -> None:
-        if not self.p_max_kpa > 0.0:
-            raise ConfigError(f"p_max_kpa must be > 0, got {self.p_max_kpa}")
-        if not self.transition_width_mm > 0.0:
+        if not 0.0 < self.p_max_kpa < math.inf:
+            raise ConfigError(f"p_max_kpa must be finite and > 0, got {self.p_max_kpa}")
+        if not 0.0 < self.transition_width_mm < math.inf:
             raise ConfigError(
-                f"transition_width_mm must be > 0, got {self.transition_width_mm}"
+                "transition_width_mm must be finite and > 0, "
+                f"got {self.transition_width_mm}"
             )
         if self.response not in ("affine", "sigmoid"):
             raise ConfigError(f"unknown response {self.response!r}")
-        if self.noise_sigma_kpa < 0.0:
+        if not 0.0 <= self.noise_sigma_kpa < math.inf:
             raise ConfigError(
-                f"noise_sigma_kpa must be >= 0, got {self.noise_sigma_kpa}"
+                f"noise_sigma_kpa must be finite and >= 0, got {self.noise_sigma_kpa}"
             )
-        if self.p_atm_kpa < 0.0:
-            raise ConfigError(f"p_atm_kpa must be >= 0, got {self.p_atm_kpa}")
+        if not 0.0 <= self.p_atm_kpa < math.inf:
+            raise ConfigError(f"p_atm_kpa must be finite and >= 0, got {self.p_atm_kpa}")
 
 
 @dataclass(frozen=True)
@@ -162,45 +163,34 @@ def synth_frame(
     return SensorFrame(p_ch=p_ch, p_atm=params.p_atm_kpa)
 
 
-def _grid_poses(config: GenerationConfig) -> list[GroundTruthPose]:
-    d_lo, d_hi = config.delta_range_mm
-    p_lo, p_hi = config.phi_range_deg
-    n_phi = math.ceil(math.sqrt(config.n_samples))
-    n_delta = math.ceil(config.n_samples / n_phi)
-    deltas = np.linspace(d_lo, d_hi, n_delta)
-    # phi endpoint excluded: the range wraps, so p_hi aliases p_lo.
-    phis = p_lo + np.arange(n_phi) * ((p_hi - p_lo) / n_phi)
-    poses = []
-    for d in deltas:
-        for p in phis:
-            poses.append(GroundTruthPose(delta=float(d), phi=Angle(float(p))))
-            if len(poses) == config.n_samples:
-                return poses
-    return poses
-
-
 def generate_dataset(
     geom: CupGeometry, params: PressureFieldParams, config: GenerationConfig
-) -> list[LabeledSample]:
-    """Generate exactly n_samples labeled frames, fully determined by seed."""
+) -> Samples:
+    """Generate exactly n_samples labeled frames, fully determined by seed.
+
+    A grid row i takes offset i // n_phi and yaw i % n_phi, n_phi = ceil(sqrt(n)).
+    """
     d_lo, d_hi = config.delta_range_mm
     if d_hi > 2.0 * geom.r_cup_mm:
         raise ConfigError(
             f"delta_range_mm must stay within [0, {2.0 * geom.r_cup_mm}] "
             f"(cup diameter), got {config.delta_range_mm}"
         )
-    grid = _grid_poses(config) if config.sampling == "grid" else None
-    samples = []
-    for i in range(config.n_samples):
+    p_lo, p_hi = config.phi_range_deg
+    n = config.n_samples
+    n_phi = math.ceil(math.sqrt(n))
+    deltas = np.linspace(d_lo, d_hi, math.ceil(n / n_phi)).tolist()
+    # phi endpoint excluded: the range wraps, so p_hi aliases p_lo.
+    phis = (p_lo + np.arange(n_phi) * ((p_hi - p_lo) / n_phi)).tolist()
+    table = np.empty((n, len(CSV_COLUMNS)))
+    for i in range(n):
         rng = substream(config.seed, i)
-        if grid is None:
-            p_lo, p_hi = config.phi_range_deg
+        if config.sampling == "grid":
+            pose = GroundTruthPose(delta=deltas[i // n_phi], phi=Angle(phis[i % n_phi]))
+        else:
             pose = GroundTruthPose(
                 delta=rng.uniform(d_lo, d_hi), phi=Angle(rng.uniform(p_lo, p_hi))
             )
-        else:
-            pose = grid[i]
-        samples.append(
-            LabeledSample(frame=synth_frame(geom, params, pose, rng), pose=pose)
-        )
-    return samples
+        frame = synth_frame(geom, params, pose, rng)
+        table[i] = (*frame.p_ch, frame.p_atm, pose.delta, pose.phi.degrees)
+    return Samples(table)

@@ -1,9 +1,10 @@
-"""Shared test utilities: the finite-difference gradient checker and
-model-file writers with chosen standardization stats or layer sizes."""
+"""Shared test utilities: the finite-difference gradient checker, a
+``Samples`` builder, and model-file writers with chosen standardization
+stats or layer sizes."""
 
 import numpy as np
 
-from cuphaptics import FeatureStats, backward, init_model, save_model
+from cuphaptics import FeatureStats, Samples, backward, init_model, save_model
 from cuphaptics.mlp import MODEL_MAGIC, _forward_batch
 from cuphaptics.rng import make_generator
 
@@ -62,6 +63,15 @@ def gradient_check_trials(n_trials, base_seed=10_000, sizes=SMALL_SIZES):
                 )
         checked += 1
     return checked, skipped, worst
+
+
+def samples_of(labeled):
+    """A ``Samples`` table holding these ``LabeledSample`` rows, in order."""
+    rows = [
+        (*s.frame.p_ch, s.frame.p_atm, s.pose.delta, s.pose.phi.degrees)
+        for s in labeled
+    ]
+    return Samples(np.array(rows, dtype=np.float64).reshape(-1, 7))
 
 
 def write_model_with_stats(path, mean, std):

@@ -285,26 +285,31 @@ def test_c7_same_seed_byte_identity_and_round_trips(tmp_path):
     )
 
 
+def _sorted_rows(table):
+    """Rows of a table in lexicographic order, first column first."""
+    return table[np.lexsort(table.T[::-1])]
+
+
 def test_c8_split_arithmetic_at_full_scale():
     samples = generate_dataset(GEOM, PressureFieldParams(), GenerationConfig())
     train_set, val_set = split(samples, SplitSpec())
-    train_ids = {id(s) for s in train_set}
-    val_ids = {id(s) for s in val_set}
-    disjoint = not (train_ids & val_ids)
-    exhaustive = (train_ids | val_ids) == {id(s) for s in samples}
+    rows = _sorted_rows(samples.table)
+    # With every row distinct, train + val holding exactly the full set's
+    # rows means the halves are disjoint and together exhaustive.
+    distinct = bool(np.any(rows[1:] != rows[:-1], axis=1).all())
+    joined = _sorted_rows(np.concatenate([train_set.table, val_set.table]))
+    same_rows = np.array_equal(joined, rows)
     ok = (
         len(samples) == 25_273
         and len(train_set) == 20_218
         and len(val_set) == 5_055
-        and len(train_ids) == len(train_set)
-        and len(val_ids) == len(val_set)
-        and disjoint
-        and exhaustive
+        and distinct
+        and same_rows
     )
     check(
         8,
         "80/20 split arithmetic at full scale",
         ok,
         f"{len(train_set)}/{len(val_set)} of {len(samples)}, "
-        f"disjoint {disjoint}, exhaustive {exhaustive}",
+        f"rows distinct {distinct}, train+val rows equal the full set {same_rows}",
     )

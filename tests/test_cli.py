@@ -398,3 +398,28 @@ class TestPredict:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("generate", "--noise-sigma", "nan"),
+            ("generate", "--noise-sigma", "inf"),
+            ("search", "--success-delta", "nan"),
+            ("search", "--step", "inf"),
+            ("search", "--noise-sigma", "nan"),
+            ("train", "--lr", "inf"),
+            ("train", "--lr", "nan"),
+            ("compare", "--lr", "inf"),
+        ],
+    )
+    def test_usage_error_and_no_output(
+        self, tmp_path, capsys, data_csv, command, flag, value
+    ):
+        out = tmp_path / "out"
+        data = ["--data", str(data_csv)] if command in ("train", "compare") else []
+        assert main([command, *data, flag, value, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()

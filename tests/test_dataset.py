@@ -14,8 +14,10 @@ from cuphaptics import (
     FeatureStats,
     GenerationConfig,
     GroundTruthPose,
+    InvalidInputError,
     LabeledSample,
     PressureFieldParams,
+    Samples,
     SensorFrame,
     SplitSpec,
     feature_stats,
@@ -25,6 +27,7 @@ from cuphaptics import (
     write_csv,
 )
 from cuphaptics.mlp import _standardize
+from helpers import samples_of
 
 HEADER = "p_ch1_kpa,p_ch2_kpa,p_ch3_kpa,p_ch4_kpa,p_atm_kpa,delta_mm,phi_deg"
 
@@ -36,16 +39,96 @@ def make_sample(p_ch=(91.3, 96.3, 96.2, 91.4), p_atm=101.325, delta=9.5, phi=123
     )
 
 
+def small_samples(n=12, seed=7):
+    return generate_dataset(
+        CupGeometry(), PressureFieldParams(), GenerationConfig(n_samples=n, seed=seed)
+    )
+
+
+class TestSamples:
+    def test_int_index_builds_the_row(self):
+        samples = samples_of([make_sample(delta=1.0), make_sample(delta=2.0, phi=7.5)])
+        assert samples[0] == make_sample(delta=1.0)
+        assert samples[1] == make_sample(delta=2.0, phi=7.5)
+        assert samples[np.int64(1)] == samples[1]
+
+    def test_negative_index_counts_from_the_end(self):
+        samples = small_samples()
+        assert samples[-1] == samples[len(samples) - 1]
+        assert samples[-len(samples)] == samples[0]
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_index_past_either_end_raises(self, offset):
+        samples = small_samples()
+        with pytest.raises(IndexError):
+            samples[len(samples) + offset]
+        with pytest.raises(IndexError):
+            samples[-len(samples) - 1 - offset]
+
+    def test_slice_gives_samples(self):
+        samples = small_samples()
+        part = samples[2:5]
+        assert isinstance(part, Samples)
+        assert len(part) == 3
+        assert np.array_equal(part.table, samples.table[2:5])
+        assert part[0] == samples[2]
+
+    def test_index_array_gives_samples_in_that_order(self):
+        samples = small_samples()
+        picked = samples[np.array([4, 0, 4])]
+        assert isinstance(picked, Samples)
+        assert [picked[i] for i in range(3)] == [samples[4], samples[0], samples[4]]
+
+    def test_iteration_yields_every_row_in_order(self):
+        samples = small_samples()
+        assert list(samples) == [samples[i] for i in range(len(samples))]
+
+    def test_columns_are_views_in_csv_order(self):
+        samples = small_samples()
+        assert np.shares_memory(samples.p_ch, samples.table)
+        assert np.array_equal(samples.p_ch[3], samples[3].frame.p_ch)
+        assert np.array_equal(samples.phi_deg, [s.pose.phi.degrees for s in samples])
+        assert samples.table.flags.c_contiguous
+
+    def test_table_is_read_only(self):
+        samples = small_samples()
+        for view in (samples.table, samples.p_ch, samples.phi_deg, samples[1:].table):
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+
+    def test_equality_is_identity_not_elementwise(self):
+        samples = small_samples()
+        assert samples == samples
+        assert samples != Samples(samples.table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((3, 6)),
+            np.zeros((3, 8)),
+            np.zeros(7),
+            np.zeros((2, 3, 7)),
+            np.zeros((3, 7), dtype=np.float32),
+            np.zeros((3, 7), dtype=np.int64),
+            [[0.0] * 7],
+        ],
+        ids=["6-cols", "8-cols", "1-d", "3-d", "float32", "int64", "list"],
+    )
+    def test_rejects_a_bad_table(self, table):
+        with pytest.raises(InvalidInputError):
+            Samples(table)
+
+
 class TestCsvRoundTrip:
     def test_header_exact(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_csv([make_sample()], path)
+        write_csv(samples_of([make_sample()]), path)
         first_line = path.read_text(encoding="utf-8").splitlines()[0]
         assert first_line == HEADER
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_csv([make_sample()], path)
+        write_csv(samples_of([make_sample()]), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -86,7 +169,7 @@ class TestCsvRoundTrip:
             p_ch=(101.325 - vac, 96.0, 95.0, 94.0), delta=delta, phi=phi
         )
         path = tmp_path_factory.mktemp("csv") / "one.csv"
-        write_csv([sample], path)
+        write_csv(samples_of([sample]), path)
         (loaded,) = read_csv(path)
         assert loaded.pose.delta == pytest.approx(delta, rel=1e-8, abs=1e-9)
         # an exact 360.0 print artifact must wrap back to 0
@@ -96,7 +179,7 @@ class TestCsvRoundTrip:
     def test_header_only_file_reads_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(HEADER + "\n", encoding="utf-8")
-        assert read_csv(path) == []
+        assert len(read_csv(path)) == 0
 
     def test_phi_exactly_360_wraps_to_zero(self, tmp_path):
         path = tmp_path / "wrap.csv"
@@ -172,13 +255,13 @@ class TestCsvRejection:
 
 class TestSplit:
     def test_paper_scale_arithmetic(self):
-        samples = [make_sample(phi=float(i % 360)) for i in range(25_273)]
+        samples = samples_of(make_sample(phi=float(i % 360)) for i in range(25_273))
         train, val = split(samples, SplitSpec(train_fraction=0.8, seed=0))
         assert len(train) == 20_218
         assert len(val) == 5_055
 
     def test_deterministic(self):
-        samples = [make_sample(delta=float(i)) for i in range(10)]
+        samples = samples_of(make_sample(delta=float(i)) for i in range(10))
         spec = SplitSpec(train_fraction=0.8, seed=77)
         a = split(samples, spec)
         b = split(samples, spec)
@@ -186,21 +269,30 @@ class TestSplit:
         assert [s.pose.delta for s in a[1]] == [s.pose.delta for s in b[1]]
 
     def test_partition(self):
-        samples = [make_sample(delta=float(i)) for i in range(23)]
+        samples = samples_of(make_sample(delta=float(i)) for i in range(23))
         train, val = split(samples, SplitSpec(train_fraction=0.8, seed=3))
-        got = sorted(s.pose.delta for s in train + val)
+        got = sorted(s.pose.delta for s in [*train, *val])
         assert got == [float(i) for i in range(23)]
         assert len(train) == round(23 * 0.8)
 
     def test_seed_changes_partition(self):
-        samples = [make_sample(delta=float(i)) for i in range(50)]
+        samples = samples_of(make_sample(delta=float(i)) for i in range(50))
         a, _ = split(samples, SplitSpec(seed=1))
         b, _ = split(samples, SplitSpec(seed=2))
         assert [s.pose.delta for s in a] != [s.pose.delta for s in b]
 
+    def test_halves_partition_the_rows(self):
+        samples = small_samples(n=41)
+        train, val = split(samples, SplitSpec(seed=4))
+        joined = np.concatenate([train.table, val.table])
+        assert len(train) == 33
+        assert len(np.unique(samples.table, axis=0)) == len(samples)
+        assert np.array_equal(np.unique(joined, axis=0), np.unique(samples.table, axis=0))
+        assert len(joined) == len(samples)
+
     def test_too_few_samples(self):
         with pytest.raises(ConfigError):
-            split([make_sample()], SplitSpec())
+            split(samples_of([make_sample()]), SplitSpec())
 
     def test_bad_fraction(self):
         with pytest.raises(ConfigError):
@@ -212,10 +304,10 @@ class TestSplit:
 class TestFeatureStats:
     def test_two_point_hand_arithmetic(self):
         # channel values {0, 2}: mean 1, population std 1
-        samples = [
+        samples = samples_of([
             make_sample(p_ch=(0.0, 5.0, 6.0, 7.0)),
             make_sample(p_ch=(2.0, 6.0, 7.0, 8.0)),
-        ]
+        ])
         stats = feature_stats(samples)
         assert stats.mean[0] == pytest.approx(1.0)
         assert stats.std[0] == pytest.approx(1.0)
@@ -223,10 +315,10 @@ class TestFeatureStats:
         assert z[0] == pytest.approx(1.0)
 
     def test_standardize_mean_vector_is_zero(self):
-        samples = [
+        samples = samples_of([
             make_sample(p_ch=(90.0, 92.0, 94.0, 96.0)),
             make_sample(p_ch=(92.0, 94.0, 96.0, 98.0)),
-        ]
+        ])
         stats = feature_stats(samples)
         mid = make_sample(p_ch=(91.0, 93.0, 95.0, 97.0))
         z = _standardize(np.array(mid.frame.p_ch), stats)
@@ -248,7 +340,7 @@ class TestFeatureStats:
             assert abs(math.sqrt(var) - 1.0) < 1e-9
 
     def test_constant_channel_rejected(self):
-        samples = [make_sample(), make_sample()]
+        samples = samples_of([make_sample(), make_sample()])
         with pytest.raises(DegenerateChannelError):
             feature_stats(samples)
 
@@ -258,4 +350,4 @@ class TestFeatureStats:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError):
-            feature_stats([])
+            feature_stats(samples_of([]))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cuphaptics import (
@@ -8,14 +9,17 @@ from cuphaptics import (
     InvalidInputError,
     PredictionPair,
     PressureFieldParams,
+    Samples,
     SplitSpec,
     TrainConfig,
+    estimate_direction,
     evaluate_mlp,
     evaluate_model_based,
     export_scatter,
     generate_dataset,
     init_model,
     mae_deg,
+    predict_angle,
     rmse_deg,
     run_comparison,
     train,
@@ -89,6 +93,27 @@ class TestEvaluators:
         )
         pairs = evaluate_mlp(model, samples)
         assert rmse_deg(pairs) < 5.0
+
+    def test_answers_equal_single_frame_calls(self):
+        generated = generate_dataset(
+            GEOM, PressureFieldParams(), GenerationConfig(n_samples=300, seed=6)
+        )
+        # A symmetric frame, where the closed form has no angle to give.
+        symmetric = [96.0, 96.0, 96.0, 96.0, 101.325, 9.0, 45.0]
+        samples = Samples(np.vstack([generated.table, symmetric]))
+        model, _ = train(
+            samples[:240], samples[240:], TrainConfig(max_epochs=3, patience=3, seed=0)
+        )
+        rows = [samples[i] for i in range(len(samples))]
+        model_based = evaluate_model_based(samples)
+        mlp = evaluate_mlp(model, samples)
+        assert [p.phi_true for p in model_based] == [s.pose.phi for s in rows]
+        assert [p.phi_true for p in mlp] == [s.pose.phi for s in rows]
+        assert [p.phi_pred for p in model_based] == [
+            estimate_direction(s.frame).phi_pred for s in rows
+        ]
+        assert model_based[-1].phi_pred is None
+        assert [p.phi_pred for p in mlp] == [predict_angle(model, s.frame) for s in rows]
 
     def test_exclusion_accounting(self):
         samples = generate_dataset(

@@ -40,6 +40,7 @@ from cuphaptics import split as split_samples
 from cuphaptics.rng import substream
 from helpers import (
     gradient_check_trials,
+    samples_of,
     write_model_with_sizes,
     write_model_with_stats,
 )
@@ -228,6 +229,14 @@ class TestRmsprop:
         with pytest.raises(ConfigError):
             RmspropState.initial([np.array(0.0)], eps=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["lr", "rho", "eps"])
+    def test_rejects_non_finite_hyperparameters(self, field, value):
+        with pytest.raises(ConfigError):
+            RmspropState.initial([np.array(0.0)], **{field: value})
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
+
     def test_shape_mismatch_rejected(self):
         state = RmspropState.initial([np.zeros(3)])
         with pytest.raises(InvalidInputError):
@@ -287,9 +296,9 @@ class TestTrain:
     def test_rejects_empty_sets(self):
         samples = small_dataset(n=10)
         with pytest.raises(ConfigError):
-            train([], samples, TrainConfig())
+            train(samples[:0], samples, TrainConfig())
         with pytest.raises(ConfigError):
-            train(samples, [], TrainConfig())
+            train(samples, samples[:0], TrainConfig())
 
     def test_training_pose_sanity_on_noiseless_affine(self):
         params = PressureFieldParams(
@@ -329,13 +338,13 @@ class TestPredictAngle:
         base = generate_dataset(
             geom, NOISELESS, GenerationConfig(n_samples=2000, sampling="grid", seed=11)
         )
-        augmented = [
+        augmented = samples_of(
             LabeledSample(
                 frame=shifted(s.frame, substream(101, i).uniform(-1.0, 1.0)),
                 pose=s.pose,
             )
             for i, s in enumerate(base)
-        ]
+        )
         train_set, val_set = split_samples(augmented, SplitSpec(seed=5))
         model, _ = train(
             train_set, val_set, TrainConfig(max_epochs=100, patience=100, seed=5)

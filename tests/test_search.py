@@ -181,6 +181,13 @@ class TestRunSearch:
             SearchConfig(estimator=OracleEstimator(), success_delta_mm=-1.0)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["step_size_mm", "success_delta_mm"])
+    def test_config_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigError):
+            SearchConfig(estimator=OracleEstimator(), **{field: value})
+
+
 class TestBatchSearch:
     def test_single_cell_reduces_to_run_search(self):
         spec = BatchSpec(

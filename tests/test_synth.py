@@ -224,6 +224,22 @@ class TestGenerateDataset:
                 GEOM, NOISELESS, GenerationConfig(delta_range_mm=(7.0, 31.0))
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (PressureFieldParams, "p_max_kpa"),
+            (PressureFieldParams, "transition_width_mm"),
+            (PressureFieldParams, "noise_sigma_kpa"),
+            (PressureFieldParams, "p_atm_kpa"),
+            (CupGeometry, "r_chamber_mm"),
+            (CupGeometry, "r_cup_mm"),
+        ],
+    )
+    def test_rejects_non_finite_floats(self, cls, field, value):
+        with pytest.raises(ConfigError):
+            cls(**{field: value})
+
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):
             PressureFieldParams(p_max_kpa=0.0)

@@ -150,15 +150,16 @@ def write_table(
     """Write a header and comma-separated rows, UTF-8 with LF line endings.
 
     Numbers are printed with 9 significant digits; strings are written as
-    given. Every CSV the package writes goes through here.
+    given. Rows are written one at a time as they are formatted. Every CSV
+    the package writes goes through here.
     """
-    lines = [",".join(columns)]
-    lines.extend(
-        ",".join(v if isinstance(v, str) else format(float(v), ".9g") for v in row)
-        for row in rows
-    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(
+            ",".join(v if isinstance(v, str) else format(float(v), ".9g") for v in row)
+            + "\n"
+            for row in rows
+        )
 
 
 def write_csv(samples: Samples, path: str | Path) -> None:
@@ -185,39 +186,42 @@ def read_csv(path: str | Path) -> Samples:
     rounding artifact of values just below the wrap) reads back as 0.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CsvParseError("empty file: missing header", line=1)
-    header = tuple(rows[0])
-    if header != CSV_COLUMNS:
-        raise CsvParseError(
-            f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
-            line=1,
-        )
-    table = np.empty((len(rows) - 1, len(CSV_COLUMNS)))
-    n = 0
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue  # tolerate a trailing blank line
-        if len(row) != len(CSV_COLUMNS):
+        # Each CSV row takes at least one line, so lines bound the rows.
+        n_lines = sum(1 for _ in fh)
+        fh.seek(0)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvParseError("empty file: missing header", line=1)
+        if tuple(header) != CSV_COLUMNS:
             raise CsvParseError(
-                f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line_no
+                f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
+                line=1,
             )
-        values = [
-            _parse_cell(cell, line_no, col) for cell, col in zip(row, CSV_COLUMNS)
-        ]
-        phi = values[6]
-        if not (0.0 <= phi <= 360.0):
-            raise CsvParseError(
-                f"phi_deg must be in [0, 360], got {phi}", line=line_no, column="phi_deg"
-            )
-        try:
-            frame = SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
-            pose = GroundTruthPose(delta=values[5], phi=Angle(phi))
-        except InvalidInputError as exc:
-            raise CsvParseError(str(exc), line=line_no) from exc
-        table[n] = (*values[:6], pose.phi.degrees)  # an exact 360 stored as 0
-        n += 1
+        table = np.empty((n_lines - 1, len(CSV_COLUMNS)))
+        n = 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # tolerate a trailing blank line
+            if len(row) != len(CSV_COLUMNS):
+                raise CsvParseError(
+                    f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line_no
+                )
+            values = [
+                _parse_cell(cell, line_no, col) for cell, col in zip(row, CSV_COLUMNS)
+            ]
+            phi = values[6]
+            if not (0.0 <= phi <= 360.0):
+                raise CsvParseError(
+                    f"phi_deg must be in [0, 360], got {phi}", line=line_no, column="phi_deg"
+                )
+            try:
+                frame = SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
+                pose = GroundTruthPose(delta=values[5], phi=Angle(phi))
+            except InvalidInputError as exc:
+                raise CsvParseError(str(exc), line=line_no) from exc
+            table[n] = (*values[:6], pose.phi.degrees)  # an exact 360 stored as 0
+            n += 1
     return Samples(table[:n])
 
 

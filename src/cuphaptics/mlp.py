@@ -17,9 +17,10 @@ Model file format (versioned, little-endian):
     params  per layer: weight matrix row-major (out x in) f64, bias f64 * out
 
 The byte length must match the header exactly; anything else is rejected.
-The params block is the flat vector W0, b0, W1, b1, ... that ``train``
-optimizes; ``train``, ``save_model`` and ``load_model`` all cut per-layer
-views out of one vector in that order, so they agree by construction.
+The params block is ``model.params``, the flat vector W0, b0, W1, b1, ...
+that the model holds, ``train`` optimizes, ``save_model`` writes and
+``load_model`` reads; ``model.weights`` and ``model.biases`` are per-layer
+views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
 when the caller supplies them.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal, Mapping, Sequence
 
@@ -59,29 +60,31 @@ MODEL_MAGIC = b"CUPMLP1"
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Weights (out x in), biases, and the input convention they expect."""
+    """Parameters as one flat vector, and the input convention they expect.
+
+    ``params`` holds W0, b0, W1, b1, ... in model-file order (weights out x
+    in, row-major); ``weights`` and ``biases`` are per-layer views into it.
+    """
 
     layer_sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    params: np.ndarray
     input_mode: Literal["raw", "standardized"] = "raw"
     stats: FeatureStats | None = None
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise InvalidInputError(f"bad layer_sizes {sizes}")
-        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
-        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
-            raise InvalidInputError("one weight matrix and bias per layer required")
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (sizes[k + 1], sizes[k]) or b.shape != (sizes[k + 1],):
-                raise InvalidInputError(
-                    f"layer {k} shape mismatch: W{w.shape}, b{b.shape} for sizes {sizes}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise InvalidInputError(f"layer {k} has non-finite parameters")
+        params = np.asarray(self.params, dtype=np.float64)
+        if params.shape != (_n_params(sizes),):
+            raise InvalidInputError(
+                f"params for sizes {sizes} must have shape ({_n_params(sizes)},), "
+                f"got {params.shape}"
+            )
+        if not np.isfinite(params).all():
+            raise InvalidInputError("non-finite parameters")
         if self.input_mode not in ("raw", "standardized"):
             raise InvalidInputError(f"unknown input_mode {self.input_mode!r}")
         if self.input_mode == "standardized":
@@ -91,9 +94,11 @@ class MlpModel:
                 raise InvalidInputError(
                     f"stats cover {len(self.stats.mean)} channels, model takes {sizes[0]}"
                 )
+        weights, biases = _layer_views(params, sizes)
         object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
 
 
 @dataclass(frozen=True)
@@ -176,25 +181,17 @@ def init_model(
     """Glorot-uniform weights, zero biases, deterministic in ``seed``."""
     rng = make_generator(seed)
     sizes = tuple(int(s) for s in layer_sizes)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    model = MlpModel(sizes, np.zeros(_n_params(sizes)), input_mode, stats)
+    for w in model.weights:  # drawn in place, layer by layer
+        fan_out, fan_in = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(
-        layer_sizes=sizes,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        input_mode=input_mode,
-        stats=stats,
-    )
+        w[:] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
-def _flat_parameters(model: MlpModel) -> np.ndarray:
-    """All parameters as one vector in file order: W0, b0, W1, b1, ..."""
-    return np.concatenate(
-        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
-    )
+def _n_params(layer_sizes: Sequence[int]) -> int:
+    """Length of the flat parameter vector: each layer's weights and biases."""
+    return sum(o * (i + 1) for i, o in zip(layer_sizes, layer_sizes[1:]))
 
 
 def _layer_views(
@@ -230,8 +227,7 @@ def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
         )
     if not np.isfinite(x).all():
         raise InvalidInputError("inputs must be finite")
-    activations, _ = _forward_batch(model.weights, model.biases, x[None, :])
-    return activations[-1][0]
+    return _forward_batch(model.weights, model.biases, x[None, :])[0][-1][0]
 
 
 def target_encoding(phi: Angle) -> tuple[float, float]:
@@ -260,16 +256,6 @@ def loss(pred: Sequence[float], target: Sequence[float]) -> float:
     if p.shape != t.shape:
         raise InvalidInputError(f"shape mismatch {p.shape} vs {t.shape}")
     return float(np.mean((p - t) ** 2))
-
-
-def _batch_loss(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    x: np.ndarray,
-    t: np.ndarray,
-) -> float:
-    activations, _ = _forward_batch(weights, biases, x)
-    return float(np.mean((activations[-1] - t) ** 2))
 
 
 def _backward_arrays(
@@ -308,8 +294,7 @@ def backward(
         raise InvalidInputError(
             f"batch size mismatch: {x.shape[0]} inputs vs {t.shape[0]} targets"
         )
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
+    grad_w, grad_b = _layer_views(np.empty_like(model.params), model.layer_sizes)
     _backward_arrays(model.weights, model.biases, x, t, grad_w, grad_b)
     return grad_w, grad_b
 
@@ -370,8 +355,8 @@ def train(
         stats = feature_stats(train_set)
         x_train, x_val = _standardize(x_train, stats), _standardize(x_val, stats)
     t_train, t_val = (
-        np.array([target_encoding(Angle(p)) for p in part.phi_deg.tolist()])
-        for part in (train_set, val_set)
+        np.stack((np.cos(rad), np.sin(rad)), axis=1)
+        for rad in (np.radians(part.phi_deg) for part in (train_set, val_set))
     )
     phi_val = val_set.phi_deg
 
@@ -380,17 +365,16 @@ def train(
         input_mode="standardized" if config.standardize else "raw",
         stats=stats,
     )
-    sizes = model0.layer_sizes
     # Parameters, gradient and RMSprop state are one vector each. The
     # per-layer views alias params and grads, so both are written in place.
-    params = _flat_parameters(model0)
+    params = model0.params.copy()
     grads = np.empty_like(params)
-    weights, biases = _layer_views(params, sizes)
-    grad_w, grad_b = _layer_views(grads, sizes)
+    weights, biases = _layer_views(params, model0.layer_sizes)
+    grad_w, grad_b = _layer_views(grads, model0.layer_sizes)
     opt = RmspropState.initial([params], lr=config.lr, rho=config.rho, eps=config.eps)
     shuffle_rng = substream(config.seed, _SHUFFLE_STREAM)
 
-    initial_val = _batch_loss(weights, biases, x_val, t_val)
+    initial_val = loss(_forward_batch(weights, biases, x_val)[0][-1], t_val)
     best_val = initial_val
     best_params = params.copy()
     best_epoch = 0
@@ -407,9 +391,9 @@ def train(
             )
             (updated,), opt = rmsprop_step([params], [grads], opt)
             params[:] = updated
-        train_loss = _batch_loss(weights, biases, x_train, t_train)
+        train_loss = loss(_forward_batch(weights, biases, x_train)[0][-1], t_train)
         val_out = _forward_batch(weights, biases, x_val)[0][-1]
-        val_loss = float(np.mean((val_out - t_val) ** 2))
+        val_loss = loss(val_out, t_val)
         # Decoded validation angles; ~zero output vectors carry none.
         defined = np.hypot(val_out[:, 0], val_out[:, 1]) > EPS_ZERO
         val_rmse = math.nan
@@ -430,14 +414,6 @@ def train(
             if stale_epochs > config.patience:
                 break
 
-    best_weights, best_biases = _layer_views(best_params, sizes)
-    model = MlpModel(
-        layer_sizes=sizes,
-        weights=tuple(best_weights),
-        biases=tuple(best_biases),
-        input_mode=model0.input_mode,
-        stats=stats,
-    )
     history = TrainHistory(
         train_loss=tuple(history_train),
         val_loss=tuple(history_val),
@@ -445,7 +421,7 @@ def train(
         best_epoch=best_epoch,
         initial_val_loss=initial_val,
     )
-    return model, history
+    return replace(model0, params=best_params), history
 
 
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
@@ -466,15 +442,13 @@ def save_model(
     model: MlpModel, path: str | Path, metadata: Mapping | None = None
 ) -> None:
     """Write the binary model file; optionally a JSON sidecar at path+'.json'."""
-    parts = [MODEL_MAGIC]
-    parts.append(struct.pack("<B", 1 if model.input_mode == "standardized" else 0))
-    parts.append(struct.pack("<I", len(model.layer_sizes)))
-    parts.append(struct.pack(f"<{len(model.layer_sizes)}I", *model.layer_sizes))
-    if model.input_mode == "standardized":
+    mode = 1 if model.input_mode == "standardized" else 0
+    depth = len(model.layer_sizes)
+    parts = [MODEL_MAGIC, struct.pack(f"<BI{depth}I", mode, depth, *model.layer_sizes)]
+    if mode:
         assert model.stats is not None
-        parts.append(np.asarray(model.stats.mean, dtype="<f8").tobytes())
-        parts.append(np.asarray(model.stats.std, dtype="<f8").tobytes())
-    parts.append(_flat_parameters(model).astype("<f8").tobytes())
+        parts.append(np.array(model.stats.mean + model.stats.std, "<f8").tobytes())
+    parts.append(model.params.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
     if metadata is not None:
         sidecar = Path(str(path) + ".json")
@@ -483,67 +457,55 @@ def save_model(
         )
 
 
-class _Cursor:
-    """Sequential reader that turns under/overruns into format errors."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ModelFormatError(
-                f"truncated model file: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.buf)}"
-            )
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def f64(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+def _require(buf: bytes, offset: int, n: int) -> None:
+    """Raise a format error unless ``buf`` holds ``n`` bytes at ``offset``."""
+    if offset + n > len(buf):
+        raise ModelFormatError(
+            f"truncated model file: wanted {n} bytes at offset {offset}, "
+            f"file has {len(buf)}"
+        )
 
 
 def load_model(path: str | Path) -> MlpModel:
     """Read a model file, validating magic, shapes, and exact byte length."""
     buf = Path(path).read_bytes()
-    cur = _Cursor(buf)
-    magic = cur.take(len(MODEL_MAGIC))
-    if magic != MODEL_MAGIC:
+    magic = buf[: len(MODEL_MAGIC)]
+    if not MODEL_MAGIC.startswith(magic):  # a file cut inside it is truncated
         raise ModelFormatError(
             f"bad magic {magic!r}; not a {MODEL_MAGIC.decode()} model file"
         )
-    (mode_byte,) = struct.unpack("<B", cur.take(1))
+    head = len(MODEL_MAGIC) + 5  # magic, mode byte, depth
+    _require(buf, 0, head)
+    mode_byte, depth = struct.unpack_from("<BI", buf, len(MODEL_MAGIC))
     if mode_byte not in (0, 1):
         raise ModelFormatError(f"unknown input-mode byte {mode_byte}")
-    (depth,) = struct.unpack("<I", cur.take(4))
     if not 2 <= depth <= 64:
         raise ModelFormatError(f"implausible layer count {depth}")
-    sizes = struct.unpack(f"<{depth}I", cur.take(4 * depth))
+    _require(buf, head, 4 * depth)
+    sizes = struct.unpack_from(f"<{depth}I", buf, head)
     if any(s < 1 for s in sizes):
         raise ModelFormatError(f"non-positive layer size in {sizes}")
     if sizes[0] != 4 or sizes[-1] != 2:
         raise ModelFormatError(
             f"model must map 4 inputs to 2 outputs, file says {sizes[0]} -> {sizes[-1]}"
         )
-    stats_block = None  # means then stds
-    if mode_byte == 1:
-        stats_block = cur.f64(2 * sizes[0])
-    n_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
-    params = cur.f64(n_params)
-    if cur.pos != len(buf):
+    # Then float64 stats (standardized mode only), the params block, no more.
+    pos = head + 4 * depth
+    n_stats = 2 * sizes[0] if mode_byte == 1 else 0
+    n_floats = n_stats + _n_params(sizes)
+    _require(buf, pos, 8 * n_floats)
+    if len(buf) > pos + 8 * n_floats:
         raise ModelFormatError(
-            f"{len(buf) - cur.pos} trailing bytes after parameters"
+            f"{len(buf) - pos - 8 * n_floats} trailing bytes after parameters"
         )
-    weights, biases = _layer_views(params, sizes)
+    floats = np.frombuffer(buf, dtype="<f8", offset=pos).copy()
     try:
         stats = None
-        if stats_block is not None:
-            stats = FeatureStats(mean=tuple(stats_block[:4]), std=tuple(stats_block[4:]))
+        if n_stats:
+            stats = FeatureStats(mean=tuple(floats[:4]), std=tuple(floats[4:8]))
         return MlpModel(
             layer_sizes=sizes,
-            weights=tuple(weights),
-            biases=tuple(biases),
+            params=floats[n_stats:],
             input_mode="standardized" if mode_byte == 1 else "raw",
             stats=stats,
         )

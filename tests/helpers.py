@@ -1,6 +1,6 @@
 """Shared test utilities: the finite-difference gradient checker, a
 ``Samples`` builder, and model-file writers with chosen standardization
-stats or layer sizes."""
+stats, layer sizes or a NaN parameter."""
 
 import numpy as np
 
@@ -86,6 +86,13 @@ def write_model_with_stats(path, mean, std):
     offset = len(MODEL_MAGIC) + 1 + 4 + 4 * 5  # magic, mode, depth, sizes
     blob[offset : offset + 64] = np.array([*mean, *std], dtype="<f8").tobytes()
     path.write_bytes(bytes(blob))
+
+
+def write_model_with_nan_param(path):
+    """Write a raw 4-16-32-16-2 model file whose last parameter is NaN."""
+    save_model(init_model(0), path)
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(path.read_bytes()[:-8] + nan)
 
 
 def write_model_with_sizes(path, sizes, standardized):

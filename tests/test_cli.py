@@ -4,7 +4,11 @@ import json
 import pytest
 
 from cuphaptics import load_model
-from helpers import write_model_with_sizes, write_model_with_stats
+from helpers import (
+    write_model_with_nan_param,
+    write_model_with_sizes,
+    write_model_with_stats,
+)
 from cuphaptics.cli import (
     DATASET_FILENAME,
     HISTORY_FILENAME,
@@ -387,6 +391,17 @@ class TestPredict:
         )
         assert code == 1
         assert "model file" in capsys.readouterr().err
+
+    def test_model_with_nan_param_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cupmlp"
+        write_model_with_nan_param(bad)
+        code = main(
+            ["predict", "--p-ch", "96,96,96,96", "--method", "mlp", "--model", str(bad)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert "Traceback" not in err
 
     @WRONG_SHAPES
     def test_model_of_wrong_shape_is_runtime_error(self, tmp_path, capsys, sizes):

@@ -13,6 +13,7 @@ from cuphaptics import (
     GenerationConfig,
     GroundTruthPose,
     InvalidInputError,
+    FeatureStats,
     LabeledSample,
     MlpModel,
     ModelFormatError,
@@ -37,10 +38,12 @@ from cuphaptics import (
 )
 from cuphaptics import SplitSpec
 from cuphaptics import split as split_samples
+from cuphaptics.mlp import MODEL_MAGIC
 from cuphaptics.rng import substream
 from helpers import (
     gradient_check_trials,
     samples_of,
+    write_model_with_nan_param,
     write_model_with_sizes,
     write_model_with_stats,
 )
@@ -49,11 +52,8 @@ NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
 
 
 def zero_model(sizes=(4, 16, 32, 16, 2)):
-    return MlpModel(
-        layer_sizes=sizes,
-        weights=tuple(np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])),
-        biases=tuple(np.zeros(o) for o in sizes[1:]),
-    )
+    n_params = sum(o * (i + 1) for i, o in zip(sizes, sizes[1:]))
+    return MlpModel(layer_sizes=sizes, params=np.zeros(n_params))
 
 
 class TestInitModel:
@@ -79,6 +79,14 @@ class TestInitModel:
     def test_seed_changes_weights(self):
         assert not np.array_equal(init_model(1).weights[0], init_model(2).weights[0])
 
+    def test_weights_and_biases_are_views_of_params(self):
+        model = init_model(5)
+        assert model.params.shape == (1_186,)
+        for a in (*model.weights, *model.biases):
+            assert np.shares_memory(a, model.params)
+        model.biases[-1][0] = 7.0
+        assert model.params[-2] == 7.0
+
     def test_glorot_bounds_and_zero_biases(self):
         model = init_model(7)
         for w, (fan_out, fan_in) in zip(model.weights, ((16, 4), (32, 16), (16, 32), (2, 16))):
@@ -88,17 +96,32 @@ class TestInitModel:
             assert np.all(b == 0.0)
 
 
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "params",
+        [np.zeros(1_185), np.zeros(1_187), np.zeros((1, 1_186)), np.zeros((2, 593))],
+        ids=["short", "long", "row", "2-d"],
+    )
+    def test_rejects_params_of_wrong_shape(self, params):
+        with pytest.raises(InvalidInputError, match="params"):
+            MlpModel(layer_sizes=(4, 16, 32, 16, 2), params=params)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_params(self, bad):
+        params = np.zeros(1_186)
+        params[500] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            MlpModel(layer_sizes=(4, 16, 32, 16, 2), params=params)
+
+
 class TestForward:
     def test_zero_model_outputs_zero(self):
         out = forward(zero_model(), [90.0, 91.0, 92.0, 93.0])
         assert np.array_equal(out, np.zeros(2))
 
     def test_relu_gates_negative_preactivation(self):
-        toy = MlpModel(
-            layer_sizes=(1, 1, 1),
-            weights=(np.array([[1.0]]), np.array([[1.0]])),
-            biases=(np.zeros(1), np.zeros(1)),
-        )
+        # W0 = [[1]], b0 = [0], W1 = [[1]], b1 = [0]
+        toy = MlpModel(layer_sizes=(1, 1, 1), params=np.array([1.0, 0.0, 1.0, 0.0]))
         assert forward(toy, [-3.0])[0] == 0.0
         assert forward(toy, [2.5])[0] == 2.5
 
@@ -400,11 +423,23 @@ class TestPersistence:
         x = [1.0, -2.0, 0.5, 3.0]
         assert np.array_equal(forward(model, x), forward(loaded, x))
 
-    def test_truncated_file_rejected(self, tmp_path):
+    # Standardized 4-16-32-16-2 file: magic 0-6, mode 7, depth 8-11,
+    # sizes 12-31, stats 32-95, params 96-9583.
+    @pytest.mark.parametrize(
+        "keep",
+        [0, 3, 7, 9, 20, 60, 96, 5_000, 9_583],
+        ids=[
+            "empty", "magic", "mode", "depth", "sizes",
+            "stats", "no-params", "params", "one-byte-short",
+        ],
+    )
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 1.0, 1.0, 1.0))
         path = tmp_path / "m.cupmlp"
-        save_model(init_model(0), path)
+        save_model(init_model(0, input_mode="standardized", stats=stats), path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+        assert len(blob) == 9_584
+        path.write_bytes(blob[:keep])
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(path)
 
@@ -431,7 +466,22 @@ class TestPersistence:
         flat = np.concatenate(
             [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
         )
-        assert path.read_bytes().endswith(flat.astype("<f8").tobytes())
+        assert np.array_equal(model.params, flat)
+        for a in (*model.weights, *model.biases):
+            assert np.shares_memory(a, model.params)
+        blob = path.read_bytes()
+        assert blob.endswith(model.params.astype("<f8").tobytes())
+        assert len(blob) == len(MODEL_MAGIC) + 1 + 4 + 4 * 5 + 8 * model.params.size
+        loaded = load_model(path)
+        assert np.array_equal(loaded.params, model.params)
+        for a in (*loaded.weights, *loaded.biases):
+            assert np.shares_memory(a, loaded.params)
+
+    def test_non_finite_param_rejected(self, tmp_path):
+        path = tmp_path / "m.cupmlp"
+        write_model_with_nan_param(path)
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(path)
 
     @pytest.mark.parametrize(
         "mean0, std0", [(math.nan, 1.0), (90.0, 0.0)], ids=["nan-mean", "zero-std"]

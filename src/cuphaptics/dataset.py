@@ -32,7 +32,7 @@ from .errors import (
     DegenerateChannelError,
     InvalidInputError,
 )
-from .rng import make_generator
+from .rng import SPLIT, substream
 
 CSV_COLUMNS = (
     "p_ch1_kpa",
@@ -231,7 +231,7 @@ def split(samples: Samples, spec: SplitSpec) -> tuple[Samples, Samples]:
     if n < 2:
         raise ConfigError(f"need at least 2 samples to split, got {n}")
     n_train = round(n * spec.train_fraction)
-    perm = make_generator(spec.seed).permutation(n)
+    perm = substream(spec.seed, SPLIT).permutation(n)
     return samples[perm[:n_train]], samples[perm[n_train:]]
 
 

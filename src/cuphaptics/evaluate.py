@@ -122,9 +122,14 @@ def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
     ]
 
 
-def _seed_metrics(seed: int, pairs: Sequence[PredictionPair]) -> SeedMetrics:
+def _seed_metrics(method: str, seed: int, pairs: Sequence[PredictionPair]) -> SeedMetrics:
     scored = [p for p in pairs if p.phi_pred is not None]
     n_undefined = len(pairs) - len(scored)
+    if not scored:
+        raise ConfigError(
+            f"{method} gives no direction on any of the {n_undefined} "
+            f"validation rows under seed {seed}; its error is undefined"
+        )
     return SeedMetrics(
         seed=seed,
         rmse_deg=rmse_deg(scored),
@@ -170,8 +175,8 @@ def run_comparison(
         model, _ = train(train_set, val_set, replace(train_config, seed=seed))
         mlp_pairs = evaluate_mlp(model, val_set)
         mb_pairs = evaluate_model_based(val_set)
-        mlp_rows.append(_seed_metrics(seed, mlp_pairs))
-        mb_rows.append(_seed_metrics(seed, mb_pairs))
+        mlp_rows.append(_seed_metrics(MLP_METHOD, seed, mlp_pairs))
+        mb_rows.append(_seed_metrics(MODEL_BASED_METHOD, seed, mb_pairs))
         if i == 0:
             n_validation = len(val_set)
             first_pairs = {MLP_METHOD: mlp_pairs, MODEL_BASED_METHOD: mb_pairs}

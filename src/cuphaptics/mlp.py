@@ -52,26 +52,27 @@ from .errors import (
     InvalidInputError,
     ModelFormatError,
 )
-from .rng import make_generator, substream
+from .rng import INIT, SHUFFLE, substream
 
 DEFAULT_LAYER_SIZES = (4, 16, 32, 16, 2)
 MODEL_MAGIC = b"CUPMLP1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """Parameters as one flat vector, and the input convention they expect.
 
     ``params`` holds W0, b0, W1, b1, ... in model-file order (weights out x
     in, row-major); ``weights`` and ``biases`` are per-layer views into it.
+    Models compare by identity; compare ``params`` for equal values.
     """
 
     layer_sizes: tuple[int, ...]
     params: np.ndarray
     input_mode: Literal["raw", "standardized"] = "raw"
     stats: FeatureStats | None = None
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -179,7 +180,7 @@ def init_model(
     stats: FeatureStats | None = None,
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in ``seed``."""
-    rng = make_generator(seed)
+    rng = substream(seed, INIT)
     sizes = tuple(int(s) for s in layer_sizes)
     model = MlpModel(sizes, np.zeros(_n_params(sizes)), input_mode, stats)
     for w in model.weights:  # drawn in place, layer by layer
@@ -326,11 +327,6 @@ def _standardize(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
     return (x - np.asarray(stats.mean)) / np.asarray(stats.std)
 
 
-# Substream indices off the training seed: 0 is parameter init
-# (init_model uses the seed directly), 1 drives epoch shuffling.
-_SHUFFLE_STREAM = 1
-
-
 def train(
     train_set: Samples,
     val_set: Samples,
@@ -372,7 +368,7 @@ def train(
     weights, biases = _layer_views(params, model0.layer_sizes)
     grad_w, grad_b = _layer_views(grads, model0.layer_sizes)
     opt = RmspropState.initial([params], lr=config.lr, rho=config.rho, eps=config.eps)
-    shuffle_rng = substream(config.seed, _SHUFFLE_STREAM)
+    shuffle_rng = substream(config.seed, SHUFFLE)
 
     initial_val = loss(_forward_batch(weights, biases, x_val)[0][-1], t_val)
     best_val = initial_val

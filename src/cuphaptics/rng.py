@@ -1,8 +1,11 @@
-"""Seeded random streams.
+"""Seeded random streams under one keying rule.
 
-All randomness in this package flows through PCG64 generators built here.
-Substreams are derived as ``seed XOR index`` so that per-sample (or
-per-step) draws are independent of execution order.
+Every stream is PCG64 seeded by ``SeedSequence(seed mod 2**64,
+spawn_key=(purpose, *index))``, as numpy keys child streams, so any
+Python int is a seed. The purpose names a stream's use: one seed never
+feeds two uses, and no two seeds share a stream. A flat
+``SeedSequence((seed, purpose, ...))`` would read seed ``s + 2**32 * b``
+as ``(s, b)``, and ``(s, p)`` as ``(s, p, 0)``.
 """
 
 from __future__ import annotations
@@ -11,24 +14,22 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-
-def make_generator(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit seed (wider ints are masked)."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
-
-
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for substream ``index`` of a seeded run."""
-    if index < 0:
-        raise ValueError(f"substream index must be >= 0, got {index}")
-    return make_generator((seed & _MASK64) ^ index)
+# Stream purposes, the first spawn-key word of every stream.
+DATASET_DELTA = 1  # generate_dataset: lateral offsets, (n,)
+DATASET_PHI = 2  # generate_dataset: yaws, (n,)
+DATASET_NOISE = 3  # generate_dataset: sensor noise, (n, 4)
+SPLIT = 4  # dataset.split: the train/validation shuffle
+INIT = 5  # mlp.init_model: Glorot weights
+SHUFFLE = 6  # mlp.train: one mini-batch permutation per epoch
+SEARCH_STEP = 7  # search: rollout seeds of a grid, and each step's noise
 
 
-def derive_seed(*parts: int) -> int:
-    """Collapse a tuple of integers into one 64-bit seed.
+def substream(seed: int, purpose: int, *index: int) -> np.random.Generator:
+    """Generator for the key (seed, purpose, *index); index entries are >= 0."""
+    key = np.random.SeedSequence(seed & _MASK64, spawn_key=(purpose, *index))
+    return np.random.Generator(np.random.PCG64(key))
 
-    Used where runs are keyed by several indices (e.g. grid cell and
-    repetition) and a plain XOR could collide.
-    """
-    entropy = tuple(p & _MASK64 for p in parts)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+def derive_seed(seed: int, purpose: int, *index: int) -> int:
+    """The first 64-bit draw of that key's stream: a seed for one keyed run."""
+    return int(substream(seed, purpose, *index).integers(1 << 64, dtype=np.uint64))

@@ -7,8 +7,9 @@ Moving a step along unit direction m when the true inward normal is n
 changes the offset by -step * (m . n), so a perfect estimate closes the
 gap by exactly one step.
 
-Sensing noise is fresh per step (substream = seed XOR step index); the
-field itself is not frozen between steps.
+Sensing noise is fresh per step: a rollout draws four normals per step
+from its stream keyed (seed, SEARCH_STEP), so step k's noise depends only
+on the seed and k, whichever estimator runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
 from .dataset import write_table
 from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, decode_estimate, network_output
-from .rng import derive_seed, substream
+from .rng import SEARCH_STEP, derive_seed, substream
 from .synth import CupGeometry, PressureFieldParams, synth_frame
 
 FAILURE_NO_GRADIENT = "no-gradient"
@@ -149,11 +150,11 @@ def run_search(
     trajectory = [pose]
     estimates: list[DirectionEstimate] = []
     reason = None
+    rng = substream(config.seed, SEARCH_STEP)
     while pose.delta > config.success_delta_mm:
         if len(estimates) >= config.max_steps:
             reason = FAILURE_BUDGET_EXHAUSTED
             break
-        rng = substream(config.seed, len(estimates))
         frame = synth_frame(geom, params, pose, rng)
         estimate = config.estimator.estimate(frame, pose)
         if estimate.phi_pred is None:
@@ -218,8 +219,8 @@ def batch_search(
     """Success rate and mean steps per grid cell.
 
     Cell order: delta0 (outer), then phi0, then noise, then estimator.
-    Each repetition runs under seed = derive(spec.seed, cell, rep), so the
-    table is reproducible.
+    Each repetition runs under seed = derive_seed(spec.seed, SEARCH_STEP,
+    cell, rep), so the table is reproducible.
     ``mean_steps`` averages over all repetitions, successful or not.
     """
     cells = itertools.product(
@@ -235,7 +236,7 @@ def batch_search(
         outcomes = []
         for rep in range(spec.reps):
             run_config = replace(
-                config, estimator=est, seed=derive_seed(spec.seed, cell_idx, rep)
+                config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, cell_idx, rep)
             )
             outcomes.append(run_search(pose0, run_config, geom, cell_params))
         rows.append(

@@ -9,30 +9,35 @@ to how deep its center sits inside the plate half-plane, through either a
 clamped affine ramp or a logistic (sigmoid) transition, plus optional
 i.i.d. Gaussian sensor noise.
 
-All randomness is drawn from per-sample substreams (seed XOR index), so
-datasets are byte-identical across runs and independent of generation
-order. Within one sample the draw order is fixed: pose delta, pose phi
-(random sampling only), then the four chamber noise terms in chamber
-order.
+A dataset is computed as whole columns by one array kernel
+(``coverage_depth`` then ``chamber_vacuum``), and ``synth_frame`` is its
+one-row case. Each random column has its own keyed stream (see ``rng``):
+offsets (n,) and yaws (n,) for random sampling, and noise (n, 4) in row
+then chamber order. Draws are sequential, so the first k rows of a
+dataset do not depend on n, and the bytes depend only on the seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .core import PRESSURE_TOLERANCE_KPA, Angle, GroundTruthPose, SensorFrame
+from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame
 from .dataset import CSV_COLUMNS, Samples
 from .errors import ConfigError, InvalidInputError
-from .rng import substream
+from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 # Chamber-center directions, chambers 1-4. The pairwise-sum direction
 # formula is only valid for this placement (up to reflection), so it is
 # not configurable.
 CHAMBER_ANGLES_DEG = (315.0, 225.0, 135.0, 45.0)
+_CHAMBER_ANGLES_RAD = np.radians(CHAMBER_ANGLES_DEG)
 
 
 @dataclass(frozen=True)
@@ -101,51 +106,47 @@ class GenerationConfig:
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
 
 
-def coverage_depth(geom: CupGeometry, pose: GroundTruthPose, chamber: int) -> float:
-    """Signed depth (mm) of chamber center inside the plate half-plane.
+def coverage_depth(geom: CupGeometry, delta: ArrayLike, phi_deg: ArrayLike) -> np.ndarray:
+    """Signed depth (mm) of each chamber center inside the plate half-plane.
 
-    d_i = r_chamber * cos(alpha_i - phi) - delta + r_cup. Positive means
-    the chamber center is over the plate.
+    d_i = r_chamber * cos(alpha_i - phi) - delta + r_cup. ``delta`` and
+    ``phi_deg`` broadcast to some shape (...); the result is (..., 4), one
+    column per chamber. Positive means the chamber center is over the plate.
     """
-    if chamber not in (1, 2, 3, 4):
-        raise InvalidInputError(f"chamber must be 1..4, got {chamber}")
-    alpha = CHAMBER_ANGLES_DEG[chamber - 1]
-    return (
-        geom.r_chamber_mm * math.cos(math.radians(alpha - pose.phi.degrees))
-        - pose.delta
-        + geom.r_cup_mm
-    )
-
-
-def _logistic(t: float) -> float:
-    # Split on sign so exp never overflows.
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    reach = geom.r_cup_mm - np.asarray(delta, dtype=np.float64)
+    phi = np.radians(phi_deg)
+    return geom.r_chamber_mm * np.cos(_CHAMBER_ANGLES_RAD - phi[..., None]) + reach[..., None]
 
 
 def chamber_vacuum(
-    params: PressureFieldParams, d: float, rng: np.random.Generator | None = None
-) -> float:
-    """Vacuum (kPa) held at coverage depth ``d``, plus Gaussian noise.
+    params: PressureFieldParams, d: ArrayLike, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Vacuum (kPa) held at each coverage depth in ``d``, plus Gaussian noise.
 
     Noiseless response: p_max * clamp01(0.5 + d/(2w)) for affine,
-    p_max * logistic(d/w) for sigmoid. Noise is drawn from ``rng`` only
-    when noise_sigma_kpa > 0.
+    p_max * logistic(d/w) = p_max/2 * (1 + tanh(d/2w)) for sigmoid, a form
+    that cannot overflow. When noise_sigma_kpa > 0, ``rng`` gives one
+    normal draw per element of ``d``, in C order.
     """
-    if not math.isfinite(d):
-        raise InvalidInputError(f"coverage depth must be finite, got {d}")
-    t = d / params.transition_width_mm
+    d = np.asarray(d, dtype=np.float64)
+    if not np.isfinite(d).all():
+        raise InvalidInputError("coverage depth must be finite")
+    half_t = d * (0.5 / params.transition_width_mm)
     if params.response == "affine":
-        v = params.p_max_kpa * min(max(0.5 + 0.5 * t, 0.0), 1.0)
+        v = params.p_max_kpa * np.clip(0.5 + half_t, 0.0, 1.0)
     else:
-        v = params.p_max_kpa * _logistic(t)
+        v = 0.5 * params.p_max_kpa * (1.0 + np.tanh(half_t))
     if params.noise_sigma_kpa > 0.0:
         if rng is None:
             raise InvalidInputError("noise_sigma_kpa > 0 requires an rng")
-        v += rng.normal(0.0, params.noise_sigma_kpa)
+        v += rng.normal(0.0, params.noise_sigma_kpa, size=d.shape)
     return v
+
+
+def _chamber_pressures(geom, params, delta, phi_deg, rng) -> np.ndarray:
+    """p_ch = p_atm - vacuum, capped at p_atm + tolerance; shape (..., 4)."""
+    vacuum = chamber_vacuum(params, coverage_depth(geom, delta, phi_deg), rng)
+    return np.minimum(params.p_atm_kpa - vacuum, params.p_atm_kpa + PRESSURE_TOLERANCE_KPA)
 
 
 def synth_frame(
@@ -154,13 +155,9 @@ def synth_frame(
     pose: GroundTruthPose,
     rng: np.random.Generator | None = None,
 ) -> SensorFrame:
-    """Sensor frame at a pose: p_ch[i] = p_atm - vacuum, noise per chamber."""
-    p_cap = params.p_atm_kpa + PRESSURE_TOLERANCE_KPA
-    p_ch = tuple(
-        min(params.p_atm_kpa - chamber_vacuum(params, coverage_depth(geom, pose, i), rng), p_cap)
-        for i in (1, 2, 3, 4)
-    )
-    return SensorFrame(p_ch=p_ch, p_atm=params.p_atm_kpa)
+    """Sensor frame at one pose: the one-row case of ``generate_dataset``."""
+    p_ch = _chamber_pressures(geom, params, pose.delta, pose.phi.degrees, rng)
+    return SensorFrame(p_ch=tuple(p_ch.tolist()), p_atm=params.p_atm_kpa)
 
 
 def generate_dataset(
@@ -177,20 +174,19 @@ def generate_dataset(
             f"(cup diameter), got {config.delta_range_mm}"
         )
     p_lo, p_hi = config.phi_range_deg
-    n = config.n_samples
-    n_phi = math.ceil(math.sqrt(n))
-    deltas = np.linspace(d_lo, d_hi, math.ceil(n / n_phi)).tolist()
-    # phi endpoint excluded: the range wraps, so p_hi aliases p_lo.
-    phis = (p_lo + np.arange(n_phi) * ((p_hi - p_lo) / n_phi)).tolist()
-    table = np.empty((n, len(CSV_COLUMNS)))
-    for i in range(n):
-        rng = substream(config.seed, i)
-        if config.sampling == "grid":
-            pose = GroundTruthPose(delta=deltas[i // n_phi], phi=Angle(phis[i % n_phi]))
-        else:
-            pose = GroundTruthPose(
-                delta=rng.uniform(d_lo, d_hi), phi=Angle(rng.uniform(p_lo, p_hi))
-            )
-        frame = synth_frame(geom, params, pose, rng)
-        table[i] = (*frame.p_ch, frame.p_atm, pose.delta, pose.phi.degrees)
-    return Samples(table)
+    n, seed = config.n_samples, config.seed
+    if config.sampling == "grid":
+        n_phi = math.ceil(math.sqrt(n))
+        row = np.arange(n)
+        delta = np.linspace(d_lo, d_hi, math.ceil(n / n_phi))[row // n_phi]
+        # phi endpoint excluded: the range wraps, so p_hi aliases p_lo.
+        phi = (p_lo + np.arange(n_phi) * ((p_hi - p_lo) / n_phi))[row % n_phi]
+    else:
+        delta = substream(seed, DATASET_DELTA).uniform(d_lo, d_hi, size=n)
+        phi = substream(seed, DATASET_PHI).uniform(p_lo, p_hi, size=n)
+    phi[phi == 360.0] = 0.0  # as Angle wraps it; every phi is in [0, 360]
+    p_ch = _chamber_pressures(geom, params, delta, phi, substream(seed, DATASET_NOISE))
+    if not (p_ch >= 0.0).all():  # SensorFrame's rules: the cap holds the top
+        i, j = np.argwhere(~(p_ch >= 0.0))[0]  # NaN is caught here too
+        raise InvalidInputError(f"row {i}: p_ch{j + 1} = {p_ch[i, j]} kPa is below 0")
+    return Samples(np.column_stack((p_ch, np.full(n, params.p_atm_kpa), delta, phi)))

@@ -6,7 +6,6 @@ import numpy as np
 
 from cuphaptics import FeatureStats, Samples, backward, init_model, save_model
 from cuphaptics.mlp import MODEL_MAGIC, _forward_batch
-from cuphaptics.rng import make_generator
 
 FD_STEP = 1e-6
 KINK_EPS = 1e-7
@@ -31,7 +30,7 @@ def gradient_check_trials(n_trials, base_seed=10_000, sizes=SMALL_SIZES):
     worst = 0.0
     for trial in range(n_trials):
         seed = base_seed + trial
-        rng = make_generator(seed)
+        rng = np.random.default_rng(seed)
         model = init_model(seed, layer_sizes=sizes)
         n = int(rng.integers(1, 6))
         x = rng.normal(0.0, 1.0, size=(n, sizes[0]))

@@ -191,6 +191,23 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_estimator_without_any_direction_is_usage_error(self, tmp_path, capsys):
+        # every frame fully sealed: the closed form answers None on each row
+        data = tmp_path / "data"
+        generate = ["generate", "--n", "60", "--response", "affine", "--noise-sigma", "0"]
+        sealed = ["--delta-min", "0", "--delta-max", "0", "--out-dir", str(data)]
+        assert main(generate + sealed) == 0
+        out = tmp_path / "out"
+        code = main(
+            ["compare", "--data", str(data / DATASET_FILENAME), "--seeds", "4"]
+            + ["--epochs", "2", "--out-dir", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "model_based" in err and "seed 4" in err and "12 validation rows" in err
+        assert not out.exists()
+
 
 def read_search_rows(path):
     with open(path, newline="") as fh:
@@ -438,3 +455,17 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+
+class TestSeedRange:
+    # Streams are keyed through SeedSequence, which rejects negative entropy;
+    # every int seed is masked to 64 bits first.
+    @pytest.mark.parametrize("seed", ["-1", "99999999999999999999999"])
+    def test_any_int_seed_runs(self, tmp_path, data_csv, seed):
+        runs = [
+            ["generate", "--n", "30"],
+            ["train", "--data", str(data_csv), "--epochs", "1"],
+            ["search", "--phi-points", "2", "--reps", "1"],
+        ]
+        for argv in runs:
+            assert main(argv + ["--seed", seed, "--out-dir", str(tmp_path)]) == 0

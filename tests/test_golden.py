@@ -1,10 +1,9 @@
 """Golden outputs: fixed-seed CLI runs must reproduce pinned file bytes.
 
-The digests were recorded on x86-64 Linux (Python 3.11, numpy 2.4) with
-the code as it stood before training moved to one flat parameter vector,
-so they hold refactors to the outputs of earlier code. A change that
-alters any of these bytes on purpose must say why in CHANGES.md and
-re-pin here. Model bytes depend on the summation order of numpy's matrix
+The digests were recorded on x86-64 Linux (Python 3.11, numpy 2.4) when
+datasets moved to one array kernel over streams keyed by (seed, purpose),
+so they hold later refactors to those outputs. A change that alters any
+of these bytes on purpose must say why in CHANGES.md and re-pin here. Model bytes depend on the summation order of numpy's matrix
 products, so a different BLAS build or CPU may need its own pins.
 """
 
@@ -16,16 +15,16 @@ from cuphaptics.cli import main
 
 # Paths relative to the run directory built by the ``golden_run`` fixture.
 GOLDEN_SHA256 = {
-    "data/dataset.csv": "ebfaee5ef5b1e8888212d4056ba62a960ec47e08d4a538958672ed049845c833",
-    "std/model.cupmlp": "8bacb79fef44d7de7148f0ce79880a754ed12fcc76d10098be55245db1f1eaf4",
-    "std/model.cupmlp.json": "f4aa3af3d8bbca9084050bff938bb8a6c563e32f39fd4c440081a56f67338443",
-    "std/history.json": "95fa79fe088f6481b60a3b4470408f7968b4c4c37f597116eb50dd8280a26615",
-    "raw/model.cupmlp": "1683f5adab1069ebe6cb71c8c141fc587ef7a18592bfd4b3d5619a683384f0e3",
-    "raw/model.cupmlp.json": "eeb84bc81be0f3e8a357c5516d3cbad3cb25a1a921416df759e3d1e3fd201789",
-    "raw/history.json": "2b42a9d3508a85a6b24e98069df9cb38ee5488ae243b22e08310369bc85e97fb",
-    "compare/report.json": "8a4f19ddf9c1ed003536f65359ef20c75057acd2bc06255047b252306541b2e7",
-    "compare/scatter_mlp.csv": "701562b3b8141160df7fd5bc92ab1841a8474cadbea484d82bf14ce5857f474c",
-    "compare/scatter_model_based.csv": "b03a1b22e1e049891e9cb29887599afef8b0145dbbd1a798ce8b072c572c84c0",
+    "data/dataset.csv": "4d81cfa14d6087cb0ebce547e05902ace5343699235fbb2dddadca441ab0fe56",
+    "std/model.cupmlp": "1e717d1cb2af94a69c6e9b11d32b37744a51e49755e0d664140833191a261bee",
+    "std/model.cupmlp.json": "d293e6c64575f7f81662c6d0e43616d1cb0def5e0c0d49f5ea93ea9a24584ca3",
+    "std/history.json": "0f870d97ae00c54051db5a37d3d29856bf5036dd7dcba23c2c783ec36389d082",
+    "raw/model.cupmlp": "64ca9adf3f4287ef953e522bb58da8d6287bdd649d1d18fec42260fff41287a3",
+    "raw/model.cupmlp.json": "ae237e598214e0d08f5cab1cab3daa01bb71a1b6d34867e0d0291d1dd3a16050",
+    "raw/history.json": "9d06555ddd4d6bc5760d4881a59689d2d318ed06d4c3afb7e210b51d4ef68329",
+    "compare/report.json": "b279473d7d07ff45b88772628ce11b39b91ccadeefacc2d49542798b795c372b",
+    "compare/scatter_mlp.csv": "aa26f1954ec1488aec75e00f25d3361d9e561141cc2b6e4abbe0df184300722a",
+    "compare/scatter_model_based.csv": "fe421fe1132a3a32b9b150b1b2a64d31f263128c19d4007ba01805685d332b6b",
     "search_model_based/search.csv": "3fe1a50acdd47c05569304f580f9bc7cd69e379e862eeb30dda72e68c17fc096",
     "search_mlp/search.csv": "1c737a468a520b6dd4fe2ac780d5bae7bc50033495bd5f16ac491360a939c121",
 }

@@ -87,6 +87,13 @@ class TestInitModel:
         model.biases[-1][0] = 7.0
         assert model.params[-2] == 7.0
 
+    def test_models_compare_by_identity(self):
+        model = init_model(0)
+        assert model == model
+        assert (init_model(0) == init_model(0)) is False  # answers, does not raise
+        assert model in {model, init_model(0)}
+        assert len({model, init_model(0)}) == 2
+
     def test_glorot_bounds_and_zero_biases(self):
         model = init_model(7)
         for w, (fan_out, fan_in) in zip(model.weights, ((16, 4), (32, 16), (16, 32), (2, 16))):

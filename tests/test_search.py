@@ -28,7 +28,7 @@ from cuphaptics import (
     write_batch_csv,
 )
 from cuphaptics import GenerationConfig
-from cuphaptics.rng import derive_seed
+from cuphaptics.rng import SEARCH_STEP, derive_seed
 
 GEOM = CupGeometry()
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
@@ -284,7 +284,11 @@ class TestBatchSearch:
             runs = [
                 run_search(
                     pose(d0, phi0),
-                    replace(config, estimator=est, seed=derive_seed(spec.seed, i, rep)),
+                    replace(
+                        config,
+                        estimator=est,
+                        seed=derive_seed(spec.seed, SEARCH_STEP, i, rep),
+                    ),
                     GEOM,
                     PressureFieldParams(noise_sigma_kpa=noise),
                 )
@@ -302,4 +306,4 @@ class TestBatchSearch:
             )
         assert rows == expected
         # Rates strictly between 0 and 1 show that each rep draws its own noise.
-        assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 0.75, 1.0}
+        assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 1.0}

@@ -19,7 +19,7 @@ from cuphaptics import (
     generate_dataset,
     synth_frame,
 )
-from cuphaptics.rng import make_generator
+from cuphaptics.rng import substream
 from cuphaptics.synth import CHAMBER_ANGLES_DEG
 
 GEOM = CupGeometry()
@@ -44,23 +44,28 @@ class TestGeometry:
 class TestCoverageDepth:
     def test_fully_covered_at_zero_offset(self):
         for phi in (0.0, 33.0, 180.0, 271.5):
-            for chamber in (1, 2, 3, 4):
-                d = coverage_depth(GEOM, pose(0.0, phi), chamber)
-                assert d > 0.0
+            d = coverage_depth(GEOM, 0.0, phi)
+            assert d.shape == (4,)
+            assert (d > 0.0).all()
 
     def test_closed_form_value(self):
-        d = coverage_depth(GEOM, pose(15.0, 0.0), 4)
+        d = coverage_depth(GEOM, 15.0, 0.0)[3]  # chamber 4
         assert d == pytest.approx(10.0 * math.cos(math.radians(45.0)), abs=1e-12)
         assert d == pytest.approx(7.0711, abs=1e-4)
 
     def test_fully_off_the_plate(self):
-        d = coverage_depth(GEOM, pose(30.0, 0.0), 4)
+        d = coverage_depth(GEOM, 30.0, 0.0)[3]
         assert d == pytest.approx(7.0711 - 15.0, abs=1e-4)
         assert d < 0.0
 
-    def test_rejects_bad_chamber(self):
-        with pytest.raises(InvalidInputError):
-            coverage_depth(GEOM, pose(7.0, 0.0), 5)
+    def test_broadcasts_rows_to_rows_of_chambers(self):
+        rng = substream(3, 0)
+        delta = rng.uniform(0.0, 30.0, size=(5, 7))
+        phi = rng.uniform(0.0, 360.0, size=(5, 7))
+        d = coverage_depth(GEOM, delta, phi)
+        assert d.shape == (5, 7, 4)
+        for i, j in np.ndindex(5, 7):
+            assert (d[i, j] == coverage_depth(GEOM, delta[i, j], phi[i, j])).all()
 
 
 class TestChamberVacuum:
@@ -88,16 +93,56 @@ class TestChamberVacuum:
         params = PressureFieldParams(noise_sigma_kpa=0.3)
         with pytest.raises(InvalidInputError):
             chamber_vacuum(params, 0.0)
-        rng = make_generator(0)
+        rng = np.random.default_rng(0)
         v = chamber_vacuum(params, 0.0, rng)
         assert v != 5.0  # one Gaussian draw applied
 
     def test_rejects_non_finite_depth(self):
         with pytest.raises(InvalidInputError):
             chamber_vacuum(NOISELESS, float("nan"))
+        with pytest.raises(InvalidInputError):
+            chamber_vacuum(NOISELESS, np.array([[1.0, 2.0, math.inf, 3.0]]))
+
+    @pytest.mark.parametrize("response", ["affine", "sigmoid"])
+    def test_extreme_depths_saturate_without_overflow(self, response):
+        # any numpy overflow warning fails the run (filterwarnings = error)
+        params = PressureFieldParams(response=response, noise_sigma_kpa=0.0)
+        v = chamber_vacuum(params, np.array([-1e308, -800.0, 800.0, 1e308]))
+        assert v.tolist() == [0.0, 0.0, 10.0, 10.0]
+
+    def test_elementwise_and_one_normal_per_element(self):
+        d = substream(4, 0).uniform(-20.0, 20.0, size=(50, 4))
+        noiseless = chamber_vacuum(NOISELESS, d)
+        for (i, j), v in np.ndenumerate(noiseless):
+            assert v == chamber_vacuum(NOISELESS, d[i, j])
+        noisy = chamber_vacuum(PressureFieldParams(), d, substream(4, 1))
+        noise = substream(4, 1).normal(0.0, 0.3, size=(50, 4))
+        assert (noisy == noiseless + noise).all()
+
+
+def reference_p_ch(params, delta, phi):
+    """The per-chamber scalar formulas, written out with math."""
+    p_ch = []
+    for alpha in CHAMBER_ANGLES_DEG:
+        d = 10.0 * math.cos(math.radians(alpha - phi)) - delta + 15.0
+        t = d / params.transition_width_mm
+        if params.response == "affine":
+            v = params.p_max_kpa * min(max(0.5 + 0.5 * t, 0.0), 1.0)
+        else:
+            v = params.p_max_kpa / (1.0 + math.exp(-t))
+        p_ch.append(min(params.p_atm_kpa - v, params.p_atm_kpa + 0.5))
+    return p_ch
 
 
 class TestSynthFrame:
+    @pytest.mark.parametrize("response", ["affine", "sigmoid"])
+    def test_matches_scalar_reference(self, response):
+        params = PressureFieldParams(response=response, noise_sigma_kpa=0.0)
+        for delta in (0.0, 7.0, 10.3, 14.0, 30.0):
+            for phi in (0.0, 17.5, 90.0, 233.3, 359.9):
+                got = synth_frame(GEOM, params, pose(delta, phi)).p_ch
+                assert got == pytest.approx(reference_p_ch(params, delta, phi), abs=1e-12)
+
     def test_fully_sealed_pose_saturates_all_chambers(self):
         # at delta=0 every coverage depth exceeds the affine ramp width,
         # so all four chambers bottom out at p_atm - p_max exactly and
@@ -192,11 +237,45 @@ class TestGenerateDataset:
             assert sa.pose.delta == sb.pose.delta
             assert sa.pose.phi.degrees == sb.pose.phi.degrees
 
-    def test_different_seeds_differ(self):
+    def test_seeds_share_no_row(self):
         params = PressureFieldParams()
-        a = generate_dataset(GEOM, params, GenerationConfig(n_samples=10, seed=1))
-        b = generate_dataset(GEOM, params, GenerationConfig(n_samples=10, seed=2))
-        assert any(sa.frame.p_ch != sb.frame.p_ch for sa, sb in zip(a, b))
+        rows = set()
+        for seed in range(8):
+            samples = generate_dataset(GEOM, params, GenerationConfig(1000, seed=seed))
+            rows.update(map(tuple, samples.table.tolist()))
+        assert len(rows) == 8 * 1000
+
+    def test_first_rows_do_not_depend_on_n(self):
+        params = PressureFieldParams()
+        short, long = (
+            generate_dataset(GEOM, params, GenerationConfig(n, seed=6)) for n in (300, 1000)
+        )
+        assert (short.table == long.table[:300]).all()
+
+    @pytest.mark.parametrize("response", ["affine", "sigmoid"])
+    def test_noiseless_grid_rows_equal_synth_frame(self, response):
+        params = PressureFieldParams(response=response, noise_sigma_kpa=0.0)
+        config = GenerationConfig(n_samples=400, sampling="grid", seed=0)
+        samples = generate_dataset(GEOM, params, config)
+        for *p_ch, p_atm, delta, phi in samples.table.tolist():
+            frame = synth_frame(GEOM, params, pose(delta, phi))
+            assert frame.p_ch == tuple(p_ch) and frame.p_atm == p_atm
+
+    def test_yaw_at_range_end_wraps_to_zero_as_angle_does(self):
+        # Drawn yaws in [360 - ulp, 360) round up to 360 about half the time.
+        below = float(np.nextafter(360.0, 0.0))
+        config = GenerationConfig(n_samples=200, phi_range_deg=(below, 360.0), seed=2)
+        phis = generate_dataset(GEOM, NOISELESS, config).phi_deg
+        assert set(phis.tolist()) == {below, 0.0}
+        assert all(Angle(phi).degrees == phi for phi in phis.tolist())
+
+    def test_pressure_below_zero_is_rejected(self):
+        # ambient 5 kPa cannot hold up to 10 kPa of vacuum
+        params = PressureFieldParams(p_atm_kpa=5.0, noise_sigma_kpa=0.0)
+        with pytest.raises(InvalidInputError, match="p_ch"):
+            generate_dataset(GEOM, params, GenerationConfig(n_samples=50, seed=0))
+        with pytest.raises(InvalidInputError, match="p_ch"):
+            synth_frame(GEOM, params, pose(0.0, 0.0))
 
     def test_samples_satisfy_frame_invariants(self):
         config = GenerationConfig(n_samples=500, seed=9)

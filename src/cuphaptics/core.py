@@ -160,9 +160,9 @@ class DirectionEstimate:
     phi_pred: Angle | None
 
 
-def direction_angle(v: Vector2) -> Angle | None:
-    """Polar angle of the direction ``v``; None when its norm is ~zero."""
-    return v.polar_angle() if v.norm() > EPS_ZERO else None
+def direction_angle(x: float, y: float) -> Angle | None:
+    """Polar angle of the direction (x, y); None when its norm is ~zero."""
+    return Angle(math.degrees(math.atan2(y, x))) if math.hypot(x, y) > EPS_ZERO else None
 
 
 def vacuum_pressures(frame: SensorFrame) -> VacuumPressures:
@@ -178,7 +178,7 @@ def model_direction(vp: VacuumPressures) -> DirectionEstimate:
     """
     p1, p2, p3, p4 = vp.p
     v = Vector2((p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2))
-    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v))
+    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v.x, v.y))
 
 
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:

@@ -12,20 +12,22 @@ The on-disk format is a plain CSV with the exact header
 
 comma-separated, '.' decimal point, UTF-8, LF line endings, one row per
 sample, numbers printed with 9 significant digits. Round trips are
-lossless at that precision.
+lossless at that precision. ``read_csv`` checks the values a column at a
+time and names the earliest bad line of a bad file.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Angle, GroundTruthPose, SensorFrame
+from .core import PRESSURE_TOLERANCE_KPA, Angle, GroundTruthPose, SensorFrame
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -144,27 +146,46 @@ class FeatureStats:
         object.__setattr__(self, "std", std)
 
 
+def _lines(rows: Iterable[Sequence[float | str]]) -> Iterator[str]:
+    """Format each row with one %-format built from the first row's cell types."""
+    fmt = ""
+    for row in rows:
+        if not fmt:
+            fmt = ",".join("%s" if isinstance(v, str) else "%.9g" for v in row) + "\n"
+        yield fmt % tuple(row)
+
+
 def write_table(
     path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[float | str]]
 ) -> None:
     """Write a header and comma-separated rows, UTF-8 with LF line endings.
 
     Numbers are printed with 9 significant digits; strings are written as
-    given. Rows are written one at a time as they are formatted. Every CSV
-    the package writes goes through here.
+    given. Each column holds numbers or strings throughout, as in the
+    first row. Rows are written one at a time as they are formatted.
+    Every CSV the package writes goes through here.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(
-            ",".join(v if isinstance(v, str) else format(float(v), ".9g") for v in row)
-            + "\n"
-            for row in rows
-        )
+        fh.writelines(_lines(rows))
 
 
 def write_csv(samples: Samples, path: str | Path) -> None:
     """Write samples to ``path`` in the package CSV schema."""
     write_table(path, CSV_COLUMNS, (row.tolist() for row in samples.table))
+
+
+def rows_valid(table: np.ndarray) -> bool:
+    """Whether every row of an (n, 7) table passes the checks of ``SensorFrame``
+    and ``GroundTruthPose`` and has 0 <= phi <= 360."""
+    p_ch, p_atm, delta, phi = table[:, 0:4], table[:, 4:5], table[:, 5], table[:, 6]
+    return bool(
+        np.isfinite(table).all()
+        and (p_atm >= 0.0).all()
+        and ((p_ch >= 0.0) & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)).all()
+        and (delta >= 0.0).all()
+        and ((phi >= 0.0) & (phi <= 360.0)).all()
+    )
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -179,50 +200,69 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     return value
 
 
+def _raise_first_bad_row(reader: Iterator[list[str]]) -> NoReturn:
+    """Check the rows after the header one by one; raise at the first bad line."""
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue  # tolerate a trailing blank line
+        if len(row) != len(CSV_COLUMNS):
+            raise CsvParseError(
+                f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line_no
+            )
+        values = [_parse_cell(cell, line_no, col) for cell, col in zip(row, CSV_COLUMNS)]
+        phi = values[6]
+        if not (0.0 <= phi <= 360.0):
+            raise CsvParseError(
+                f"phi_deg must be in [0, 360], got {phi}", line=line_no, column="phi_deg"
+            )
+        try:
+            SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
+            GroundTruthPose(delta=values[5], phi=Angle(phi))
+        except InvalidInputError as exc:
+            raise CsvParseError(str(exc), line=line_no) from exc
+    raise CsvParseError("the file changed while it was read")
+
+
 def read_csv(path: str | Path) -> Samples:
     """Read a dataset CSV, validating the header and every cell.
 
     ``phi_deg`` must lie in [0, 360]; an exact 360 (a 9-significant-digit
-    rounding artifact of values just below the wrap) reads back as 0.
+    rounding artifact of values just below the wrap) reads back as 0. A
+    file with any bad row is read again row by row, so the error names the
+    earliest bad line and its cell.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # Each CSV row takes at least one line, so lines bound the rows.
-        n_lines = sum(1 for _ in fh)
-        fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvParseError("empty file: missing header", line=1)
-        if tuple(header) != CSV_COLUMNS:
-            raise CsvParseError(
-                f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
-                line=1,
-            )
-        table = np.empty((n_lines - 1, len(CSV_COLUMNS)))
-        n = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate a trailing blank line
-            if len(row) != len(CSV_COLUMNS):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvParseError("empty file: missing header", line=1)
+            if tuple(header) != CSV_COLUMNS:
                 raise CsvParseError(
-                    f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line_no
+                    f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
+                    line=1,
                 )
-            values = [
-                _parse_cell(cell, line_no, col) for cell, col in zip(row, CSV_COLUMNS)
-            ]
-            phi = values[6]
-            if not (0.0 <= phi <= 360.0):
-                raise CsvParseError(
-                    f"phi_deg must be in [0, 360], got {phi}", line=line_no, column="phi_deg"
-                )
+            values = array.array("d")
             try:
-                frame = SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
-                pose = GroundTruthPose(delta=values[5], phi=Angle(phi))
-            except InvalidInputError as exc:
-                raise CsvParseError(str(exc), line=line_no) from exc
-            table[n] = (*values[:6], pose.phi.degrees)  # an exact 360 stored as 0
-            n += 1
-    return Samples(table[:n])
+                for row in reader:
+                    if row and len(row) != len(CSV_COLUMNS):
+                        break
+                    values.extend(map(float, row))  # a blank line adds nothing
+                else:
+                    table = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
+                    if rows_valid(table):
+                        table[:, 6] %= 360.0  # as Angle stores phi: 360 as 0, -0 as +0
+                        return Samples(table)
+            except (ValueError, csv.Error):
+                pass  # the row-by-row pass below names the bad line
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            _raise_first_bad_row(reader)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise CsvParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
 
 
 def split(samples: Samples, spec: SplitSpec) -> tuple[Samples, Samples]:

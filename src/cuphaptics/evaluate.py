@@ -16,8 +16,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, SensorFrame, angular_errors, estimate_direction
-from .dataset import Samples, SplitSpec, split, write_table
+from .core import PRESSURE_TOLERANCE_KPA, Angle, SensorFrame, angular_errors
+from .core import direction_angle, estimate_direction
+from .dataset import Samples, SplitSpec, rows_valid, split, write_table
 from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, TrainConfig, predict_angle, train
 
@@ -107,7 +108,25 @@ def _frames(samples: Samples) -> Iterator[tuple[SensorFrame, Angle]]:
 
 
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
-    """Pressure-difference estimate per sample."""
+    """Pressure-difference estimate per sample, a column at a time.
+
+    The vectors come from ``model_direction``'s float operations in its
+    order and the angles from the same ``math`` calls, so each answer
+    equals ``estimate_direction`` on that row bit for bit. A table with a
+    row the single-frame path would reject is scored row by row, which
+    raises that row's error.
+    """
+    table = samples.table
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows go row by row
+        vacuum = table[:, 4:5] - samples.p_ch
+        p1, p2, p3, p4 = vacuum.T
+        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+    valid = rows_valid(table) and (vacuum >= -PRESSURE_TOLERANCE_KPA).all()
+    if valid and np.isfinite([x, y]).all():
+        return [
+            PredictionPair(phi_true=Angle(phi), phi_pred=direction_angle(vx, vy))
+            for vx, vy, phi in zip(x.tolist(), y.tolist(), samples.phi_deg.tolist())
+        ]
     return [
         PredictionPair(phi_true=phi, phi_pred=estimate_direction(frame).phi_pred)
         for frame, phi in _frames(samples)

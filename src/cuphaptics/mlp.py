@@ -247,7 +247,7 @@ def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"output must be finite, got ({x}, {y})")
     v = Vector2(x, y)
-    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v))
+    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v.x, v.y))
 
 
 def loss(pred: Sequence[float], target: Sequence[float]) -> float:

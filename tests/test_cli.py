@@ -135,6 +135,14 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_data_that_is_not_utf8_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "blob.csv"
+        data.write_bytes(bytes(range(256)) * 64)
+        code = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not UTF-8 text") and err.count("\n") == 1
+
 
 class TestCompare:
     def test_writes_report_and_scatters(self, tmp_path, data_csv, capsys):
@@ -162,6 +170,14 @@ class TestCompare:
             assert len(lines) > 1
         out = capsys.readouterr().out
         assert "mlp" in out and "model_based" in out
+
+    def test_data_that_is_not_utf8_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"p_ch1_kpa,caf\xe9\n")
+        code = main(["compare", "--data", str(data), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not UTF-8 text") and err.count("\n") == 1
 
     def test_empty_seed_list_is_usage_error(self, tmp_path, data_csv):
         code = main(

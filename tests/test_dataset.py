@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cuphaptics import (
     Angle,
+    BatchRow,
     ConfigError,
     CsvParseError,
     CupGeometry,
@@ -16,20 +17,43 @@ from cuphaptics import (
     GroundTruthPose,
     InvalidInputError,
     LabeledSample,
+    PredictionPair,
     PressureFieldParams,
     Samples,
     SensorFrame,
     SplitSpec,
     feature_stats,
+    export_scatter,
     generate_dataset,
     read_csv,
     split,
+    write_batch_csv,
     write_csv,
 )
+from cuphaptics.dataset import write_table
 from cuphaptics.mlp import _standardize
 from helpers import samples_of
 
 HEADER = "p_ch1_kpa,p_ch2_kpa,p_ch3_kpa,p_ch4_kpa,p_atm_kpa,delta_mm,phi_deg"
+GOOD_ROW = "91.3,96.3,96.2,91.4,101.325,9.5,123"
+# Values whose 9-digit text is easy to get wrong: signed zero, the smallest
+# subnormal, a value past float's exact integers, a sum that prints long,
+# and a yaw just below the wrap that prints as 360.
+TRICKY = (-0.0, 5e-324, 1e16, 0.1 + 0.2, 359.9999999996)
+
+
+def per_cell_bytes(columns, rows):
+    """The CSV bytes of the per-cell rule: strings as given, numbers as .9g."""
+    lines = [",".join(columns)] + [
+        ",".join(v if isinstance(v, str) else format(float(v), ".9g") for v in row)
+        for row in rows
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_rows(path, *rows):
+    path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    return path
 
 
 def make_sample(p_ch=(91.3, 96.3, 96.2, 91.4), p_atm=101.325, delta=9.5, phi=123.0):
@@ -181,6 +205,32 @@ class TestCsvRoundTrip:
         path.write_text(HEADER + "\n", encoding="utf-8")
         assert len(read_csv(path)) == 0
 
+    def test_negative_zero_phi_reads_as_positive_zero(self, tmp_path):
+        path = write_rows(tmp_path / "z.csv", "91.3,96.3,96.2,91.4,101.325,9.5,-0")
+        loaded = read_csv(path)
+        assert math.copysign(1.0, loaded.phi_deg[0]) == 1.0
+        assert math.copysign(1.0, loaded[0].pose.phi.degrees) == 1.0
+
+    def test_boundary_values_are_accepted(self, tmp_path):
+        # Each bound is inclusive: no chamber vacuum, a chamber at ambient
+        # plus the tolerance, zero ambient, zero offset, yaw 0 and 360.
+        path = write_rows(
+            tmp_path / "edge.csv",
+            "0,0,0,0,0,0,0",
+            "101.825,0,101.825,0,101.325,0,360",
+            "0.5,0.5,0.5,0.5,0,0,360",
+        )
+        loaded = read_csv(path)
+        assert loaded.table.tolist() == [
+            [0.0] * 7,
+            [101.825, 0.0, 101.825, 0.0, 101.325, 0.0, 0.0],
+            [0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0],
+        ]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_rows(tmp_path / "gaps.csv", GOOD_ROW, "", GOOD_ROW, "")
+        assert len(read_csv(path)) == 2
+
     def test_phi_exactly_360_wraps_to_zero(self, tmp_path):
         path = tmp_path / "wrap.csv"
         path.write_text(
@@ -251,6 +301,185 @@ class TestCsvRejection:
         )
         with pytest.raises(CsvParseError, match="line 2"):
             read_csv(path)
+
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("91.3,96.3,96.2,91.4,-1,9.5,123", "p_atm must be >= 0 kPa, got -1.0 (line 2)"),
+            (
+                "91.3,-0.5,96.2,91.4,101.325,9.5,123",
+                "p_ch2 must be >= 0 kPa, got -0.5 (line 2)",
+            ),
+            (
+                "91.3,96.3,150,91.4,101.325,9.5,123",
+                "p_ch3 = 150.0 kPa exceeds ambient 101.325 kPa by more than 0.5 kPa (line 2)",
+            ),
+            (
+                "91.3,96.3,96.2,101.826,101.325,9.5,123",
+                "p_ch4 = 101.826 kPa exceeds ambient 101.325 kPa by more than 0.5 kPa "
+                "(line 2)",
+            ),
+            (
+                "91.3,96.3,96.2,91.4,101.325,-1e-300,123",
+                "delta must be >= 0 mm, got -1e-300 (line 2)",
+            ),
+            (
+                "91.3,96.3,96.2,91.4,101.325,9.5,360.0000001",
+                "phi_deg must be in [0, 360], got 360.0000001 (line 2, column 'phi_deg')",
+            ),
+            (
+                "91.3,96.3,96.2,91.4,101.325,9.5,-1",
+                "phi_deg must be in [0, 360], got -1.0 (line 2, column 'phi_deg')",
+            ),
+            (
+                "NaN,96.3,96.2,91.4,101.325,9.5,123",
+                "non-finite value 'NaN' (line 2, column 'p_ch1_kpa')",
+            ),
+            (
+                "91.3,96.3,96.2,91.4,+Infinity,9.5,123",
+                "non-finite value '+Infinity' (line 2, column 'p_atm_kpa')",
+            ),
+            (
+                "91.3,96.3,96.2,91.4,101.325,9.5, nan ",
+                "non-finite value ' nan ' (line 2, column 'phi_deg')",
+            ),
+            (
+                "91.3,96.3,96.2,91.4,101.325,what,123",
+                "expected a number, got 'what' (line 2, column 'delta_mm')",
+            ),
+            ("91.3,96.3,96.2,91.4,101.325,9.5", "expected 7 columns, got 6 (line 2)"),
+            ("91.3,96.3,96.2,91.4,101.325,9.5,1,2", "expected 7 columns, got 8 (line 2)"),
+            ('""', "expected 7 columns, got 1 (line 2)"),
+        ],
+        ids=[
+            "p_atm-negative",
+            "p_ch-negative",
+            "p_ch-above-ambient",
+            "p_ch-just-above-tolerance",
+            "delta-negative",
+            "phi-above-360",
+            "phi-negative",
+            "nan",
+            "inf",
+            "nan-with-spaces",
+            "not-a-number",
+            "6-columns",
+            "8-columns",
+            "1-column",
+        ],
+    )
+    def test_message_text_is_exact(self, tmp_path, row, message):
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(write_rows(tmp_path / "first.csv", row))
+        assert str(exc_info.value) == message
+        # The same row after a good one reports the next line.
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(write_rows(tmp_path / "second.csv", GOOD_ROW, row))
+        assert str(exc_info.value) == message.replace("line 2", "line 3")
+
+    @pytest.mark.parametrize(
+        "bad, line",
+        [
+            (
+                {3: "150,96.3,96.2,91.4,101.325,9.5,123", 5: "x,1,1,1,1,1,1", 6: "1,1,1,1,1,1"},
+                3,
+            ),
+            ({3: "1,1,1,1,1,1", 5: "150,96.3,96.2,91.4,101.325,9.5,123"}, 3),
+            ({4: "x,1,1,1,1,1,1", 6: "91.3,96.3,96.2,91.4,101.325,-2,123"}, 4),
+            ({5: "91.3,96.3,96.2,91.4,101.325,9.5,400", 6: "NaN,1,1,1,1,1,1"}, 5),
+            ({6: "inf,96.3,96.2,91.4,101.325,9.5,123", 7: "91.3,96.3,96.2,91.4,-1,9.5,1"}, 6),
+        ],
+        ids=[
+            "invariant-before-parse",
+            "columns-first",
+            "parse-first",
+            "phi-first",
+            "inf-first",
+        ],
+    )
+    def test_earliest_bad_line_wins(self, tmp_path, bad, line):
+        rows = [bad.get(i, GOOD_ROW) for i in range(2, 9)]
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(write_rows(tmp_path / "mixed.csv", *rows))
+        assert exc_info.value.line == line
+
+    def test_bad_row_after_blank_line_reports_its_file_line(self, tmp_path):
+        path = write_rows(
+            tmp_path / "gap.csv", GOOD_ROW, "", "", "91.3,96.3,96.2,91.4,101.325,-1,123"
+        )
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(path)
+        assert exc_info.value.line == 5
+        assert str(exc_info.value) == "delta must be >= 0 mm, got -1.0 (line 5)"
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + "\n" + GOOD_ROW + "\n").encode() + b"\xff\xfe\n")
+        with pytest.raises(CsvParseError, match="not UTF-8"):
+            read_csv(path)
+
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(bytes(range(256)) * 64)
+        with pytest.raises(CsvParseError, match="not UTF-8"):
+            read_csv(path)
+
+    def test_field_over_the_csv_size_limit(self, tmp_path):
+        path = write_rows(tmp_path / "huge.csv", GOOD_ROW, "9" * 200_000)
+        with pytest.raises(CsvParseError, match="field limit") as exc_info:
+            read_csv(path)
+        assert exc_info.value.line == 3
+
+
+class TestWrittenBytes:
+    """Every writer prints the bytes of the per-cell ``.9g`` rule."""
+
+    def test_write_csv(self, tmp_path):
+        rows = [[v, 1.0, 2.0, 3.0, 4.0, 5.0, v] for v in TRICKY]
+        path = tmp_path / "d.csv"
+        write_csv(Samples(np.array(rows)), path)
+        assert path.read_bytes() == per_cell_bytes(HEADER.split(","), rows)
+
+    def test_export_scatter(self, tmp_path):
+        pairs = [PredictionPair(phi_true=Angle(v), phi_pred=Angle(v / 3.0)) for v in TRICKY]
+        path = tmp_path / "s.csv"
+        export_scatter({"model_based": pairs, "mlp": pairs[:2]}, path)
+        want = [
+            (p.phi_true.degrees, p.phi_pred.degrees, method)
+            for method, chosen in (("model_based", pairs), ("mlp", pairs[:2]))
+            for p in chosen
+        ]
+        assert path.read_bytes() == per_cell_bytes(
+            ("phi_true_deg", "phi_pred_deg", "method"), want
+        )
+
+    def test_write_batch_csv(self, tmp_path):
+        rows = [BatchRow(v, 360.0 - v, v * 7.0, "model_based", v, 3) for v in TRICKY]
+        path = tmp_path / "b.csv"
+        write_batch_csv(rows, path)
+        want = [(r.delta0_mm, r.phi0_deg, r.noise_sigma_kpa, r.estimator, r.success_rate,
+                 r.mean_steps) for r in rows]
+        columns = ("delta0_mm", "phi0_deg", "noise_sigma_kpa", "estimator",
+                   "success_rate", "mean_steps")
+        assert path.read_bytes() == per_cell_bytes(columns, want)
+
+    @settings(max_examples=100)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(),
+                st.text(alphabet="ab-_ ", max_size=4),
+                st.one_of(st.integers(-(10**30), 10**30), st.booleans(), st.floats()),
+            ),
+            max_size=6,
+        )
+    )
+    def test_any_numbers_property(self, tmp_path_factory, rows):
+        # Any float (NaN and inf included), int or bool, beside a string column.
+        path = tmp_path_factory.mktemp("t") / "t.csv"
+        write_table(path, ("a", "b", "c"), rows)
+        assert path.read_bytes() == per_cell_bytes(("a", "b", "c"), rows)
 
 
 class TestSplit:

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuphaptics import (
+    EPS_ZERO,
+    PRESSURE_TOLERANCE_KPA,
     Angle,
     ConfigError,
     CupGeometry,
@@ -10,6 +16,7 @@ from cuphaptics import (
     PredictionPair,
     PressureFieldParams,
     Samples,
+    SensorFrame,
     SplitSpec,
     TrainConfig,
     estimate_direction,
@@ -197,6 +204,96 @@ class TestExportScatter:
             assert method == "model_based"
             assert float(true_s) == pytest.approx(p.phi_true.degrees, rel=1e-8, abs=1e-7)
             assert float(pred_s) == pytest.approx(p.phi_pred.degrees, rel=1e-8, abs=1e-7)
+
+
+def bits(angle):
+    """An angle's exact bits (signed zero included), or None."""
+    return None if angle is None else angle.degrees.hex()
+
+
+@st.composite
+def frame_rows(draw):
+    """A table row the frame types accept: any chambers within the bounds,
+    four equal chambers (a zero vector), or one chamber off by a hair, so
+    that the vector norm falls on either side of EPS_ZERO."""
+    p_atm = draw(st.floats(0.0, 200.0))
+    kind = draw(st.sampled_from(["any", "equal", "hair"]))
+    if kind == "any":
+        bound = p_atm + PRESSURE_TOLERANCE_KPA
+        p_ch = [draw(st.floats(0.0, bound)) for _ in range(4)]
+    elif kind == "equal":
+        p_ch = [draw(st.floats(0.0, p_atm))] * 4
+    else:
+        p, hair = draw(st.floats(0.0, p_atm)), draw(st.floats(1e-10, 1e-8))
+        p_ch = [p, p + hair, p, p]
+    return [*p_ch, p_atm, draw(st.floats(0.0, 30.0)), draw(st.floats(0.0, 360.0))]
+
+
+class TestClosedFormColumns:
+    """``evaluate_model_based`` answers as ``estimate_direction`` does, row by row."""
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(frame_rows(), min_size=1, max_size=12))
+    def test_equals_single_frame_bit_for_bit(self, rows):
+        samples = Samples(np.array(rows))
+        try:
+            want = [estimate_direction(s.frame).phi_pred for s in samples]
+        except InvalidInputError as exc:  # a gauge pressure rounds below the tolerance
+            with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+                evaluate_model_based(samples)
+            return
+        pairs = evaluate_model_based(samples)
+        assert [bits(p.phi_pred) for p in pairs] == [bits(a) for a in want]
+        assert [bits(p.phi_true) for p in pairs] == [bits(Angle(r[6])) for r in rows]
+
+    def test_norms_either_side_of_eps_zero(self):
+        p_atm, p_ch = 101.325, 96.0
+        rows = [
+            [p_ch, p_ch + hair, p_ch, p_ch, p_atm, 1.0, 10.0] for hair in (0.0, 5e-10, 2e-9)
+        ]
+        pairs = evaluate_model_based(Samples(np.array(rows)))
+        frames = [SensorFrame(tuple(r[:4]), p_atm) for r in rows]
+        norms = [estimate_direction(f).v_pred.norm() for f in frames]
+        assert norms[0] == 0.0 and 0.0 < norms[1] <= EPS_ZERO < norms[2]
+        assert [p.phi_pred for p in pairs[:2]] == [None, None]
+        assert bits(pairs[2].phi_pred) == bits(estimate_direction(frames[2]).phi_pred)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch1 = 150.0 kPa exceeds"),
+            ([96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan], "angle must be finite"),
+            ([96.0, -1.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch2 must be >= 0"),
+            # Ambient plus the tolerance rounds up, so the gauge pressure of a
+            # chamber at that bound falls just below -0.5 kPa.
+            ([1.3008000000000001] + [0.8008000000000001] * 3 + [0.8008000000000001, 1.0, 10.0],
+             "vacuum p1 = -0.5000000000000001 kPa"),
+            ([np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0], "p_atm must be finite"),
+            ([1.7e308, 0.0, 1.7e308, 0.0, 1.79e308, 1.0, 10.0], "vector x must be finite"),
+        ],
+        ids=[
+            "above-ambient",
+            "nan-yaw",
+            "negative-chamber",
+            "gauge-below-tolerance",
+            "infinite-ambient",
+            "vector-overflows",
+        ],
+    )
+    def test_rejected_row_raises_the_single_frame_error(self, row, message):
+        samples = Samples(np.array([[96.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], row]))
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            evaluate_model_based(samples)
+
+    def test_rows_outside_the_dataset_ranges_score_as_before(self):
+        # A hand-built table may hold a negative offset or a yaw past 360;
+        # the frame types accept both, so they are scored, not rejected.
+        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, -1.0, 400.0],
+                [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]]
+        pairs = evaluate_model_based(Samples(np.array(rows)))
+        assert [p.phi_true.degrees for p in pairs] == [40.0, 330.0]
+        want = estimate_direction(SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325)).phi_pred
+        assert [bits(p.phi_pred) for p in pairs] == [bits(want)] * 2
 
 
 class TestRunComparison:

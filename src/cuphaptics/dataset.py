@@ -175,17 +175,11 @@ def write_csv(samples: Samples, path: str | Path) -> None:
     write_table(path, CSV_COLUMNS, (row.tolist() for row in samples.table))
 
 
-def rows_valid(table: np.ndarray) -> bool:
-    """Whether every row of an (n, 7) table passes the checks of ``SensorFrame``
-    and ``GroundTruthPose`` and has 0 <= phi <= 360."""
-    p_ch, p_atm, delta, phi = table[:, 0:4], table[:, 4:5], table[:, 5], table[:, 6]
-    return bool(
-        np.isfinite(table).all()
-        and (p_atm >= 0.0).all()
-        and ((p_ch >= 0.0) & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)).all()
-        and (delta >= 0.0).all()
-        and ((phi >= 0.0) & (phi <= 360.0)).all()
-    )
+def frames_valid(table: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 7) table: whether ``SensorFrame`` accepts its pressures."""
+    p_ch, p_atm = table[:, 0:4], table[:, 4:5]
+    ok = (p_atm >= 0.0) & (p_ch >= 0.0) & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)
+    return ok.all(axis=1) & np.isfinite(table[:, 0:5]).all(axis=1)
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -202,7 +196,9 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
 
 def _raise_first_bad_row(reader: Iterator[list[str]]) -> NoReturn:
     """Check the rows after the header one by one; raise at the first bad line."""
-    for line_no, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        line_no, end = end + 1, reader.line_num  # a quoted cell may span lines
         if not row:
             continue  # tolerate a trailing blank line
         if len(row) != len(CSV_COLUMNS):
@@ -250,7 +246,9 @@ def read_csv(path: str | Path) -> Samples:
                     values.extend(map(float, row))  # a blank line adds nothing
                 else:
                     table = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
-                    if rows_valid(table):
+                    delta, phi = table[:, 5], table[:, 6]
+                    ok = frames_valid(table) & (0.0 <= delta) & (delta < np.inf)
+                    if (ok & (0.0 <= phi) & (phi <= 360.0)).all():
                         table[:, 6] %= 360.0  # as Angle stores phi: 360 as 0, -0 as +0
                         return Samples(table)
             except (ValueError, csv.Error):

@@ -5,6 +5,8 @@ prediction can be absent (the pressure-difference vector was ~zero);
 absent predictions are excluded from the error metrics and reported as a
 separate count rather than being scored at some arbitrary penalty angle.
 Across-seed spread is the population (divide-by-n) standard deviation.
+Each evaluator scores a table in one pass with the single-frame answers'
+bits; a row the single-frame path rejects raises that row's error.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import PRESSURE_TOLERANCE_KPA, Angle, SensorFrame, angular_errors
 from .core import direction_angle, estimate_direction
-from .dataset import Samples, SplitSpec, rows_valid, split, write_table
+from .dataset import Samples, SplitSpec, frames_valid, split, write_table
 from .errors import ConfigError, InvalidInputError
-from .mlp import MlpModel, TrainConfig, predict_angle, train
+from .mlp import MlpModel, TrainConfig, _outputs_by_row, predict_angle, train
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
@@ -101,10 +103,20 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     return float(np.mean(_errors(pairs, "mae_deg")))
 
 
-def _frames(samples: Samples) -> Iterator[tuple[SensorFrame, Angle]]:
-    """Each row's sensor frame and true yaw; no other per-row object."""
-    for *p_ch, p_atm, _, phi in samples.table.tolist():
-        yield SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm), Angle(phi)
+def _pairs(
+    samples: Samples, x: np.ndarray, y: np.ndarray, ok: np.ndarray, estimate: Callable
+) -> list[PredictionPair]:
+    """Each row's yaw and the angle of (x, y); a rejected row replays ``estimate``."""
+    ok &= frames_valid(samples.table) & np.isfinite([samples.phi_deg, x, y]).all(axis=0)
+    if not ok.all():  # the first rejected row raises its single-frame error
+        *p_ch, p_atm, _, phi = samples.table[ok.argmin()].tolist()
+        frame, _ = SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm), Angle(phi)
+        estimate(frame)
+        raise AssertionError(f"a rejected row scores: {frame}, yaw {phi}")
+    return [
+        PredictionPair(phi_true=Angle(phi), phi_pred=direction_angle(vx, vy))
+        for vx, vy, phi in zip(x.tolist(), y.tolist(), samples.phi_deg.tolist())
+    ]
 
 
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
@@ -112,33 +124,23 @@ def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
 
     The vectors come from ``model_direction``'s float operations in its
     order and the angles from the same ``math`` calls, so each answer
-    equals ``estimate_direction`` on that row bit for bit. A table with a
-    row the single-frame path would reject is scored row by row, which
-    raises that row's error.
+    equals ``estimate_direction`` on that row bit for bit.
     """
-    table = samples.table
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows go row by row
-        vacuum = table[:, 4:5] - samples.p_ch
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+        vacuum = samples.table[:, 4:5] - samples.p_ch
         p1, p2, p3, p4 = vacuum.T
         x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-    valid = rows_valid(table) and (vacuum >= -PRESSURE_TOLERANCE_KPA).all()
-    if valid and np.isfinite([x, y]).all():
-        return [
-            PredictionPair(phi_true=Angle(phi), phi_pred=direction_angle(vx, vy))
-            for vx, vy, phi in zip(x.tolist(), y.tolist(), samples.phi_deg.tolist())
-        ]
-    return [
-        PredictionPair(phi_true=phi, phi_pred=estimate_direction(frame).phi_pred)
-        for frame, phi in _frames(samples)
-    ]
+    ok = (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
+    return _pairs(samples, x, y, ok, estimate_direction)
 
 
 def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
-    """Network estimate per sample."""
-    return [
-        PredictionPair(phi_true=phi, phi_pred=predict_angle(model, frame))
-        for frame, phi in _frames(samples)
-    ]
+    """Network estimate per sample: each row runs as the one-row product of
+    ``predict_angle``, so each answer equals it on that row bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+        inputs, out = _outputs_by_row(model, samples.p_ch)
+    ok = np.isfinite(inputs).all(axis=1)
+    return _pairs(samples, out[:, 0], out[:, 1], ok, lambda f: predict_angle(model, f))
 
 
 def _seed_metrics(method: str, seed: int, pairs: Sequence[PredictionPair]) -> SeedMetrics:

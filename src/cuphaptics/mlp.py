@@ -22,7 +22,8 @@ that the model holds, ``train`` optimizes, ``save_model`` writes and
 ``load_model`` reads; ``model.weights`` and ``model.biases`` are per-layer
 views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
-when the caller supplies them.
+when the caller supplies them. A table is scored as a stack of one-row
+products, which keeps each row's single-frame bits (an n-row one may not).
 """
 
 from __future__ import annotations
@@ -427,6 +428,15 @@ def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
         assert model.stats is not None  # enforced by MlpModel
         x = _standardize(x, model.stats)
     return forward(model, x)
+
+
+def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked inputs and (n, 2) outputs, each row as ``network_output`` runs it."""
+    if p_ch.shape[1:] != (n_in := model.layer_sizes[0],):
+        raise InvalidInputError(f"expected {n_in} inputs, got shape {p_ch.shape[1:]}")
+    standardized = model.input_mode == "standardized" and model.stats is not None
+    x = _standardize(p_ch, model.stats) if standardized else p_ch
+    return x, _forward_batch(model.weights, model.biases, x[:, None, :])[0][-1][:, 0]
 
 
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:

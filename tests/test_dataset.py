@@ -413,6 +413,20 @@ class TestCsvRejection:
         assert exc_info.value.line == 5
         assert str(exc_info.value) == "delta must be >= 0 mm, got -1.0 (line 5)"
 
+    def test_records_with_a_quoted_line_break_report_file_lines(self, tmp_path):
+        # The first record spans lines 2 and 3 (a quoted cell holds a line
+        # break), so the bad record after it starts on line 4.
+        spanning = '"91.3\n",96.3,96.2,91.4,101.325,9.5,123'
+        bad = "91.3,96.3,96.2,91.4,101.325,-1,123"
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(write_rows(tmp_path / "after.csv", spanning, bad))
+        assert str(exc_info.value) == "delta must be >= 0 mm, got -1.0 (line 4)"
+        # A bad record that spans lines names the line it starts on.
+        spanning_bad = spanning.replace("9.5", "-1")
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(write_rows(tmp_path / "spans.csv", GOOD_ROW, spanning_bad, GOOD_ROW))
+        assert str(exc_info.value) == "delta must be >= 0 mm, got -1.0 (line 3)"
+
     def test_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes((HEADER + "\n" + GOOD_ROW + "\n").encode() + b"\xff\xfe\n")

@@ -11,8 +11,10 @@ from cuphaptics import (
     Angle,
     ConfigError,
     CupGeometry,
+    FeatureStats,
     GenerationConfig,
     InvalidInputError,
+    MlpModel,
     PredictionPair,
     PressureFieldParams,
     Samples,
@@ -26,11 +28,13 @@ from cuphaptics import (
     generate_dataset,
     init_model,
     mae_deg,
+    network_output,
     predict_angle,
     rmse_deg,
     run_comparison,
     train,
 )
+from cuphaptics.mlp import _outputs_by_row
 
 GEOM = CupGeometry()
 
@@ -294,6 +298,112 @@ class TestClosedFormColumns:
         assert [p.phi_true.degrees for p in pairs] == [40.0, 330.0]
         want = estimate_direction(SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325)).phi_pred
         assert [bits(p.phi_pred) for p in pairs] == [bits(want)] * 2
+
+
+RAW_MODEL = init_model(4)
+STD_MODEL = init_model(
+    5,
+    input_mode="standardized",
+    stats=FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0)),
+)
+MODELS = {"raw": RAW_MODEL, "std": STD_MODEL}
+# A row every model scores: zero inputs give finite (zero) outputs.
+BASE_ROW = [0.0, 0.0, 0.0, 0.0, 101.325, 1.0, 10.0]
+
+
+class TestMlpColumns:
+    """``evaluate_mlp`` answers as ``predict_angle`` does, row by row."""
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(frame_rows(), min_size=1, max_size=12))
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_equals_single_frame_bit_for_bit(self, name, rows):
+        model, samples = MODELS[name], Samples(np.array(rows))
+        pairs = evaluate_mlp(model, samples)
+        want = [predict_angle(model, s.frame) for s in samples]
+        assert [bits(p.phi_pred) for p in pairs] == [bits(a) for a in want]
+        assert [bits(p.phi_true) for p in pairs] == [bits(Angle(r[6])) for r in rows]
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_outputs_do_not_depend_on_the_chunk_size(self, name):
+        model = MODELS[name]
+        samples = generate_dataset(
+            GEOM, PressureFieldParams(), GenerationConfig(n_samples=300, seed=7)
+        )
+        _, whole = _outputs_by_row(model, samples.p_ch)
+        single = np.array([network_output(model, s.frame) for s in samples])
+        assert whole.tobytes() == single.tobytes()
+        for size in (1, 7, 64):
+            chunks = [
+                _outputs_by_row(model, samples.p_ch[i : i + size])[1]
+                for i in range(0, len(samples), size)
+            ]
+            assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "model, row, message",
+        [
+            (RAW_MODEL, [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch1 = 150.0 kPa exceeds"),
+            (STD_MODEL, [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan], "angle must be finite"),
+            (RAW_MODEL, [96.0, -1.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch2 must be >= 0"),
+            (STD_MODEL, [np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0], "p_atm must be finite"),
+            # A tiny spread sends the standardized inputs past the float range.
+            (
+                init_model(6, input_mode="standardized",
+                           stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
+                [1e10, 1e10, 1e10, 1e10, 1e10, 1.0, 10.0],
+                "inputs must be finite",
+            ),
+            (
+                MlpModel(RAW_MODEL.layer_sizes, RAW_MODEL.params * 1e300),
+                [200.0, 200.0, 200.0, 200.0, 200.0, 1.0, 10.0],
+                "output must be finite",
+            ),
+        ],
+        ids=[
+            "above-ambient",
+            "nan-yaw",
+            "negative-chamber",
+            "infinite-ambient",
+            "standardized-input-overflows",
+            "output-overflows",
+        ],
+    )
+    def test_rejected_row_raises_the_single_frame_error(self, model, row, message):
+        samples = Samples(np.array([BASE_ROW, row]))
+        # Overflow warnings are silenced so the single-frame error surfaces.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                evaluate_mlp(model, samples)
+
+    def test_model_of_another_input_width_is_rejected(self):
+        model = init_model(0, layer_sizes=(3, 8, 2))
+        with pytest.raises(InvalidInputError, match=re.escape("expected 3 inputs")):
+            evaluate_mlp(model, Samples(np.array([BASE_ROW])))
+
+    def test_rows_outside_the_dataset_ranges_score_as_before(self):
+        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, -1.0, 400.0],
+                [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]]
+        pairs = evaluate_mlp(RAW_MODEL, Samples(np.array(rows)))
+        assert [p.phi_true.degrees for p in pairs] == [40.0, 330.0]
+        want = predict_angle(RAW_MODEL, SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325))
+        assert [bits(p.phi_pred) for p in pairs] == [bits(want)] * 2
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [evaluate_model_based, lambda samples: evaluate_mlp(RAW_MODEL, samples)],
+    ids=["model_based", "mlp"],
+)
+def test_earliest_rejected_row_wins(evaluate):
+    nan_yaw = [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan]
+    above = [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]
+    for rows, message in (
+        ([BASE_ROW, nan_yaw, above], "angle must be finite"),
+        ([BASE_ROW, above, nan_yaw], "p_ch1 = 150.0 kPa exceeds"),
+    ):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            evaluate(Samples(np.array(rows)))
 
 
 class TestRunComparison:

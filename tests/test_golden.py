@@ -29,6 +29,15 @@ GOLDEN_SHA256 = {
     "search_mlp/search.csv": "1c737a468a520b6dd4fe2ac780d5bae7bc50033495bd5f16ac491360a939c121",
 }
 
+# Single-frame MLP answers, which hold the network's output bits: the
+# ``predict`` stdout for each trained model on one fixed frame.
+GOLDEN_PREDICT = {
+    "std": '{"method": "mlp", "v_pred": [0.9933823502712892, -0.03348213581613666], '
+    '"phi_pred_deg": 358.06956595125916}\n',
+    "raw": '{"method": "mlp", "v_pred": [0.06326411517002253, 0.3957175018486108], '
+    '"phi_pred_deg": 80.91687872053917}\n',
+}
+
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
@@ -56,3 +65,11 @@ def golden_run(tmp_path_factory):
 def test_output_bytes_match_pinned_digest(golden_run, relpath):
     digest = hashlib.sha256((golden_run / relpath).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[relpath]
+
+
+@pytest.mark.parametrize("model_dir", sorted(GOLDEN_PREDICT))
+def test_predict_output_matches_pinned_text(golden_run, model_dir, capsys):
+    model = str(golden_run / model_dir / "model.cupmlp")
+    argv = ["predict", "--method", "mlp", "--model", model]
+    assert main(argv + ["--p-ch", "91.325,96.325,96.325,91.325"]) == 0
+    assert capsys.readouterr().out == GOLDEN_PREDICT[model_dir]

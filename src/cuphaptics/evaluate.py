@@ -22,7 +22,7 @@ from .core import PRESSURE_TOLERANCE_KPA, Angle, SensorFrame, angular_errors
 from .core import direction_angle, estimate_direction
 from .dataset import Samples, SplitSpec, frames_valid, split, write_table
 from .errors import ConfigError, InvalidInputError
-from .mlp import MlpModel, TrainConfig, _outputs_by_row, predict_angle, train
+from .mlp import MlpModel, TrainConfig, _outputs_by_row, predict_angle, train_many
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
@@ -184,16 +184,17 @@ def run_comparison(
 
     Also returns the first seed's per-sample pairs for scatter export.
     Each seed drives both the fold shuffle and the training run, so one
-    integer fully reproduces a pipeline repetition.
+    integer fully reproduces a pipeline repetition. The seeds' networks
+    train together in lockstep, each as ``train`` would train it alone.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
+    folds = [split(samples, replace(split_spec, seed=seed)) for seed in seeds]
+    trained = train_many(folds, train_config, seeds)
     mlp_rows, mb_rows = [], []
     first_pairs: dict[str, list[PredictionPair]] = {}
     n_validation = 0
-    for i, seed in enumerate(seeds):
-        train_set, val_set = split(samples, replace(split_spec, seed=seed))
-        model, _ = train(train_set, val_set, replace(train_config, seed=seed))
+    for i, (seed, (_, val_set), (model, _)) in enumerate(zip(seeds, folds, trained)):
         mlp_pairs = evaluate_mlp(model, val_set)
         mb_pairs = evaluate_model_based(val_set)
         mlp_rows.append(_seed_metrics(MLP_METHOD, seed, mlp_pairs))

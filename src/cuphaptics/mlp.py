@@ -24,6 +24,14 @@ views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
 when the caller supplies them. A table is scored as a stack of one-row
 products, which keeps each row's single-frame bits (an n-row one may not).
+
+``train_many`` trains several folds' networks in lockstep: their parameters
+are the rows of one (S, P) array, the forward and backward passes run on a
+leading seed axis, and RMSprop updates the stack in place. numpy runs each
+network's products and sums as it would for that network alone, so every
+fold's model and history equal a solo ``train`` bit for bit; ``train`` is
+the one-fold case. Per-epoch losses score each fold on its own, a fixed
+chunk of rows at a time through reused buffers.
 """
 
 from __future__ import annotations
@@ -57,6 +65,9 @@ from .rng import INIT, SHUFFLE, substream
 
 DEFAULT_LAYER_SIZES = (4, 16, 32, 16, 2)
 MODEL_MAGIC = b"CUPMLP1"
+# Rows per forward call in a full-set scoring pass during training.
+CHUNK_ROWS = 4096
+_V_INVALID = "squared-gradient average must be finite and >= 0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +133,7 @@ class RmspropState:
         v = tuple(np.asarray(a, dtype=np.float64) for a in self.v)
         for a in v:
             if not (np.isfinite(a).all() and (a >= 0.0).all()):
-                raise InvalidInputError("squared-gradient average must be finite and >= 0")
+                raise InvalidInputError(_V_INVALID)
         object.__setattr__(self, "v", v)
 
     @classmethod
@@ -199,24 +210,41 @@ def _n_params(layer_sizes: Sequence[int]) -> int:
 def _layer_views(
     flat: np.ndarray, layer_sizes: Sequence[int]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight (out x in) and bias views into a flat vector."""
+    """Per-layer weight (out x in) and bias views into a flat vector, or
+    into each row of an (S, P) stack of them (views (S, out, in), (S, out))."""
     shapes = [s for i, o in zip(layer_sizes, layer_sizes[1:]) for s in ((o, i), (o,))]
     ends = np.cumsum([math.prod(s) for s in shapes])
-    views = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
+    lead = flat.shape[:-1]
+    views = [
+        a.reshape(*lead, *s) for a, s in zip(np.split(flat, ends[:-1], axis=-1), shapes)
+    ]
     return views[0::2], views[1::2]
 
 
 def _forward_batch(
-    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], x: np.ndarray
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    x: np.ndarray,
+    work: Sequence[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (activations, pre-activations); activations[0] is the input."""
+    """Return (activations, pre-activations); activations[0] is the input.
+
+    Rows run along axis -2. Leading axes broadcast, so an (S, out, in)
+    weight stack runs S networks on an (S, n, in) input stack at once.
+    Given ``work`` (per layer, a 2-D array of its width with at least as
+    many rows as ``x``), each layer is written there and its ReLU applied
+    in place: a repeated pass then allocates nothing, and the hidden
+    pre-activations are not kept.
+    """
     activations = [x]
     preacts = []
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = activations[-1] @ w.T + b
+        dest = None if work is None else work[k][: x.shape[-2]]
+        z = np.matmul(activations[-1], w.swapaxes(-1, -2), out=dest)
+        z += b[..., None, :]
         preacts.append(z)
-        activations.append(z if k == last else np.maximum(z, 0.0))
+        activations.append(z if k == last else np.maximum(z, 0.0, out=dest))
     return activations, preacts
 
 
@@ -268,14 +296,15 @@ def _backward_arrays(
     grad_w: Sequence[np.ndarray],
     grad_b: Sequence[np.ndarray],
 ) -> None:
-    """Write the mean-batch-loss gradients into ``grad_w`` and ``grad_b``."""
+    """Write the mean-batch-loss gradients into ``grad_w`` and ``grad_b``;
+    with a leading stack axis, each network's from its own batch."""
     activations, preacts = _forward_batch(weights, biases, x)
-    n = x.shape[0]
+    n = x.shape[-2]
     # d(mean over n*2 elements of (a-t)^2) / da = (a - t) / n
     grad = (activations[-1] - t) / n
     for k in reversed(range(len(weights))):
-        np.matmul(grad.T, activations[k], out=grad_w[k])
-        grad.sum(axis=0, out=grad_b[k])
+        np.matmul(grad.swapaxes(-1, -2), activations[k], out=grad_w[k])
+        grad.sum(axis=-2, out=grad_b[k])
         if k > 0:
             grad = (grad @ weights[k]) * (preacts[k - 1] > 0.0)
 
@@ -301,31 +330,222 @@ def backward(
     return grad_w, grad_b
 
 
+def _rmsprop_update(
+    params: np.ndarray,
+    grads: np.ndarray,
+    v: np.ndarray,
+    scratch: np.ndarray,
+    lr: float,
+    rho: float,
+    eps: float,
+) -> None:
+    """One RMSprop update of ``params`` and ``v`` in place.
+
+    ``grads`` and ``scratch`` are overwritten. The IEEE operations and their
+    order are those of v <- rho*v + ((1-rho)*g)*g and
+    theta <- theta - (lr*g) / (sqrt(v) + eps), so the bits equal that formula
+    evaluated into fresh arrays. A non-finite average (the run diverged)
+    raises before ``params`` is touched.
+    """
+    np.multiply(grads, 1.0 - rho, out=scratch)
+    scratch *= grads
+    v *= rho
+    v += scratch
+    if not np.isfinite(v).all():
+        raise InvalidInputError(_V_INVALID)
+    np.sqrt(v, out=scratch)
+    scratch += eps
+    grads *= lr
+    grads /= scratch
+    params -= grads
+
+
 def rmsprop_step(
     params: Sequence[np.ndarray],
     grads: Sequence[np.ndarray],
     state: RmspropState,
 ) -> tuple[list[np.ndarray], RmspropState]:
-    """One update: v <- rho*v + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(v)+eps)."""
+    """One update: v <- rho*v + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(v)+eps).
+
+    Returns new arrays and a new state; the arguments are left unchanged.
+    """
     if not (len(params) == len(grads) == len(state.v)):
         raise InvalidInputError("params, grads, and state.v must align")
     new_v, new_params = [], []
     for p, g, v in zip(params, grads, state.v):
-        p = np.asarray(p, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
+        p, g, v = (np.array(a, dtype=np.float64) for a in (p, g, v))  # copies
         if p.shape != g.shape or p.shape != v.shape:
             raise InvalidInputError(
                 f"shape mismatch: param {p.shape}, grad {g.shape}, v {v.shape}"
             )
-        v2 = state.rho * v + (1.0 - state.rho) * g * g
-        new_v.append(v2)
-        new_params.append(p - state.lr * g / (np.sqrt(v2) + state.eps))
+        _rmsprop_update(p, g, v, np.empty_like(p), state.lr, state.rho, state.eps)
+        new_v.append(v)
+        new_params.append(p)
     return new_params, replace(state, v=tuple(new_v))
 
 
 def _standardize(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
     """Z-score chamber pressures (last axis) under training-set stats."""
     return (x - np.asarray(stats.mean)) / np.asarray(stats.std)
+
+
+def _outputs_chunked(
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    x: np.ndarray,
+    out: np.ndarray,
+    work: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Fill ``out`` with the outputs for the rows of ``x``, ``CHUNK_ROWS`` rows
+    at a time through the layer buffers ``work``, so that a full-set pass
+    holds one chunk's activations and allocates none."""
+    for start in range(0, len(x), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        out[rows] = _forward_batch(weights, biases, x[rows], work)[0][-1]
+    return out
+
+
+def _fold_arrays(part: Samples, stats: FeatureStats | None) -> tuple[np.ndarray, np.ndarray]:
+    """A fold's network inputs, z-scored when ``stats`` is given, and its
+    unit-circle targets (cos phi, sin phi)."""
+    x = np.ascontiguousarray(part.p_ch)
+    if stats is not None:
+        x = _standardize(x, stats)
+    rad = np.radians(part.phi_deg)
+    return x, np.stack((np.cos(rad), np.sin(rad)), axis=1)
+
+
+class _SeedRun:
+    """One fold of a ``train_many`` call: its arrays, its shuffle stream, and
+    its per-epoch record with the best checkpoint so far."""
+
+    def __init__(
+        self,
+        fold: tuple[Samples, Samples],
+        config: TrainConfig,
+        seed: int,
+        work: Sequence[np.ndarray],
+    ):
+        train_set, val_set = fold
+        stats = feature_stats(train_set) if config.standardize else None
+        self.x_train, self.t_train = _fold_arrays(train_set, stats)
+        self.x_val, self.t_val = _fold_arrays(val_set, stats)
+        self.phi_val = val_set.phi_deg
+        self.train_out, self.val_out = np.empty_like(self.t_train), np.empty_like(self.t_val)
+        self.work = work  # layer buffers that the folds share
+        self.model0 = init_model(
+            seed, input_mode="standardized" if config.standardize else "raw", stats=stats
+        )
+        self.shuffle_rng = substream(seed, SHUFFLE)
+        self.initial_val = self.best_val = loss(
+            self._outputs(self.model0.params, self.x_val, self.val_out), self.t_val
+        )
+        self.best_params = self.model0.params.copy()
+        self.best_epoch = self.stale_epochs = 0
+        self.train_loss: list[float] = []
+        self.val_loss: list[float] = []
+        self.val_rmse: list[float] = []
+
+    def _outputs(self, params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        weights, biases = _layer_views(params, self.model0.layer_sizes)
+        return _outputs_chunked(weights, biases, x, out, self.work)
+
+    def end_epoch(self, epoch: int, params: np.ndarray, patience: int) -> bool:
+        """Score ``params`` after ``epoch``; True once more than ``patience``
+        epochs in a row have not improved validation loss."""
+        train_out = self._outputs(params, self.x_train, self.train_out)
+        self.train_loss.append(loss(train_out, self.t_train))
+        val_out = self._outputs(params, self.x_val, self.val_out)
+        val_loss = loss(val_out, self.t_val)
+        # Decoded validation angles; ~zero output vectors carry none.
+        defined = np.hypot(val_out[:, 0], val_out[:, 1]) > EPS_ZERO
+        val_rmse = math.nan
+        if defined.any():
+            pred = np.degrees(np.arctan2(val_out[defined, 1], val_out[defined, 0]))
+            err = angular_errors(pred % 360.0, self.phi_val[defined])
+            val_rmse = float(np.sqrt(np.mean(err**2)))
+        self.val_loss.append(val_loss)
+        self.val_rmse.append(val_rmse)
+        if val_loss < self.best_val:
+            self.best_val = val_loss
+            self.best_params = params.copy()
+            self.best_epoch = epoch
+            self.stale_epochs = 0
+            return False
+        self.stale_epochs += 1
+        return self.stale_epochs > patience
+
+    def result(self) -> tuple[MlpModel, TrainHistory]:
+        history = TrainHistory(
+            train_loss=tuple(self.train_loss),
+            val_loss=tuple(self.val_loss),
+            val_rmse_deg=tuple(self.val_rmse),
+            best_epoch=self.best_epoch,
+            initial_val_loss=self.initial_val,
+        )
+        return replace(self.model0, params=self.best_params), history
+
+
+def train_many(
+    folds: Sequence[tuple[Samples, Samples]],
+    config: TrainConfig,
+    seeds: Sequence[int],
+) -> list[tuple[MlpModel, TrainHistory]]:
+    """Train one model per (train, validation) fold, all folds in lockstep.
+
+    Fold i trains under ``seeds[i]`` in place of ``config.seed``, and its
+    result equals ``train(*folds[i], replace(config, seed=seeds[i]))`` bit
+    for bit: the S networks run as one (S, P) parameter stack through the
+    forward, backward and RMSprop code of a lone network, whose per-network
+    products, sums and updates are the same operations. Each fold shuffles
+    from its own stream and stops early on its own; a stopped fold keeps
+    its best checkpoint and leaves the stack. The training folds must all
+    have one size, so that their mini-batches line up.
+    """
+    if not folds or len(folds) != len(seeds):
+        raise ConfigError(f"need one seed per fold, got {len(folds)} folds, {len(seeds)} seeds")
+    if not all(len(train_set) and len(val_set) for train_set, val_set in folds):
+        raise ConfigError("train and validation sets must both be non-empty")
+    n = len(folds[0][0])
+    if any(len(train_set) != n for train_set, _ in folds):
+        raise ConfigError("lockstep training needs training folds of one size")
+    sizes = DEFAULT_LAYER_SIZES
+    work = [np.empty((CHUNK_ROWS, width)) for width in sizes[1:]]
+    runs = [_SeedRun(fold, config, seed, work) for fold, seed in zip(folds, seeds)]
+    # Each live fold's training set in this epoch's order, stacked.
+    x_epoch = np.empty((len(runs), n, sizes[0]))
+    t_epoch = np.empty((len(runs), n, sizes[-1]))
+
+    live = runs
+    # Parameters and RMSprop averages, one row per live fold.
+    params = np.stack([run.model0.params for run in live])
+    v = np.zeros_like(params)
+    for epoch in range(1, config.max_epochs + 1):
+        # Gradients and scratch match the stack; the per-layer views alias
+        # params and grads, so both are written in place.
+        grads, scratch = np.empty_like(params), np.empty_like(params)
+        weights, biases = _layer_views(params, sizes)
+        grad_w, grad_b = _layer_views(grads, sizes)
+        # Each fold's epoch order, gathered once; batches are slices of it.
+        x, t = x_epoch[: len(live)], t_epoch[: len(live)]
+        for i, run in enumerate(live):
+            order = run.shuffle_rng.permutation(n)
+            np.take(run.x_train, order, axis=0, out=x[i])
+            np.take(run.t_train, order, axis=0, out=t[i])
+        for start in range(0, n, config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            _backward_arrays(weights, biases, x[:, batch], t[:, batch], grad_w, grad_b)
+            _rmsprop_update(params, grads, v, scratch, config.lr, config.rho, config.eps)
+        going = [
+            not run.end_epoch(epoch, row, config.patience)
+            for run, row in zip(live, params)
+        ]
+        if not all(going):
+            live = [run for run, keep in zip(live, going) if keep]
+            if not live:
+                break
+            params, v = params[going], v[going]
+    return [run.result() for run in runs]
 
 
 def train(
@@ -340,85 +560,9 @@ def train(
     including the untrained initial model as candidate zero, so its
     validation loss never exceeds the initial one. Training stops at
     ``max_epochs`` or once more than ``patience`` consecutive epochs fail
-    to improve validation loss.
+    to improve validation loss. This is the one-fold case of ``train_many``.
     """
-    if not (len(train_set) and len(val_set)):
-        raise ConfigError("train and validation sets must both be non-empty")
-    x_train, x_val = (
-        np.ascontiguousarray(part.p_ch) for part in (train_set, val_set)
-    )
-    stats = None
-    if config.standardize:
-        stats = feature_stats(train_set)
-        x_train, x_val = _standardize(x_train, stats), _standardize(x_val, stats)
-    t_train, t_val = (
-        np.stack((np.cos(rad), np.sin(rad)), axis=1)
-        for rad in (np.radians(part.phi_deg) for part in (train_set, val_set))
-    )
-    phi_val = val_set.phi_deg
-
-    model0 = init_model(
-        config.seed,
-        input_mode="standardized" if config.standardize else "raw",
-        stats=stats,
-    )
-    # Parameters, gradient and RMSprop state are one vector each. The
-    # per-layer views alias params and grads, so both are written in place.
-    params = model0.params.copy()
-    grads = np.empty_like(params)
-    weights, biases = _layer_views(params, model0.layer_sizes)
-    grad_w, grad_b = _layer_views(grads, model0.layer_sizes)
-    opt = RmspropState.initial([params], lr=config.lr, rho=config.rho, eps=config.eps)
-    shuffle_rng = substream(config.seed, SHUFFLE)
-
-    initial_val = loss(_forward_batch(weights, biases, x_val)[0][-1], t_val)
-    best_val = initial_val
-    best_params = params.copy()
-    best_epoch = 0
-
-    n = len(train_set)
-    history_train, history_val, history_rmse = [], [], []
-    stale_epochs = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            _backward_arrays(
-                weights, biases, x_train[idx], t_train[idx], grad_w, grad_b
-            )
-            (updated,), opt = rmsprop_step([params], [grads], opt)
-            params[:] = updated
-        train_loss = loss(_forward_batch(weights, biases, x_train)[0][-1], t_train)
-        val_out = _forward_batch(weights, biases, x_val)[0][-1]
-        val_loss = loss(val_out, t_val)
-        # Decoded validation angles; ~zero output vectors carry none.
-        defined = np.hypot(val_out[:, 0], val_out[:, 1]) > EPS_ZERO
-        val_rmse = math.nan
-        if defined.any():
-            pred = np.degrees(np.arctan2(val_out[defined, 1], val_out[defined, 0]))
-            err = angular_errors(pred % 360.0, phi_val[defined])
-            val_rmse = float(np.sqrt(np.mean(err**2)))
-        history_train.append(train_loss)
-        history_val.append(val_loss)
-        history_rmse.append(val_rmse)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            best_epoch = epoch
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs > config.patience:
-                break
-
-    history = TrainHistory(
-        train_loss=tuple(history_train),
-        val_loss=tuple(history_val),
-        val_rmse_deg=tuple(history_rmse),
-        best_epoch=best_epoch,
-        initial_val_loss=initial_val,
-    )
-    return replace(model0, params=best_params), history
+    return train_many([(train_set, val_set)], config, [config.seed])[0]
 
 
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:

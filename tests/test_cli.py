@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cuphaptics import load_model
@@ -142,6 +143,16 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: not UTF-8 text") and err.count("\n") == 1
+
+    def test_diverging_run_is_usage_error(self, tmp_path, data_csv, capsys):
+        argv = ["train", "--data", str(data_csv), "--lr", "1e30", "--epochs", "2"]
+        # Overflow warnings are silenced so only the error line is printed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv + ["--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: squared-gradient average must be finite and >= 0\n"
+        assert not (tmp_path / MODEL_FILENAME).exists()
 
 
 class TestCompare:

@@ -25,6 +25,8 @@ GOLDEN_SHA256 = {
     "compare/report.json": "b279473d7d07ff45b88772628ce11b39b91ccadeefacc2d49542798b795c372b",
     "compare/scatter_mlp.csv": "aa26f1954ec1488aec75e00f25d3361d9e561141cc2b6e4abbe0df184300722a",
     "compare/scatter_model_based.csv": "fe421fe1132a3a32b9b150b1b2a64d31f263128c19d4007ba01805685d332b6b",
+    # 6,000 rows: a 4,800-row training fold spans two scoring chunks.
+    "compare6k/report.json": "b58d3c5302addc7494feefb73ce6335b1c05d4a53673ef4f42037f5fe73aeb44",
     "search_model_based/search.csv": "3fe1a50acdd47c05569304f580f9bc7cd69e379e862eeb30dda72e68c17fc096",
     "search_mlp/search.csv": "1c737a468a520b6dd4fe2ac780d5bae7bc50033495bd5f16ac491360a939c121",
 }
@@ -51,6 +53,9 @@ def golden_run(tmp_path_factory):
         train + ["--raw-inputs", "--out-dir", str(root / "raw")],
         ["compare", "--data", data, "--seeds", "1,2", "--epochs", "3", "--patience", "3"]
         + ["--out-dir", str(root / "compare")],
+        ["generate", "--n", "6000", "--seed", "5", "--out-dir", str(root / "data6k")],
+        ["compare", "--data", str(root / "data6k" / "dataset.csv"), "--seeds", "1,2,3"]
+        + ["--epochs", "4", "--patience", "1", "--out-dir", str(root / "compare6k")],
         search + ["--estimator", "model_based", "--out-dir", str(root / "search_model_based")],
         search
         + ["--estimator", "mlp", "--model", str(root / "std" / "model.cupmlp")]

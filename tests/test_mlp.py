@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,10 +36,11 @@ from cuphaptics import (
     synth_frame,
     target_encoding,
     train,
+    train_many,
 )
 from cuphaptics import SplitSpec
 from cuphaptics import split as split_samples
-from cuphaptics.mlp import MODEL_MAGIC
+from cuphaptics.mlp import CHUNK_ROWS, MODEL_MAGIC, _forward_batch, _outputs_chunked
 from cuphaptics.rng import substream
 from helpers import (
     gradient_check_trials,
@@ -49,6 +51,7 @@ from helpers import (
 )
 
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
+DIVERGED = "squared-gradient average must be finite and >= 0"
 
 
 def zero_model(sizes=(4, 16, 32, 16, 2)):
@@ -272,6 +275,32 @@ class TestRmsprop:
         with pytest.raises(InvalidInputError):
             rmsprop_step([np.zeros(3)], [np.zeros(2)], state)
 
+    def test_leaves_its_arguments_unchanged(self):
+        params, grads = [np.array([1.0, -2.0])], [np.array([0.5, 0.25])]
+        state = RmspropState(v=(np.array([0.1, 0.2]),), lr=0.01)
+        new_params, new_state = rmsprop_step(params, grads, state)
+        assert params[0].tolist() == [1.0, -2.0]
+        assert grads[0].tolist() == [0.5, 0.25]
+        assert state.v[0].tolist() == [0.1, 0.2]
+        assert new_params[0] is not params[0]
+        assert new_state.v[0] is not state.v[0]
+
+    def test_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        p, g, v = rng.normal(size=50), rng.normal(size=50), rng.uniform(0.0, 2.0, 50)
+        state = RmspropState(v=(v,), lr=0.003, rho=0.85, eps=1e-7)
+        (new_p,), new_state = rmsprop_step([p], [g], state)
+        v2 = 0.85 * v + (1.0 - 0.85) * g * g
+        assert new_state.v[0].tobytes() == v2.tobytes()
+        assert new_p.tobytes() == (p - 0.003 * g / (np.sqrt(v2) + 1e-7)).tobytes()
+
+    def test_overflowing_average_is_rejected(self):
+        state = RmspropState.initial([np.zeros(2)])
+        # The overflow warning is silenced so the optimizer's error surfaces.
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInputError, match=DIVERGED):
+                rmsprop_step([np.zeros(2)], [np.array([1e200, 1.0])], state)
+
 
 def small_dataset(n=200, seed=4, noise=0.3):
     params = PressureFieldParams(noise_sigma_kpa=noise)
@@ -344,6 +373,66 @@ class TestTrain:
             phi = predict_angle(model, s.frame)
             assert phi is not None
             assert angular_error(phi, s.pose.phi) < 5.0
+
+
+    def test_divergence_is_rejected(self):
+        samples = small_dataset(n=60)
+        # Overflow warnings are silenced so the optimizer's error surfaces.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match=DIVERGED):
+                train(samples[:45], samples[45:], TrainConfig(lr=1e30, max_epochs=3))
+
+
+def lockstep_folds(seeds, n=300):
+    """Folds of one dataset under each seed's split: equal training sizes."""
+    samples = small_dataset(n=n)
+    return [split_samples(samples, SplitSpec(seed=seed)) for seed in seeds]
+
+
+class TestTrainMany:
+    SEEDS = (3, 4, 5)
+
+    @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
+    def test_each_fold_equals_a_solo_train(self, standardize):
+        folds = lockstep_folds(self.SEEDS)
+        # patience 1 stops the three seeds at different epochs, so the
+        # stack sheds folds while the others keep training.
+        config = TrainConfig(batch_size=16, max_epochs=25, patience=1, standardize=standardize)
+        stacked = train_many(folds, config, self.SEEDS)
+        epochs = [len(history.val_loss) for _, history in stacked]
+        assert len(set(epochs)) == 3 and max(epochs) < config.max_epochs
+        for (train_set, val_set), seed, (model, history) in zip(folds, self.SEEDS, stacked):
+            solo_model, solo_history = train(train_set, val_set, replace(config, seed=seed))
+            assert model.params.tobytes() == solo_model.params.tobytes()
+            assert model.input_mode == solo_model.input_mode
+            assert model.stats == solo_model.stats
+            for name in ("train_loss", "val_loss", "val_rmse_deg"):
+                assert np.array(getattr(history, name)).tobytes() == (
+                    np.array(getattr(solo_history, name)).tobytes()
+                ), name
+            assert history.best_epoch == solo_history.best_epoch
+            assert history.initial_val_loss == solo_history.initial_val_loss
+
+    def test_training_folds_of_different_sizes_are_rejected(self):
+        (a_train, a_val), (b_train, b_val) = lockstep_folds((1, 2))
+        with pytest.raises(ConfigError, match="one size"):
+            train_many([(a_train, a_val), (b_train[1:], b_val)], TrainConfig(), (1, 2))
+
+    def test_one_seed_per_fold(self):
+        folds = lockstep_folds((1, 2))
+        with pytest.raises(ConfigError, match="one seed per fold"):
+            train_many(folds, TrainConfig(), (1,))
+        with pytest.raises(ConfigError, match="one seed per fold"):
+            train_many([], TrainConfig(), ())
+
+    def test_chunked_pass_equals_one_forward_pass(self):
+        rows = 2 * CHUNK_ROWS + 123
+        x = np.random.default_rng(3).normal(size=(rows, 4))
+        model = init_model(8)
+        work = [np.empty((CHUNK_ROWS, width)) for width in model.layer_sizes[1:]]
+        chunked = _outputs_chunked(model.weights, model.biases, x, np.empty((rows, 2)), work)
+        whole = _forward_batch(model.weights, model.biases, x)[0][-1]
+        assert chunked.tobytes() == whole.tobytes()
 
 
 class TestPredictAngle:

@@ -175,11 +175,14 @@ def write_csv(samples: Samples, path: str | Path) -> None:
     write_table(path, CSV_COLUMNS, (row.tolist() for row in samples.table))
 
 
-def frames_valid(table: np.ndarray) -> np.ndarray:
-    """Per row of an (n, 7) table: whether ``SensorFrame`` accepts its pressures."""
-    p_ch, p_atm = table[:, 0:4], table[:, 4:5]
-    ok = (p_atm >= 0.0) & (p_ch >= 0.0) & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)
-    return ok.all(axis=1) & np.isfinite(table[:, 0:5]).all(axis=1)
+def frames_valid(p_ch: np.ndarray, p_atm: float | np.ndarray) -> np.ndarray:
+    """Per row of (n, 4) chamber pressures under ambient ``p_atm`` (a number or
+    an (n, 1) column): whether ``SensorFrame`` accepts them.
+
+    A finite p_atm >= 0 bounds every accepted p_ch, so each is finite too.
+    """
+    ok = (0.0 <= p_atm) & (p_atm < np.inf) & (0.0 <= p_ch)
+    return (ok & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)).all(axis=1)
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -246,8 +249,8 @@ def read_csv(path: str | Path) -> Samples:
                     values.extend(map(float, row))  # a blank line adds nothing
                 else:
                     table = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
-                    delta, phi = table[:, 5], table[:, 6]
-                    ok = frames_valid(table) & (0.0 <= delta) & (delta < np.inf)
+                    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
+                    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
                     if (ok & (0.0 <= phi) & (phi <= 360.0)).all():
                         table[:, 6] %= 360.0  # as Angle stores phi: 360 as 0, -0 as +0
                         return Samples(table)

@@ -103,20 +103,52 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     return float(np.mean(_errors(pairs, "mae_deg")))
 
 
+def _angles(p_ch, p_atm, x, y, ok, replay: Callable[[int], object]) -> list[Angle | None]:
+    """The angle of each row's direction (x, y), None where it is ~zero.
+
+    A row is rejected where ``ok`` is false, ``SensorFrame`` rejects its
+    pressures or (x, y) is not finite; ``replay(i)`` runs the first such row
+    through the single-frame path, which raises that row's error.
+    """
+    ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(x) & np.isfinite(y)
+    if not ok.all():
+        i = int(ok.argmin())
+        replay(i)
+        raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
+    return [direction_angle(vx, vy) for vx, vy in zip(x.tolist(), y.tolist())]
+
+
+def _closed_form_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chamber-sum direction (x, y) per row, from ``model_direction``'s float
+    operations in its order, and the rows whose gauge pressures it accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+        vacuum = p_atm - p_ch
+        p1, p2, p3, p4 = vacuum.T
+        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+    return x, y, (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
+
+
+def _mlp_columns(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Network output (x, y) per row, each row run as the one-row product of
+    ``network_output``, and the rows whose network inputs are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+        inputs, out = _outputs_by_row(model, p_ch)
+    return out[:, 0], out[:, 1], np.isfinite(inputs).all(axis=1)
+
+
 def _pairs(
     samples: Samples, x: np.ndarray, y: np.ndarray, ok: np.ndarray, estimate: Callable
 ) -> list[PredictionPair]:
     """Each row's yaw and the angle of (x, y); a rejected row replays ``estimate``."""
-    ok &= frames_valid(samples.table) & np.isfinite([samples.phi_deg, x, y]).all(axis=0)
-    if not ok.all():  # the first rejected row raises its single-frame error
-        *p_ch, p_atm, _, phi = samples.table[ok.argmin()].tolist()
+
+    def replay(i: int) -> None:
+        *p_ch, p_atm, _, phi = samples.table[i].tolist()
         frame, _ = SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm), Angle(phi)
         estimate(frame)
-        raise AssertionError(f"a rejected row scores: {frame}, yaw {phi}")
-    return [
-        PredictionPair(phi_true=Angle(phi), phi_pred=direction_angle(vx, vy))
-        for vx, vy, phi in zip(x.tolist(), y.tolist(), samples.phi_deg.tolist())
-    ]
+
+    phi = samples.phi_deg
+    angles = _angles(samples.p_ch, samples.table[:, 4:5], x, y, ok & np.isfinite(phi), replay)
+    return [PredictionPair(phi_true=Angle(t), phi_pred=a) for t, a in zip(phi.tolist(), angles)]
 
 
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
@@ -126,21 +158,15 @@ def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
     order and the angles from the same ``math`` calls, so each answer
     equals ``estimate_direction`` on that row bit for bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-        vacuum = samples.table[:, 4:5] - samples.p_ch
-        p1, p2, p3, p4 = vacuum.T
-        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-    ok = (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
-    return _pairs(samples, x, y, ok, estimate_direction)
+    columns = _closed_form_columns(samples.p_ch, samples.table[:, 4:5])
+    return _pairs(samples, *columns, estimate_direction)
 
 
 def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
     """Network estimate per sample: each row runs as the one-row product of
     ``predict_angle``, so each answer equals it on that row bit for bit."""
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-        inputs, out = _outputs_by_row(model, samples.p_ch)
-    ok = np.isfinite(inputs).all(axis=1)
-    return _pairs(samples, out[:, 0], out[:, 1], ok, lambda f: predict_angle(model, f))
+    columns = _mlp_columns(model, samples.p_ch)
+    return _pairs(samples, *columns, lambda f: predict_angle(model, f))
 
 
 def _seed_metrics(method: str, seed: int, pairs: Sequence[PredictionPair]) -> SeedMetrics:

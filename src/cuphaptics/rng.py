@@ -24,12 +24,20 @@ SHUFFLE = 6  # mlp.train: one mini-batch permutation per epoch
 SEARCH_STEP = 7  # search: rollout seeds of a grid, and each step's noise
 
 
+def _bits(seed: int, purpose: int, *index: int) -> np.random.PCG64:
+    key = np.random.SeedSequence(seed & _MASK64, spawn_key=(purpose, *index))
+    return np.random.PCG64(key)
+
+
 def substream(seed: int, purpose: int, *index: int) -> np.random.Generator:
     """Generator for the key (seed, purpose, *index); index entries are >= 0."""
-    key = np.random.SeedSequence(seed & _MASK64, spawn_key=(purpose, *index))
-    return np.random.Generator(np.random.PCG64(key))
+    return np.random.Generator(_bits(seed, purpose, *index))
 
 
 def derive_seed(seed: int, purpose: int, *index: int) -> int:
-    """The first 64-bit draw of that key's stream: a seed for one keyed run."""
-    return int(substream(seed, purpose, *index).integers(1 << 64, dtype=np.uint64))
+    """The first 64-bit draw of that key's stream: a seed for one keyed run.
+
+    It is the raw PCG64 output, which is what ``substream(...).integers(1 << 64,
+    dtype=np.uint64)`` returns, without building a Generator.
+    """
+    return int(_bits(seed, purpose, *index).random_raw())

@@ -10,6 +10,13 @@ gap by exactly one step.
 Sensing noise is fresh per step: a rollout draws four normals per step
 from its stream keyed (seed, SEARCH_STEP), so step k's noise depends only
 on the seed and k, whichever estimator runs.
+
+``run_search`` runs one rollout a frame at a time. ``batch_search`` runs
+the rollouts of a grid that share an estimator in lockstep, each as
+``run_search`` would run it: one array kernel call synthesizes the frames
+of every live rollout, one ``Estimator.estimate_batch`` call estimates
+them, and each rollout's noise is drawn ahead as one (max_steps, 4) block
+from its stream, the same values as four draws per step.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import itertools
 import math
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -30,24 +37,43 @@ from .core import (
     Vector2,
     estimate_direction,
 )
-from .dataset import write_table
+from .dataset import frames_valid, write_table
 from .errors import ConfigError, InvalidInputError
-from .mlp import MlpModel, decode_estimate, network_output
+from .evaluate import _angles, _closed_form_columns, _mlp_columns
+from .mlp import MlpModel, decode_estimate, network_output, predict_angle
 from .rng import SEARCH_STEP, derive_seed, substream
-from .synth import CupGeometry, PressureFieldParams, synth_frame
+from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise, synth_frame
 
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 class Estimator(Protocol):
-    """Direction source queried once per search step."""
+    """Direction source: ``estimate`` answers one search frame, and
+    ``estimate_batch`` the frames of every live rollout of a lockstep step."""
 
     name: str
 
     def estimate(
         self, frame: SensorFrame, pose: GroundTruthPose
     ) -> DirectionEstimate: ...
+
+    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
+        """Yaw (deg) per row, as ``estimate`` gives it for the frame (p_ch[i],
+        p_atm) at true yaw phi_deg[i]; NaN where it gives none. Raises
+        ``InvalidInputError`` where ``estimate`` raises."""
+        ...
+
+
+def _yaws(p_ch: np.ndarray, p_atm: float, columns: tuple, estimate: Callable) -> np.ndarray:
+    """Yaw (deg) of each row's direction (x, y, ok) columns, NaN where there is
+    none; a row the single-frame ``estimate`` rejects raises its error."""
+
+    def replay(i: int) -> None:
+        estimate(SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm))
+
+    angles = _angles(p_ch, p_atm, *columns, replay)
+    return np.array([math.nan if a is None else a.degrees for a in angles])
 
 
 @dataclass(frozen=True)
@@ -61,6 +87,9 @@ class ModelBasedEstimator:
     ) -> DirectionEstimate:
         return estimate_direction(frame)
 
+    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
+        return _yaws(p_ch, p_atm, _closed_form_columns(p_ch, p_atm), estimate_direction)
+
 
 @dataclass(frozen=True)
 class MlpEstimator:
@@ -73,6 +102,10 @@ class MlpEstimator:
         self, frame: SensorFrame, pose: GroundTruthPose
     ) -> DirectionEstimate:
         return decode_estimate(network_output(self.model, frame))
+
+    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
+        columns = _mlp_columns(self.model, p_ch)
+        return _yaws(p_ch, p_atm, columns, lambda f: predict_angle(self.model, f))
 
 
 @dataclass(frozen=True)
@@ -89,6 +122,9 @@ class OracleEstimator:
             v_pred=Vector2(math.cos(phi.radians), math.sin(phi.radians)),
             phi_pred=phi,
         )
+
+    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
+        return phi_deg
 
 
 @dataclass(frozen=True)
@@ -134,9 +170,13 @@ def search_step(
     """
     if estimate.phi_pred is None:
         raise InvalidInputError("search_step requires a defined direction estimate")
-    gap = math.radians(estimate.phi_pred.degrees - pose.phi.degrees)
-    new_delta = max(pose.delta - step_size * math.cos(gap), 0.0)
+    new_delta = _next_delta(pose.delta, estimate.phi_pred.degrees, pose.phi.degrees, step_size)
     return GroundTruthPose(delta=new_delta, phi=pose.phi)
+
+
+def _next_delta(delta: float, phi_pred_deg: float, phi_deg: float, step_size: float) -> float:
+    """The offset after one step: max(delta - step * cos(phi_pred - phi), 0)."""
+    return max(delta - step_size * math.cos(math.radians(phi_pred_deg - phi_deg)), 0.0)
 
 
 def run_search(
@@ -219,37 +259,90 @@ def batch_search(
     """Success rate and mean steps per grid cell.
 
     Cell order: delta0 (outer), then phi0, then noise, then estimator.
-    Each repetition runs under seed = derive_seed(spec.seed, SEARCH_STEP,
-    cell, rep), so the table is reproducible.
-    ``mean_steps`` averages over all repetitions, successful or not.
+    Each repetition is the ``run_search`` rollout under seed =
+    derive_seed(spec.seed, SEARCH_STEP, cell, rep), so the table is
+    reproducible. ``mean_steps`` averages over all repetitions, successful
+    or not. The rollouts of one estimator run in lockstep; if a frame or an
+    estimate is one the single-frame path rejects, the grid is rerun a
+    rollout at a time in cell order, which raises that path's first error.
     """
-    cells = itertools.product(
-        spec.delta0_values_mm,
-        spec.phi0_values_deg,
-        spec.noise_values_kpa,
-        spec.estimators,
-    )
-    rows = []
-    for cell_idx, (d0, phi0, noise, est) in enumerate(cells):
-        pose0 = GroundTruthPose(delta=d0, phi=Angle(phi0))
-        cell_params = replace(params, noise_sigma_kpa=noise)
-        outcomes = []
-        for rep in range(spec.reps):
-            run_config = replace(
-                config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, cell_idx, rep)
-            )
-            outcomes.append(run_search(pose0, run_config, geom, cell_params))
-        rows.append(
-            BatchRow(
-                delta0_mm=d0,
-                phi0_deg=phi0,
-                noise_sigma_kpa=noise,
-                estimator=est.name,
-                success_rate=float(np.mean([r.success for r in outcomes])),
-                mean_steps=float(np.mean([r.steps for r in outcomes])),
-            )
+    axes = spec.delta0_values_mm, spec.phi0_values_deg, spec.noise_values_kpa, spec.estimators
+    cells = list(itertools.product(*axes))
+    starts = [
+        (GroundTruthPose(delta=d0, phi=Angle(phi0)), replace(params, noise_sigma_kpa=noise))
+        for d0, phi0, noise, _ in cells
+    ]
+    outcomes: list | None = [None] * len(cells)
+    try:
+        for e, est in enumerate(spec.estimators):
+            group = range(e, len(cells), len(spec.estimators))  # the cells of est
+            rollouts = [(c, rep) for c in group for rep in range(spec.reps)]
+            sealed, steps = _lockstep(est, rollouts, starts, spec.seed, config, geom, params)
+            for j, c in enumerate(group):
+                reps = slice(j * spec.reps, (j + 1) * spec.reps)
+                outcomes[c] = (sealed[reps], steps[reps])
+    except InvalidInputError:
+        outcomes = None
+    if outcomes is None:  # the first rollout in cell order that fails raises
+        for c, ((pose0, cell_params), (*_, est)) in enumerate(zip(starts, cells)):
+            for rep in range(spec.reps):
+                seed = derive_seed(spec.seed, SEARCH_STEP, c, rep)
+                run_search(pose0, replace(config, estimator=est, seed=seed), geom, cell_params)
+        raise AssertionError("a lockstep search rejected a grid that runs a rollout at a time")
+    return [
+        BatchRow(
+            delta0_mm=d0,
+            phi0_deg=phi0,
+            noise_sigma_kpa=noise,
+            estimator=est.name,
+            success_rate=float(np.mean(sealed)),
+            mean_steps=float(np.mean(steps)),
         )
-    return rows
+        for (d0, phi0, noise, est), (sealed, steps) in zip(cells, outcomes)
+    ]
+
+
+def _lockstep(
+    est: Estimator,
+    rollouts: Sequence[tuple[int, int]],
+    starts: Sequence[tuple[GroundTruthPose, PressureFieldParams]],
+    seed: int,
+    config: SearchConfig,
+    geom: CupGeometry,
+    params: PressureFieldParams,
+) -> tuple[list[bool], list[int]]:
+    """Whether each (cell, rep) rollout sealed, and its step count, all run
+    under ``est`` as arrays; raises ``InvalidInputError`` on a rejected frame."""
+    n, max_steps, seal_at = len(rollouts), config.max_steps, config.success_delta_mm
+    delta = np.array([starts[c][0].delta for c, _ in rollouts])
+    phi = np.array([starts[c][0].phi.degrees for c, _ in rollouts])
+    noise = np.zeros((n, max_steps, 4))  # zero rows add nothing to a noiseless frame
+    for j, (c, rep) in enumerate(rollouts):
+        cell_params = starts[c][1]
+        if cell_params.noise_sigma_kpa > 0.0:
+            rng = substream(derive_seed(seed, SEARCH_STEP, c, rep), SEARCH_STEP)
+            noise[j] = sensor_noise(cell_params, rng, (max_steps, 4))
+    sealed = delta <= seal_at
+    steps = np.zeros(n, dtype=np.int64)
+    live = np.flatnonzero(~sealed)
+    for k in range(max_steps):
+        if not live.size:
+            break
+        d, f = delta[live], phi[live]
+        p_ch = _chamber_pressures(geom, params, d, f, noise[live, k])
+        if not frames_valid(p_ch, params.p_atm_kpa).all():
+            raise InvalidInputError("a search frame is out of range")
+        yaw = est.estimate_batch(p_ch, params.p_atm_kpa, f)
+        rows = zip(d.tolist(), yaw.tolist(), f.tolist())
+        new = np.array([_next_delta(*row, config.step_size_mm) for row in rows])
+        if np.isinf(new).any():  # GroundTruthPose rejects it
+            raise InvalidInputError("a search offset overflowed")
+        moved = ~np.isnan(yaw)  # NaN: no gradient, the rollout ends here
+        delta[live] = new
+        steps[live] = k + moved
+        sealed[live] = moved & (new <= seal_at)
+        live = live[moved & (new > seal_at)]
+    return sealed.tolist(), steps.tolist()  # a rollout still live ran out of budget
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:

@@ -10,8 +10,10 @@ clamped affine ramp or a logistic (sigmoid) transition, plus optional
 i.i.d. Gaussian sensor noise.
 
 A dataset is computed as whole columns by one array kernel
-(``coverage_depth`` then ``chamber_vacuum``), and ``synth_frame`` is its
-one-row case. Each random column has its own keyed stream (see ``rng``):
+(``coverage_depth``, then the vacuum response plus noise drawn ahead by
+``sensor_noise``), and ``synth_frame`` is its one-row case; a lockstep
+search runs it on the rows of its live rollouts. Each random column of a
+dataset has its own keyed stream (see ``rng``):
 offsets (n,) and yaws (n,) for random sampling, and noise (n, 4) in row
 then chamber order. Draws are sequential, so the first k rows of a
 dataset do not depend on n, and the bytes depend only on the seed.
@@ -118,6 +120,18 @@ def coverage_depth(geom: CupGeometry, delta: ArrayLike, phi_deg: ArrayLike) -> n
     return geom.r_chamber_mm * np.cos(_CHAMBER_ANGLES_RAD - phi[..., None]) + reach[..., None]
 
 
+def sensor_noise(
+    params: PressureFieldParams, rng: np.random.Generator | None, shape: tuple[int, ...]
+) -> np.ndarray | None:
+    """Gaussian sensor noise (kPa) of ``shape`` from ``rng``, in C order; None
+    when noise_sigma_kpa is 0, which draws nothing."""
+    if params.noise_sigma_kpa == 0.0:
+        return None
+    if rng is None:
+        raise InvalidInputError("noise_sigma_kpa > 0 requires an rng")
+    return rng.normal(0.0, params.noise_sigma_kpa, size=shape)
+
+
 def chamber_vacuum(
     params: PressureFieldParams, d: ArrayLike, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -128,6 +142,10 @@ def chamber_vacuum(
     that cannot overflow. When noise_sigma_kpa > 0, ``rng`` gives one
     normal draw per element of ``d``, in C order.
     """
+    return _vacuum(params, d, sensor_noise(params, rng, np.shape(d)))
+
+
+def _vacuum(params: PressureFieldParams, d: ArrayLike, noise: np.ndarray | None) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if not np.isfinite(d).all():
         raise InvalidInputError("coverage depth must be finite")
@@ -136,16 +154,16 @@ def chamber_vacuum(
         v = params.p_max_kpa * np.clip(0.5 + half_t, 0.0, 1.0)
     else:
         v = 0.5 * params.p_max_kpa * (1.0 + np.tanh(half_t))
-    if params.noise_sigma_kpa > 0.0:
-        if rng is None:
-            raise InvalidInputError("noise_sigma_kpa > 0 requires an rng")
-        v += rng.normal(0.0, params.noise_sigma_kpa, size=d.shape)
+    if noise is not None:
+        v += noise
     return v
 
 
-def _chamber_pressures(geom, params, delta, phi_deg, rng) -> np.ndarray:
-    """p_ch = p_atm - vacuum, capped at p_atm + tolerance; shape (..., 4)."""
-    vacuum = chamber_vacuum(params, coverage_depth(geom, delta, phi_deg), rng)
+def _chamber_pressures(geom, params, delta, phi_deg, noise) -> np.ndarray:
+    """p_ch = p_atm - (vacuum + noise), capped at p_atm + tolerance; shape (..., 4).
+
+    ``noise`` is ``sensor_noise`` of the result's shape, or None."""
+    vacuum = _vacuum(params, coverage_depth(geom, delta, phi_deg), noise)
     return np.minimum(params.p_atm_kpa - vacuum, params.p_atm_kpa + PRESSURE_TOLERANCE_KPA)
 
 
@@ -156,7 +174,8 @@ def synth_frame(
     rng: np.random.Generator | None = None,
 ) -> SensorFrame:
     """Sensor frame at one pose: the one-row case of ``generate_dataset``."""
-    p_ch = _chamber_pressures(geom, params, pose.delta, pose.phi.degrees, rng)
+    noise = sensor_noise(params, rng, (4,))
+    p_ch = _chamber_pressures(geom, params, pose.delta, pose.phi.degrees, noise)
     return SensorFrame(p_ch=tuple(p_ch.tolist()), p_atm=params.p_atm_kpa)
 
 
@@ -185,7 +204,8 @@ def generate_dataset(
         delta = substream(seed, DATASET_DELTA).uniform(d_lo, d_hi, size=n)
         phi = substream(seed, DATASET_PHI).uniform(p_lo, p_hi, size=n)
     phi[phi == 360.0] = 0.0  # as Angle wraps it; every phi is in [0, 360]
-    p_ch = _chamber_pressures(geom, params, delta, phi, substream(seed, DATASET_NOISE))
+    noise = sensor_noise(params, substream(seed, DATASET_NOISE), (n, 4))
+    p_ch = _chamber_pressures(geom, params, delta, phi, noise)
     if not (p_ch >= 0.0).all():  # SensorFrame's rules: the cap holds the top
         i, j = np.argwhere(~(p_ch >= 0.0))[0]  # NaN is caught here too
         raise InvalidInputError(f"row {i}: p_ch{j + 1} = {p_ch[i, j]} kPa is below 0")

@@ -74,3 +74,9 @@ class TestDeriveSeed:
         assert all(0 <= s < 2**64 for s in seeds)
         assert derive_seed(11, SEARCH_STEP, 4, 2) == derive_seed(11, SEARCH_STEP, 4, 2)
         assert derive_seed(-1, 1) == derive_seed(2**64 - 1, 1)
+
+    @pytest.mark.parametrize("seed", [0, 11, -1, -(2**70), 2**64, 2**64 + 7, 99999999999999999999999])
+    def test_is_the_first_uint64_draw_of_the_stream(self, seed):
+        for purpose, index in ((SEARCH_STEP, ()), (SEARCH_STEP, (4, 2)), (SPLIT, (0,))):
+            drawn = substream(seed, purpose, *index).integers(1 << 64, dtype=np.uint64)
+            assert derive_seed(seed, purpose, *index) == int(drawn)

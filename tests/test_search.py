@@ -260,18 +260,25 @@ class TestBatchSearch:
             )
 
     def test_rows_are_rep_means_in_cell_order(self):
+        samples = generate_dataset(
+            GEOM, NOISELESS, GenerationConfig(n_samples=128, sampling="grid", seed=0)
+        )
+        model, _ = train(samples, samples, TrainConfig(max_epochs=40, patience=40, seed=1))
+        assert model.input_mode == "standardized"
         spec = BatchSpec(
-            delta0_values_mm=(14.0, 18.0),
+            # 7 mm starts sealed; 30 mm, with every chamber off the plate,
+            # gives the noiseless affine closed form no gradient; 18 mm seals
+            # on the last step of the budget at best, and 30 mm never does.
+            delta0_values_mm=(7.0, 14.0, 18.0, 30.0),
             phi0_values_deg=(0.0, 120.0, 240.0),
-            noise_values_kpa=(0.3, 4.0),
-            estimators=(ModelBasedEstimator(), OracleEstimator()),
+            noise_values_kpa=(0.0, 0.3, 4.0),
+            estimators=(ModelBasedEstimator(), OracleEstimator(), MlpEstimator(model=model)),
             reps=4,
             seed=11,
         )
         config = SearchConfig(
             estimator=OracleEstimator(), step_size_mm=2.0, max_steps=6, seed=0
         )
-        rows = batch_search(spec, config, GEOM, PressureFieldParams())
         cells = [
             (d0, phi0, noise, est)
             for d0 in spec.delta0_values_mm
@@ -279,31 +286,77 @@ class TestBatchSearch:
             for noise in spec.noise_values_kpa
             for est in spec.estimators
         ]
-        expected = []
-        for i, (d0, phi0, noise, est) in enumerate(cells):
-            runs = [
-                run_search(
-                    pose(d0, phi0),
-                    replace(
-                        config,
-                        estimator=est,
-                        seed=derive_seed(spec.seed, SEARCH_STEP, i, rep),
-                    ),
-                    GEOM,
-                    PressureFieldParams(noise_sigma_kpa=noise),
+        reasons = set()
+        for params in (PressureFieldParams(), replace(AFFINE_WIDE, transition_width_mm=4.0)):
+            rows = batch_search(spec, config, GEOM, params)
+            expected = []
+            for i, (d0, phi0, noise, est) in enumerate(cells):
+                runs = [
+                    run_search(
+                        pose(d0, phi0),
+                        replace(
+                            config,
+                            estimator=est,
+                            seed=derive_seed(spec.seed, SEARCH_STEP, i, rep),
+                        ),
+                        GEOM,
+                        replace(params, noise_sigma_kpa=noise),
+                    )
+                    for rep in range(spec.reps)
+                ]
+                reasons.update(r.failure_reason for r in runs)
+                expected.append(
+                    BatchRow(
+                        delta0_mm=d0,
+                        phi0_deg=phi0,
+                        noise_sigma_kpa=noise,
+                        estimator=est.name,
+                        success_rate=float(np.mean([r.success for r in runs])),
+                        mean_steps=float(np.mean([r.steps for r in runs])),
+                    )
                 )
-                for rep in range(spec.reps)
-            ]
-            expected.append(
-                BatchRow(
-                    delta0_mm=d0,
-                    phi0_deg=phi0,
-                    noise_sigma_kpa=noise,
-                    estimator=est.name,
-                    success_rate=float(np.mean([r.success for r in runs])),
-                    mean_steps=float(np.mean([r.steps for r in runs])),
-                )
-            )
-        assert rows == expected
-        # Rates strictly between 0 and 1 show that each rep draws its own noise.
-        assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 1.0}
+            assert rows == expected
+            # Rates strictly between 0 and 1 show that each rep draws its own noise.
+            assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 0.75, 1.0}
+        assert reasons == {None, "no-gradient", "budget-exhausted"}
+
+    def test_rejected_frame_raises_the_first_rollouts_error(self):
+        # Ambient 5 kPa is below the 10 kPa peak vacuum, so p_ch goes below 0
+        # in every rollout, each at its own value: from 14 mm on the first
+        # frame, from 26 mm (the first rollout in cell order) only nearer in.
+        params = PressureFieldParams(p_atm_kpa=5.0)
+        spec = BatchSpec(
+            delta0_values_mm=(26.0, 14.0),
+            phi0_values_deg=(0.0, 90.0),
+            noise_values_kpa=(0.3,),
+            estimators=(OracleEstimator(),),  # no estimate to check the frames
+            reps=2,
+            seed=3,
+        )
+        config = SearchConfig(estimator=OracleEstimator(), max_steps=10, seed=0)
+        first = replace(config, seed=derive_seed(spec.seed, SEARCH_STEP, 0, 0))
+        with pytest.raises(InvalidInputError, match="must be >= 0 kPa") as want:
+            run_search(pose(26.0, 0.0), first, GEOM, params)
+        with pytest.raises(InvalidInputError) as got:
+            batch_search(spec, config, GEOM, params)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "axis, value, error, message",
+        [
+            ("noise_values_kpa", -1.0, ConfigError, "noise_sigma_kpa must be finite and >= 0"),
+            ("phi0_values_deg", math.nan, InvalidInputError, "angle must be finite"),
+        ],
+    )
+    def test_bad_grid_value_raises_its_error(self, axis, value, error, message):
+        grid = dict(
+            delta0_values_mm=(14.0,),
+            phi0_values_deg=(0.0,),
+            noise_values_kpa=(0.3,),
+            estimators=(OracleEstimator(),),
+            reps=1,
+        )
+        spec = BatchSpec(**{**grid, axis: (0.0, value)})
+        config = SearchConfig(estimator=OracleEstimator())
+        with pytest.raises(error, match=message):
+            batch_search(spec, config, GEOM, PressureFieldParams())

@@ -116,6 +116,16 @@ class SensorFrame:
         object.__setattr__(self, "p_atm", p_atm)
 
 
+def frames_valid(p_ch: np.ndarray, p_atm: float | np.ndarray) -> np.ndarray:
+    """Per row of (n, 4) chamber pressures under ambient ``p_atm`` (a number or
+    an (n, 1) column): whether ``SensorFrame`` accepts them.
+
+    A finite p_atm >= 0 bounds every accepted p_ch, so each is finite too.
+    """
+    ok = (0.0 <= p_atm) & (p_atm < np.inf) & (0.0 <= p_ch)
+    return (ok & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)).all(axis=1)
+
+
 @dataclass(frozen=True)
 class VacuumPressures:
     """Gauge pressures P_i = p_atm - p_ch_i; larger means a stronger seal."""
@@ -160,9 +170,20 @@ class DirectionEstimate:
     phi_pred: Angle | None
 
 
+def _yaw_deg(x: float, y: float) -> float:
+    """Polar angle of the direction (x, y) in degrees, as ``Angle`` stores it;
+    NaN when its norm is ~zero. A table maps this over its rows: numpy's
+    arctan2 and hypot differ from libm's in the last bit on some rows."""
+    if not math.hypot(x, y) > EPS_ZERO:
+        return math.nan
+    deg = math.degrees(math.atan2(y, x)) % 360.0
+    return 0.0 if deg == 360.0 else deg  # Angle's rule
+
+
 def direction_angle(x: float, y: float) -> Angle | None:
     """Polar angle of the direction (x, y); None when its norm is ~zero."""
-    return Angle(math.degrees(math.atan2(y, x))) if math.hypot(x, y) > EPS_ZERO else None
+    deg = _yaw_deg(x, y)
+    return None if math.isnan(deg) else Angle(deg)
 
 
 def vacuum_pressures(frame: SensorFrame) -> VacuumPressures:
@@ -179,6 +200,17 @@ def model_direction(vp: VacuumPressures) -> DirectionEstimate:
     p1, p2, p3, p4 = vp.p
     v = Vector2((p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2))
     return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v.x, v.y))
+
+
+def _model_direction_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, ...]:
+    """Chamber-sum direction (x, y) per row of (n, 4) chamber pressures, from
+    ``model_direction``'s float operations in its order, and the rows whose
+    gauge pressures ``VacuumPressures`` accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+        vacuum = p_atm - p_ch
+        p1, p2, p3, p4 = vacuum.T
+        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+    return x, y, (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
 
 
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import PRESSURE_TOLERANCE_KPA, Angle, GroundTruthPose, SensorFrame
+from .core import Angle, GroundTruthPose, SensorFrame, frames_valid
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -173,16 +173,6 @@ def write_table(
 def write_csv(samples: Samples, path: str | Path) -> None:
     """Write samples to ``path`` in the package CSV schema."""
     write_table(path, CSV_COLUMNS, (row.tolist() for row in samples.table))
-
-
-def frames_valid(p_ch: np.ndarray, p_atm: float | np.ndarray) -> np.ndarray:
-    """Per row of (n, 4) chamber pressures under ambient ``p_atm`` (a number or
-    an (n, 1) column): whether ``SensorFrame`` accepts them.
-
-    A finite p_atm >= 0 bounds every accepted p_ch, so each is finite too.
-    """
-    ok = (0.0 <= p_atm) & (p_atm < np.inf) & (0.0 <= p_ch)
-    return (ok & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)).all(axis=1)
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:

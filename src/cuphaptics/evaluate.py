@@ -5,24 +5,26 @@ prediction can be absent (the pressure-difference vector was ~zero);
 absent predictions are excluded from the error metrics and reported as a
 separate count rather than being scored at some arbitrary penalty angle.
 Across-seed spread is the population (divide-by-n) standard deviation.
-Each evaluator scores a table in one pass with the single-frame answers'
-bits; a row the single-frame path rejects raises that row's error.
+Each evaluator scores a table through its estimator's ``estimate_batch``
+(see ``search``), so its answers carry the single-frame answers' bits,
+and a row the single-frame path rejects raises that row's error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import PRESSURE_TOLERANCE_KPA, Angle, SensorFrame, angular_errors
-from .core import direction_angle, estimate_direction
-from .dataset import Samples, SplitSpec, frames_valid, split, write_table
+from .core import Angle, angular_errors
+from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError
-from .mlp import MlpModel, TrainConfig, _outputs_by_row, predict_angle, train_many
+from .mlp import MlpModel, TrainConfig, train_many
+from .search import Estimator, MlpEstimator, ModelBasedEstimator
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
@@ -103,70 +105,27 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     return float(np.mean(_errors(pairs, "mae_deg")))
 
 
-def _angles(p_ch, p_atm, x, y, ok, replay: Callable[[int], object]) -> list[Angle | None]:
-    """The angle of each row's direction (x, y), None where it is ~zero.
-
-    A row is rejected where ``ok`` is false, ``SensorFrame`` rejects its
-    pressures or (x, y) is not finite; ``replay(i)`` runs the first such row
-    through the single-frame path, which raises that row's error.
-    """
-    ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(x) & np.isfinite(y)
-    if not ok.all():
-        i = int(ok.argmin())
-        replay(i)
-        raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
-    return [direction_angle(vx, vy) for vx, vy in zip(x.tolist(), y.tolist())]
-
-
-def _closed_form_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chamber-sum direction (x, y) per row, from ``model_direction``'s float
-    operations in its order, and the rows whose gauge pressures it accepts."""
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-        vacuum = p_atm - p_ch
-        p1, p2, p3, p4 = vacuum.T
-        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-    return x, y, (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
-
-
-def _mlp_columns(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Network output (x, y) per row, each row run as the one-row product of
-    ``network_output``, and the rows whose network inputs are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-        inputs, out = _outputs_by_row(model, p_ch)
-    return out[:, 0], out[:, 1], np.isfinite(inputs).all(axis=1)
-
-
-def _pairs(
-    samples: Samples, x: np.ndarray, y: np.ndarray, ok: np.ndarray, estimate: Callable
-) -> list[PredictionPair]:
-    """Each row's yaw and the angle of (x, y); a rejected row replays ``estimate``."""
-
-    def replay(i: int) -> None:
-        *p_ch, p_atm, _, phi = samples.table[i].tolist()
-        frame, _ = SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm), Angle(phi)
-        estimate(frame)
-
+def _pairs(estimator: Estimator, samples: Samples) -> list[PredictionPair]:
+    """Each row's true yaw and the estimator's answer, from one
+    ``estimate_batch`` call; a row the single-frame path rejects raises."""
     phi = samples.phi_deg
-    angles = _angles(samples.p_ch, samples.table[:, 4:5], x, y, ok & np.isfinite(phi), replay)
-    return [PredictionPair(phi_true=Angle(t), phi_pred=a) for t, a in zip(phi.tolist(), angles)]
+    yaws = estimator.estimate_batch(samples.p_ch, samples.table[:, 4:5], phi)
+    return [
+        PredictionPair(phi_true=Angle(t), phi_pred=None if math.isnan(p) else Angle(p))
+        for t, p in zip(phi.tolist(), yaws.tolist())
+    ]
 
 
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
-    """Pressure-difference estimate per sample, a column at a time.
-
-    The vectors come from ``model_direction``'s float operations in its
-    order and the angles from the same ``math`` calls, so each answer
-    equals ``estimate_direction`` on that row bit for bit.
-    """
-    columns = _closed_form_columns(samples.p_ch, samples.table[:, 4:5])
-    return _pairs(samples, *columns, estimate_direction)
+    """Pressure-difference estimate per sample, a column at a time; each
+    answer equals ``estimate_direction`` on that row bit for bit."""
+    return _pairs(ModelBasedEstimator(), samples)
 
 
 def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
-    """Network estimate per sample: each row runs as the one-row product of
-    ``predict_angle``, so each answer equals it on that row bit for bit."""
-    columns = _mlp_columns(model, samples.p_ch)
-    return _pairs(samples, *columns, lambda f: predict_angle(model, f))
+    """Network estimate per sample, in one pass; each answer equals
+    ``predict_angle`` on that row bit for bit."""
+    return _pairs(MlpEstimator(model), samples)
 
 
 def _seed_metrics(method: str, seed: int, pairs: Sequence[PredictionPair]) -> SeedMetrics:

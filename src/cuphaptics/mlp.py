@@ -65,8 +65,9 @@ from .rng import INIT, SHUFFLE, substream
 
 DEFAULT_LAYER_SIZES = (4, 16, 32, 16, 2)
 MODEL_MAGIC = b"CUPMLP1"
-# Rows per forward call in a full-set scoring pass during training.
-CHUNK_ROWS = 4096
+# Rows per forward call in a full-set scoring pass during training; small
+# enough that OpenBLAS keeps each product on one thread, none left spinning.
+CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
 
 
@@ -176,6 +177,8 @@ class TrainHistory:
 
     ``best_epoch`` is 0 when the initial parameters were never beaten,
     otherwise the 1-based epoch whose validation loss was checkpointed.
+    ``val_rmse_deg`` decodes with numpy's ``arctan2``, so this monitor may
+    differ in the last bits from an RMSE of ``evaluate_mlp``'s answers.
     """
 
     train_loss: tuple[float, ...]

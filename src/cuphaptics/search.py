@@ -16,7 +16,8 @@ the rollouts of a grid that share an estimator in lockstep, each as
 ``run_search`` would run it: one array kernel call synthesizes the frames
 of every live rollout, one ``Estimator.estimate_batch`` call estimates
 them, and each rollout's noise is drawn ahead as one (max_steps, 4) block
-from its stream, the same values as four draws per step.
+from its stream, the same values as four draws per step. ``evaluate``
+scores datasets through the same ``estimate_batch``.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from .core import (
     GroundTruthPose,
     SensorFrame,
     Vector2,
+    _model_direction_columns,
+    _yaw_deg,
     estimate_direction,
+    frames_valid,
 )
-from .dataset import frames_valid, write_table
+from .dataset import write_table
 from .errors import ConfigError, InvalidInputError
-from .evaluate import _angles, _closed_form_columns, _mlp_columns
-from .mlp import MlpModel, decode_estimate, network_output, predict_angle
+from .mlp import MlpModel, _outputs_by_row, decode_estimate, network_output, predict_angle
 from .rng import SEARCH_STEP, derive_seed, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise, synth_frame
 
@@ -49,8 +52,8 @@ FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 class Estimator(Protocol):
-    """Direction source: ``estimate`` answers one search frame, and
-    ``estimate_batch`` the frames of every live rollout of a lockstep step."""
+    """Direction source: ``estimate`` answers one frame, and ``estimate_batch``
+    a table of them (the live rollouts of a lockstep step, or a dataset)."""
 
     name: str
 
@@ -58,22 +61,29 @@ class Estimator(Protocol):
         self, frame: SensorFrame, pose: GroundTruthPose
     ) -> DirectionEstimate: ...
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
+    def estimate_batch(
+        self, p_ch: np.ndarray, p_atm: float | np.ndarray, phi_deg: np.ndarray
+    ) -> np.ndarray:
         """Yaw (deg) per row, as ``estimate`` gives it for the frame (p_ch[i],
-        p_atm) at true yaw phi_deg[i]; NaN where it gives none. Raises
-        ``InvalidInputError`` where ``estimate`` raises."""
+        p_atm) at true yaw phi_deg[i]; NaN where it gives none. ``p_atm`` is a
+        number or an (n, 1) column. Raises ``InvalidInputError`` where the
+        single-frame path raises."""
         ...
 
 
-def _yaws(p_ch: np.ndarray, p_atm: float, columns: tuple, estimate: Callable) -> np.ndarray:
-    """Yaw (deg) of each row's direction (x, y, ok) columns, NaN where there is
-    none; a row the single-frame ``estimate`` rejects raises its error."""
-
-    def replay(i: int) -> None:
-        estimate(SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm))
-
-    angles = _angles(p_ch, p_atm, *columns, replay)
-    return np.array([math.nan if a is None else a.degrees for a in angles])
+def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], object]) -> np.ndarray:
+    """Yaw (deg) of each row's direction (x, y), NaN where it is ~zero. A row
+    is rejected where ``ok`` is false, ``SensorFrame`` rejects its pressures,
+    or its true yaw or (x, y) is not finite; the first such row replays its
+    frame, its ``Angle`` and ``estimate(frame)``, which raise its error."""
+    ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(phi_deg) & np.isfinite(x) & np.isfinite(y)
+    if not ok.all():
+        i = int(ok.argmin())
+        p_atm_i = np.broadcast_to(p_atm, (len(p_ch), 1))[i, 0]
+        frame, _ = SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm_i), Angle(phi_deg[i])
+        estimate(frame)
+        raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
+    return np.fromiter(map(_yaw_deg, x.tolist(), y.tolist()), float, count=len(x))
 
 
 @dataclass(frozen=True)
@@ -87,8 +97,9 @@ class ModelBasedEstimator:
     ) -> DirectionEstimate:
         return estimate_direction(frame)
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
-        return _yaws(p_ch, p_atm, _closed_form_columns(p_ch, p_atm), estimate_direction)
+    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+        columns = _model_direction_columns(p_ch, p_atm)
+        return _yaws(p_ch, p_atm, phi_deg, *columns, estimate_direction)
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,12 @@ class MlpEstimator:
     ) -> DirectionEstimate:
         return decode_estimate(network_output(self.model, frame))
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
-        columns = _mlp_columns(self.model, p_ch)
-        return _yaws(p_ch, p_atm, columns, lambda f: predict_angle(self.model, f))
+    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+            inputs, out = _outputs_by_row(self.model, p_ch)
+        x, y = out.T
+        ok = np.isfinite(inputs).all(axis=1)
+        return _yaws(p_ch, p_atm, phi_deg, x, y, ok, lambda f: predict_angle(self.model, f))
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,7 @@ class OracleEstimator:
             phi_pred=phi,
         )
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm: float, phi_deg: np.ndarray) -> np.ndarray:
+    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
         return phi_deg
 
 

@@ -20,6 +20,7 @@ from cuphaptics import (
     vacuum_pressures,
     wrap_angle,
 )
+from cuphaptics.core import PRESSURE_TOLERANCE_KPA, frames_valid
 
 finite_angles = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -111,6 +112,46 @@ class TestSensorFrame:
     def test_rejects_negative_pressure(self):
         with pytest.raises(InvalidInputError):
             SensorFrame(p_ch=(-0.1, 96.0, 96.0, 96.0), p_atm=101.325)
+
+
+@st.composite
+def pressure_table(draw):
+    """(n, 4) chamber pressures and their (n,) ambients: plain values, NaN,
+    +-inf, negatives, and values at or just past p_atm + the tolerance."""
+    n = draw(st.integers(1, 6))
+    special = [math.nan, math.inf, -math.inf, -0.0, -1e-300, -1.0]
+    p_atm = [draw(st.sampled_from(special) | st.floats(0.0, 200.0)) for _ in range(n)]
+    rows = []
+    for a in p_atm:
+        bound = a + PRESSURE_TOLERANCE_KPA
+        edge = [bound, math.nextafter(bound, math.inf), math.nextafter(bound, -math.inf)]
+        value = st.sampled_from(special + edge) | st.floats(0.0, 210.0)
+        rows.append([draw(value) for _ in range(4)])
+    return np.array(rows), np.array(p_atm)
+
+
+def frame_accepted(p_ch, p_atm) -> bool:
+    try:
+        SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm)
+    except InvalidInputError:
+        return False
+    return True
+
+
+class TestFramesValid:
+    """``frames_valid`` is ``SensorFrame``'s rule, a row at a time."""
+
+    @given(pressure_table())
+    def test_column_ambient_matches_sensor_frame(self, table):
+        p_ch, p_atm = table
+        want = [frame_accepted(row, a) for row, a in zip(p_ch.tolist(), p_atm.tolist())]
+        assert frames_valid(p_ch, p_atm[:, None]).tolist() == want
+
+    @given(pressure_table())
+    def test_scalar_ambient_matches_sensor_frame(self, table):
+        p_ch, p_atm = table
+        a = float(p_atm[0])
+        assert frames_valid(p_ch, a).tolist() == [frame_accepted(row, a) for row in p_ch.tolist()]
 
 
 class TestVacuumPressures:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from cuphaptics import (
     ConfigError,
     CupGeometry,
     DirectionEstimate,
+    FeatureStats,
     GroundTruthPose,
     InvalidInputError,
     MlpEstimator,
@@ -22,12 +24,13 @@ from cuphaptics import (
     Vector2,
     batch_search,
     generate_dataset,
+    init_model,
     run_search,
     search_step,
     train,
     write_batch_csv,
 )
-from cuphaptics import GenerationConfig
+from cuphaptics import GenerationConfig, Samples
 from cuphaptics.rng import SEARCH_STEP, derive_seed
 
 GEOM = CupGeometry()
@@ -360,3 +363,80 @@ class TestBatchSearch:
         config = SearchConfig(estimator=OracleEstimator())
         with pytest.raises(error, match=message):
             batch_search(spec, config, GEOM, PressureFieldParams())
+
+
+STATS = FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0))
+ESTIMATORS = {
+    "model_based": ModelBasedEstimator(),
+    "mlp_raw": MlpEstimator(init_model(4)),
+    "mlp_std": MlpEstimator(init_model(5, input_mode="standardized", stats=STATS)),
+    "oracle": OracleEstimator(),
+}
+# Four equal chambers: the closed form has no direction to give.
+SYMMETRIC = [96.0, 96.0, 96.0, 96.0, 101.325, 9.0, 45.0]
+# A closed-form yaw a hair below 0 degrees, which wraps to exactly 360.0 and
+# is stored as 0.0, as Angle stores it.
+WRAP = [1.325, 101.325, math.nextafter(101.325, math.inf), 1.325, 101.325, 9.0, 0.0]
+
+
+@pytest.fixture(scope="module")
+def table():
+    generated = generate_dataset(
+        GEOM, PressureFieldParams(), GenerationConfig(n_samples=200, seed=8)
+    )
+    return Samples(np.vstack([generated.table, SYMMETRIC, WRAP]))
+
+
+class TestEstimateBatch:
+    """Each estimator's table path answers as its single-frame path does."""
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_equals_estimate_bit_for_bit(self, name, table):
+        est = ESTIMATORS[name]
+        yaw = est.estimate_batch(table.p_ch, table.table[:, 4:5], table.phi_deg)
+        want = [est.estimate(s.frame, s.pose).phi_pred for s in table]
+        assert [y.hex() for y in yaw.tolist()] == [
+            math.nan.hex() if a is None else a.degrees.hex() for a in want
+        ]
+        if name == "model_based":
+            assert math.isnan(yaw[-2]) and yaw[-1].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_scalar_ambient_equals_a_column(self, name, table):
+        est, p_ch, phi = ESTIMATORS[name], table.p_ch, table.phi_deg
+        assert set(table.table[:, 4].tolist()) == {101.325}
+        column = est.estimate_batch(p_ch, np.full((len(table), 1), 101.325), phi)
+        assert est.estimate_batch(p_ch, 101.325, phi).tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize(
+        "est, row, p_atm, message",
+        [
+            (ESTIMATORS["model_based"], [150.0, 96.0, 96.0, 96.0], 101.325,
+             "p_ch1 = 150.0 kPa exceeds"),
+            (ESTIMATORS["mlp_raw"], [150.0, 96.0, 96.0, 96.0], 101.325,
+             "p_ch1 = 150.0 kPa exceeds"),
+            (ESTIMATORS["mlp_std"], [96.0, 96.0, 96.0, 150.0], 101.325,
+             "p_ch4 = 150.0 kPa exceeds"),
+            # A tiny spread sends the standardized inputs past the float range.
+            (
+                MlpEstimator(init_model(6, input_mode="standardized",
+                                        stats=FeatureStats((0.0,) * 4, (1e-300,) * 4))),
+                [1e10, 1e10, 1e10, 1e10],
+                1e10,
+                "inputs must be finite",
+            ),
+        ],
+        ids=["model_based-above-ambient", "mlp_raw-above-ambient", "mlp_std-above-ambient",
+             "mlp-standardized-input-overflows"],
+    )
+    def test_rejected_row_raises_the_single_frame_error(self, est, row, p_atm, message):
+        p_ch = np.array([[96.0, 96.0, 96.0, 96.0], row])
+        # Overflow warnings are silenced so the single-frame error surfaces.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                est.estimate_batch(p_ch, p_atm, np.array([10.0, 20.0]))
+
+    def test_oracle_returns_the_true_yaws(self, table):
+        phi = table.phi_deg
+        yaw = OracleEstimator().estimate_batch(table.p_ch, 101.325, phi)
+        assert yaw.tobytes() == phi.tobytes()

@@ -230,18 +230,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.model is None:
             raise ConfigError("--model is required when --method mlp")
         estimate = decode_estimate(network_output(load_model(args.model), frame))
-    v, phi = estimate.v_pred, estimate.phi_pred
+    (x, y), phi = estimate.v_pred, estimate.phi_pred
     if args.format == "json":
         payload = {
             "method": args.method,
-            "v_pred": [v.x, v.y],
+            "v_pred": [x, y],
             "phi_pred_deg": None if phi is None else phi.degrees,
         }
         print(json.dumps(payload))
     else:
         phi_text = "" if phi is None else format(phi.degrees, ".9g")
         print("v_x,v_y,phi_pred_deg,method")
-        print(f"{format(v.x, '.9g')},{format(v.y, '.9g')},{phi_text},{args.method}")
+        print(f"{format(x, '.9g')},{format(y, '.9g')},{phi_text},{args.method}")
     return 0
 
 

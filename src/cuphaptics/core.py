@@ -53,11 +53,6 @@ class Angle:
         return math.radians(self.degrees)
 
 
-def wrap_angle(raw_degrees: float) -> Angle:
-    """Normalize a raw degree value into [0, 360)."""
-    return Angle(raw_degrees)
-
-
 def angular_errors(pred_deg: np.ndarray, true_deg: np.ndarray) -> np.ndarray:
     """Elementwise wrap-aware separation of angles in [0, 360), within [0, 180]."""
     d = np.abs(np.asarray(pred_deg, dtype=np.float64) - true_deg)
@@ -67,24 +62,6 @@ def angular_errors(pred_deg: np.ndarray, true_deg: np.ndarray) -> np.ndarray:
 def angular_error(a: Angle, b: Angle) -> float:
     """Wrap-aware separation between two angles, in degrees within [0, 180]."""
     return float(angular_errors(a.degrees, b.degrees))
-
-
-@dataclass(frozen=True)
-class Vector2:
-    """A vector in the tool frame (x along x_tool, y along y_tool)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_finite(self.x, "vector x"))
-        object.__setattr__(self, "y", _as_finite(self.y, "vector y"))
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def polar_angle(self) -> Angle:
-        return wrap_angle(math.degrees(math.atan2(self.y, self.x)))
 
 
 @dataclass(frozen=True)
@@ -127,28 +104,6 @@ def frames_valid(p_ch: np.ndarray, p_atm: float | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VacuumPressures:
-    """Gauge pressures P_i = p_atm - p_ch_i; larger means a stronger seal."""
-
-    p: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.p)
-        if len(values) != 4:
-            raise InvalidInputError(f"expected 4 vacuum pressures, got {len(values)}")
-        checked = []
-        for i, raw in enumerate(values, start=1):
-            v = _as_finite(raw, f"vacuum p{i}")
-            if v < -PRESSURE_TOLERANCE_KPA:
-                raise InvalidInputError(
-                    f"vacuum p{i} = {v} kPa is below the -{PRESSURE_TOLERANCE_KPA} kPa "
-                    "noise tolerance"
-                )
-            checked.append(v)
-        object.__setattr__(self, "p", tuple(checked))
-
-
-@dataclass(frozen=True)
 class GroundTruthPose:
     """True lateral offset (mm) and yaw of the desired motion direction."""
 
@@ -164,9 +119,10 @@ class GroundTruthPose:
 
 @dataclass(frozen=True)
 class DirectionEstimate:
-    """Predicted motion vector, with its yaw when the vector is non-zero."""
+    """Predicted motion vector (x along x_tool, y along y_tool), with its yaw
+    when the vector is non-zero."""
 
-    v_pred: Vector2
+    v_pred: tuple[float, float]
     phi_pred: Angle | None
 
 
@@ -186,26 +142,10 @@ def direction_angle(x: float, y: float) -> Angle | None:
     return None if math.isnan(deg) else Angle(deg)
 
 
-def vacuum_pressures(frame: SensorFrame) -> VacuumPressures:
-    """Convert absolute chamber pressures to gauge (vacuum) pressures."""
-    return VacuumPressures(tuple(frame.p_atm - p for p in frame.p_ch))
-
-
-def model_direction(vp: VacuumPressures) -> DirectionEstimate:
-    """Direction estimate from pairwise chamber-sum differences.
-
-    x collects chambers (1, 4) minus (2, 3); y collects (3, 4) minus
-    (1, 2). A zero vector is a valid outcome and yields no angle.
-    """
-    p1, p2, p3, p4 = vp.p
-    v = Vector2((p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2))
-    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v.x, v.y))
-
-
 def _model_direction_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, ...]:
     """Chamber-sum direction (x, y) per row of (n, 4) chamber pressures, from
-    ``model_direction``'s float operations in its order, and the rows whose
-    gauge pressures ``VacuumPressures`` accepts."""
+    ``estimate_direction``'s float operations in its order, and the rows whose
+    gauge pressures it accepts."""
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
         vacuum = p_atm - p_ch
         p1, p2, p3, p4 = vacuum.T
@@ -214,5 +154,23 @@ def _model_direction_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, ...]:
 
 
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
-    """Full model-based pipeline: gauge conversion then chamber-sum vector."""
-    return model_direction(vacuum_pressures(frame))
+    """Direction estimate from pairwise chamber-sum differences.
+
+    The gauge pressures P_i = p_atm - p_ch_i (larger means a stronger seal)
+    may dip below zero by the noise tolerance. x collects chambers (1, 4)
+    minus (2, 3); y collects (3, 4) minus (1, 2). A zero vector is a valid
+    outcome and yields no angle.
+    """
+    vacuum = [frame.p_atm - p for p in frame.p_ch]
+    for i, v in enumerate(vacuum, start=1):
+        if v < -PRESSURE_TOLERANCE_KPA:
+            raise InvalidInputError(
+                f"vacuum p{i} = {v} kPa is below the -{PRESSURE_TOLERANCE_KPA} kPa "
+                "noise tolerance"
+            )
+    p1, p2, p3, p4 = vacuum
+    x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+    for name, value in (("x", x), ("y", y)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
+    return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))

@@ -50,7 +50,6 @@ from .core import (
     Angle,
     DirectionEstimate,
     SensorFrame,
-    Vector2,
     angular_errors,
     direction_angle,
 )
@@ -268,18 +267,12 @@ def target_encoding(phi: Angle) -> tuple[float, float]:
     return (math.cos(phi.radians), math.sin(phi.radians))
 
 
-def decode_angle(output: Sequence[float]) -> Angle | None:
-    """Polar angle of a 2-vector output; None when the vector is ~zero."""
-    return decode_estimate(output).phi_pred
-
-
 def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
     """Direction estimate for a 2-vector output: the vector and its angle."""
     x, y = (float(v) for v in output)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"output must be finite, got ({x}, {y})")
-    v = Vector2(x, y)
-    return DirectionEstimate(v_pred=v, phi_pred=direction_angle(v.x, v.y))
+    return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))
 
 
 def loss(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -568,27 +561,29 @@ def train(
     return train_many([(train_set, val_set)], config, [config.seed])[0]
 
 
+def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
+    """Chamber pressures (last axis) as the network takes them: z-scored under
+    the model's stats when it expects standardized inputs (``MlpModel`` then
+    holds stats)."""
+    return _standardize(p_ch, model.stats) if model.input_mode == "standardized" else p_ch
+
+
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
     """Raw 2-vector output for a frame, standardizing if the model expects it."""
-    x = np.asarray(frame.p_ch, dtype=np.float64)
-    if model.input_mode == "standardized":
-        assert model.stats is not None  # enforced by MlpModel
-        x = _standardize(x, model.stats)
-    return forward(model, x)
+    return forward(model, _model_inputs(model, np.asarray(frame.p_ch, dtype=np.float64)))
 
 
 def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked inputs and (n, 2) outputs, each row as ``network_output`` runs it."""
     if p_ch.shape[1:] != (n_in := model.layer_sizes[0],):
         raise InvalidInputError(f"expected {n_in} inputs, got shape {p_ch.shape[1:]}")
-    standardized = model.input_mode == "standardized" and model.stats is not None
-    x = _standardize(p_ch, model.stats) if standardized else p_ch
+    x = _model_inputs(model, p_ch)
     return x, _forward_batch(model.weights, model.biases, x[:, None, :])[0][-1][:, 0]
 
 
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
     """Standardize if the model expects it, run forward, decode the angle."""
-    return decode_angle(network_output(model, frame))
+    return decode_estimate(network_output(model, frame)).phi_pred
 
 
 def save_model(

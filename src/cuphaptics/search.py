@@ -15,9 +15,10 @@ on the seed and k, whichever estimator runs.
 the rollouts of a grid that share an estimator in lockstep, each as
 ``run_search`` would run it: one array kernel call synthesizes the frames
 of every live rollout, one ``Estimator.estimate_batch`` call estimates
-them, and each rollout's noise is drawn ahead as one (max_steps, 4) block
-from its stream, the same values as four draws per step. ``evaluate``
-scores datasets through the same ``estimate_batch``.
+them, and each live rollout's noise is drawn ahead from its stream in
+blocks of at most ``NOISE_BLOCK_STEPS`` steps, the same values as four
+draws per step. ``evaluate`` scores datasets through the same
+``estimate_batch``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .core import (
     DirectionEstimate,
     GroundTruthPose,
     SensorFrame,
-    Vector2,
     _model_direction_columns,
     _yaw_deg,
     estimate_direction,
@@ -49,6 +49,11 @@ from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_
 
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
+
+# A lockstep rollout draws its noise this many steps ahead at most, so memory
+# does not grow with the step budget; a stream's normals do not depend on how
+# its draws are split.
+NOISE_BLOCK_STEPS = 64
 
 
 class Estimator(Protocol):
@@ -132,10 +137,8 @@ class OracleEstimator:
         self, frame: SensorFrame, pose: GroundTruthPose
     ) -> DirectionEstimate:
         phi = pose.phi
-        return DirectionEstimate(
-            v_pred=Vector2(math.cos(phi.radians), math.sin(phi.radians)),
-            phi_pred=phi,
-        )
+        v_pred = (math.cos(phi.radians), math.sin(phi.radians))
+        return DirectionEstimate(v_pred=v_pred, phi_pred=phi)
 
     def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
         return phi_deg
@@ -279,6 +282,10 @@ def batch_search(
     or not. The rollouts of one estimator run in lockstep; if a frame or an
     estimate is one the single-frame path rejects, the grid is rerun a
     rollout at a time in cell order, which raises that path's first error.
+
+    Only ``step_size_mm``, ``max_steps`` and ``success_delta_mm`` are read
+    from ``config``; the estimators and the seed come from ``spec``. The
+    grid's noise axis replaces ``params.noise_sigma_kpa``.
     """
     axes = spec.delta0_values_mm, spec.phi0_values_deg, spec.noise_values_kpa, spec.estimators
     cells = list(itertools.product(*axes))
@@ -330,20 +337,26 @@ def _lockstep(
     n, max_steps, seal_at = len(rollouts), config.max_steps, config.success_delta_mm
     delta = np.array([starts[c][0].delta for c, _ in rollouts])
     phi = np.array([starts[c][0].phi.degrees for c, _ in rollouts])
-    noise = np.zeros((n, max_steps, 4))  # zero rows add nothing to a noiseless frame
-    for j, (c, rep) in enumerate(rollouts):
-        cell_params = starts[c][1]
-        if cell_params.noise_sigma_kpa > 0.0:
-            rng = substream(derive_seed(seed, SEARCH_STEP, c, rep), SEARCH_STEP)
-            noise[j] = sensor_noise(cell_params, rng, (max_steps, 4))
     sealed = delta <= seal_at
+    noisy = {  # rollout -> (its cell's params, its noise stream)
+        j: (starts[c][1], substream(derive_seed(seed, SEARCH_STEP, c, rep), SEARCH_STEP))
+        for j, (c, rep) in enumerate(rollouts)
+        if starts[c][1].noise_sigma_kpa > 0.0 and not sealed[j]
+    }
+    block = min(max_steps, NOISE_BLOCK_STEPS)
+    noise = np.zeros((n, block, 4))  # zero rows add nothing to a noiseless frame
     steps = np.zeros(n, dtype=np.int64)
     live = np.flatnonzero(~sealed)
     for k in range(max_steps):
         if not live.size:
             break
+        if k % block == 0:  # the next steps' noise of every live noisy rollout
+            rows = min(block, max_steps - k)
+            for j in live.tolist():
+                if j in noisy:
+                    noise[j, :rows] = sensor_noise(*noisy[j], (rows, 4))
         d, f = delta[live], phi[live]
-        p_ch = _chamber_pressures(geom, params, d, f, noise[live, k])
+        p_ch = _chamber_pressures(geom, params, d, f, noise[live, k % block])
         if not frames_valid(p_ch, params.p_atm_kpa).all():
             raise InvalidInputError("a search frame is out of range")
         yaw = est.estimate_batch(p_ch, params.p_atm_kpa, f)

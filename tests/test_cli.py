@@ -369,14 +369,19 @@ class TestPredict:
         assert payload["phi_pred_deg"] == 0.0
         assert payload["v_pred"] == [10.0, 0.0]
 
-    def test_csv_format(self, capsys):
-        code = main(
-            ["predict", "--p-ch", "91.325,96.325,96.325,91.325", "--format", "csv"]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("method", ["model", "mlp"])
+    def test_csv_format(self, capsys, model_dir, method):
+        argv = ["predict", "--p-ch", "91.325,96.325,96.325,91.325", "--method", method]
+        argv += ["--model", str(model_dir / MODEL_FILENAME)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "v_x,v_y,phi_pred_deg,method"
-        assert lines[1] == "10,0,0,model"
+        values = [*payload["v_pred"], payload["phi_pred_deg"]]
+        assert lines[1] == ",".join([format(v, ".9g") for v in values] + [method])
+        if method == "model":
+            assert lines[1] == "10,0,0,model"
 
     def test_mlp_method(self, capsys, model_dir):
         code = main(

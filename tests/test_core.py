@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +12,9 @@ from cuphaptics import (
     GroundTruthPose,
     InvalidInputError,
     SensorFrame,
-    VacuumPressures,
-    Vector2,
     angular_error,
     angular_errors,
     estimate_direction,
-    model_direction,
-    vacuum_pressures,
-    wrap_angle,
 )
 from cuphaptics.core import PRESSURE_TOLERANCE_KPA, frames_valid
 
@@ -29,17 +25,17 @@ finite_angles = st.floats(
 
 class TestAngle:
     def test_wraps_into_range(self):
-        assert wrap_angle(370.0).degrees == pytest.approx(10.0)
-        assert wrap_angle(-90.0).degrees == pytest.approx(270.0)
-        assert wrap_angle(720.0).degrees == 0.0
+        assert Angle(370.0).degrees == pytest.approx(10.0)
+        assert Angle(-90.0).degrees == pytest.approx(270.0)
+        assert Angle(720.0).degrees == 0.0
 
     def test_tiny_negative_does_not_round_to_360(self):
         # fmod of -1e-15 % 360 rounds up to exactly 360.0 in float64
-        assert wrap_angle(-1e-15).degrees == 0.0
+        assert Angle(-1e-15).degrees == 0.0
 
     @given(finite_angles)
     def test_always_in_half_open_range(self, raw):
-        a = wrap_angle(raw)
+        a = Angle(raw)
         assert 0.0 <= a.degrees < 360.0
 
     def test_radians(self):
@@ -60,14 +56,14 @@ class TestAngularError:
 
     @given(finite_angles, finite_angles)
     def test_symmetric_and_bounded(self, a, b):
-        x, y = wrap_angle(a), wrap_angle(b)
+        x, y = Angle(a), Angle(b)
         e = angular_error(x, y)
         assert e == angular_error(y, x)
         assert 0.0 <= e <= 180.0
 
     @given(finite_angles)
     def test_self_distance_zero(self, a):
-        assert angular_error(wrap_angle(a), wrap_angle(a)) == 0.0
+        assert angular_error(Angle(a), Angle(a)) == 0.0
 
     def test_elementwise_matches_scalar(self):
         pred = [350.0, 30.0, 0.0, 179.5, 10.0]
@@ -78,20 +74,6 @@ class TestAngularError:
             angular_error(Angle(p), Angle(t)) for p, t in zip(pred, true)
         ]
         assert list(errs) == pytest.approx([20.0, 60.0, 180.0, 180.0, 0.0])
-
-
-class TestVector2:
-    def test_norm_and_polar(self):
-        v = Vector2(0.0, 4.0)
-        assert v.norm() == pytest.approx(4.0)
-        assert v.polar_angle().degrees == pytest.approx(90.0)
-
-    def test_negative_quadrant(self):
-        assert Vector2(-1.0, -1.0).polar_angle().degrees == pytest.approx(225.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
-            Vector2(float("nan"), 0.0)
 
 
 class TestSensorFrame:
@@ -154,35 +136,49 @@ class TestFramesValid:
         assert frames_valid(p_ch, a).tolist() == [frame_accepted(row, a) for row in p_ch.tolist()]
 
 
+def gauge_frame(*vacuum, p_atm=20.0):
+    """The frame whose gauge pressures p_atm - p_ch_i are ``vacuum``."""
+    return SensorFrame(p_ch=tuple(p_atm - v for v in vacuum), p_atm=p_atm)
+
+
 class TestVacuumPressures:
+    """The gauge pressures ``estimate_direction`` takes from a frame."""
+
     def test_conversion(self):
         f = SensorFrame(p_ch=(91.325, 96.325, 96.325, 91.325), p_atm=101.325)
-        assert vacuum_pressures(f).p == pytest.approx((10.0, 5.0, 5.0, 10.0))
+        x, y = estimate_direction(f).v_pred
+        assert (x, y) == pytest.approx((10.0, 0.0))
 
     def test_slightly_negative_allowed(self):
-        VacuumPressures(p=(-0.4, 0.0, 0.0, 0.0))
-        with pytest.raises(InvalidInputError):
-            VacuumPressures(p=(-0.6, 0.0, 0.0, 0.0))
+        # p_ch1 sits 0.4 kPa above ambient: within the noise tolerance
+        est = estimate_direction(gauge_frame(-0.4, 0.0, 0.0, 0.0))
+        assert est.v_pred == pytest.approx((-0.4, 0.4))
+
+    def test_below_tolerance_is_rejected(self):
+        # p_atm + 0.5 rounds up to 2**53, so SensorFrame accepts chambers at
+        # 2**53, whose gauge pressure is -1 kPa.
+        f = SensorFrame(p_ch=(2.0**53,) * 4, p_atm=2.0**53 - 1)
+        message = "vacuum p1 = -1.0 kPa is below the -0.5 kPa noise tolerance"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            estimate_direction(f)
 
 
 class TestModelDirection:
     def test_x_axis_case(self):
         # chambers 1 and 4 (the +x pair) hold 2.5 kPa more than 2 and 3
-        est = model_direction(VacuumPressures(p=(10.0, 5.0, 5.0, 10.0)))
-        assert est.v_pred.x == pytest.approx(10.0)
-        assert est.v_pred.y == pytest.approx(0.0)
+        est = estimate_direction(gauge_frame(10.0, 5.0, 5.0, 10.0))
+        assert est.v_pred == (10.0, 0.0)
         assert est.phi_pred is not None
-        assert est.phi_pred.degrees == pytest.approx(0.0)
+        assert est.phi_pred.degrees == 0.0
 
     def test_y_axis_case(self):
-        est = model_direction(VacuumPressures(p=(5.0, 5.0, 7.0, 7.0)))
-        assert est.v_pred.x == pytest.approx(0.0)
-        assert est.v_pred.y == pytest.approx(4.0)
-        assert est.phi_pred.degrees == pytest.approx(90.0)
+        est = estimate_direction(gauge_frame(5.0, 5.0, 7.0, 7.0))
+        assert est.v_pred == (0.0, 4.0)
+        assert est.phi_pred.degrees == 90.0
 
     def test_symmetric_pressures_give_no_angle(self):
-        est = model_direction(VacuumPressures(p=(6.0, 6.0, 6.0, 6.0)))
-        assert est.v_pred.norm() == 0.0
+        est = estimate_direction(gauge_frame(6.0, 6.0, 6.0, 6.0))
+        assert est.v_pred == (0.0, 0.0)
         assert est.phi_pred is None
 
     @given(
@@ -197,7 +193,7 @@ class TestModelDirection:
             offset + amplitude * math.cos(math.radians(a - phi)) + amplitude
             for a in angles
         )
-        est = model_direction(VacuumPressures(p=p))
+        est = estimate_direction(gauge_frame(*p, p_atm=101.325))
         assert est.phi_pred is not None
         assert angular_error(est.phi_pred, Angle(phi)) < 1e-6
 
@@ -208,6 +204,12 @@ class TestEstimateDirection:
         est = estimate_direction(f)
         assert isinstance(est, DirectionEstimate)
         assert est.phi_pred.degrees == pytest.approx(0.0)
+
+    def test_vector_that_overflows_is_rejected(self):
+        # Each pair sum overflows to inf, so x = inf - inf is NaN.
+        f = SensorFrame(p_ch=(0.0, 0.0, 0.0, 0.0), p_atm=1.7e308)
+        with pytest.raises(InvalidInputError, match="vector x must be finite, got nan"):
+            estimate_direction(f)
 
 
 class TestGroundTruthPose:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -257,7 +258,7 @@ class TestClosedFormColumns:
         ]
         pairs = evaluate_model_based(Samples(np.array(rows)))
         frames = [SensorFrame(tuple(r[:4]), p_atm) for r in rows]
-        norms = [estimate_direction(f).v_pred.norm() for f in frames]
+        norms = [math.hypot(*estimate_direction(f).v_pred) for f in frames]
         assert norms[0] == 0.0 and 0.0 < norms[1] <= EPS_ZERO < norms[2]
         assert [p.phi_pred for p in pairs[:2]] == [None, None]
         assert bits(pairs[2].phi_pred) == bits(estimate_direction(frames[2]).phi_pred)
@@ -274,6 +275,9 @@ class TestClosedFormColumns:
              "vacuum p1 = -0.5000000000000001 kPa"),
             ([np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0], "p_atm must be finite"),
             ([1.7e308, 0.0, 1.7e308, 0.0, 1.79e308, 1.0, 10.0], "vector x must be finite"),
+            # At 2**53 - 1 the bound rounds up by half a unit, to 2**53.
+            ([2.0**53] * 4 + [2.0**53 - 1, 1.0, 10.0],
+             "vacuum p1 = -1.0 kPa is below the -0.5 kPa noise tolerance"),
         ],
         ids=[
             "above-ambient",
@@ -282,6 +286,7 @@ class TestClosedFormColumns:
             "gauge-below-tolerance",
             "infinite-ambient",
             "vector-overflows",
+            "gauge-one-kpa-below-zero",
         ],
     )
     def test_rejected_row_raises_the_single_frame_error(self, row, message):

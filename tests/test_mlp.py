@@ -24,7 +24,7 @@ from cuphaptics import (
     TrainConfig,
     angular_error,
     backward,
-    decode_angle,
+    decode_estimate,
     forward,
     generate_dataset,
     init_model,
@@ -166,19 +166,19 @@ class TestEncoding:
     def test_cardinal_points(self):
         assert target_encoding(Angle(0.0)) == pytest.approx((1.0, 0.0))
         assert target_encoding(Angle(90.0)) == pytest.approx((0.0, 1.0), abs=1e-15)
-        assert decode_angle((1.0, 0.0)).degrees == 0.0
-        assert decode_angle((0.0, 1.0)).degrees == 90.0
+        assert decode_estimate((1.0, 0.0)).phi_pred.degrees == 0.0
+        assert decode_estimate((0.0, 1.0)).phi_pred.degrees == 90.0
 
     def test_third_quadrant(self):
-        assert decode_angle((-0.7071, -0.7071)).degrees == pytest.approx(225.0)
+        assert decode_estimate((-0.7071, -0.7071)).phi_pred.degrees == pytest.approx(225.0)
 
     def test_zero_vector_has_no_angle(self):
-        assert decode_angle((0.0, 0.0)) is None
-        assert decode_angle((1e-10, -1e-10)) is None
+        assert decode_estimate((0.0, 0.0)).phi_pred is None
+        assert decode_estimate((1e-10, -1e-10)).phi_pred is None
 
     @given(st.floats(min_value=0.0, max_value=360.0, exclude_max=True))
     def test_decode_inverts_encode(self, phi):
-        decoded = decode_angle(target_encoding(Angle(phi)))
+        decoded = decode_estimate(target_encoding(Angle(phi))).phi_pred
         assert decoded is not None
         assert angular_error(decoded, Angle(phi)) < 1e-9
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from cuphaptics import (
     PressureFieldParams,
     SearchConfig,
     TrainConfig,
-    Vector2,
     batch_search,
     generate_dataset,
     init_model,
@@ -46,7 +46,7 @@ def pose(delta, phi=0.0):
 
 def estimate_at(phi):
     return DirectionEstimate(
-        v_pred=Vector2(math.cos(math.radians(phi)), math.sin(math.radians(phi))),
+        v_pred=(math.cos(math.radians(phi)), math.sin(math.radians(phi))),
         phi_pred=Angle(phi),
     )
 
@@ -60,7 +60,7 @@ class StubEstimator:
 
     def estimate(self, frame, pose):
         if self.phi is None:
-            return DirectionEstimate(v_pred=Vector2(0.0, 0.0), phi_pred=None)
+            return DirectionEstimate(v_pred=(0.0, 0.0), phi_pred=None)
         return estimate_at(self.phi)
 
 
@@ -87,7 +87,7 @@ class TestSearchStep:
         assert p.delta == 0.0
 
     def test_absent_estimate_rejected(self):
-        absent = DirectionEstimate(v_pred=Vector2(0.0, 0.0), phi_pred=None)
+        absent = DirectionEstimate(v_pred=(0.0, 0.0), phi_pred=None)
         with pytest.raises(InvalidInputError):
             search_step(pose(10.0), absent, 2.0)
 
@@ -191,6 +191,41 @@ class TestRunSearch:
             SearchConfig(estimator=OracleEstimator(), **{field: value})
 
 
+def rows_a_rollout_at_a_time(spec, config, params):
+    """``batch_search``'s rows built from ``run_search`` rollouts, seeded as it
+    seeds them, and the rollouts themselves."""
+    cells = [
+        (d0, phi0, noise, est)
+        for d0 in spec.delta0_values_mm
+        for phi0 in spec.phi0_values_deg
+        for noise in spec.noise_values_kpa
+        for est in spec.estimators
+    ]
+    rows, every_run = [], []
+    for i, (d0, phi0, noise, est) in enumerate(cells):
+        runs = [
+            run_search(
+                pose(d0, phi0),
+                replace(config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, i, rep)),
+                GEOM,
+                replace(params, noise_sigma_kpa=noise),
+            )
+            for rep in range(spec.reps)
+        ]
+        every_run += runs
+        rows.append(
+            BatchRow(
+                delta0_mm=d0,
+                phi0_deg=phi0,
+                noise_sigma_kpa=noise,
+                estimator=est.name,
+                success_rate=float(np.mean([r.success for r in runs])),
+                mean_steps=float(np.mean([r.steps for r in runs])),
+            )
+        )
+    return rows, every_run
+
+
 class TestBatchSearch:
     def test_single_cell_reduces_to_run_search(self):
         spec = BatchSpec(
@@ -282,46 +317,81 @@ class TestBatchSearch:
         config = SearchConfig(
             estimator=OracleEstimator(), step_size_mm=2.0, max_steps=6, seed=0
         )
-        cells = [
-            (d0, phi0, noise, est)
-            for d0 in spec.delta0_values_mm
-            for phi0 in spec.phi0_values_deg
-            for noise in spec.noise_values_kpa
-            for est in spec.estimators
-        ]
         reasons = set()
         for params in (PressureFieldParams(), replace(AFFINE_WIDE, transition_width_mm=4.0)):
             rows = batch_search(spec, config, GEOM, params)
-            expected = []
-            for i, (d0, phi0, noise, est) in enumerate(cells):
-                runs = [
-                    run_search(
-                        pose(d0, phi0),
-                        replace(
-                            config,
-                            estimator=est,
-                            seed=derive_seed(spec.seed, SEARCH_STEP, i, rep),
-                        ),
-                        GEOM,
-                        replace(params, noise_sigma_kpa=noise),
-                    )
-                    for rep in range(spec.reps)
-                ]
-                reasons.update(r.failure_reason for r in runs)
-                expected.append(
-                    BatchRow(
-                        delta0_mm=d0,
-                        phi0_deg=phi0,
-                        noise_sigma_kpa=noise,
-                        estimator=est.name,
-                        success_rate=float(np.mean([r.success for r in runs])),
-                        mean_steps=float(np.mean([r.steps for r in runs])),
-                    )
-                )
+            expected, runs = rows_a_rollout_at_a_time(spec, config, params)
             assert rows == expected
+            reasons.update(r.failure_reason for r in runs)
             # Rates strictly between 0 and 1 show that each rep draws its own noise.
             assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 0.75, 1.0}
         assert reasons == {None, "no-gradient", "budget-exhausted"}
+
+    def test_noise_drawn_in_blocks_equals_run_search(self):
+        # 0.1 mm steps keep the 14 mm rollouts live into a second noise block,
+        # a short one that the budget ends; the 7.5 mm starts seal inside the
+        # first block.
+        spec = BatchSpec(
+            delta0_values_mm=(7.5, 14.0),
+            phi0_values_deg=(0.0, 200.0),
+            noise_values_kpa=(0.3, 4.0),
+            estimators=(ModelBasedEstimator(),),
+            reps=2,
+            seed=4,
+        )
+        config = SearchConfig(estimator=OracleEstimator(), step_size_mm=0.1, max_steps=100)
+        expected, runs = rows_a_rollout_at_a_time(spec, config, PressureFieldParams())
+        assert batch_search(spec, config, GEOM, PressureFieldParams()) == expected
+        steps = [r.steps for r in runs]
+        assert min(steps) < 64 < max(steps) == 100
+
+    def test_memory_does_not_grow_with_the_step_budget(self):
+        spec = BatchSpec(
+            delta0_values_mm=(14.0,),
+            phi0_values_deg=(30.0,),
+            noise_values_kpa=(0.3,),
+            estimators=(ModelBasedEstimator(),),
+            reps=2,
+            seed=3,
+        )
+
+        def run(max_steps):
+            config = SearchConfig(estimator=OracleEstimator(), max_steps=max_steps)
+            tracemalloc.start()
+            try:
+                rows = batch_search(spec, config, GEOM, PressureFieldParams())
+                return rows, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(25)  # first-call allocations (caches, lazy imports) are not counted
+        (small, small_peak), (large, large_peak) = run(25), run(100_000)
+        assert large == small
+        # A (rollouts, max_steps, 4) noise block would add 6.4 MB here.
+        assert large_peak < small_peak + 64 * 1024
+
+    def test_reads_only_the_step_policy_from_config_and_params(self):
+        spec = BatchSpec(
+            delta0_values_mm=(14.0,),
+            phi0_values_deg=(0.0, 120.0),
+            noise_values_kpa=(0.0, 0.3),
+            estimators=(ModelBasedEstimator(),),
+            reps=2,
+            seed=6,
+        )
+        a = batch_search(
+            spec,
+            SearchConfig(estimator=OracleEstimator(), max_steps=8, seed=0),
+            GEOM,
+            PressureFieldParams(noise_sigma_kpa=0.0),
+        )
+        b = batch_search(
+            spec,
+            SearchConfig(estimator=StubEstimator(phi=None), max_steps=8, seed=99),
+            GEOM,
+            PressureFieldParams(noise_sigma_kpa=2.5),
+        )
+        assert a == b
 
     def test_rejected_frame_raises_the_first_rollouts_error(self):
         # Ambient 5 kPa is below the 10 kPa peak vacuum, so p_ch goes below 0

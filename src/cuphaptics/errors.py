@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check of its configs."""
+
+import operator
 
 
 class CupHapticsError(Exception):
@@ -11,6 +13,17 @@ class InvalidInputError(CupHapticsError):
 
 class ConfigError(CupHapticsError):
     """A configuration object or flag combination is unusable."""
+
+
+def require_count(name: str, value: object, minimum: int) -> None:
+    """Raise ConfigError unless ``value`` is an integer (``operator.index``
+    takes it) of at least ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {count}")
 
 
 class CsvParseError(CupHapticsError):

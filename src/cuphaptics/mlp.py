@@ -10,10 +10,10 @@ can be checked against finite differences.
 Model file format (versioned, little-endian):
 
     magic   7 bytes  b"CUPMLP1"
-    mode    u8       0 = raw inputs, 1 = standardized
+    mode    u8       1 when the file carries standardization stats, else 0
     depth   u32      number of entries in layer_sizes
     sizes   u32 * depth   first 4 (chamber pressures), last 2 (cos, sin)
-    stats   f64 * (2 * sizes[0])   means then stds; standardized mode only
+    stats   f64 * (2 * sizes[0])   means then stds; mode 1 only
     params  per layer: weight matrix row-major (out x in) f64, bias f64 * out
 
 The byte length must match the header exactly; anything else is rejected.
@@ -27,11 +27,11 @@ products, which keeps each row's single-frame bits (an n-row one may not).
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
-leading seed axis, and RMSprop updates the stack in place. numpy runs each
-network's products and sums as it would for that network alone, so every
-fold's model and history equal a solo ``train`` bit for bit; ``train`` is
-the one-fold case. Per-epoch losses score each fold on its own, a fixed
-chunk of rows at a time through reused buffers.
+leading seed axis, and ``rmsprop_step`` updates the stack in place. numpy
+runs each network's products and sums as it would for that network alone,
+so every fold's model and history equal a solo ``train`` bit for bit;
+``train`` is the one-fold case. Per-epoch losses score each fold on its
+own, a fixed chunk of rows at a time through reused buffers.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .errors import (
     DegenerateChannelError,
     InvalidInputError,
     ModelFormatError,
+    require_count,
 )
 from .rng import INIT, SHUFFLE, substream
 
@@ -72,16 +73,16 @@ _V_INVALID = "squared-gradient average must be finite and >= 0"
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """Parameters as one flat vector, and the input convention they expect.
+    """Parameters as one flat vector, and the stats that z-score its inputs.
 
     ``params`` holds W0, b0, W1, b1, ... in model-file order (weights out x
     in, row-major); ``weights`` and ``biases`` are per-layer views into it.
+    The model standardizes its inputs exactly when ``stats`` is not None.
     Models compare by identity; compare ``params`` for equal values.
     """
 
     layer_sizes: tuple[int, ...]
     params: np.ndarray
-    input_mode: Literal["raw", "standardized"] = "raw"
     stats: FeatureStats | None = None
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -98,15 +99,10 @@ class MlpModel:
             )
         if not np.isfinite(params).all():
             raise InvalidInputError("non-finite parameters")
-        if self.input_mode not in ("raw", "standardized"):
-            raise InvalidInputError(f"unknown input_mode {self.input_mode!r}")
-        if self.input_mode == "standardized":
-            if self.stats is None:
-                raise InvalidInputError("standardized input_mode requires stats")
-            if len(self.stats.mean) != sizes[0]:
-                raise InvalidInputError(
-                    f"stats cover {len(self.stats.mean)} channels, model takes {sizes[0]}"
-                )
+        if self.stats is not None and len(self.stats.mean) != sizes[0]:
+            raise InvalidInputError(
+                f"stats cover {len(self.stats.mean)} channels, model takes {sizes[0]}"
+            )
         weights, biases = _layer_views(params, sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "params", params)
@@ -115,36 +111,9 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
-class RmspropState:
-    """Running mean of squared gradients plus the optimizer hyperparameters."""
-
-    v: tuple[np.ndarray, ...]
-    lr: float = 1e-3
-    rho: float = 0.9
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
-        v = tuple(np.asarray(a, dtype=np.float64) for a in self.v)
-        for a in v:
-            if not (np.isfinite(a).all() and (a >= 0.0).all()):
-                raise InvalidInputError(_V_INVALID)
-        object.__setattr__(self, "v", v)
-
-    @classmethod
-    def initial(cls, params: Sequence[np.ndarray], **hyper: float) -> "RmspropState":
-        """Zero averages shaped like ``params``; ``hyper`` may set lr, rho, eps."""
-        return cls(v=tuple(np.zeros_like(p) for p in params), **hyper)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Training schedule and optimizer settings.
+    """Training schedule and RMSprop settings (learning rate ``lr``, decay
+    ``rho`` of the squared-gradient average, and ``eps``).
 
     ``standardize`` controls whether inputs are z-scored with training-set
     stats (the default) or fed as raw kPa values.
@@ -160,14 +129,15 @@ class TrainConfig:
     standardize: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        # The optimizer state checks lr, rho and eps.
-        RmspropState(v=(), lr=self.lr, rho=self.rho, eps=self.eps)
+        require_count("batch_size", self.batch_size, 1)
+        require_count("max_epochs", self.max_epochs, 1)
+        require_count("patience", self.patience, 0)
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 < self.rho < 1.0:
+            raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -190,13 +160,13 @@ class TrainHistory:
 def init_model(
     seed: int,
     layer_sizes: Sequence[int] = DEFAULT_LAYER_SIZES,
-    input_mode: Literal["raw", "standardized"] = "raw",
     stats: FeatureStats | None = None,
 ) -> MlpModel:
-    """Glorot-uniform weights, zero biases, deterministic in ``seed``."""
+    """Glorot-uniform weights, zero biases, deterministic in ``seed``; the
+    model standardizes its inputs under ``stats`` when they are given."""
     rng = substream(seed, INIT)
     sizes = tuple(int(s) for s in layer_sizes)
-    model = MlpModel(sizes, np.zeros(_n_params(sizes)), input_mode, stats)
+    model = MlpModel(sizes, np.zeros(_n_params(sizes)), stats)
     for w in model.weights:  # drawn in place, layer by layer
         fan_out, fan_in = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -262,9 +232,10 @@ def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
     return _forward_batch(model.weights, model.biases, x[None, :])[0][-1][0]
 
 
-def target_encoding(phi: Angle) -> tuple[float, float]:
-    """Unit-circle encoding (cos phi, sin phi)."""
-    return (math.cos(phi.radians), math.sin(phi.radians))
+def target_encoding(phi_deg: np.ndarray) -> np.ndarray:
+    """Unit-circle targets (cos phi, sin phi), one row per yaw in degrees."""
+    rad = np.radians(phi_deg)
+    return np.stack((np.cos(rad), np.sin(rad)), axis=1)
 
 
 def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
@@ -326,58 +297,33 @@ def backward(
     return grad_w, grad_b
 
 
-def _rmsprop_update(
-    params: np.ndarray,
-    grads: np.ndarray,
-    v: np.ndarray,
-    scratch: np.ndarray,
-    lr: float,
-    rho: float,
-    eps: float,
+def rmsprop_step(
+    params: np.ndarray, grads: np.ndarray, v: np.ndarray, config: TrainConfig
 ) -> None:
-    """One RMSprop update of ``params`` and ``v`` in place.
+    """One RMSprop update of ``params`` and the squared-gradient average ``v``,
+    both in place, with ``config``'s lr, rho and eps; ``grads`` is overwritten.
 
-    ``grads`` and ``scratch`` are overwritten. The IEEE operations and their
+    The three float64 arrays share one shape. The IEEE operations and their
     order are those of v <- rho*v + ((1-rho)*g)*g and
     theta <- theta - (lr*g) / (sqrt(v) + eps), so the bits equal that formula
     evaluated into fresh arrays. A non-finite average (the run diverged)
     raises before ``params`` is touched.
     """
-    np.multiply(grads, 1.0 - rho, out=scratch)
+    if not params.shape == grads.shape == v.shape:
+        raise InvalidInputError(
+            f"shape mismatch: params {params.shape}, grads {grads.shape}, v {v.shape}"
+        )
+    scratch = np.multiply(grads, 1.0 - config.rho, out=np.empty_like(grads))
     scratch *= grads
-    v *= rho
+    v *= config.rho
     v += scratch
     if not np.isfinite(v).all():
         raise InvalidInputError(_V_INVALID)
     np.sqrt(v, out=scratch)
-    scratch += eps
-    grads *= lr
+    scratch += config.eps
+    grads *= config.lr
     grads /= scratch
     params -= grads
-
-
-def rmsprop_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: RmspropState,
-) -> tuple[list[np.ndarray], RmspropState]:
-    """One update: v <- rho*v + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(v)+eps).
-
-    Returns new arrays and a new state; the arguments are left unchanged.
-    """
-    if not (len(params) == len(grads) == len(state.v)):
-        raise InvalidInputError("params, grads, and state.v must align")
-    new_v, new_params = [], []
-    for p, g, v in zip(params, grads, state.v):
-        p, g, v = (np.array(a, dtype=np.float64) for a in (p, g, v))  # copies
-        if p.shape != g.shape or p.shape != v.shape:
-            raise InvalidInputError(
-                f"shape mismatch: param {p.shape}, grad {g.shape}, v {v.shape}"
-            )
-        _rmsprop_update(p, g, v, np.empty_like(p), state.lr, state.rho, state.eps)
-        new_v.append(v)
-        new_params.append(p)
-    return new_params, replace(state, v=tuple(new_v))
 
 
 def _standardize(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
@@ -407,8 +353,7 @@ def _fold_arrays(part: Samples, stats: FeatureStats | None) -> tuple[np.ndarray,
     x = np.ascontiguousarray(part.p_ch)
     if stats is not None:
         x = _standardize(x, stats)
-    rad = np.radians(part.phi_deg)
-    return x, np.stack((np.cos(rad), np.sin(rad)), axis=1)
+    return x, target_encoding(part.phi_deg)
 
 
 class _SeedRun:
@@ -429,9 +374,7 @@ class _SeedRun:
         self.phi_val = val_set.phi_deg
         self.train_out, self.val_out = np.empty_like(self.t_train), np.empty_like(self.t_val)
         self.work = work  # layer buffers that the folds share
-        self.model0 = init_model(
-            seed, input_mode="standardized" if config.standardize else "raw", stats=stats
-        )
+        self.model0 = init_model(seed, stats=stats)
         self.shuffle_rng = substream(seed, SHUFFLE)
         self.initial_val = self.best_val = loss(
             self._outputs(self.model0.params, self.x_val, self.val_out), self.t_val
@@ -517,9 +460,9 @@ def train_many(
     params = np.stack([run.model0.params for run in live])
     v = np.zeros_like(params)
     for epoch in range(1, config.max_epochs + 1):
-        # Gradients and scratch match the stack; the per-layer views alias
-        # params and grads, so both are written in place.
-        grads, scratch = np.empty_like(params), np.empty_like(params)
+        # Gradients match the stack; the per-layer views alias params and
+        # grads, so both are written in place.
+        grads = np.empty_like(params)
         weights, biases = _layer_views(params, sizes)
         grad_w, grad_b = _layer_views(grads, sizes)
         # Each fold's epoch order, gathered once; batches are slices of it.
@@ -531,7 +474,7 @@ def train_many(
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)
             _backward_arrays(weights, biases, x[:, batch], t[:, batch], grad_w, grad_b)
-            _rmsprop_update(params, grads, v, scratch, config.lr, config.rho, config.eps)
+            rmsprop_step(params, grads, v, config)
         going = [
             not run.end_epoch(epoch, row, config.patience)
             for run, row in zip(live, params)
@@ -562,14 +505,13 @@ def train(
 
 
 def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
-    """Chamber pressures (last axis) as the network takes them: z-scored under
-    the model's stats when it expects standardized inputs (``MlpModel`` then
-    holds stats)."""
-    return _standardize(p_ch, model.stats) if model.input_mode == "standardized" else p_ch
+    """Chamber pressures (last axis) as the network takes them: z-scored
+    under the model's stats when it has them."""
+    return p_ch if model.stats is None else _standardize(p_ch, model.stats)
 
 
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
-    """Raw 2-vector output for a frame, standardizing if the model expects it."""
+    """Raw 2-vector output for a frame, standardized if the model has stats."""
     return forward(model, _model_inputs(model, np.asarray(frame.p_ch, dtype=np.float64)))
 
 
@@ -582,7 +524,7 @@ def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
-    """Standardize if the model expects it, run forward, decode the angle."""
+    """Standardize if the model has stats, run forward, decode the angle."""
     return decode_estimate(network_output(model, frame)).phi_pred
 
 
@@ -590,11 +532,10 @@ def save_model(
     model: MlpModel, path: str | Path, metadata: Mapping | None = None
 ) -> None:
     """Write the binary model file; optionally a JSON sidecar at path+'.json'."""
-    mode = 1 if model.input_mode == "standardized" else 0
+    mode = 0 if model.stats is None else 1  # 1 exactly when the file carries stats
     depth = len(model.layer_sizes)
     parts = [MODEL_MAGIC, struct.pack(f"<BI{depth}I", mode, depth, *model.layer_sizes)]
-    if mode:
-        assert model.stats is not None
+    if model.stats is not None:
         parts.append(np.array(model.stats.mean + model.stats.std, "<f8").tobytes())
     parts.append(model.params.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
@@ -637,7 +578,7 @@ def load_model(path: str | Path) -> MlpModel:
         raise ModelFormatError(
             f"model must map 4 inputs to 2 outputs, file says {sizes[0]} -> {sizes[-1]}"
         )
-    # Then float64 stats (standardized mode only), the params block, no more.
+    # Then float64 stats (mode 1 only), the params block, no more.
     pos = head + 4 * depth
     n_stats = 2 * sizes[0] if mode_byte == 1 else 0
     n_floats = n_stats + _n_params(sizes)
@@ -651,11 +592,6 @@ def load_model(path: str | Path) -> MlpModel:
         stats = None
         if n_stats:
             stats = FeatureStats(mean=tuple(floats[:4]), std=tuple(floats[4:8]))
-        return MlpModel(
-            layer_sizes=sizes,
-            params=floats[n_stats:],
-            input_mode="standardized" if mode_byte == 1 else "raw",
-            stats=stats,
-        )
+        return MlpModel(layer_sizes=sizes, params=floats[n_stats:], stats=stats)
     except (InvalidInputError, DegenerateChannelError) as exc:
         raise ModelFormatError(f"invalid model file contents: {exc}") from exc

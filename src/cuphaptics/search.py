@@ -42,7 +42,7 @@ from .core import (
     frames_valid,
 )
 from .dataset import write_table
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, require_count
 from .mlp import MlpModel, _outputs_by_row, decode_estimate, network_output, predict_angle
 from .rng import SEARCH_STEP, derive_seed, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise, synth_frame
@@ -157,8 +157,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.step_size_mm < math.inf:
             raise ConfigError(f"step_size_mm must be finite and > 0, got {self.step_size_mm}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        require_count("max_steps", self.max_steps, 1)
         if not 0.0 <= self.success_delta_mm < math.inf:
             raise ConfigError(
                 f"success_delta_mm must be finite and >= 0, got {self.success_delta_mm}"
@@ -248,8 +247,7 @@ class BatchSpec:
             and self.estimators
         ):
             raise ConfigError("batch grid must be non-empty on every axis")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        require_count("reps", self.reps, 1)
 
 
 @dataclass(frozen=True)

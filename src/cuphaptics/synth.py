@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame
 from .dataset import CSV_COLUMNS, Samples
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, require_count
 from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
 
 if TYPE_CHECKING:
@@ -96,8 +96,7 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_samples <= 0:
-            raise ConfigError(f"n_samples must be > 0, got {self.n_samples}")
+        require_count("n_samples", self.n_samples, 1)
         d_lo, d_hi = self.delta_range_mm
         if not (0.0 <= d_lo <= d_hi):
             raise ConfigError(f"bad delta_range_mm {self.delta_range_mm}")

@@ -80,7 +80,7 @@ def write_model_with_stats(path, mean, std):
     file can hold values (NaN, zero spread) that the loader must reject.
     """
     stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 1.0, 1.0, 1.0))
-    save_model(init_model(0, input_mode="standardized", stats=stats), path)
+    save_model(init_model(0, stats=stats), path)
     blob = bytearray(path.read_bytes())
     offset = len(MODEL_MAGIC) + 1 + 4 + 4 * 5  # magic, mode, depth, sizes
     blob[offset : offset + 64] = np.array([*mean, *std], dtype="<f8").tobytes()

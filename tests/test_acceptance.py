@@ -20,7 +20,6 @@ from cuphaptics import (
     ModelBasedEstimator,
     OracleEstimator,
     PressureFieldParams,
-    RmspropState,
     SearchConfig,
     SplitSpec,
     TrainConfig,
@@ -132,11 +131,10 @@ def test_c3_backprop_matches_finite_differences():
 
 
 def test_c4_rmsprop_scalar_oracle_and_step_size_convergence():
-    theta = [np.array([0.0])]
-    grads = [np.array([1.0])]
-    state = RmspropState.initial(theta, lr=0.01, rho=0.9, eps=1e-8)
-    theta, state = rmsprop_step(theta, grads, state)
-    first = float(theta[0][0])
+    theta, v = np.array([0.0]), np.zeros(1)
+    config = TrainConfig(lr=0.01, rho=0.9, eps=1e-8)
+    rmsprop_step(theta, np.array([1.0]), v, config)  # in place; the gradient is consumed
+    first = float(theta[0])
     closed_form = -0.01 / (math.sqrt(0.1) + 1e-8)
     oracle_ok = (
         abs(first - closed_form) <= 5e-7 * abs(closed_form)
@@ -144,9 +142,9 @@ def test_c4_rmsprop_scalar_oracle_and_step_size_convergence():
     )
     last_step = abs(first)
     for _ in range(199):
-        before = float(theta[0][0])
-        theta, state = rmsprop_step(theta, grads, state)
-        last_step = abs(float(theta[0][0]) - before)
+        before = float(theta[0])
+        rmsprop_step(theta, np.array([1.0]), v, config)
+        last_step = abs(float(theta[0]) - before)
     conv_ok = abs(last_step - 0.01) <= 0.01 * 0.01
     check(
         4,

@@ -106,7 +106,7 @@ class TestTrain:
     def test_model_file_loads(self, model_dir):
         model = load_model(model_dir / MODEL_FILENAME)
         assert model.layer_sizes == (4, 16, 32, 16, 2)
-        assert model.input_mode == "standardized"
+        assert model.stats is not None
 
     def test_same_seed_same_model_bytes(self, tmp_path, data_csv):
         args = [

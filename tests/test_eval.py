@@ -307,9 +307,7 @@ class TestClosedFormColumns:
 
 RAW_MODEL = init_model(4)
 STD_MODEL = init_model(
-    5,
-    input_mode="standardized",
-    stats=FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0)),
+    5, stats=FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0))
 )
 MODELS = {"raw": RAW_MODEL, "std": STD_MODEL}
 # A row every model scores: zero inputs give finite (zero) outputs.
@@ -354,8 +352,7 @@ class TestMlpColumns:
             (STD_MODEL, [np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0], "p_atm must be finite"),
             # A tiny spread sends the standardized inputs past the float range.
             (
-                init_model(6, input_mode="standardized",
-                           stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
+                init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
                 [1e10, 1e10, 1e10, 1e10, 1e10, 1.0, 10.0],
                 "inputs must be finite",
             ),

@@ -19,7 +19,6 @@ from cuphaptics import (
     MlpModel,
     ModelFormatError,
     PressureFieldParams,
-    RmspropState,
     SensorFrame,
     TrainConfig,
     angular_error,
@@ -38,7 +37,7 @@ from cuphaptics import (
     train,
     train_many,
 )
-from cuphaptics import SplitSpec
+from cuphaptics import SplitSpec, mlp
 from cuphaptics import split as split_samples
 from cuphaptics.mlp import CHUNK_ROWS, MODEL_MAGIC, _forward_batch, _outputs_chunked
 from cuphaptics.rng import substream
@@ -164,8 +163,10 @@ class TestForward:
 
 class TestEncoding:
     def test_cardinal_points(self):
-        assert target_encoding(Angle(0.0)) == pytest.approx((1.0, 0.0))
-        assert target_encoding(Angle(90.0)) == pytest.approx((0.0, 1.0), abs=1e-15)
+        targets = target_encoding(np.array([0.0, 90.0]))
+        assert targets.shape == (2, 2)
+        assert targets[0] == pytest.approx((1.0, 0.0))
+        assert targets[1] == pytest.approx((0.0, 1.0), abs=1e-15)
         assert decode_estimate((1.0, 0.0)).phi_pred.degrees == 0.0
         assert decode_estimate((0.0, 1.0)).phi_pred.degrees == 90.0
 
@@ -178,7 +179,7 @@ class TestEncoding:
 
     @given(st.floats(min_value=0.0, max_value=360.0, exclude_max=True))
     def test_decode_inverts_encode(self, phi):
-        decoded = decode_estimate(target_encoding(Angle(phi))).phi_pred
+        decoded = decode_estimate(target_encoding(np.array([phi]))[0]).phi_pred
         assert decoded is not None
         assert angular_error(decoded, Angle(phi)) < 1e-9
 
@@ -229,77 +230,70 @@ class TestBackward:
 
 
 class TestRmsprop:
+    """``rmsprop_step`` updates params and v in place and returns None."""
+
     def test_closed_form_first_step(self):
-        state = RmspropState.initial([np.array(0.0)], lr=0.01, rho=0.9, eps=1e-8)
-        params, state = rmsprop_step([np.array(0.0)], [np.array(1.0)], state)
-        assert float(state.v[0]) == pytest.approx(0.1)
+        params, v = np.array([0.0]), np.zeros(1)
+        config = TrainConfig(lr=0.01, rho=0.9, eps=1e-8)
+        assert rmsprop_step(params, np.array([1.0]), v, config) is None
+        assert float(v[0]) == pytest.approx(0.1)
         expected = -0.01 / (math.sqrt(0.1) + 1e-8)
         assert float(params[0]) == pytest.approx(expected, rel=1e-12)
         assert f"{float(params[0]):.6g}" == "-0.0316228"
 
     def test_zero_gradient_only_decays_v(self):
-        state = RmspropState(v=(np.array(0.5),), lr=0.01)
-        params, state2 = rmsprop_step([np.array(3.0)], [np.array(0.0)], state)
-        assert float(params[0]) == 3.0
-        assert float(state2.v[0]) == pytest.approx(0.45)
+        params, v = np.array(3.0), np.array(0.5)  # 0-d arrays update in place too
+        rmsprop_step(params, np.array(0.0), v, TrainConfig(lr=0.01))
+        assert float(params) == 3.0
+        assert float(v) == pytest.approx(0.45)
 
     def test_constant_gradient_step_converges_to_lr(self):
         lr = 1e-3
-        state = RmspropState.initial([np.array(0.0)], lr=lr)
-        theta = np.array(0.0)
+        config = TrainConfig(lr=lr)
+        theta, v = np.array([0.0]), np.zeros(1)
         last_delta = None
         for _ in range(200):
-            (new_theta,), state = rmsprop_step([theta], [np.array(1.0)], state)
-            last_delta = abs(float(new_theta - theta))
-            theta = new_theta
+            before = float(theta[0])
+            rmsprop_step(theta, np.array([1.0]), v, config)  # overwrites the gradient
+            last_delta = abs(float(theta[0]) - before)
         assert abs(last_delta - lr) <= 0.01 * lr
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ConfigError):
-            RmspropState.initial([np.array(0.0)], lr=0.0)
-        with pytest.raises(ConfigError):
-            RmspropState.initial([np.array(0.0)], rho=1.0)
-        with pytest.raises(ConfigError):
-            RmspropState.initial([np.array(0.0)], eps=0.0)
+        with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+            TrainConfig(lr=0.0)
+        with pytest.raises(ConfigError, match=r"rho must be in \(0, 1\)"):
+            TrainConfig(rho=1.0)
+        with pytest.raises(ConfigError, match="eps must be finite and > 0"):
+            TrainConfig(eps=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["lr", "rho", "eps"])
     def test_rejects_non_finite_hyperparameters(self, field, value):
         with pytest.raises(ConfigError):
-            RmspropState.initial([np.array(0.0)], **{field: value})
-        with pytest.raises(ConfigError):
             TrainConfig(**{field: value})
 
     def test_shape_mismatch_rejected(self):
-        state = RmspropState.initial([np.zeros(3)])
-        with pytest.raises(InvalidInputError):
-            rmsprop_step([np.zeros(3)], [np.zeros(2)], state)
-
-    def test_leaves_its_arguments_unchanged(self):
-        params, grads = [np.array([1.0, -2.0])], [np.array([0.5, 0.25])]
-        state = RmspropState(v=(np.array([0.1, 0.2]),), lr=0.01)
-        new_params, new_state = rmsprop_step(params, grads, state)
-        assert params[0].tolist() == [1.0, -2.0]
-        assert grads[0].tolist() == [0.5, 0.25]
-        assert state.v[0].tolist() == [0.1, 0.2]
-        assert new_params[0] is not params[0]
-        assert new_state.v[0] is not state.v[0]
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            rmsprop_step(np.zeros(3), np.zeros(2), np.zeros(3), TrainConfig())
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            rmsprop_step(np.zeros(3), np.zeros(3), np.zeros(2), TrainConfig())
 
     def test_matches_the_formula_bit_for_bit(self):
         rng = np.random.default_rng(7)
         p, g, v = rng.normal(size=50), rng.normal(size=50), rng.uniform(0.0, 2.0, 50)
-        state = RmspropState(v=(v,), lr=0.003, rho=0.85, eps=1e-7)
-        (new_p,), new_state = rmsprop_step([p], [g], state)
         v2 = 0.85 * v + (1.0 - 0.85) * g * g
-        assert new_state.v[0].tobytes() == v2.tobytes()
-        assert new_p.tobytes() == (p - 0.003 * g / (np.sqrt(v2) + 1e-7)).tobytes()
+        p2 = p - 0.003 * g / (np.sqrt(v2) + 1e-7)
+        rmsprop_step(p, g, v, TrainConfig(lr=0.003, rho=0.85, eps=1e-7))
+        assert v.tobytes() == v2.tobytes()
+        assert p.tobytes() == p2.tobytes()
 
     def test_overflowing_average_is_rejected(self):
-        state = RmspropState.initial([np.zeros(2)])
+        params = np.array([0.5, -0.5])
         # The overflow warning is silenced so the optimizer's error surfaces.
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidInputError, match=DIVERGED):
-                rmsprop_step([np.zeros(2)], [np.array([1e200, 1.0])], state)
+                rmsprop_step(params, np.array([1e200, 1.0]), np.zeros(2), TrainConfig())
+        assert params.tolist() == [0.5, -0.5]  # raised before the parameters moved
 
 
 def small_dataset(n=200, seed=4, noise=0.3):
@@ -348,9 +342,25 @@ class TestTrain:
             samples[60:],
             TrainConfig(max_epochs=3, patience=3, seed=0, standardize=False),
         )
-        assert model.input_mode == "raw"
         assert model.stats is None
         assert predict_angle(model, samples[0].frame) is not None
+
+    def test_training_runs_the_public_step(self, monkeypatch):
+        samples = small_dataset(n=70)
+        config = TrainConfig(batch_size=16, max_epochs=4, patience=1, seed=3)
+        plain, _ = train(samples[:50], samples[50:], config)
+        calls = []
+        step = mlp.rmsprop_step
+
+        def counting_step(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(mlp, "rmsprop_step", counting_step)
+        model, history = train(samples[:50], samples[50:], config)
+        # One step per mini-batch: ceil(50 / 16) = 4 per completed epoch.
+        assert len(calls) == 4 * len(history.train_loss)
+        assert model.params.tobytes() == plain.params.tobytes()
 
     def test_rejects_empty_sets(self):
         samples = small_dataset(n=10)
@@ -404,7 +414,6 @@ class TestTrainMany:
         for (train_set, val_set), seed, (model, history) in zip(folds, self.SEEDS, stacked):
             solo_model, solo_history = train(train_set, val_set, replace(config, seed=seed))
             assert model.params.tobytes() == solo_model.params.tobytes()
-            assert model.input_mode == solo_model.input_mode
             assert model.stats == solo_model.stats
             for name in ("train_loss", "val_loss", "val_rmse_deg"):
                 assert np.array(getattr(history, name)).tobytes() == (
@@ -468,7 +477,7 @@ class TestPredictAngle:
         model, _ = train(
             train_set, val_set, TrainConfig(max_epochs=100, patience=100, seed=5)
         )
-        assert model.input_mode == "standardized"
+        assert model.stats is not None
         for k in range(12):
             g = substream(777, k)
             pose = GroundTruthPose(
@@ -484,16 +493,19 @@ class TestPredictAngle:
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
-        model = init_model(31)
+        stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 2.0, 3.0, 4.0))
         path = tmp_path / "m.cupmlp"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.layer_sizes == model.layer_sizes
-        assert loaded.input_mode == "raw"
-        for a, b in zip(model.weights, loaded.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(model.biases, loaded.biases):
-            assert np.array_equal(a, b)
+        # An untrained model keeps the stats it is given, and so does its file.
+        for model in (init_model(31), init_model(31, stats=stats)):
+            save_model(model, path)
+            assert path.read_bytes()[len(MODEL_MAGIC)] == (model.stats is not None)
+            loaded = load_model(path)
+            assert loaded.layer_sizes == model.layer_sizes
+            assert loaded.stats == model.stats
+            for a, b in zip(model.weights, loaded.weights):
+                assert np.array_equal(a, b)
+            for a, b in zip(model.biases, loaded.biases):
+                assert np.array_equal(a, b)
 
     def test_round_trip_standardized(self, tmp_path):
         samples = small_dataset(n=60, seed=3)
@@ -502,10 +514,9 @@ class TestPersistence:
         )
         path = tmp_path / "m.cupmlp"
         save_model(model, path)
+        assert path.read_bytes()[len(MODEL_MAGIC)] == 1
         loaded = load_model(path)
-        assert loaded.input_mode == "standardized"
-        assert loaded.stats.mean == model.stats.mean
-        assert loaded.stats.std == model.stats.std
+        assert model.stats is not None and loaded.stats == model.stats
         out_a = predict_angle(model, samples[0].frame)
         out_b = predict_angle(loaded, samples[0].frame)
         assert out_a.degrees == out_b.degrees
@@ -532,7 +543,7 @@ class TestPersistence:
     def test_truncated_file_rejected(self, tmp_path, keep):
         stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 1.0, 1.0, 1.0))
         path = tmp_path / "m.cupmlp"
-        save_model(init_model(0, input_mode="standardized", stats=stats), path)
+        save_model(init_model(0, stats=stats), path)
         blob = path.read_bytes()
         assert len(blob) == 9_584
         path.write_bytes(blob[:keep])

@@ -191,6 +191,31 @@ class TestRunSearch:
             SearchConfig(estimator=OracleEstimator(), **{field: value})
 
 
+def one_cell_spec(**counts):
+    return BatchSpec((14.0,), (0.0,), (0.0,), (OracleEstimator(),), **counts)
+
+
+# The counts of every library config; each must be an integer, or the value
+# would only fail later with a bare TypeError (numpy's, for n_samples).
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"], ids=["fraction", "float", "str"])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (TrainConfig, "batch_size"),
+        (TrainConfig, "max_epochs"),
+        (TrainConfig, "patience"),
+        (lambda **kw: SearchConfig(estimator=OracleEstimator(), **kw), "max_steps"),
+        (one_cell_spec, "reps"),
+        (GenerationConfig, "n_samples"),
+    ],
+    ids=["batch_size", "max_epochs", "patience", "max_steps", "reps", "n_samples"],
+)
+def test_configs_reject_non_integer_counts(make, field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        make(**{field: value})
+    assert getattr(make(**{field: np.int64(3)}), field) == 3  # numpy integers pass
+
+
 def rows_a_rollout_at_a_time(spec, config, params):
     """``batch_search``'s rows built from ``run_search`` rollouts, seeded as it
     seeds them, and the rollouts themselves."""
@@ -302,7 +327,7 @@ class TestBatchSearch:
             GEOM, NOISELESS, GenerationConfig(n_samples=128, sampling="grid", seed=0)
         )
         model, _ = train(samples, samples, TrainConfig(max_epochs=40, patience=40, seed=1))
-        assert model.input_mode == "standardized"
+        assert model.stats is not None
         spec = BatchSpec(
             # 7 mm starts sealed; 30 mm, with every chamber off the plate,
             # gives the noiseless affine closed form no gradient; 18 mm seals
@@ -439,7 +464,7 @@ STATS = FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0))
 ESTIMATORS = {
     "model_based": ModelBasedEstimator(),
     "mlp_raw": MlpEstimator(init_model(4)),
-    "mlp_std": MlpEstimator(init_model(5, input_mode="standardized", stats=STATS)),
+    "mlp_std": MlpEstimator(init_model(5, stats=STATS)),
     "oracle": OracleEstimator(),
 }
 # Four equal chambers: the closed form has no direction to give.
@@ -489,8 +514,7 @@ class TestEstimateBatch:
              "p_ch4 = 150.0 kPa exceeds"),
             # A tiny spread sends the standardized inputs past the float range.
             (
-                MlpEstimator(init_model(6, input_mode="standardized",
-                                        stats=FeatureStats((0.0,) * 4, (1e-300,) * 4))),
+                MlpEstimator(init_model(6, stats=FeatureStats((0.0,) * 4, (1e-300,) * 4))),
                 [1e10, 1e10, 1e10, 1e10],
                 1e10,
                 "inputs must be finite",

@@ -17,15 +17,15 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from .core import SensorFrame, estimate_direction
+from .core import SensorFrame, _rmse, estimate_direction
 from .dataset import SplitSpec, read_csv, split, write_csv
 from .errors import ConfigError, CupHapticsError, InvalidInputError
 from .evaluate import (
     MLP_METHOD,
     MODEL_BASED_METHOD,
-    evaluate_mlp,
+    _columns,
+    _defined_errors,
     export_scatter,
-    rmse_deg,
     run_comparison,
 )
 from .mlp import (
@@ -120,8 +120,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
     model, history = train(train_set, val_set, config)
 
-    scored = [p for p in evaluate_mlp(model, val_set) if p.phi_pred is not None]
-    val_rmse = rmse_deg(scored) if scored else None
+    errors = _defined_errors(*_columns(MlpEstimator(model), val_set))
+    val_rmse = _rmse(errors) if len(errors) else None
     out = _out_dir(args)
     model_path = out / MODEL_FILENAME
     metadata = {
@@ -155,7 +155,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     samples = read_csv(args.data)
     seeds = _parse_seeds(args.seeds)
-    report, first_pairs = run_comparison(
+    report, first_columns = run_comparison(
         samples,
         SplitSpec(train_fraction=args.train_fraction, seed=seeds[0]),
         _train_config(args),
@@ -164,13 +164,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     report_path = out / REPORT_FILENAME
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
-    export_scatter(
-        {MLP_METHOD: first_pairs[MLP_METHOD]}, out / SCATTER_MLP_FILENAME
-    )
-    export_scatter(
-        {MODEL_BASED_METHOD: first_pairs[MODEL_BASED_METHOD]},
-        out / SCATTER_MODEL_BASED_FILENAME,
-    )
+    scatters = {MLP_METHOD: SCATTER_MLP_FILENAME, MODEL_BASED_METHOD: SCATTER_MODEL_BASED_FILENAME}
+    for method, name in scatters.items():
+        export_scatter({method: first_columns[method]}, out / name)
     print(f"wrote {report_path} and scatter CSVs for {len(seeds)} seed(s)")
     for summary in (report.mlp, report.model_based):
         print(

@@ -59,6 +59,10 @@ def angular_errors(pred_deg: np.ndarray, true_deg: np.ndarray) -> np.ndarray:
     return np.minimum(d, 360.0 - d)
 
 
+def _rmse(errors: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.square(errors))))
+
+
 def angular_error(a: Angle, b: Angle) -> float:
     """Wrap-aware separation between two angles, in degrees within [0, 180]."""
     return float(angular_errors(a.degrees, b.degrees))
@@ -127,13 +131,18 @@ class DirectionEstimate:
 
 
 def _yaw_deg(x: float, y: float) -> float:
-    """Polar angle of the direction (x, y) in degrees, as ``Angle`` stores it;
-    NaN when its norm is ~zero. A table maps this over its rows: numpy's
-    arctan2 and hypot differ from libm's in the last bit on some rows."""
+    """Polar angle of the direction (x, y) in degrees, before ``Angle`` or
+    ``_wrap_deg`` wraps it; NaN when its norm is ~zero. A table maps this over
+    its rows: numpy's arctan2 and hypot differ from libm's on some rows."""
     if not math.hypot(x, y) > EPS_ZERO:
         return math.nan
-    deg = math.degrees(math.atan2(y, x)) % 360.0
-    return 0.0 if deg == 360.0 else deg  # Angle's rule
+    return math.degrees(math.atan2(y, x))
+
+
+def _wrap_deg(deg: np.ndarray) -> np.ndarray:
+    """A new column of yaws in degrees, each as ``Angle`` stores it; NaN stays."""
+    wrapped = deg % 360.0
+    return np.where(wrapped == 360.0, 0.0, wrapped)  # Angle's rule
 
 
 def direction_angle(x: float, y: float) -> Angle | None:

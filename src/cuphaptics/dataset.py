@@ -27,12 +27,13 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Angle, GroundTruthPose, SensorFrame, frames_valid
+from .core import Angle, GroundTruthPose, SensorFrame, _wrap_deg, frames_valid
 from .errors import (
     ConfigError,
     CsvParseError,
     DegenerateChannelError,
     InvalidInputError,
+    require_count,
 )
 from .rng import SPLIT, substream
 
@@ -121,6 +122,7 @@ class SplitSpec:
         f = self.train_fraction
         if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 < f < 1.0):
             raise ConfigError(f"train_fraction must be in (0, 1), got {f!r}")
+        require_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ def read_csv(path: str | Path) -> Samples:
                     p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
                     ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
                     if (ok & (0.0 <= phi) & (phi <= 360.0)).all():
-                        table[:, 6] %= 360.0  # as Angle stores phi: 360 as 0, -0 as +0
+                        table[:, 6] = _wrap_deg(phi)  # 360 reads as 0, -0 as +0
                         return Samples(table)
             except (ValueError, csv.Error):
                 pass  # the row-by-row pass below names the bad line

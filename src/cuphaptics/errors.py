@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the count check of its configs."""
+"""Exception types shared across the package, and the integer check of its configs."""
 
 import operator
 
@@ -15,14 +15,14 @@ class ConfigError(CupHapticsError):
     """A configuration object or flag combination is unusable."""
 
 
-def require_count(name: str, value: object, minimum: int) -> None:
+def require_count(name: str, value: object, minimum: int | None = None) -> None:
     """Raise ConfigError unless ``value`` is an integer (``operator.index``
-    takes it) of at least ``minimum``."""
+    takes it) of at least ``minimum``, if one is given."""
     try:
         count = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
+    if minimum is not None and count < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {count}")
 
 

@@ -16,11 +16,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, angular_errors
+from .core import Angle, _rmse, _wrap_deg, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError
 from .mlp import MlpModel, TrainConfig, train_many
@@ -97,7 +97,7 @@ def _errors(pairs: Sequence[PredictionPair], metric: str) -> np.ndarray:
 
 def rmse_deg(pairs: Sequence[PredictionPair]) -> float:
     """sqrt(mean(angular_error^2)); every pair must carry a prediction."""
-    return float(np.sqrt(np.mean(np.square(_errors(pairs, "rmse_deg")))))
+    return _rmse(_errors(pairs, "rmse_deg"))
 
 
 def mae_deg(pairs: Sequence[PredictionPair]) -> float:
@@ -105,42 +105,48 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     return float(np.mean(_errors(pairs, "mae_deg")))
 
 
-def _pairs(estimator: Estimator, samples: Samples) -> list[PredictionPair]:
-    """Each row's true yaw and the estimator's answer, from one
-    ``estimate_batch`` call; a row the single-frame path rejects raises."""
-    phi = samples.phi_deg
-    yaws = estimator.estimate_batch(samples.p_ch, samples.table[:, 4:5], phi)
+def _columns(estimator: Estimator, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
+    """True yaws as ``Angle`` stores them, and ``estimate_batch``'s yaws (NaN where none)."""
+    yaws = estimator.estimate_batch(samples.p_ch, samples.table[:, 4:5], samples.phi_deg)
+    return _wrap_deg(samples.phi_deg), yaws
+
+
+def _defined_errors(phi_true: np.ndarray, phi_pred: np.ndarray) -> np.ndarray:
+    return angular_errors(phi_pred, phi_true)[~np.isnan(phi_pred)]
+
+
+def _pairs(phi_true: np.ndarray, phi_pred: np.ndarray) -> list[PredictionPair]:
     return [
         PredictionPair(phi_true=Angle(t), phi_pred=None if math.isnan(p) else Angle(p))
-        for t, p in zip(phi.tolist(), yaws.tolist())
+        for t, p in zip(phi_true.tolist(), phi_pred.tolist())
     ]
 
 
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
     """Pressure-difference estimate per sample, a column at a time; each
     answer equals ``estimate_direction`` on that row bit for bit."""
-    return _pairs(ModelBasedEstimator(), samples)
+    return _pairs(*_columns(ModelBasedEstimator(), samples))
 
 
 def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
     """Network estimate per sample, in one pass; each answer equals
     ``predict_angle`` on that row bit for bit."""
-    return _pairs(MlpEstimator(model), samples)
+    return _pairs(*_columns(MlpEstimator(model), samples))
 
 
-def _seed_metrics(method: str, seed: int, pairs: Sequence[PredictionPair]) -> SeedMetrics:
-    scored = [p for p in pairs if p.phi_pred is not None]
-    n_undefined = len(pairs) - len(scored)
-    if not scored:
+def _seed_metrics(method: str, seed: int, true: np.ndarray, pred: np.ndarray) -> SeedMetrics:
+    errors = _defined_errors(true, pred)
+    n_undefined = len(pred) - len(errors)
+    if not len(errors):
         raise ConfigError(
             f"{method} gives no direction on any of the {n_undefined} "
             f"validation rows under seed {seed}; its error is undefined"
         )
     return SeedMetrics(
         seed=seed,
-        rmse_deg=rmse_deg(scored),
-        mae_deg=mae_deg(scored),
-        n_scored=len(scored),
+        rmse_deg=_rmse(errors),
+        mae_deg=float(np.mean(errors)),
+        n_scored=len(errors),
         n_undefined=n_undefined,
     )
 
@@ -164,10 +170,10 @@ def run_comparison(
     split_spec: SplitSpec,
     train_config: TrainConfig,
     seeds: Sequence[int],
-) -> tuple[EvalReport, dict[str, list[PredictionPair]]]:
+) -> tuple[EvalReport, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Split, train, and score both methods once per seed; aggregate.
 
-    Also returns the first seed's per-sample pairs for scatter export.
+    Also returns the first seed's (true, predicted) yaw columns for scatter export.
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition. The seeds' networks
     train together in lockstep, each as ``train`` would train it alone.
@@ -176,39 +182,34 @@ def run_comparison(
         raise ConfigError("need at least one seed")
     folds = [split(samples, replace(split_spec, seed=seed)) for seed in seeds]
     trained = train_many(folds, train_config, seeds)
-    mlp_rows, mb_rows = [], []
-    first_pairs: dict[str, list[PredictionPair]] = {}
-    n_validation = 0
-    for i, (seed, (_, val_set), (model, _)) in enumerate(zip(seeds, folds, trained)):
-        mlp_pairs = evaluate_mlp(model, val_set)
-        mb_pairs = evaluate_model_based(val_set)
-        mlp_rows.append(_seed_metrics(MLP_METHOD, seed, mlp_pairs))
-        mb_rows.append(_seed_metrics(MODEL_BASED_METHOD, seed, mb_pairs))
-        if i == 0:
-            n_validation = len(val_set)
-            first_pairs = {MLP_METHOD: mlp_pairs, MODEL_BASED_METHOD: mb_pairs}
+    metrics, first = [], None  # each seed's metrics per method; the first seed's columns
+    for seed, (_, val_set), (model, _) in zip(seeds, folds, trained):
+        estimators = {MLP_METHOD: MlpEstimator(model), MODEL_BASED_METHOD: ModelBasedEstimator()}
+        columns = {method: _columns(est, val_set) for method, est in estimators.items()}
+        metrics.append({m: _seed_metrics(m, seed, *c) for m, c in columns.items()})
+        first = first or columns
     report = EvalReport(
         seeds=tuple(int(s) for s in seeds),
         n_samples=len(samples),
-        n_validation=n_validation,
+        n_validation=len(folds[0][1]),
         single_run=len(seeds) == 1,
-        mlp=_summarize(MLP_METHOD, mlp_rows),
-        model_based=_summarize(MODEL_BASED_METHOD, mb_rows),
+        mlp=_summarize(MLP_METHOD, [row[MLP_METHOD] for row in metrics]),
+        model_based=_summarize(MODEL_BASED_METHOD, [row[MODEL_BASED_METHOD] for row in metrics]),
     )
-    return report, first_pairs
+    return report, first
 
 
 def export_scatter(
-    results: Mapping[str, Iterable[PredictionPair]], path: str | Path
+    results: Mapping[str, tuple[np.ndarray, np.ndarray]], path: str | Path
 ) -> None:
-    """Write defined predictions as `phi_true_deg,phi_pred_deg,method` rows."""
+    """Write the defined (non-NaN) predictions as `phi_true_deg,phi_pred_deg,method` rows."""
     write_table(
         path,
         ("phi_true_deg", "phi_pred_deg", "method"),
         (
-            (pair.phi_true.degrees, pair.phi_pred.degrees, method)
-            for method, pairs in results.items()
-            for pair in pairs
-            if pair.phi_pred is not None
+            (t, p, method)
+            for method, (phi_true, phi_pred) in results.items()
+            for t, p in zip(phi_true.tolist(), phi_pred.tolist())
+            if not math.isnan(p)
         ),
     )

@@ -50,6 +50,7 @@ from .core import (
     Angle,
     DirectionEstimate,
     SensorFrame,
+    _rmse,
     angular_errors,
     direction_angle,
 )
@@ -132,6 +133,7 @@ class TrainConfig:
         require_count("batch_size", self.batch_size, 1)
         require_count("max_epochs", self.max_epochs, 1)
         require_count("patience", self.patience, 0)
+        require_count("seed", self.seed)
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.rho < 1.0:
@@ -401,8 +403,7 @@ class _SeedRun:
         val_rmse = math.nan
         if defined.any():
             pred = np.degrees(np.arctan2(val_out[defined, 1], val_out[defined, 0]))
-            err = angular_errors(pred % 360.0, self.phi_val[defined])
-            val_rmse = float(np.sqrt(np.mean(err**2)))
+            val_rmse = _rmse(angular_errors(pred % 360.0, self.phi_val[defined]))
         self.val_loss.append(val_loss)
         self.val_rmse.append(val_rmse)
         if val_loss < self.best_val:

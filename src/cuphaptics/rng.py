@@ -2,13 +2,15 @@
 
 Every stream is PCG64 seeded by ``SeedSequence(seed mod 2**64,
 spawn_key=(purpose, *index))``, as numpy keys child streams, so any
-Python int is a seed. The purpose names a stream's use: one seed never
-feeds two uses, and no two seeds share a stream. A flat
+integer is a seed, a numpy one too. The purpose names a stream's use: one
+seed never feeds two uses, and no two seeds share a stream. A flat
 ``SeedSequence((seed, purpose, ...))`` would read seed ``s + 2**32 * b``
 as ``(s, b)``, and ``(s, p)`` as ``(s, p, 0)``.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -25,7 +27,7 @@ SEARCH_STEP = 7  # search: rollout seeds of a grid, and each step's noise
 
 
 def _bits(seed: int, purpose: int, *index: int) -> np.random.PCG64:
-    key = np.random.SeedSequence(seed & _MASK64, spawn_key=(purpose, *index))
+    key = np.random.SeedSequence(operator.index(seed) & _MASK64, spawn_key=(purpose, *index))
     return np.random.PCG64(key)
 
 

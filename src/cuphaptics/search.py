@@ -37,6 +37,7 @@ from .core import (
     GroundTruthPose,
     SensorFrame,
     _model_direction_columns,
+    _wrap_deg,
     _yaw_deg,
     estimate_direction,
     frames_valid,
@@ -88,7 +89,7 @@ def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], obje
         frame, _ = SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm_i), Angle(phi_deg[i])
         estimate(frame)
         raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
-    return np.fromiter(map(_yaw_deg, x.tolist(), y.tolist()), float, count=len(x))
+    return _wrap_deg(np.fromiter(map(_yaw_deg, x.tolist(), y.tolist()), float, count=len(x)))
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,7 @@ class SearchConfig:
         if not 0.0 < self.step_size_mm < math.inf:
             raise ConfigError(f"step_size_mm must be finite and > 0, got {self.step_size_mm}")
         require_count("max_steps", self.max_steps, 1)
+        require_count("seed", self.seed)
         if not 0.0 <= self.success_delta_mm < math.inf:
             raise ConfigError(
                 f"success_delta_mm must be finite and >= 0, got {self.success_delta_mm}"
@@ -248,6 +250,7 @@ class BatchSpec:
         ):
             raise ConfigError("batch grid must be non-empty on every axis")
         require_count("reps", self.reps, 1)
+        require_count("seed", self.seed)
 
 
 @dataclass(frozen=True)

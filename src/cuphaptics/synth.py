@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame
+from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame, _wrap_deg
 from .dataset import CSV_COLUMNS, Samples
 from .errors import ConfigError, InvalidInputError, require_count
 from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
@@ -97,6 +97,7 @@ class GenerationConfig:
 
     def __post_init__(self) -> None:
         require_count("n_samples", self.n_samples, 1)
+        require_count("seed", self.seed)
         d_lo, d_hi = self.delta_range_mm
         if not (0.0 <= d_lo <= d_hi):
             raise ConfigError(f"bad delta_range_mm {self.delta_range_mm}")
@@ -202,7 +203,7 @@ def generate_dataset(
     else:
         delta = substream(seed, DATASET_DELTA).uniform(d_lo, d_hi, size=n)
         phi = substream(seed, DATASET_PHI).uniform(p_lo, p_hi, size=n)
-    phi[phi == 360.0] = 0.0  # as Angle wraps it; every phi is in [0, 360]
+    phi = _wrap_deg(phi)  # every phi is in [0, 360]: 360 becomes 0
     noise = sensor_noise(params, substream(seed, DATASET_NOISE), (n, 4))
     p_ch = _chamber_pressures(geom, params, delta, phi, noise)
     if not (p_ch >= 0.0).all():  # SensorFrame's rules: the cap holds the top

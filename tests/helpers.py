@@ -105,3 +105,11 @@ def write_model_with_sizes(path, sizes, standardized):
         stats = np.array([0.0] * sizes[0] + [1.0] * sizes[0], dtype="<f8").tobytes()
         head = blob[:mode] + b"\x01" + blob[mode + 1 : header]
         path.write_bytes(head + stats + blob[header:])
+
+
+def equal_chamber_rows(n):
+    """An (n, 7) table whose rows hold four equal chambers, at a level that
+    varies across rows, so every channel has spread but no row a direction."""
+    level = np.linspace(90.0, 100.0, n)
+    phi = np.linspace(0.0, 350.0, n)
+    return np.column_stack([level] * 4 + [np.full(n, 101.325), np.full(n, 1.0), phi])

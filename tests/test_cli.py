@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from cuphaptics import load_model
+from cuphaptics import Samples, load_model, write_csv
 from helpers import (
+    equal_chamber_rows,
     write_model_with_nan_param,
     write_model_with_sizes,
     write_model_with_stats,
@@ -234,6 +235,20 @@ class TestCompare:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "model_based" in err and "seed 4" in err and "12 validation rows" in err
         assert not out.exists()
+
+    def test_rows_without_any_direction_are_usage_error(self, tmp_path, capsys):
+        # four equal chambers on every row, at a level that varies across rows
+        data = tmp_path / "equal.csv"
+        write_csv(Samples(equal_chamber_rows(40)), data)
+        out = tmp_path / "out"
+        code = main(
+            ["compare", "--data", str(data), "--seeds", "3"]
+            + ["--epochs", "2", "--out-dir", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model_based gives no direction on any of the 8 ")
+        assert "under seed 3" in err and not out.exists()
 
 
 def read_search_rows(path):

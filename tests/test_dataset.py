@@ -17,7 +17,6 @@ from cuphaptics import (
     GroundTruthPose,
     InvalidInputError,
     LabeledSample,
-    PredictionPair,
     PressureFieldParams,
     Samples,
     SensorFrame,
@@ -456,13 +455,14 @@ class TestWrittenBytes:
         assert path.read_bytes() == per_cell_bytes(HEADER.split(","), rows)
 
     def test_export_scatter(self, tmp_path):
-        pairs = [PredictionPair(phi_true=Angle(v), phi_pred=Angle(v / 3.0)) for v in TRICKY]
+        true = np.array(TRICKY)
+        results = {"model_based": (true, true / 3.0), "mlp": (true[:2], true[:2] / 3.0)}
         path = tmp_path / "s.csv"
-        export_scatter({"model_based": pairs, "mlp": pairs[:2]}, path)
+        export_scatter(results, path)
         want = [
-            (p.phi_true.degrees, p.phi_pred.degrees, method)
-            for method, chosen in (("model_based", pairs), ("mlp", pairs[:2]))
-            for p in chosen
+            (t, p, method)
+            for method, (phi_true, phi_pred) in results.items()
+            for t, p in zip(phi_true.tolist(), phi_pred.tolist())
         ]
         assert path.read_bytes() == per_cell_bytes(
             ("phi_true_deg", "phi_pred_deg", "method"), want

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from cuphaptics import (
     predict_angle,
     rmse_deg,
     run_comparison,
+    split,
     train,
 )
 from cuphaptics.mlp import _outputs_by_row
+from helpers import equal_chamber_rows
 
 GEOM = CupGeometry()
 
@@ -44,6 +47,13 @@ def pair(pred, true):
     return PredictionPair(
         phi_true=Angle(true), phi_pred=None if pred is None else Angle(pred)
     )
+
+
+def columns_of(pairs):
+    """The ``(phi_true_deg, phi_pred_deg)`` columns of these pairs, NaN for None."""
+    true = np.array([p.phi_true.degrees for p in pairs])
+    pred = np.array([math.nan if p.phi_pred is None else p.phi_pred.degrees for p in pairs])
+    return true, pred
 
 
 class TestRmse:
@@ -181,17 +191,27 @@ class TestCompare:
         with pytest.raises(ConfigError):
             run_comparison(samples, SplitSpec(), quick_config(), seeds=[])
 
+    def test_estimator_without_any_direction_on_a_fold(self):
+        # Four equal chambers on every row: the closed form has no direction.
+        samples = Samples(equal_chamber_rows(40))
+        message = (
+            "model_based gives no direction on any of the 8 validation rows "
+            "under seed 3; its error is undefined"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_comparison(samples, SplitSpec(), quick_config(), seeds=[3])
+
 
 class TestExportScatter:
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "s.csv"
-        export_scatter({"mlp": []}, path)
+        export_scatter({"mlp": (np.array([]), np.array([]))}, path)
         assert path.read_text() == "phi_true_deg,phi_pred_deg,method\n"
 
     def test_row_count_is_defined_predictions(self, tmp_path):
-        pairs = [pair(10.0, 12.0), pair(None, 50.0), pair(200.0, 199.0)]
+        columns = (np.array([12.0, 50.0, 199.0]), np.array([10.0, math.nan, 200.0]))
         path = tmp_path / "s.csv"
-        export_scatter({"model_based": pairs}, path)
+        export_scatter({"model_based": columns}, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 3  # header + 2 defined
         assert lines[1].endswith(",model_based")
@@ -202,7 +222,7 @@ class TestExportScatter:
         )
         pairs = evaluate_model_based(samples)
         path = tmp_path / "s.csv"
-        export_scatter({"model_based": pairs}, path)
+        export_scatter({"model_based": columns_of(pairs)}, path)
         lines = path.read_text().splitlines()[1:]
         for line, p in zip(lines, [q for q in pairs if q.phi_pred is not None]):
             true_s, pred_s, method = line.split(",")
@@ -417,9 +437,42 @@ class TestRunComparison:
             samples, SplitSpec(), quick_config(), seeds=[9, 10]
         )
         n_val = report.n_validation
-        assert len(first["mlp"]) == n_val
-        assert len(first["model_based"]) == n_val
+        assert [len(column) for column in first["mlp"]] == [n_val, n_val]
+        assert [len(column) for column in first["model_based"]] == [n_val, n_val]
         # both evaluated on the same fold: identical truth sequence
-        truths_mlp = [p.phi_true.degrees for p in first["mlp"]]
-        truths_mb = [p.phi_true.degrees for p in first["model_based"]]
+        truths_mlp = first["mlp"][0].tolist()
+        truths_mb = first["model_based"][0].tolist()
         assert truths_mlp == truths_mb
+
+    def test_columns_and_metrics_equal_the_public_pairs(self):
+        # Yaws moved by +-360 deg read back wrapped, as Angle stores them; rows
+        # with four equal chambers give the closed form no direction (NaN).
+        table = generate_dataset(
+            GEOM, PressureFieldParams(), GenerationConfig(n_samples=200, seed=5)
+        ).table.copy()
+        table[0::4, 6] += 360.0
+        table[1::4, 6] -= 360.0
+        table[2::10, 0:4] = table[2::10, 0:1]
+        samples, config, seeds = Samples(table), quick_config(), [9, 10]
+        report, first = run_comparison(samples, SplitSpec(), config, seeds)
+        for i, seed in enumerate(seeds):
+            train_set, val_set = split(samples, SplitSpec(seed=seed))
+            model, _ = train(train_set, val_set, replace(config, seed=seed))
+            public = {
+                "mlp": evaluate_mlp(model, val_set),
+                "model_based": evaluate_model_based(val_set),
+            }
+            for method, pairs in public.items():
+                true, pred = columns_of(pairs)
+                if i == 0:  # the returned columns, bit for bit
+                    assert first[method][0].tobytes() == true.tobytes()
+                    assert first[method][1].tobytes() == pred.tobytes()
+                scored = [p for p in pairs if p.phi_pred is not None]
+                row = getattr(report, method).per_seed[i]
+                assert row.rmse_deg == rmse_deg(scored)
+                assert row.mae_deg == mae_deg(scored)
+                assert (row.n_scored, row.n_undefined) == (len(scored), len(pairs) - len(scored))
+            if i == 0:  # the first fold holds both kinds of row
+                phi = val_set.phi_deg
+                assert ((phi < 0.0) | (phi >= 360.0)).any()
+                assert np.isnan(first["model_based"][1]).any()

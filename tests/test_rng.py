@@ -60,6 +60,12 @@ class TestSubstream:
     def test_any_int_seed_is_masked_to_64_bits(self, seed):
         assert head(substream(seed, SPLIT)) == head(substream(seed % 2**64, SPLIT))
 
+    @pytest.mark.parametrize("seed", [np.int64(-1), np.int64(3), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_keys_as_its_int(self, seed):
+        # the configs take numpy integers as seeds; `&` on one would overflow
+        assert head(substream(seed, SPLIT)) == head(substream(int(seed), SPLIT))
+        assert derive_seed(seed, SPLIT, 2) == derive_seed(int(seed), SPLIT, 2)
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             substream(0, SEARCH_STEP, -1)

@@ -30,7 +30,7 @@ from cuphaptics import (
     train,
     write_batch_csv,
 )
-from cuphaptics import GenerationConfig, Samples
+from cuphaptics import GenerationConfig, Samples, SplitSpec
 from cuphaptics.rng import SEARCH_STEP, derive_seed
 
 GEOM = CupGeometry()
@@ -195,8 +195,9 @@ def one_cell_spec(**counts):
     return BatchSpec((14.0,), (0.0,), (0.0,), (OracleEstimator(),), **counts)
 
 
-# The counts of every library config; each must be an integer, or the value
-# would only fail later with a bare TypeError (numpy's, for n_samples).
+# The counts and seeds of every library config; each must be an integer, or
+# the value would only fail later with a bare TypeError (numpy's, for
+# n_samples; the random streams', for a seed).
 @pytest.mark.parametrize("value", [2.5, 3.0, "3"], ids=["fraction", "float", "str"])
 @pytest.mark.parametrize(
     "make, field",
@@ -207,8 +208,16 @@ def one_cell_spec(**counts):
         (lambda **kw: SearchConfig(estimator=OracleEstimator(), **kw), "max_steps"),
         (one_cell_spec, "reps"),
         (GenerationConfig, "n_samples"),
+        (GenerationConfig, "seed"),
+        (SplitSpec, "seed"),
+        (TrainConfig, "seed"),
+        (lambda **kw: SearchConfig(estimator=OracleEstimator(), **kw), "seed"),
+        (one_cell_spec, "seed"),
     ],
-    ids=["batch_size", "max_epochs", "patience", "max_steps", "reps", "n_samples"],
+    ids=[
+        "batch_size", "max_epochs", "patience", "max_steps", "reps", "n_samples",
+        "generation_seed", "split_seed", "train_seed", "search_seed", "batch_seed",
+    ],
 )
 def test_configs_reject_non_integer_counts(make, field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):

@@ -36,14 +36,14 @@ def _as_finite(value: object, what: str) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Angle:
     """An angle in degrees, stored normalized to [0, 360)."""
 
     degrees: float
 
-    def __post_init__(self) -> None:
-        wrapped = _as_finite(self.degrees, "angle") % 360.0
+    def __init__(self, degrees: float) -> None:
+        wrapped = _as_finite(degrees, "angle") % 360.0
         if wrapped == 360.0:  # fmod of a tiny negative can round up to 360
             wrapped = 0.0
         object.__setattr__(self, "degrees", wrapped)
@@ -68,7 +68,7 @@ def angular_error(a: Angle, b: Angle) -> float:
     return float(angular_errors(a.degrees, b.degrees))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorFrame:
     """One reading: four chamber absolute pressures plus ambient, in kPa."""
 
@@ -107,7 +107,7 @@ def frames_valid(p_ch: np.ndarray, p_atm: float | np.ndarray) -> np.ndarray:
     return (ok & (p_ch <= p_atm + PRESSURE_TOLERANCE_KPA)).all(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthPose:
     """True lateral offset (mm) and yaw of the desired motion direction."""
 
@@ -121,7 +121,7 @@ class GroundTruthPose:
         object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectionEstimate:
     """Predicted motion vector (x along x_tool, y along y_tool), with its yaw
     when the vector is non-zero."""

@@ -12,18 +12,21 @@ The on-disk format is a plain CSV with the exact header
 
 comma-separated, '.' decimal point, UTF-8, LF line endings, one row per
 sample, numbers printed with 9 significant digits. Round trips are
-lossless at that precision. ``read_csv`` checks the values a column at a
-time and names the earliest bad line of a bad file.
+lossless at that precision. ``read_csv`` parses with numpy's C reader and
+checks the values a column at a time; the csv module's row pass reads what
+that cannot vouch for and names the earliest bad line of a bad file.
 """
 
 from __future__ import annotations
 
-import array
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +51,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     """One sensor frame paired with the pose that produced it."""
 
@@ -148,33 +151,40 @@ class FeatureStats:
         object.__setattr__(self, "std", std)
 
 
-def _lines(rows: Iterable[Sequence[float | str]]) -> Iterator[str]:
-    """Format each row with one %-format built from the first row's cell types."""
-    fmt = ""
-    for row in rows:
-        if not fmt:
-            fmt = ",".join("%s" if isinstance(v, str) else "%.9g" for v in row) + "\n"
-        yield fmt % tuple(row)
+BLOCK_ROWS = 1024  # rows per %-format call; a block's buffers stay under 128 KiB
 
 
 def write_table(
-    path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[float | str]]
+    path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[float | str]] | np.ndarray
 ) -> None:
     """Write a header and comma-separated rows, UTF-8 with LF line endings.
 
-    Numbers are printed with 9 significant digits; strings are written as
-    given. Each column holds numbers or strings throughout, as in the
-    first row. Rows are written one at a time as they are formatted.
-    Every CSV the package writes goes through here.
+    Numbers are printed with 9 significant digits, strings as given. Each
+    column holds numbers or strings throughout, as in the first row, and
+    every row has its length. One %-format formats a block of rows, an
+    array's without per-row objects. Every CSV the package writes goes here.
     """
+    it = iter(rows)
+    blocks = iter(lambda: list(islice(it, BLOCK_ROWS)), [])
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[i : i + BLOCK_ROWS] for i in range(0, len(rows), BLOCK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(_lines(rows))
+        fmt = ""
+        for block in blocks:
+            fmt = fmt or ",".join("%s" if isinstance(v, str) else "%.9g" for v in block[0]) + "\n"
+            if isinstance(block, np.ndarray):
+                cells = block.ravel().tolist()
+            elif {len(row) for row in block} == {fmt.count("%")}:
+                cells = [*chain.from_iterable(block)]
+            else:
+                raise TypeError(f"every row must have {fmt.count('%')} cells, like the first row")
+            fh.write((fmt * len(block)) % tuple(cells))
 
 
 def write_csv(samples: Samples, path: str | Path) -> None:
     """Write samples to ``path`` in the package CSV schema."""
-    write_table(path, CSV_COLUMNS, (row.tolist() for row in samples.table))
+    write_table(path, CSV_COLUMNS, samples.table)
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -189,8 +199,9 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     return value
 
 
-def _raise_first_bad_row(reader: Iterator[list[str]]) -> NoReturn:
-    """Check the rows after the header one by one; raise at the first bad line."""
+def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
+    """Check the rows after the header one by one; their table, or raise at the first bad line."""
+    rows = []
     end = reader.line_num
     for row in reader:
         line_no, end = end + 1, reader.line_num  # a quoted cell may span lines
@@ -211,51 +222,61 @@ def _raise_first_bad_row(reader: Iterator[list[str]]) -> NoReturn:
             GroundTruthPose(delta=values[5], phi=Angle(phi))
         except InvalidInputError as exc:
             raise CsvParseError(str(exc), line=line_no) from exc
-    raise CsvParseError("the file changed while it was read")
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+
+
+def _numpy_rows(raw: bytes) -> np.ndarray | None:
+    """The rows after the header by numpy's C reader; None where only the csv pass can tell."""
+    if re.fullmatch(rb"[^\r\n]*[\r\n]*", raw):
+        return np.empty((0, len(CSV_COLUMNS)))  # no row after the header; numpy would warn
+    step = max(csv.field_size_limit() // 2, 1)  # a longer line holds a whole step-byte window
+    windows = (raw[i : i + step] for i in range(0, len(raw) - step + 1, step))
+    if any(b"\n" not in window and b"\r" not in window for window in windows):
+        return None  # a window without a line end: the csv pass checks the field size
+    if any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
+        return None  # numpy strips \x1c-\x1f around a number; float() does not
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    try:  # float64 cells, each with float()'s bits
+        table = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except ValueError:  # UnicodeDecodeError too: the csv pass raises it at its line
+        return None
+    if table.shape[1] != len(CSV_COLUMNS):
+        return None
+    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
+    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
+    return table if (ok & (0.0 <= phi) & (phi <= 360.0)).all() else None
 
 
 def read_csv(path: str | Path) -> Samples:
     """Read a dataset CSV, validating the header and every cell.
 
     ``phi_deg`` must lie in [0, 360]; an exact 360 (a 9-significant-digit
-    rounding artifact of values just below the wrap) reads back as 0. A
-    file with any bad row is read again row by row, so the error names the
-    earliest bad line and its cell.
+    rounding artifact of values just below the wrap) reads back as 0. The
+    file is read once. Rows the numpy pass cannot vouch for are read by the
+    csv module one by one, which names the earliest bad line and its cell.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()  # decoded lazily below, in the lines open(path, newline="") gives
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise CsvParseError("empty file: missing header", line=1)
-            if tuple(header) != CSV_COLUMNS:
-                raise CsvParseError(
-                    f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
-                    line=1,
-                )
-            values = array.array("d")
-            try:
-                for row in reader:
-                    if row and len(row) != len(CSV_COLUMNS):
-                        break
-                    values.extend(map(float, row))  # a blank line adds nothing
-                else:
-                    table = np.frombuffer(values).reshape(-1, len(CSV_COLUMNS))
-                    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
-                    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
-                    if (ok & (0.0 <= phi) & (phi <= 360.0)).all():
-                        table[:, 6] = _wrap_deg(phi)  # 360 reads as 0, -0 as +0
-                        return Samples(table)
-            except (ValueError, csv.Error):
-                pass  # the row-by-row pass below names the bad line
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            _raise_first_bad_row(reader)
+        header = next(reader, None)
+        if header is None:
+            raise CsvParseError("empty file: missing header", line=1)
+        if tuple(header) != CSV_COLUMNS:
+            raise CsvParseError(
+                f"bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}",
+                line=1,
+            )
+        table = _numpy_rows(raw)
+        if table is None:
+            table = _csv_rows(reader)
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise CsvParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
+    table[:, 6] = _wrap_deg(table[:, 6])  # 360 reads as 0, -0 as +0
+    return Samples(table)
 
 
 def split(samples: Samples, spec: SplitSpec) -> tuple[Samples, Samples]:

@@ -15,8 +15,8 @@ class ConfigError(CupHapticsError):
     """A configuration object or flag combination is unusable."""
 
 
-def require_count(name: str, value: object, minimum: int | None = None) -> None:
-    """Raise ConfigError unless ``value`` is an integer (``operator.index``
+def require_count(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as an int; ConfigError unless it is an integer (``operator.index``
     takes it) of at least ``minimum``, if one is given."""
     try:
         count = operator.index(value)
@@ -24,6 +24,7 @@ def require_count(name: str, value: object, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and count < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 class CsvParseError(CupHapticsError):

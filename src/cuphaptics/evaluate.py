@@ -30,7 +30,7 @@ MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionPair:
     """One scored sample: the true yaw and the (possibly absent) prediction."""
 

@@ -2,17 +2,17 @@
 
 Every stream is PCG64 seeded by ``SeedSequence(seed mod 2**64,
 spawn_key=(purpose, *index))``, as numpy keys child streams, so any
-integer is a seed, a numpy one too. The purpose names a stream's use: one
-seed never feeds two uses, and no two seeds share a stream. A flat
-``SeedSequence((seed, purpose, ...))`` would read seed ``s + 2**32 * b``
-as ``(s, b)``, and ``(s, p)`` as ``(s, p, 0)``.
+integer is a seed, a numpy one too, and any other seed a ConfigError. The
+purpose names a stream's use: one seed never feeds two uses, and no two
+seeds share a stream. A flat ``SeedSequence((seed, purpose, ...))`` would
+read seed ``s + 2**32 * b`` as ``(s, b)``, and ``(s, p)`` as ``(s, p, 0)``.
 """
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .errors import require_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,8 +27,8 @@ SEARCH_STEP = 7  # search: rollout seeds of a grid, and each step's noise
 
 
 def _bits(seed: int, purpose: int, *index: int) -> np.random.PCG64:
-    key = np.random.SeedSequence(operator.index(seed) & _MASK64, spawn_key=(purpose, *index))
-    return np.random.PCG64(key)
+    seed = require_count("seed", seed) & _MASK64  # a non-integer seed is a ConfigError
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(purpose, *index)))
 
 
 def substream(seed: int, purpose: int, *index: int) -> np.random.Generator:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,8 @@ from cuphaptics import (
     DirectionEstimate,
     GroundTruthPose,
     InvalidInputError,
+    LabeledSample,
+    PredictionPair,
     SensorFrame,
     angular_error,
     angular_errors,
@@ -219,3 +222,66 @@ class TestGroundTruthPose:
 
     def test_zero_delta_fine(self):
         assert GroundTruthPose(delta=0.0, phi=Angle(5.0)).delta == 0.0
+
+
+def per_row_values():
+    """One instance of each per-row value type, and a field value to replace."""
+    frame = SensorFrame(p_ch=(91.3, 96.3, 96.2, 91.4), p_atm=101.325)
+    pose = GroundTruthPose(delta=9.5, phi=Angle(123.0))
+    cases = [
+        (Angle(370.0), "degrees", 20.0),
+        (frame, "p_atm", 102.0),
+        (pose, "delta", 1.0),
+        (DirectionEstimate(v_pred=(1.0, 0.0), phi_pred=Angle(0.0)), "phi_pred", None),
+        (LabeledSample(frame=frame, pose=pose), "pose", GroundTruthPose(0.0, Angle(1.0))),
+        (PredictionPair(phi_true=Angle(1.0), phi_pred=None), "phi_pred", Angle(2.0)),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("value, field, other", per_row_values())
+class TestPerRowValueTypes:
+    def test_slotted_without_instance_dict(self, value, field, other):
+        assert not hasattr(value, "__dict__")
+        assert "__slots__" in vars(type(value))
+
+    def test_assignment_is_refused(self, value, field, other):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+        # A new name is refused too; for a frozen slotted dataclass CPython
+        # (3.10 to 3.13) raises TypeError from the frozen __setattr__ there.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.extra = 1
+
+    def test_equality_hash_and_replace(self, value, field, other):
+        twin = dataclasses.replace(value)
+        assert twin == value and twin is not value
+        assert hash(twin) == hash(value)
+        changed = dataclasses.replace(value, **{field: other})
+        assert changed != value
+        assert dataclasses.replace(changed, **{field: getattr(value, field)}) == value
+
+
+class TestAngleConstruction:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("x", "angle must be a real number, got 'x'"),
+            (math.inf, "angle must be finite, got inf"),
+            (math.nan, "angle must be finite, got nan"),
+        ],
+    )
+    def test_error_texts(self, bad, message):
+        with pytest.raises(InvalidInputError) as exc_info:
+            Angle(bad)
+        assert str(exc_info.value) == message
+
+    def test_tiny_negative_wraps_to_zero_not_360(self):
+        assert Angle(-1e-300).degrees == 0.0
+        assert dataclasses.replace(Angle(5.0), degrees=-1e-300).degrees == 0.0
+
+    def test_keyword_and_positional_forms_agree(self):
+        assert Angle(degrees=-90) == Angle(-90) == Angle(270.0)
+        assert type(Angle(np.float64(12.5)).degrees) is float

@@ -29,7 +29,7 @@ from cuphaptics import (
     write_batch_csv,
     write_csv,
 )
-from cuphaptics.dataset import write_table
+from cuphaptics.dataset import BLOCK_ROWS, write_table
 from cuphaptics.mlp import _standardize
 from helpers import samples_of
 
@@ -445,6 +445,98 @@ class TestCsvRejection:
         assert exc_info.value.line == 3
 
 
+def good_table(n):
+    """The bytes of the table ``read_csv`` returns for n rows of GOOD_ROW's values."""
+    return np.array([[float(v) for v in GOOD_ROW.split(",")]] * n).tobytes()
+
+
+# A valid 7-field row whose first cell is a 200,001-character number (91.3).
+LONG_NUMBER_ROW = "91.3" + "0" * 199_997 + GOOD_ROW[GOOD_ROW.index(","):]
+
+# How a dataset's numbers may be printed: as the writer prints them, as
+# repr does, and with 17 digits.
+cell_format = st.sampled_from(["%.9g", "%r", "%.17g"])
+
+
+@st.composite
+def valid_rows(draw):
+    """Rows of a valid dataset, as float cells, each printed in a drawn format."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(n):
+        p_atm = draw(st.floats(0.0, 1e6))
+        p_ch = [draw(st.floats(0.0, p_atm)) for _ in range(4)]
+        delta = draw(st.floats(0.0, 1e300))
+        phi = draw(st.floats(0.0, 360.0))
+        rows.append([draw(cell_format) % v for v in (*p_ch, p_atm, delta, phi)])
+    return rows
+
+
+class TestCsvAcceptsWhatTheRowPassAccepts:
+    """Files the csv module and ``float`` accept read as they do, cell for cell,
+    and files they reject fail with the same error, whichever parser runs."""
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            (HEADER + "\n" + GOOD_ROW.replace("91.3", '"91.3"', 1) + "\n", 1),
+            (HEADER + "\r" + GOOD_ROW + "\r" + GOOD_ROW + "\r", 2),
+            (HEADER + "\r\n" + GOOD_ROW + "\r\n" + GOOD_ROW + "\r\n", 2),
+            (HEADER + "\n" + GOOD_ROW.replace("101.325", "101.3_25") + "\n", 1),
+            (HEADER + "\n" + GOOD_ROW.replace("123", "\uff11\uff12\uff13") + "\n", 1),
+            (HEADER + "\n" + GOOD_ROW.replace("123", "\xa0123\u3000") + "\n", 1),
+            # over 65,536 bytes, half the field limit, without a "\n"
+            (HEADER + "\r" + (GOOD_ROW + "\r") * 2_000, 2_000),
+        ],
+        ids=["quoted-cell", "cr-line-ends", "crlf-line-ends", "underscore", "full-width",
+             "unicode-space", "cr-line-ends-over-half-the-field-limit"],
+    )
+    def test_reads_what_csv_and_float_read(self, tmp_path, text, n):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_csv(path).table.tobytes() == good_table(n)
+
+    def test_number_over_the_csv_field_limit(self, tmp_path):
+        path = write_rows(tmp_path / "long.csv", GOOD_ROW, LONG_NUMBER_ROW)
+        with pytest.raises(CsvParseError, match="field limit") as exc_info:
+            read_csv(path)
+        assert exc_info.value.line == 3
+
+    def test_whitespace_only_line(self, tmp_path):
+        path = write_rows(tmp_path / "ws.csv", GOOD_ROW, " ", GOOD_ROW)
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(path)
+        assert str(exc_info.value) == "expected 7 columns, got 1 (line 3)"
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
+    def test_rows_joined_by_a_str_line_break(self, tmp_path, separator):
+        # str.splitlines breaks lines here; the csv module does not.
+        path = write_rows(tmp_path / "joined.csv", GOOD_ROW + separator + GOOD_ROW)
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(path)
+        assert str(exc_info.value) == "expected 7 columns, got 13 (line 2)"
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_information_separator_beside_a_number(self, tmp_path, separator):
+        # numpy strips these around a number; float() does not.
+        path = write_rows(tmp_path / "sep.csv", GOOD_ROW, GOOD_ROW + separator)
+        with pytest.raises(CsvParseError) as exc_info:
+            read_csv(path)
+        assert str(exc_info.value) == (
+            f"expected a number, got {'123' + separator!r} (line 3, column 'phi_deg')"
+        )
+
+    @settings(max_examples=100)
+    @given(rows=valid_rows())
+    def test_cells_read_as_float_reads_them(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        text = "\n".join([HEADER] + [",".join(r) for r in rows]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        want = np.array([[float(cell) for cell in row] for row in rows])
+        want[:, 6] = [Angle(phi).degrees for phi in want[:, 6]]
+        assert read_csv(path).table.tobytes() == want.tobytes()
+
+
 class TestWrittenBytes:
     """Every writer prints the bytes of the per-cell ``.9g`` rule."""
 
@@ -494,6 +586,33 @@ class TestWrittenBytes:
         path = tmp_path_factory.mktemp("t") / "t.csv"
         write_table(path, ("a", "b", "c"), rows)
         assert path.read_bytes() == per_cell_bytes(("a", "b", "c"), rows)
+
+    @pytest.mark.parametrize(
+        "n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_block_boundaries(self, tmp_path, n):
+        values = np.random.default_rng(n).normal(scale=1e3, size=(n, 7))
+        values[: len(TRICKY), 0] = TRICKY
+        write_csv(Samples(values), tmp_path / "d.csv")
+        rows = values.tolist()
+        assert (tmp_path / "d.csv").read_bytes() == per_cell_bytes(HEADER.split(","), rows)
+        named = [(a, f"r{i}", b) for i, (a, b) in enumerate(values[:, :2].tolist())]
+        write_table(tmp_path / "t.csv", ("a", "name", "b"), named)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes(("a", "name", "b"), named)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.0, 2.0), (3.0,)],
+            # six cells fill three rows of two, but only the first row has two
+            [(1.0, 2.0), (3.0, 4.0, 5.0), (6.0,)],
+            [(1.0, 2.0)] * BLOCK_ROWS + [(3.0, 4.0, 5.0)],
+        ],
+        ids=["short", "compensating", "next-block"],
+    )
+    def test_row_of_another_length_is_rejected(self, tmp_path, rows):
+        with pytest.raises(TypeError, match="every row must have 2 cells"):
+            write_table(tmp_path / "t.csv", ("a", "b"), rows)
 
 
 class TestSplit:

@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+from cuphaptics import (
+    ConfigError,
+    CupGeometry,
+    GenerationConfig,
+    PressureFieldParams,
+    SplitSpec,
+    TrainConfig,
+    generate_dataset,
+    init_model,
+    split,
+    train_many,
+)
 from cuphaptics.rng import (
     DATASET_DELTA,
     DATASET_NOISE,
@@ -86,3 +98,27 @@ class TestDeriveSeed:
         for purpose, index in ((SEARCH_STEP, ()), (SEARCH_STEP, (4, 2)), (SPLIT, (0,))):
             drawn = substream(seed, purpose, *index).integers(1 << 64, dtype=np.uint64)
             assert derive_seed(seed, purpose, *index) == int(drawn)
+
+
+def _one_fold():
+    samples = generate_dataset(
+        CupGeometry(), PressureFieldParams(), GenerationConfig(n_samples=20, seed=1)
+    )
+    return [split(samples, SplitSpec())]
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: init_model(2.5), 2.5),
+        (lambda: train_many(_one_fold(), TrainConfig(max_epochs=1), [2.5]), 2.5),
+        (lambda: substream("3", SPLIT), "3"),
+        (lambda: derive_seed(2.5, 7), 2.5),
+    ],
+    ids=["init_model", "train_many", "substream", "derive_seed"],
+)
+def test_a_non_integer_seed_argument_is_a_config_error(call, bad):
+    # Every stream is keyed in one place, which checks the seed as the configs do.
+    with pytest.raises(ConfigError) as exc_info:
+        call()
+    assert str(exc_info.value) == f"seed must be an integer, got {bad!r}"

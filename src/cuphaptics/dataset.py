@@ -19,6 +19,7 @@ that cannot vouch for and names the earliest bad line of a bad file.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import math
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -191,39 +192,73 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise CsvParseError(
-            f"expected a number, got {raw!r}", line=line, column=column
-        ) from None
+        raise CsvParseError(f"expected a number, got {raw!r}", line=line, column=column) from None
     if not math.isfinite(value):
         raise CsvParseError(f"non-finite value {raw!r}", line=line, column=column)
     return value
 
 
-def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
-    """Check the rows after the header one by one; their table, or raise at the first bad line."""
-    rows = []
+def _rows_ok(table: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 7) table: whether ``SensorFrame`` accepts its frame,
+    delta is in [0, inf) and phi in [0, 360]; false on a non-finite value."""
+    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
+    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
+    return ok & (0.0 <= phi) & (phi <= 360.0)
+
+
+def _raise_row_error(raw: bytes, index: int) -> NoReturn:
+    """Raise the error of row ``index`` after the header (blank lines not
+    counted) at the file line it starts on, checking in order its column
+    count, each cell, its phi range, ``SensorFrame`` and ``GroundTruthPose``."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    next(reader)  # the header
     end = reader.line_num
     for row in reader:
-        line_no, end = end + 1, reader.line_num  # a quoted cell may span lines
-        if not row:
-            continue  # tolerate a trailing blank line
-        if len(row) != len(CSV_COLUMNS):
-            raise CsvParseError(
-                f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line_no
-            )
-        values = [_parse_cell(cell, line_no, col) for cell, col in zip(row, CSV_COLUMNS)]
-        phi = values[6]
-        if not (0.0 <= phi <= 360.0):
-            raise CsvParseError(
-                f"phi_deg must be in [0, 360], got {phi}", line=line_no, column="phi_deg"
-            )
-        try:
-            SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
-            GroundTruthPose(delta=values[5], phi=Angle(phi))
-        except InvalidInputError as exc:
-            raise CsvParseError(str(exc), line=line_no) from exc
-        rows.append(values)
-    return np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+        line, end = end + 1, reader.line_num  # a quoted cell may span lines
+        index -= bool(row)
+        if index < 0:
+            break
+    if len(row) != len(CSV_COLUMNS):
+        raise CsvParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line)
+    values = [_parse_cell(cell, line, col) for cell, col in zip(row, CSV_COLUMNS)]
+    phi = values[6]
+    if not (0.0 <= phi <= 360.0):
+        raise CsvParseError(f"phi_deg must be in [0, 360], got {phi}", line=line, column="phi_deg")
+    try:
+        SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
+        GroundTruthPose(delta=values[5], phi=Angle(phi))
+    except InvalidInputError as exc:
+        raise CsvParseError(str(exc), line=line) from exc
+    raise AssertionError(f"line {line} is rejected as a table but not as a row")
+
+
+def _csv_rows(reader: Iterator[list[str]], raw: bytes) -> np.ndarray:
+    """The table of the rows after the header, read on from ``reader`` by the
+    csv module and ``float()``. Reading stops at a row of another length, a
+    cell ``float()`` rejects, or a csv module or decoder error. The earliest
+    row the table checks reject, else the row reading stopped at, raises its
+    error at its line; else the csv module's or decoder's error raises."""
+    values, error = array.array("d"), None
+    extend, width = values.extend, len(CSV_COLUMNS)  # bound once: the loop is the read
+    try:
+        for row in reader:
+            if len(row) != width and row:
+                break
+            extend(map(float, row))  # a blank line adds nothing
+        else:
+            row = None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        error, row = exc, None
+    except ValueError:  # row is the one that failed; its parsed cells are dropped below
+        pass
+    n = len(values) // width
+    table = np.frombuffer(values)[: n * width].reshape(n, width)
+    ok = _rows_ok(table)
+    if not ok.all() or row is not None:
+        _raise_row_error(raw, n if ok.all() else int(ok.argmin()))
+    if error is not None:
+        raise error
+    return table
 
 
 def _numpy_rows(raw: bytes) -> np.ndarray | None:
@@ -243,9 +278,7 @@ def _numpy_rows(raw: bytes) -> np.ndarray | None:
         return None
     if table.shape[1] != len(CSV_COLUMNS):
         return None
-    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
-    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
-    return table if (ok & (0.0 <= phi) & (phi <= 360.0)).all() else None
+    return table if _rows_ok(table).all() else None
 
 
 def read_csv(path: str | Path) -> Samples:
@@ -253,8 +286,9 @@ def read_csv(path: str | Path) -> Samples:
 
     ``phi_deg`` must lie in [0, 360]; an exact 360 (a 9-significant-digit
     rounding artifact of values just below the wrap) reads back as 0. The
-    file is read once. Rows the numpy pass cannot vouch for are read by the
-    csv module one by one, which names the earliest bad line and its cell.
+    file is read from disk once. Rows the numpy pass cannot vouch for are
+    read by the csv module row by row and checked as a table; the earliest
+    bad row is read again to name its line and cell.
     """
     with open(path, "rb") as fh:
         raw = fh.read()  # decoded lazily below, in the lines open(path, newline="") gives
@@ -270,7 +304,7 @@ def read_csv(path: str | Path) -> Samples:
             )
         table = _numpy_rows(raw)
         if table is None:
-            table = _csv_rows(reader)
+            table = _csv_rows(reader, raw)
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

@@ -11,14 +11,13 @@ Sensing noise is fresh per step: a rollout draws four normals per step
 from its stream keyed (seed, SEARCH_STEP), so step k's noise depends only
 on the seed and k, whichever estimator runs.
 
-``run_search`` runs one rollout a frame at a time. ``batch_search`` runs
-the rollouts of a grid that share an estimator in lockstep, each as
-``run_search`` would run it: one array kernel call synthesizes the frames
-of every live rollout, one ``Estimator.estimate_batch`` call estimates
-them, and each live rollout's noise is drawn ahead from its stream in
-blocks of at most ``NOISE_BLOCK_STEPS`` steps, the same values as four
-draws per step. ``evaluate`` scores datasets through the same
-``estimate_batch``.
+One kernel runs the rollouts that share an estimator in lockstep: one
+array kernel call synthesizes the frames of every live rollout, one
+``Estimator.estimate_batch`` call estimates them, and each live rollout's
+noise is drawn ahead in blocks of at most ``NOISE_BLOCK_STEPS`` steps.
+``run_search`` is its one-rollout case. Each rollout ends, or raises, as a
+loop of ``synth_frame``, the single-frame estimate and ``search_step``
+would. ``evaluate`` scores datasets through the same ``estimate_batch``.
 """
 
 from __future__ import annotations
@@ -44,9 +43,10 @@ from .core import (
 )
 from .dataset import write_table
 from .errors import ConfigError, InvalidInputError, require_count
-from .mlp import MlpModel, _outputs_by_row, decode_estimate, network_output, predict_angle
+from .mlp import MlpModel, _outputs_by_row, predict_angle
 from .rng import SEARCH_STEP, derive_seed, substream
-from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise, synth_frame
+from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise
+from .synth import synth_frame  # noqa: F401  the single-frame sensing step, beside search_step
 
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
@@ -58,22 +58,18 @@ NOISE_BLOCK_STEPS = 64
 
 
 class Estimator(Protocol):
-    """Direction source: ``estimate`` answers one frame, and ``estimate_batch``
-    a table of them (the live rollouts of a lockstep step, or a dataset)."""
+    """Direction source for a table of frames: the live rollouts of a
+    lockstep step, or a dataset."""
 
     name: str
-
-    def estimate(
-        self, frame: SensorFrame, pose: GroundTruthPose
-    ) -> DirectionEstimate: ...
 
     def estimate_batch(
         self, p_ch: np.ndarray, p_atm: float | np.ndarray, phi_deg: np.ndarray
     ) -> np.ndarray:
-        """Yaw (deg) per row, as ``estimate`` gives it for the frame (p_ch[i],
-        p_atm) at true yaw phi_deg[i]; NaN where it gives none. ``p_atm`` is a
-        number or an (n, 1) column. Raises ``InvalidInputError`` where the
-        single-frame path raises."""
+        """Yaw (deg) per row, as the estimator's single-frame function gives it
+        for the frame (p_ch[i], p_atm) at true yaw phi_deg[i]; NaN where it
+        gives none. ``p_atm`` is a number or an (n, 1) column. Raises
+        ``InvalidInputError`` where the single-frame function raises."""
         ...
 
 
@@ -98,11 +94,6 @@ class ModelBasedEstimator:
 
     name: str = "model_based"
 
-    def estimate(
-        self, frame: SensorFrame, pose: GroundTruthPose
-    ) -> DirectionEstimate:
-        return estimate_direction(frame)
-
     def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
         columns = _model_direction_columns(p_ch, p_atm)
         return _yaws(p_ch, p_atm, phi_deg, *columns, estimate_direction)
@@ -114,11 +105,6 @@ class MlpEstimator:
 
     model: MlpModel
     name: str = "mlp"
-
-    def estimate(
-        self, frame: SensorFrame, pose: GroundTruthPose
-    ) -> DirectionEstimate:
-        return decode_estimate(network_output(self.model, frame))
 
     def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
@@ -133,13 +119,6 @@ class OracleEstimator:
     """Ground-truth direction; the upper bound every estimator chases."""
 
     name: str = "oracle"
-
-    def estimate(
-        self, frame: SensorFrame, pose: GroundTruthPose
-    ) -> DirectionEstimate:
-        phi = pose.phi
-        v_pred = (math.cos(phi.radians), math.sin(phi.radians))
-        return DirectionEstimate(v_pred=v_pred, phi_pred=phi)
 
     def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
         return phi_deg
@@ -168,12 +147,10 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one search: poses visited and the estimates that drove them."""
+    """Outcome of one search: whether it sealed, its step count, and why not."""
 
     success: bool
     steps: int
-    trajectory: tuple[GroundTruthPose, ...]
-    estimates: tuple[DirectionEstimate, ...]
     failure_reason: str | None = None
 
 
@@ -204,30 +181,9 @@ def run_search(
     params: PressureFieldParams,
 ) -> SearchResult:
     """Sense-estimate-translate until success, no-gradient, or budget."""
-    pose = pose0
-    trajectory = [pose]
-    estimates: list[DirectionEstimate] = []
-    reason = None
-    rng = substream(config.seed, SEARCH_STEP)
-    while pose.delta > config.success_delta_mm:
-        if len(estimates) >= config.max_steps:
-            reason = FAILURE_BUDGET_EXHAUSTED
-            break
-        frame = synth_frame(geom, params, pose, rng)
-        estimate = config.estimator.estimate(frame, pose)
-        if estimate.phi_pred is None:
-            reason = FAILURE_NO_GRADIENT
-            break
-        pose = search_step(pose, estimate, config.step_size_mm)
-        trajectory.append(pose)
-        estimates.append(estimate)
-    return SearchResult(
-        success=reason is None,
-        steps=len(estimates),
-        trajectory=tuple(trajectory),
-        estimates=tuple(estimates),
-        failure_reason=reason,
-    )
+    rollout = (pose0, params, config.seed)
+    (reason,), (steps,) = _lockstep(config.estimator, [rollout], config, geom, params)
+    return SearchResult(success=reason is None, steps=steps, failure_reason=reason)
 
 
 @dataclass(frozen=True)
@@ -281,8 +237,8 @@ def batch_search(
     derive_seed(spec.seed, SEARCH_STEP, cell, rep), so the table is
     reproducible. ``mean_steps`` averages over all repetitions, successful
     or not. The rollouts of one estimator run in lockstep; if a frame or an
-    estimate is one the single-frame path rejects, the grid is rerun a
-    rollout at a time in cell order, which raises that path's first error.
+    offset is one the single-frame path rejects, the rollouts are rerun one
+    at a time in cell order, which raises the first rollout's error.
 
     Only ``step_size_mm``, ``max_steps`` and ``success_delta_mm`` are read
     from ``config``; the estimators and the seed come from ``spec``. The
@@ -290,26 +246,27 @@ def batch_search(
     """
     axes = spec.delta0_values_mm, spec.phi0_values_deg, spec.noise_values_kpa, spec.estimators
     cells = list(itertools.product(*axes))
-    starts = [
+    starts = [  # cell c: (start pose, params)
         (GroundTruthPose(delta=d0, phi=Angle(phi0)), replace(params, noise_sigma_kpa=noise))
         for d0, phi0, noise, _ in cells
     ]
-    outcomes: list | None = [None] * len(cells)
+    reps = spec.reps
+    rollouts = [  # rollout c * reps + rep: (start pose, params, seed)
+        (*starts[c], derive_seed(spec.seed, SEARCH_STEP, c, rep))
+        for c in range(len(cells)) for rep in range(reps)
+    ]
+    reasons, steps = [None] * len(rollouts), [0] * len(rollouts)
     try:
         for e, est in enumerate(spec.estimators):
-            group = range(e, len(cells), len(spec.estimators))  # the cells of est
-            rollouts = [(c, rep) for c in group for rep in range(spec.reps)]
-            sealed, steps = _lockstep(est, rollouts, starts, spec.seed, config, geom, params)
-            for j, c in enumerate(group):
-                reps = slice(j * spec.reps, (j + 1) * spec.reps)
-                outcomes[c] = (sealed[reps], steps[reps])
+            group = [j for j in range(len(rollouts)) if j // reps % len(spec.estimators) == e]
+            outcomes = _lockstep(est, [rollouts[j] for j in group], config, geom, params)
+            for j, reason, n in zip(group, *outcomes):
+                reasons[j], steps[j] = reason, n
     except InvalidInputError:
-        outcomes = None
-    if outcomes is None:  # the first rollout in cell order that fails raises
-        for c, ((pose0, cell_params), (*_, est)) in enumerate(zip(starts, cells)):
-            for rep in range(spec.reps):
-                seed = derive_seed(spec.seed, SEARCH_STEP, c, rep)
-                run_search(pose0, replace(config, estimator=est, seed=seed), geom, cell_params)
+        reasons = None
+    if reasons is None:  # the first rollout in cell order that fails raises
+        for j, rollout in enumerate(rollouts):
+            _lockstep(cells[j // reps][3], [rollout], config, geom, params)
         raise AssertionError("a lockstep search rejected a grid that runs a rollout at a time")
     return [
         BatchRow(
@@ -317,36 +274,38 @@ def batch_search(
             phi0_deg=phi0,
             noise_sigma_kpa=noise,
             estimator=est.name,
-            success_rate=float(np.mean(sealed)),
-            mean_steps=float(np.mean(steps)),
+            success_rate=float(np.mean([r is None for r in reasons[c * reps : (c + 1) * reps]])),
+            mean_steps=float(np.mean(steps[c * reps : (c + 1) * reps])),
         )
-        for (d0, phi0, noise, est), (sealed, steps) in zip(cells, outcomes)
+        for c, (d0, phi0, noise, est) in enumerate(cells)
     ]
 
 
 def _lockstep(
     est: Estimator,
-    rollouts: Sequence[tuple[int, int]],
-    starts: Sequence[tuple[GroundTruthPose, PressureFieldParams]],
-    seed: int,
+    rollouts: Sequence[tuple[GroundTruthPose, PressureFieldParams, int]],
     config: SearchConfig,
     geom: CupGeometry,
     params: PressureFieldParams,
-) -> tuple[list[bool], list[int]]:
-    """Whether each (cell, rep) rollout sealed, and its step count, all run
-    under ``est`` as arrays; raises ``InvalidInputError`` on a rejected frame."""
+) -> tuple[list[str | None], list[int]]:
+    """Each rollout's failure reason (None where it sealed) and step count, all
+    run under ``est`` as arrays from their (start pose, params, seed). Only a
+    rollout's noise level is read from its params. The first live rollout
+    whose frame or offset the single-frame path rejects raises that path's
+    ``InvalidInputError``."""
     n, max_steps, seal_at = len(rollouts), config.max_steps, config.success_delta_mm
-    delta = np.array([starts[c][0].delta for c, _ in rollouts])
-    phi = np.array([starts[c][0].phi.degrees for c, _ in rollouts])
+    delta = np.array([pose.delta for pose, _, _ in rollouts])
+    phi = np.array([pose.phi.degrees for pose, _, _ in rollouts])
     sealed = delta <= seal_at
-    noisy = {  # rollout -> (its cell's params, its noise stream)
-        j: (starts[c][1], substream(derive_seed(seed, SEARCH_STEP, c, rep), SEARCH_STEP))
-        for j, (c, rep) in enumerate(rollouts)
-        if starts[c][1].noise_sigma_kpa > 0.0 and not sealed[j]
+    noisy = {  # rollout -> (its params, its noise stream)
+        j: (rollout_params, substream(seed, SEARCH_STEP))
+        for j, (_, rollout_params, seed) in enumerate(rollouts)
+        if rollout_params.noise_sigma_kpa > 0.0 and not sealed[j]
     }
     block = min(max_steps, NOISE_BLOCK_STEPS)
     noise = np.zeros((n, block, 4))  # zero rows add nothing to a noiseless frame
     steps = np.zeros(n, dtype=np.int64)
+    reasons = np.where(sealed, None, FAILURE_BUDGET_EXHAUSTED)  # a rollout still live runs out
     live = np.flatnonzero(~sealed)
     for k in range(max_steps):
         if not live.size:
@@ -358,19 +317,25 @@ def _lockstep(
                     noise[j, :rows] = sensor_noise(*noisy[j], (rows, 4))
         d, f = delta[live], phi[live]
         p_ch = _chamber_pressures(geom, params, d, f, noise[live, k % block])
-        if not frames_valid(p_ch, params.p_atm_kpa).all():
-            raise InvalidInputError("a search frame is out of range")
+        bad = ~frames_valid(p_ch, params.p_atm_kpa)
+        if bad.any():
+            SensorFrame(p_ch=tuple(p_ch[bad.argmax()].tolist()), p_atm=params.p_atm_kpa)
+            raise AssertionError("a search frame is rejected here but not by SensorFrame")
         yaw = est.estimate_batch(p_ch, params.p_atm_kpa, f)
         rows = zip(d.tolist(), yaw.tolist(), f.tolist())
         new = np.array([_next_delta(*row, config.step_size_mm) for row in rows])
-        if np.isinf(new).any():  # GroundTruthPose rejects it
-            raise InvalidInputError("a search offset overflowed")
+        bad = np.isinf(new)
+        if bad.any():
+            i = bad.argmax()
+            GroundTruthPose(delta=new[i], phi=Angle(f[i]))
+            raise AssertionError("a search offset is rejected here but not by GroundTruthPose")
         moved = ~np.isnan(yaw)  # NaN: no gradient, the rollout ends here
         delta[live] = new
         steps[live] = k + moved
-        sealed[live] = moved & (new <= seal_at)
+        reasons[live[~moved]] = FAILURE_NO_GRADIENT
+        reasons[live[moved & (new <= seal_at)]] = None
         live = live[moved & (new > seal_at)]
-    return sealed.tolist(), steps.tolist()  # a rollout still live ran out of budget
+    return reasons.tolist(), steps.tolist()
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:

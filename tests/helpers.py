@@ -1,11 +1,38 @@
 """Shared test utilities: the finite-difference gradient checker, a
-``Samples`` builder, and model-file writers with chosen standardization
-stats, layer sizes or a NaN parameter."""
+``Samples`` builder, model-file writers with chosen standardization stats,
+layer sizes or a NaN parameter, a search rollout built from the
+single-frame functions, and a per-row dataset CSV reader."""
+
+import csv
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from cuphaptics import FeatureStats, Samples, backward, init_model, save_model
+from cuphaptics import (
+    Angle,
+    CsvParseError,
+    DirectionEstimate,
+    FeatureStats,
+    GroundTruthPose,
+    InvalidInputError,
+    MlpEstimator,
+    ModelBasedEstimator,
+    OracleEstimator,
+    Samples,
+    SearchResult,
+    SensorFrame,
+    backward,
+    estimate_direction,
+    init_model,
+    predict_angle,
+    save_model,
+    search_step,
+    synth_frame,
+)
+from cuphaptics.dataset import CSV_COLUMNS
 from cuphaptics.mlp import MODEL_MAGIC, _forward_batch
+from cuphaptics.rng import SEARCH_STEP, substream
 
 FD_STEP = 1e-6
 KINK_EPS = 1e-7
@@ -113,3 +140,87 @@ def equal_chamber_rows(n):
     level = np.linspace(90.0, 100.0, n)
     phi = np.linspace(0.0, 350.0, n)
     return np.column_stack([level] * 4 + [np.full(n, 101.325), np.full(n, 1.0), phi])
+
+
+@dataclass(frozen=True)
+class StubEstimator:
+    """Always answers with a fixed yaw (or no answer at all)."""
+
+    phi: float | None
+    name: str = "stub"
+
+    def estimate_batch(self, p_ch, p_atm, phi_deg):
+        return np.full(len(p_ch), math.nan if self.phi is None else Angle(self.phi).degrees)
+
+
+def frame_yaw(est, frame, pose):
+    """The yaw (an ``Angle``, or None) that an estimator's single-frame function
+    gives for ``frame`` at the true ``pose``."""
+    if isinstance(est, ModelBasedEstimator):
+        return estimate_direction(frame).phi_pred
+    if isinstance(est, MlpEstimator):
+        return predict_angle(est.model, frame)
+    if isinstance(est, OracleEstimator):
+        return pose.phi
+    return None if est.phi is None else Angle(est.phi)  # a StubEstimator
+
+
+def rollout_a_frame_at_a_time(pose0, config, geom, params):
+    """One search rollout from the single-frame functions: ``synth_frame`` on the
+    rollout's noise stream, ``frame_yaw`` and ``search_step``, until it seals,
+    finds no gradient or runs out of budget. Returns the ``SearchResult`` and the
+    poses visited."""
+    pose, trajectory, reason = pose0, [pose0], None
+    rng = substream(config.seed, SEARCH_STEP)
+    while pose.delta > config.success_delta_mm:
+        if len(trajectory) > config.max_steps:
+            reason = "budget-exhausted"
+            break
+        frame = synth_frame(geom, params, pose, rng)
+        yaw = frame_yaw(config.estimator, frame, pose)
+        if yaw is None:
+            reason = "no-gradient"
+            break
+        v_pred = (math.cos(yaw.radians), math.sin(yaw.radians))
+        pose = search_step(pose, DirectionEstimate(v_pred, yaw), config.step_size_mm)
+        trajectory.append(pose)
+    result = SearchResult(success=reason is None, steps=len(trajectory) - 1, failure_reason=reason)
+    return result, tuple(trajectory)
+
+
+def first_bad_row_error(path):
+    """The ``CsvParseError`` of the first bad row of a dataset CSV, or None,
+    reading it as the csv module and ``float()`` read it and checking each
+    row in turn: its column count, each cell's number, its yaw range, then
+    ``SensorFrame`` and ``GroundTruthPose``. The error names the file line
+    the row starts on."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        end = reader.line_num
+        for row in reader:
+            line, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                return CsvParseError(f"expected 7 columns, got {len(row)}", line=line)
+            values = []
+            for cell, column in zip(row, CSV_COLUMNS):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    message = f"expected a number, got {cell!r}"
+                    return CsvParseError(message, line=line, column=column)
+                if not math.isfinite(values[-1]):
+                    return CsvParseError(f"non-finite value {cell!r}", line=line, column=column)
+            *p_ch, p_atm, delta, phi = values
+            if not 0.0 <= phi <= 360.0:
+                return CsvParseError(
+                    f"phi_deg must be in [0, 360], got {phi}", line=line, column="phi_deg"
+                )
+            try:
+                SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm)
+                GroundTruthPose(delta=delta, phi=Angle(phi))
+            except InvalidInputError as exc:
+                return CsvParseError(str(exc), line=line)
+    return None

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from cuphaptics import (
 )
 from cuphaptics.dataset import BLOCK_ROWS, write_table
 from cuphaptics.mlp import _standardize
-from helpers import samples_of
+from helpers import first_bad_row_error, samples_of
 
 HEADER = "p_ch1_kpa,p_ch2_kpa,p_ch3_kpa,p_ch4_kpa,p_atm_kpa,delta_mm,phi_deg"
 GOOD_ROW = "91.3,96.3,96.2,91.4,101.325,9.5,123"
@@ -535,6 +536,39 @@ class TestCsvAcceptsWhatTheRowPassAccepts:
         want = np.array([[float(cell) for cell in row] for row in rows])
         want[:, 6] = [Angle(phi).degrees for phi in want[:, 6]]
         assert read_csv(path).table.tobytes() == want.tobytes()
+
+
+# kind -> (the columns it may sit in, its text): a cell float() rejects, a
+# non-finite one, a phi out of range, a frame SensorFrame rejects, a negative
+# offset.
+BAD_CELLS = {
+    "parse": (range(7), "what"),
+    "non-finite": (range(7), "-inf"),
+    "phi": ([6], "400"),
+    "frame": (range(5), "-1"),
+    "delta": ([5], "-1"),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(BAD_CELLS))
+def test_quoted_file_raises_the_row_by_row_error(tmp_path, kind, seed):
+    rng = np.random.default_rng(seed)
+    rows = [[format(v, ".9g") for v in row] for row in small_samples(300, seed).table.tolist()]
+    columns, text = BAD_CELLS[kind]
+    rows[rng.integers(len(rows))][rng.choice(columns)] = text
+    for at in rng.integers(len(rows), size=3):
+        rows.insert(at, [])  # blank lines the file line numbers count
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerows([HEADER.split(","), *rows])
+    want = first_bad_row_error(path)
+    with pytest.raises(CsvParseError) as got:
+        read_csv(path)
+    assert (got.value.line, got.value.column, str(got.value)) == (
+        want.line, want.column, str(want)
+    )
 
 
 class TestWrittenBytes:

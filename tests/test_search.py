@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from cuphaptics import (
 )
 from cuphaptics import GenerationConfig, Samples, SplitSpec
 from cuphaptics.rng import SEARCH_STEP, derive_seed
+from helpers import StubEstimator, frame_yaw, rollout_a_frame_at_a_time
 
 GEOM = CupGeometry()
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
@@ -51,17 +52,13 @@ def estimate_at(phi):
     )
 
 
-@dataclass(frozen=True)
-class StubEstimator:
-    """Always answers with a fixed yaw (or no answer at all)."""
-
-    phi: float | None
-    name: str = "stub"
-
-    def estimate(self, frame, pose):
-        if self.phi is None:
-            return DirectionEstimate(v_pred=(0.0, 0.0), phi_pred=None)
-        return estimate_at(self.phi)
+def run_both(pose0, config, params):
+    """``run_search``'s result, checked against the rollout of the single-frame
+    functions, and that rollout's poses."""
+    result = run_search(pose0, config, GEOM, params)
+    want, trajectory = rollout_a_frame_at_a_time(pose0, config, GEOM, params)
+    assert result == want
+    return result, trajectory
 
 
 class TestSearchStep:
@@ -95,18 +92,18 @@ class TestSearchStep:
 class TestRunSearch:
     def test_oracle_closed_form_step_count(self):
         config = SearchConfig(estimator=OracleEstimator(), seed=0)
-        result = run_search(pose(14.0, 123.0), config, GEOM, NOISELESS)
+        result, trajectory = run_both(pose(14.0, 123.0), config, NOISELESS)
         assert result.success is True
         assert result.steps == 4  # 14 -> 12 -> 10 -> 8 -> 6
-        assert result.trajectory[-1].delta == pytest.approx(6.0)
+        assert trajectory[-1].delta == pytest.approx(6.0)
         assert result.failure_reason is None
 
     def test_start_at_threshold_succeeds_immediately(self):
         config = SearchConfig(estimator=OracleEstimator(), seed=0)
-        result = run_search(pose(7.0), config, GEOM, NOISELESS)
+        result, trajectory = run_both(pose(7.0), config, NOISELESS)
         assert result.success is True
         assert result.steps == 0
-        assert result.trajectory == (pose(7.0),)
+        assert trajectory == (pose(7.0),)
 
     def test_model_based_matches_oracle_on_unclamped_affine(self):
         for phi in (0.0, 41.0, 77.7, 180.0, 299.0):
@@ -127,11 +124,11 @@ class TestRunSearch:
 
     def test_no_gradient_terminates(self):
         config = SearchConfig(estimator=StubEstimator(phi=None), seed=0)
-        result = run_search(pose(14.0), config, GEOM, NOISELESS)
+        result, trajectory = run_both(pose(14.0), config, NOISELESS)
         assert result.success is False
         assert result.failure_reason == "no-gradient"
         assert result.steps == 0
-        assert len(result.trajectory) == 1
+        assert len(trajectory) == 1
 
     def test_budget_exhaustion(self):
         # tangential estimator never reduces delta
@@ -146,16 +143,15 @@ class TestRunSearch:
     def test_trajectory_length_invariant(self):
         for estimator in (OracleEstimator(), StubEstimator(phi=90.0)):
             config = SearchConfig(estimator=estimator, max_steps=6, seed=1)
-            result = run_search(pose(13.0, 10.0), config, GEOM, PressureFieldParams())
-            assert len(result.trajectory) == result.steps + 1
-            assert len(result.estimates) == result.steps
+            result, trajectory = run_both(pose(13.0, 10.0), config, PressureFieldParams())
+            assert len(trajectory) == result.steps + 1
 
     def test_delta_never_jumps_more_than_step(self):
         config = SearchConfig(
             estimator=ModelBasedEstimator(), step_size_mm=2.0, seed=3
         )
-        result = run_search(pose(14.0, 33.0), config, GEOM, PressureFieldParams())
-        for a, b in zip(result.trajectory, result.trajectory[1:]):
+        _, trajectory = run_both(pose(14.0, 33.0), config, PressureFieldParams())
+        for a, b in zip(trajectory, trajectory[1:]):
             assert abs(b.delta - a.delta) <= 2.0 + 1e-12
 
     def test_deterministic(self):
@@ -226,8 +222,8 @@ def test_configs_reject_non_integer_counts(make, field, value):
 
 
 def rows_a_rollout_at_a_time(spec, config, params):
-    """``batch_search``'s rows built from ``run_search`` rollouts, seeded as it
-    seeds them, and the rollouts themselves."""
+    """``batch_search``'s rows built from rollouts of the single-frame
+    functions, seeded as it seeds them, and the rollouts' results."""
     cells = [
         (d0, phi0, noise, est)
         for d0 in spec.delta0_values_mm
@@ -238,12 +234,12 @@ def rows_a_rollout_at_a_time(spec, config, params):
     rows, every_run = [], []
     for i, (d0, phi0, noise, est) in enumerate(cells):
         runs = [
-            run_search(
+            rollout_a_frame_at_a_time(
                 pose(d0, phi0),
                 replace(config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, i, rep)),
                 GEOM,
                 replace(params, noise_sigma_kpa=noise),
-            )
+            )[0]
             for rep in range(spec.reps)
         ]
         every_run += runs
@@ -443,7 +439,7 @@ class TestBatchSearch:
         config = SearchConfig(estimator=OracleEstimator(), max_steps=10, seed=0)
         first = replace(config, seed=derive_seed(spec.seed, SEARCH_STEP, 0, 0))
         with pytest.raises(InvalidInputError, match="must be >= 0 kPa") as want:
-            run_search(pose(26.0, 0.0), first, GEOM, params)
+            rollout_a_frame_at_a_time(pose(26.0, 0.0), first, GEOM, params)
         with pytest.raises(InvalidInputError) as got:
             batch_search(spec, config, GEOM, params)
         assert str(got.value) == str(want.value)
@@ -498,7 +494,7 @@ class TestEstimateBatch:
     def test_equals_estimate_bit_for_bit(self, name, table):
         est = ESTIMATORS[name]
         yaw = est.estimate_batch(table.p_ch, table.table[:, 4:5], table.phi_deg)
-        want = [est.estimate(s.frame, s.pose).phi_pred for s in table]
+        want = [frame_yaw(est, s.frame, s.pose) for s in table]
         assert [y.hex() for y in yaw.tolist()] == [
             math.nan.hex() if a is None else a.degrees.hex() for a in want
         ]
@@ -543,3 +539,58 @@ class TestEstimateBatch:
         phi = table.phi_deg
         yaw = OracleEstimator().estimate_batch(table.p_ch, 101.325, phi)
         assert yaw.tobytes() == phi.tobytes()
+
+
+# start -> (delta0, phi0, how the noiseless closed form ends from there under
+# the affine response and a 6-step budget).
+STARTS = {
+    "sealed": (7.0, 0.0, None),
+    "seals": (14.0, 120.0, None),
+    "budget": (22.0, 240.0, "budget-exhausted"),
+    "no-gradient": (30.0, 300.0, "no-gradient"),  # every chamber is off the plate
+}
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+@pytest.mark.parametrize("noise", [0.0, 0.3, 4.0])
+@pytest.mark.parametrize(
+    "est",
+    [ESTIMATORS["model_based"], ESTIMATORS["mlp_std"], ESTIMATORS["oracle"],
+     StubEstimator(phi=None), StubEstimator(phi=90.0)],
+    ids=["model_based", "mlp", "oracle", "stub-none", "stub-90"],
+)
+def test_run_search_equals_the_single_frame_rollout(est, noise, start):
+    d0, phi0, closed_form_reason = STARTS[start]
+    config = SearchConfig(estimator=est, max_steps=6, seed=derive_seed(2, SEARCH_STEP, 0, 0))
+    params = PressureFieldParams(response="affine", noise_sigma_kpa=noise)
+    result = run_search(pose(d0, phi0), config, GEOM, params)
+    assert result == rollout_a_frame_at_a_time(pose(d0, phi0), config, GEOM, params)[0]
+    if est is ESTIMATORS["model_based"] and noise == 0.0:
+        assert result.failure_reason == closed_form_reason
+
+
+class TestRejectedRollout:
+    """A rollout that the single-frame functions reject raises their error, from
+    ``run_search`` and from a one-cell ``batch_search``."""
+
+    def run(self, est, config, params, message):
+        spec = BatchSpec((14.0,), (0.0,), (0.0,), (est,), reps=1)
+        config = replace(config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, 0, 0))
+        with pytest.raises(InvalidInputError, match=re.escape(message)) as want:
+            rollout_a_frame_at_a_time(pose(14.0), config, GEOM, params)
+        for search in (lambda: run_search(pose(14.0), config, GEOM, params),
+                       lambda: batch_search(spec, config, GEOM, params)):
+            with pytest.raises(InvalidInputError) as got:
+                search()
+            assert str(got.value) == str(want.value)
+
+    def test_offset_overflow(self):
+        # Stepping away from the plate doubles 1.7e308 mm past the float range.
+        config = SearchConfig(estimator=OracleEstimator(), step_size_mm=1.7e308)
+        self.run(StubEstimator(phi=180.0), config, NOISELESS, "delta must be finite, got inf")
+
+    def test_frame_below_zero(self):
+        # Ambient 5 kPa is below the 10 kPa peak vacuum.
+        params = PressureFieldParams(p_atm_kpa=5.0, noise_sigma_kpa=0.0)
+        self.run(OracleEstimator(), SearchConfig(estimator=OracleEstimator()), params,
+                 "must be >= 0 kPa")

@@ -22,8 +22,11 @@ that the model holds, ``train`` optimizes, ``save_model`` writes and
 ``load_model`` reads; ``model.weights`` and ``model.biases`` are per-layer
 views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
-when the caller supplies them. A table is scored as a stack of one-row
-products, which keeps each row's single-frame bits (an n-row one may not).
+when the caller supplies them. Each model plans its inference when it is
+built: per layer, W.T and b as views into ``params``, and its stats as two
+float64 arrays. One row kernel runs that plan for single frames and for
+tables, which run as a stack of one-row products, so each row keeps its
+single-frame bits (an n-row product may not).
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
@@ -80,6 +83,7 @@ class MlpModel:
     in, row-major); ``weights`` and ``biases`` are per-layer views into it.
     The model standardizes its inputs exactly when ``stats`` is not None.
     Models compare by identity; compare ``params`` for equal values.
+    ``_layers`` ((W.T, b) per layer) and ``_zscore`` are the inference plan.
     """
 
     layer_sizes: tuple[int, ...]
@@ -87,6 +91,8 @@ class MlpModel:
     stats: FeatureStats | None = None
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    _zscore: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -109,6 +115,11 @@ class MlpModel:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "biases", tuple(biases))
+        # Views, not copies: writes through params (init_model's fill) reach them.
+        object.__setattr__(self, "_layers", tuple((w.T, b) for w, b in zip(weights, biases)))
+        stats = self.stats
+        zscore = None if stats is None else (np.asarray(stats.mean), np.asarray(stats.std))
+        object.__setattr__(self, "_zscore", zscore)
 
 
 @dataclass(frozen=True)
@@ -222,6 +233,21 @@ def _forward_batch(
     return activations, preacts
 
 
+def _run_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The row kernel: outputs for unchecked inputs along the last axis of
+    ``x``, per layer ``x @ W.T``, ``+= b`` and, on hidden layers, ReLU in
+    place. A 1-D input and each row of an (n, 1, in) stack run the same
+    one-row product, so both give one frame's bits."""
+    *hidden, (w_t, b) = model._layers
+    for w_t_k, b_k in hidden:
+        x = x @ w_t_k
+        x += b_k
+        np.maximum(x, 0.0, out=x)
+    x = x @ w_t
+    x += b
+    return x
+
+
 def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
     """Network output for one input vector (ReLU hidden, linear output)."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -229,9 +255,9 @@ def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
         raise InvalidInputError(
             f"expected {model.layer_sizes[0]} inputs, got shape {x.shape}"
         )
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x.tolist())):
         raise InvalidInputError("inputs must be finite")
-    return _forward_batch(model.weights, model.biases, x[None, :])[0][-1][0]
+    return _run_rows(model, x)
 
 
 def target_encoding(phi_deg: np.ndarray) -> np.ndarray:
@@ -328,9 +354,11 @@ def rmsprop_step(
     params -= grads
 
 
-def _standardize(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """Z-score chamber pressures (last axis) under training-set stats."""
-    return (x - np.asarray(stats.mean)) / np.asarray(stats.std)
+def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
+    """Chamber pressures (last axis) as the network takes them: z-scored
+    under the model's stats when it has them."""
+    zscore = model._zscore
+    return p_ch if zscore is None else (p_ch - zscore[0]) / zscore[1]
 
 
 def _outputs_chunked(
@@ -349,12 +377,10 @@ def _outputs_chunked(
     return out
 
 
-def _fold_arrays(part: Samples, stats: FeatureStats | None) -> tuple[np.ndarray, np.ndarray]:
-    """A fold's network inputs, z-scored when ``stats`` is given, and its
-    unit-circle targets (cos phi, sin phi)."""
-    x = np.ascontiguousarray(part.p_ch)
-    if stats is not None:
-        x = _standardize(x, stats)
+def _fold_arrays(part: Samples, model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
+    """A fold's inputs as ``model`` takes them, and its unit-circle targets
+    (cos phi, sin phi)."""
+    x = _model_inputs(model, np.ascontiguousarray(part.p_ch))
     return x, target_encoding(part.phi_deg)
 
 
@@ -371,12 +397,12 @@ class _SeedRun:
     ):
         train_set, val_set = fold
         stats = feature_stats(train_set) if config.standardize else None
-        self.x_train, self.t_train = _fold_arrays(train_set, stats)
-        self.x_val, self.t_val = _fold_arrays(val_set, stats)
+        self.model0 = init_model(seed, stats=stats)
+        self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
+        self.x_val, self.t_val = _fold_arrays(val_set, self.model0)
         self.phi_val = val_set.phi_deg
         self.train_out, self.val_out = np.empty_like(self.t_train), np.empty_like(self.t_val)
         self.work = work  # layer buffers that the folds share
-        self.model0 = init_model(seed, stats=stats)
         self.shuffle_rng = substream(seed, SHUFFLE)
         self.initial_val = self.best_val = loss(
             self._outputs(self.model0.params, self.x_val, self.val_out), self.t_val
@@ -505,12 +531,6 @@ def train(
     return train_many([(train_set, val_set)], config, [config.seed])[0]
 
 
-def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
-    """Chamber pressures (last axis) as the network takes them: z-scored
-    under the model's stats when it has them."""
-    return p_ch if model.stats is None else _standardize(p_ch, model.stats)
-
-
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
     """Raw 2-vector output for a frame, standardized if the model has stats."""
     return forward(model, _model_inputs(model, np.asarray(frame.p_ch, dtype=np.float64)))
@@ -521,12 +541,16 @@ def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.n
     if p_ch.shape[1:] != (n_in := model.layer_sizes[0],):
         raise InvalidInputError(f"expected {n_in} inputs, got shape {p_ch.shape[1:]}")
     x = _model_inputs(model, p_ch)
-    return x, _forward_batch(model.weights, model.biases, x[:, None, :])[0][-1][:, 0]
+    return x, _run_rows(model, x[:, None, :])[:, 0]
 
 
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
-    """Standardize if the model has stats, run forward, decode the angle."""
-    return decode_estimate(network_output(model, frame)).phi_pred
+    """Standardize if the model has stats, run forward, decode the angle:
+    ``decode_estimate(network_output(model, frame)).phi_pred``."""
+    x, y = network_output(model, frame).tolist()
+    if math.isfinite(x) and math.isfinite(y):
+        return direction_angle(x, y)
+    return decode_estimate((x, y)).phi_pred  # raises the non-finite output error
 
 
 def save_model(

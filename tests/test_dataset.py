@@ -31,7 +31,7 @@ from cuphaptics import (
     write_csv,
 )
 from cuphaptics.dataset import BLOCK_ROWS, write_table
-from cuphaptics.mlp import _standardize
+from cuphaptics.mlp import _model_inputs, init_model
 from helpers import first_bad_row_error, samples_of
 
 HEADER = "p_ch1_kpa,p_ch2_kpa,p_ch3_kpa,p_ch4_kpa,p_atm_kpa,delta_mm,phi_deg"
@@ -695,6 +695,11 @@ class TestSplit:
             SplitSpec(train_fraction=1.0)
         with pytest.raises(ConfigError):
             SplitSpec(train_fraction=0.0)
+
+
+def _standardize(x, stats):
+    """Chamber pressures as a model z-scoring under ``stats`` takes them."""
+    return _model_inputs(init_model(0, stats=stats), x)
 
 
 class TestFeatureStats:

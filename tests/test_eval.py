@@ -23,10 +23,12 @@ from cuphaptics import (
     SensorFrame,
     SplitSpec,
     TrainConfig,
+    decode_estimate,
     estimate_direction,
     evaluate_mlp,
     evaluate_model_based,
     export_scatter,
+    forward,
     generate_dataset,
     init_model,
     mae_deg,
@@ -37,7 +39,7 @@ from cuphaptics import (
     split,
     train,
 )
-from cuphaptics.mlp import _outputs_by_row
+from cuphaptics.mlp import _forward_batch, _n_params, _outputs_by_row
 from helpers import equal_chamber_rows
 
 GEOM = CupGeometry()
@@ -426,6 +428,111 @@ def test_earliest_rejected_row_wins(evaluate):
     ):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             evaluate(Samples(np.array(rows)))
+
+
+# Sizes the row kernel is checked at: one neuron per layer, a small net,
+# and the default shape.
+KERNEL_SIZES = [(1, 1, 1), (4, 8, 2), (4, 16, 32, 16, 2)]
+
+
+@st.composite
+def random_models(draw, sizes=KERNEL_SIZES):
+    """A model of one of ``sizes`` with normal parameters scaled by 1e-12 (its
+    outputs fall below EPS_ZERO) up to 1e2; 4-input ones may carry stats."""
+    layer_sizes = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.standard_normal(_n_params(layer_sizes)) * 10.0 ** draw(st.integers(-12, 2))
+    stats = None
+    if layer_sizes[0] == 4 and draw(st.booleans()):
+        stats = FeatureStats(
+            mean=tuple(rng.uniform(0.0, 200.0, 4)), std=tuple(rng.uniform(0.1, 50.0, 4))
+        )
+    return MlpModel(layer_sizes, params, stats)
+
+
+class TestRowKernel:
+    """Single frames and table rows run one per-model row kernel, with the
+    bits of the stacked product the trainer runs."""
+
+    @settings(max_examples=300)
+    @given(model=random_models(), data=st.data())
+    def test_forward_equals_the_stacked_product(self, model, data):
+        n_in = model.layer_sizes[0]
+        x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_in, max_size=n_in)))
+        want = _forward_batch(model.weights, model.biases, x[None, :])[0][-1][0]
+        assert forward(model, x).tobytes() == want.tobytes()
+
+    @settings(max_examples=300)
+    @given(
+        model=random_models(sizes=KERNEL_SIZES[1:]),
+        rows=st.lists(frame_rows(), min_size=1, max_size=12),
+    )
+    def test_single_frames_equal_the_table_rows(self, model, rows):
+        samples = Samples(np.array(rows))
+        _, table = _outputs_by_row(model, samples.p_ch)
+        single = np.array([network_output(model, s.frame) for s in samples])
+        assert single.tobytes() == table.tobytes()
+        pairs = evaluate_mlp(model, samples)
+        want = [predict_angle(model, s.frame) for s in samples]
+        assert [bits(p.phi_pred) for p in pairs] == [bits(a) for a in want]
+
+    def test_plan_follows_writes_to_params(self):
+        samples = generate_dataset(
+            GEOM, PressureFieldParams(), GenerationConfig(n_samples=50, seed=3)
+        )
+        frames = [s.frame for s in samples]
+        # init_model fills the weights in place after building the model.
+        model, other = init_model(1), init_model(2)
+        stacked = _forward_batch(model.weights, model.biases, samples.p_ch[:, None, :])[0][-1]
+        first = [predict_angle(model, f) for f in frames]
+        assert None not in first
+        assert [bits(a) for a in first] == [
+            bits(decode_estimate(out[0]).phi_pred) for out in stacked
+        ]
+        assert [bits(p.phi_pred) for p in evaluate_mlp(model, samples)] == [
+            bits(a) for a in first
+        ]
+        model.params[:] = other.params
+        after = [bits(predict_angle(model, f)) for f in frames]
+        assert after == [bits(predict_angle(other, f)) for f in frames]
+        assert after != [bits(a) for a in first]
+
+    @pytest.mark.parametrize("single", [predict_angle, network_output])
+    @pytest.mark.parametrize(
+        "model, frame, message",
+        [
+            # A tiny spread sends the standardized inputs past the float range.
+            (
+                init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
+                SensorFrame((1e10,) * 4, 1e10),
+                "inputs must be finite",
+            ),
+            (
+                init_model(0, layer_sizes=(3, 8, 2)),
+                SensorFrame((96.0,) * 4, 101.325),
+                "expected 3 inputs",
+            ),
+        ],
+        ids=["standardized-input-overflows", "three-input-model"],
+    )
+    def test_rejected_frame_raises_its_error(self, single, model, frame, message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                single(model, frame)
+
+    def test_overflowing_output_is_rejected_by_the_decode(self):
+        model = MlpModel(RAW_MODEL.layer_sizes, RAW_MODEL.params * 1e300)
+        frame = SensorFrame((200.0,) * 4, 200.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(network_output(model, frame)).all()
+            with pytest.raises(InvalidInputError, match=re.escape("output must be finite")):
+                predict_angle(model, frame)
+
+    def test_zero_model_gives_no_angle(self):
+        model = MlpModel(RAW_MODEL.layer_sizes, np.zeros_like(RAW_MODEL.params))
+        frame = SensorFrame((91.325, 96.325, 96.325, 91.325), 101.325)
+        assert network_output(model, frame).tobytes() == np.zeros(2).tobytes()
+        assert predict_angle(model, frame) is None
 
 
 class TestRunComparison:

@@ -33,8 +33,8 @@ are the rows of one (S, P) array, the forward and backward passes run on a
 leading seed axis, and ``rmsprop_step`` updates the stack in place. numpy
 runs each network's products and sums as it would for that network alone,
 so every fold's model and history equal a solo ``train`` bit for bit;
-``train`` is the one-fold case. Per-epoch losses score each fold on its
-own, a fixed chunk of rows at a time through reused buffers.
+``train`` is the one-fold case. The validation fold is scored at each epoch's
+end in fixed chunks; the training loss is accumulated from the mini-batches.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .rng import INIT, SHUFFLE, substream
 
 DEFAULT_LAYER_SIZES = (4, 16, 32, 16, 2)
 MODEL_MAGIC = b"CUPMLP1"
-# Rows per forward call in a full-set scoring pass during training; small
+# Rows per forward call when training scores a validation fold; small
 # enough that OpenBLAS keeps each product on one thread, none left spinning.
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
@@ -121,6 +121,9 @@ class MlpModel:
         zscore = None if stats is None else (np.asarray(stats.mean), np.asarray(stats.std))
         object.__setattr__(self, "_zscore", zscore)
 
+    def __reduce__(self):  # copies and pickles rebuild the views into params
+        return (MlpModel, (self.layer_sizes, self.params, self.stats))
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -161,6 +164,7 @@ class TrainHistory:
     otherwise the 1-based epoch whose validation loss was checkpointed.
     ``val_rmse_deg`` decodes with numpy's ``arctan2``, so this monitor may
     differ in the last bits from an RMSE of ``evaluate_mlp``'s answers.
+    ``train_loss`` is each epoch's MSE over its mini-batches, each scored before its update.
     """
 
     train_loss: tuple[float, ...]
@@ -290,18 +294,19 @@ def _backward_arrays(
     t: np.ndarray,
     grad_w: Sequence[np.ndarray],
     grad_b: Sequence[np.ndarray],
-) -> None:
-    """Write the mean-batch-loss gradients into ``grad_w`` and ``grad_b``;
-    with a leading stack axis, each network's from its own batch."""
+) -> np.ndarray:
+    """Write the mean-batch-loss gradients into ``grad_w`` and ``grad_b``, and
+    return the residuals a - t; with a leading stack axis, per network."""
     activations, preacts = _forward_batch(weights, biases, x)
     n = x.shape[-2]
     # d(mean over n*2 elements of (a-t)^2) / da = (a - t) / n
-    grad = (activations[-1] - t) / n
+    grad = (diff := activations[-1] - t) / n
     for k in reversed(range(len(weights))):
         np.matmul(grad.swapaxes(-1, -2), activations[k], out=grad_w[k])
         grad.sum(axis=-2, out=grad_b[k])
         if k > 0:
             grad = (grad @ weights[k]) * (preacts[k - 1] > 0.0)
+    return diff
 
 
 def backward(
@@ -389,11 +394,7 @@ class _SeedRun:
     its per-epoch record with the best checkpoint so far."""
 
     def __init__(
-        self,
-        fold: tuple[Samples, Samples],
-        config: TrainConfig,
-        seed: int,
-        work: Sequence[np.ndarray],
+        self, fold: tuple[Samples, Samples], config: TrainConfig, seed: int, work: list[np.ndarray]
     ):
         train_set, val_set = fold
         stats = feature_stats(train_set) if config.standardize else None
@@ -401,28 +402,25 @@ class _SeedRun:
         self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
         self.x_val, self.t_val = _fold_arrays(val_set, self.model0)
         self.phi_val = val_set.phi_deg
-        self.train_out, self.val_out = np.empty_like(self.t_train), np.empty_like(self.t_val)
+        self.val_out = np.empty_like(self.t_val)
         self.work = work  # layer buffers that the folds share
         self.shuffle_rng = substream(seed, SHUFFLE)
-        self.initial_val = self.best_val = loss(
-            self._outputs(self.model0.params, self.x_val, self.val_out), self.t_val
-        )
+        self.initial_val = self.best_val = loss(self._val_outputs(self.model0.params), self.t_val)
         self.best_params = self.model0.params.copy()
         self.best_epoch = self.stale_epochs = 0
         self.train_loss: list[float] = []
         self.val_loss: list[float] = []
         self.val_rmse: list[float] = []
 
-    def _outputs(self, params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _val_outputs(self, params: np.ndarray) -> np.ndarray:
         weights, biases = _layer_views(params, self.model0.layer_sizes)
-        return _outputs_chunked(weights, biases, x, out, self.work)
+        return _outputs_chunked(weights, biases, self.x_val, self.val_out, self.work)
 
-    def end_epoch(self, epoch: int, params: np.ndarray, patience: int) -> bool:
-        """Score ``params`` after ``epoch``; True once more than ``patience``
-        epochs in a row have not improved validation loss."""
-        train_out = self._outputs(params, self.x_train, self.train_out)
-        self.train_loss.append(loss(train_out, self.t_train))
-        val_out = self._outputs(params, self.x_val, self.val_out)
+    def end_epoch(self, epoch: int, params: np.ndarray, sq_sum: float, patience: int) -> bool:
+        """Record ``epoch``'s losses (training from its squared residuals); True once
+        more than ``patience`` epochs in a row have not improved validation loss."""
+        self.train_loss.append(float(sq_sum) / (2 * len(self.x_train)))
+        val_out = self._val_outputs(params)
         val_loss = loss(val_out, self.t_val)
         # Decoded validation angles; ~zero output vectors carry none.
         defined = np.hypot(val_out[:, 0], val_out[:, 1]) > EPS_ZERO
@@ -494,17 +492,19 @@ def train_many(
         grad_w, grad_b = _layer_views(grads, sizes)
         # Each fold's epoch order, gathered once; batches are slices of it.
         x, t = x_epoch[: len(live)], t_epoch[: len(live)]
+        sq_sum = np.zeros(len(live))  # per fold, the epoch's squared residuals
         for i, run in enumerate(live):
             order = run.shuffle_rng.permutation(n)
             np.take(run.x_train, order, axis=0, out=x[i])
             np.take(run.t_train, order, axis=0, out=t[i])
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)
-            _backward_arrays(weights, biases, x[:, batch], t[:, batch], grad_w, grad_b)
+            diff = _backward_arrays(weights, biases, x[:, batch], t[:, batch], grad_w, grad_b)
+            sq_sum += np.square(diff).sum(axis=(-2, -1))
             rmsprop_step(params, grads, v, config)
         going = [
-            not run.end_epoch(epoch, row, config.patience)
-            for run, row in zip(live, params)
+            not run.end_epoch(epoch, row, sq, config.patience)
+            for run, row, sq in zip(live, params, sq_sum)
         ]
         if not all(going):
             live = [run for run, keep in zip(live, going) if keep]

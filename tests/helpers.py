@@ -1,7 +1,8 @@
 """Shared test utilities: the finite-difference gradient checker, a
 ``Samples`` builder, model-file writers with chosen standardization stats,
 layer sizes or a NaN parameter, a search rollout built from the
-single-frame functions, and a per-row dataset CSV reader."""
+single-frame functions, a trainer that steps one mini-batch at a time
+through the public functions, and a per-row dataset CSV reader."""
 
 import csv
 import math
@@ -24,15 +25,19 @@ from cuphaptics import (
     SensorFrame,
     backward,
     estimate_direction,
+    feature_stats,
+    forward,
     init_model,
     predict_angle,
+    rmsprop_step,
     save_model,
     search_step,
     synth_frame,
+    target_encoding,
 )
 from cuphaptics.dataset import CSV_COLUMNS
 from cuphaptics.mlp import MODEL_MAGIC, _forward_batch
-from cuphaptics.rng import SEARCH_STEP, substream
+from cuphaptics.rng import SEARCH_STEP, SHUFFLE, substream
 
 FD_STEP = 1e-6
 KINK_EPS = 1e-7
@@ -186,6 +191,38 @@ def rollout_a_frame_at_a_time(pose0, config, geom, params):
         trajectory.append(pose)
     result = SearchResult(success=reason is None, steps=len(trajectory) - 1, failure_reason=reason)
     return result, tuple(trajectory)
+
+
+def train_a_batch_at_a_time(train_set, config, epochs):
+    """Replay ``train``'s mini-batch RMSprop on ``train_set`` for ``epochs``
+    epochs from the public functions: each epoch's order drawn from
+    ``substream(config.seed, SHUFFLE)``, each batch scored row by row with
+    ``forward`` before ``backward`` and ``rmsprop_step`` update it. Returns
+    the parameters after each epoch (the initial ones first) and, per epoch,
+    the batches' squared residuals summed over both outputs, divided by
+    twice the row count."""
+    stats = feature_stats(train_set) if config.standardize else None
+    model = init_model(config.seed, stats=stats)
+    x = train_set.p_ch
+    if stats is not None:
+        x = (x - np.array(stats.mean)) / np.array(stats.std)
+    t = target_encoding(train_set.phi_deg)
+    rng = substream(config.seed, SHUFFLE)
+    v = np.zeros_like(model.params)
+    snapshots, train_loss = [model.params.copy()], []
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        total = 0.0
+        for start in range(0, len(x), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            out = np.array([forward(model, row) for row in x[rows]])
+            total += float(np.sum((out - t[rows]) ** 2))
+            grad_w, grad_b = backward(model, x[rows], t[rows])
+            grads = np.concatenate([g.ravel() for pair in zip(grad_w, grad_b) for g in pair])
+            rmsprop_step(model.params, grads, v, config)
+        snapshots.append(model.params.copy())
+        train_loss.append(total / (2 * len(x)))
+    return snapshots, train_loss
 
 
 def first_bad_row_error(path):

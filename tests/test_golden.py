@@ -18,14 +18,15 @@ GOLDEN_SHA256 = {
     "data/dataset.csv": "4d81cfa14d6087cb0ebce547e05902ace5343699235fbb2dddadca441ab0fe56",
     "std/model.cupmlp": "1e717d1cb2af94a69c6e9b11d32b37744a51e49755e0d664140833191a261bee",
     "std/model.cupmlp.json": "d293e6c64575f7f81662c6d0e43616d1cb0def5e0c0d49f5ea93ea9a24584ca3",
-    "std/history.json": "0f870d97ae00c54051db5a37d3d29856bf5036dd7dcba23c2c783ec36389d082",
+    "std/history.json": "26b407788674b259af85e1a89653f81ac4efb69b0e684fc12d6880448574985f",
     "raw/model.cupmlp": "64ca9adf3f4287ef953e522bb58da8d6287bdd649d1d18fec42260fff41287a3",
     "raw/model.cupmlp.json": "ae237e598214e0d08f5cab1cab3daa01bb71a1b6d34867e0d0291d1dd3a16050",
-    "raw/history.json": "9d06555ddd4d6bc5760d4881a59689d2d318ed06d4c3afb7e210b51d4ef68329",
+    "raw/history.json": "5556cb18b786256a72b188ba17bd545aa91aa3b95ef7372e0a62f01cbdd1d58c",
     "compare/report.json": "b279473d7d07ff45b88772628ce11b39b91ccadeefacc2d49542798b795c372b",
     "compare/scatter_mlp.csv": "aa26f1954ec1488aec75e00f25d3361d9e561141cc2b6e4abbe0df184300722a",
     "compare/scatter_model_based.csv": "fe421fe1132a3a32b9b150b1b2a64d31f263128c19d4007ba01805685d332b6b",
-    # 6,000 rows: a 4,800-row training fold spans ten 512-row scoring chunks.
+    # 6,000 rows: each epoch scores only the 1,200-row validation fold, which
+    # spans three 512-row chunks, the last one short.
     "compare6k/report.json": "b58d3c5302addc7494feefb73ce6335b1c05d4a53673ef4f42037f5fe73aeb44",
     "search_model_based/search.csv": "3fe1a50acdd47c05569304f580f9bc7cd69e379e862eeb30dda72e68c17fc096",
     "search_mlp/search.csv": "1c737a468a520b6dd4fe2ac780d5bae7bc50033495bd5f16ac491360a939c121",

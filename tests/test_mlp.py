@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +46,7 @@ from cuphaptics.rng import substream
 from helpers import (
     gradient_check_trials,
     samples_of,
+    train_a_batch_at_a_time,
     write_model_with_nan_param,
     write_model_with_sizes,
     write_model_with_stats,
@@ -88,6 +91,26 @@ class TestInitModel:
             assert np.shares_memory(a, model.params)
         model.biases[-1][0] = 7.0
         assert model.params[-2] == 7.0
+
+    @pytest.mark.parametrize(
+        "copier", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+    )
+    @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
+    def test_a_copy_keeps_its_views_into_params(self, copier, standardize):
+        stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 2.0, 3.0, 4.0))
+        stats = stats if standardize else None
+        model, other = init_model(1, stats=stats), init_model(2, stats=stats)
+        frame = SensorFrame(p_ch=(91.325, 96.325, 96.325, 91.325), p_atm=101.325)
+        params, answer = model.params.copy(), predict_angle(model, frame)
+        clone = copier(model)
+        assert clone.stats == model.stats
+        for a in (*clone.weights, *clone.biases):
+            assert np.shares_memory(a, clone.params)
+            assert not np.shares_memory(a, model.params)
+        clone.params[:] = other.params
+        assert predict_angle(clone, frame).degrees == predict_angle(other, frame).degrees
+        assert model.params.tobytes() == params.tobytes()
+        assert predict_angle(model, frame).degrees == answer.degrees
 
     def test_models_compare_by_identity(self):
         model = init_model(0)
@@ -384,6 +407,22 @@ class TestTrain:
             assert phi is not None
             assert angular_error(phi, s.pose.phi) < 5.0
 
+
+    # Of 50 rows, 7 and 16 leave a short last batch, 50 is one full batch and
+    # 64 one short one.
+    @pytest.mark.parametrize("batch_size", [7, 16, 50, 64])
+    @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
+    def test_equals_a_batch_at_a_time_replay(self, batch_size, standardize):
+        samples = small_dataset(n=70)
+        epochs = 5
+        config = TrainConfig(
+            batch_size=batch_size, max_epochs=epochs, patience=epochs, seed=6, standardize=standardize
+        )
+        model, history = train(samples[:50], samples[50:], config)
+        snapshots, train_loss = train_a_batch_at_a_time(samples[:50], config, epochs)
+        assert len(history.train_loss) == epochs
+        assert model.params.tobytes() == snapshots[history.best_epoch].tobytes()
+        assert history.train_loss == pytest.approx(train_loss, rel=1e-12, abs=0.0)
 
     def test_divergence_is_rejected(self):
         samples = small_dataset(n=60)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .core import SensorFrame, _rmse, estimate_direction
 from .dataset import SplitSpec, read_csv, split, write_csv
-from .errors import ConfigError, CupHapticsError, InvalidInputError
+from .errors import ConfigError, CupHapticsError, InvalidInputError, require_count
 from .evaluate import (
     MLP_METHOD,
     MODEL_BASED_METHOD,
@@ -193,13 +193,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         success_delta_mm=args.success_delta,
         seed=args.seed,
     )
-    if args.phi_points < 1:
-        raise ConfigError(f"--phi-points must be >= 1, got {args.phi_points}")
+    phi_points = require_count("--phi-points", args.phi_points, 1)
     spec = BatchSpec(
         delta0_values_mm=(args.delta0,),
-        phi0_values_deg=tuple(
-            k * 360.0 / args.phi_points for k in range(args.phi_points)
-        ),
+        phi0_values_deg=tuple(k * 360.0 / phi_points for k in range(phi_points)),
         noise_values_kpa=(args.noise_sigma,),
         estimators=(estimator,),
         reps=args.reps,

@@ -2,9 +2,9 @@
 
 A dataset is one ``Samples``: a read-only (n, 7) float64 table whose
 columns follow the CSV schema below. ``samples.table`` is that array,
-``samples.p_ch`` and ``samples.phi_deg`` are column views, and
-``samples[i]`` builds the ``LabeledSample`` (frame and pose) of row i,
-so per-row objects exist only where a caller asks for one.
+``samples.p_ch``, ``samples.p_atm`` and ``samples.phi_deg`` are column
+views, and ``samples[i]`` builds the ``LabeledSample`` (frame and pose) of
+row i, so per-row objects exist only where a caller asks for one.
 
 The on-disk format is a plain CSV with the exact header
 
@@ -97,6 +97,11 @@ class Samples:
     def p_ch(self) -> np.ndarray:
         """Chamber pressures, kPa: an (n, 4) view."""
         return self.table[:, 0:4]
+
+    @property
+    def p_atm(self) -> np.ndarray:
+        """Ambient pressure, kPa: an (n, 1) view, which broadcasts over ``p_ch``."""
+        return self.table[:, 4:5]
 
     @property
     def phi_deg(self) -> np.ndarray:

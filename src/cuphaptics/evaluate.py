@@ -107,7 +107,7 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
 
 def _columns(estimator: Estimator, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
     """True yaws as ``Angle`` stores them, and ``estimate_batch``'s yaws (NaN where none)."""
-    yaws = estimator.estimate_batch(samples.p_ch, samples.table[:, 4:5], samples.phi_deg)
+    yaws = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
     return _wrap_deg(samples.phi_deg), yaws
 
 

@@ -22,11 +22,13 @@ that the model holds, ``train`` optimizes, ``save_model`` writes and
 ``load_model`` reads; ``model.weights`` and ``model.biases`` are per-layer
 views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
-when the caller supplies them. Each model plans its inference when it is
-built: per layer, W.T and b as views into ``params``, and its stats as two
-float64 arrays. One row kernel runs that plan for single frames and for
-tables, which run as a stack of one-row products, so each row keeps its
-single-frame bits (an n-row product may not).
+when the caller supplies them. Each model makes its forward plan when it
+is built: per layer, W.T and b as views into ``params``, and its stats as
+two float64 arrays. One forward kernel runs every pass: single frames;
+tables, as a stack of one-row products so that each row keeps its
+single-frame bits (an n-row product may not); and training's forward half
+and validation pass, on plans built the same way from the parameters being
+trained.
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
@@ -73,6 +75,8 @@ MODEL_MAGIC = b"CUPMLP1"
 # enough that OpenBLAS keeps each product on one thread, none left spinning.
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
+# A forward plan: (W.T, b) per layer, the input of ``_forward``.
+_Plan = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +87,8 @@ class MlpModel:
     in, row-major); ``weights`` and ``biases`` are per-layer views into it.
     The model standardizes its inputs exactly when ``stats`` is not None.
     Models compare by identity; compare ``params`` for equal values.
-    ``_layers`` ((W.T, b) per layer) and ``_zscore`` are the inference plan.
+    ``_layers`` ((W.T, b) per layer) is the forward plan that ``_forward``
+    runs, and ``_zscore`` the inputs' (mean, std) arrays.
     """
 
     layer_sizes: tuple[int, ...]
@@ -91,7 +96,7 @@ class MlpModel:
     stats: FeatureStats | None = None
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    _layers: _Plan = field(init=False, repr=False)
     _zscore: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -116,7 +121,7 @@ class MlpModel:
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "biases", tuple(biases))
         # Views, not copies: writes through params (init_model's fill) reach them.
-        object.__setattr__(self, "_layers", tuple((w.T, b) for w, b in zip(weights, biases)))
+        object.__setattr__(self, "_layers", _plan(weights, biases))
         stats = self.stats
         zscore = None if stats is None else (np.asarray(stats.mean), np.asarray(stats.std))
         object.__setattr__(self, "_zscore", zscore)
@@ -210,46 +215,31 @@ def _layer_views(
     return views[0::2], views[1::2]
 
 
-def _forward_batch(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    x: np.ndarray,
-    work: Sequence[np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (activations, pre-activations); activations[0] is the input.
+def _plan(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> _Plan:
+    """The forward plan: per layer, W.T and b as views of ``weights`` and
+    ``biases``. Stacked (S, out, in) weights give an (S, 1, out) bias, which
+    broadcasts over each network's rows."""
+    return tuple(
+        (w.swapaxes(-1, -2), b if b.ndim == 1 else b[..., None, :])
+        for w, b in zip(weights, biases)
+    )
 
-    Rows run along axis -2. Leading axes broadcast, so an (S, out, in)
-    weight stack runs S networks on an (S, n, in) input stack at once.
-    Given ``work`` (per layer, a 2-D array of its width with at least as
-    many rows as ``x``), each layer is written there and its ReLU applied
-    in place: a repeated pass then allocates nothing, and the hidden
-    pre-activations are not kept.
-    """
+
+def _forward(plan: _Plan, x: np.ndarray) -> list[np.ndarray]:
+    """The forward kernel: every layer's output for unchecked inputs along
+    the last axis of ``x``, ``x`` itself first. Per layer ``x @ W.T``,
+    ``+= b`` and, on hidden layers, ReLU in place. A 1-D input and each row
+    of an (n, 1, in) stack run the same one-row product, so both give one
+    frame's bits; with a stacked plan, an (S, n, in) input runs S networks."""
     activations = [x]
-    preacts = []
-    last = len(weights) - 1
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        dest = None if work is None else work[k][: x.shape[-2]]
-        z = np.matmul(activations[-1], w.swapaxes(-1, -2), out=dest)
-        z += b[..., None, :]
-        preacts.append(z)
-        activations.append(z if k == last else np.maximum(z, 0.0, out=dest))
-    return activations, preacts
-
-
-def _run_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """The row kernel: outputs for unchecked inputs along the last axis of
-    ``x``, per layer ``x @ W.T``, ``+= b`` and, on hidden layers, ReLU in
-    place. A 1-D input and each row of an (n, 1, in) stack run the same
-    one-row product, so both give one frame's bits."""
-    *hidden, (w_t, b) = model._layers
-    for w_t_k, b_k in hidden:
-        x = x @ w_t_k
-        x += b_k
-        np.maximum(x, 0.0, out=x)
-    x = x @ w_t
-    x += b
-    return x
+    last = len(plan) - 1
+    for k, (w_t, b) in enumerate(plan):
+        x = x @ w_t
+        x += b
+        if k < last:
+            np.maximum(x, 0.0, out=x)
+        activations.append(x)
+    return activations
 
 
 def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
@@ -261,7 +251,7 @@ def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
         )
     if not all(map(math.isfinite, x.tolist())):
         raise InvalidInputError("inputs must be finite")
-    return _run_rows(model, x)
+    return _forward(model._layers, x)[-1]
 
 
 def target_encoding(phi_deg: np.ndarray) -> np.ndarray:
@@ -288,24 +278,24 @@ def loss(pred: Sequence[float], target: Sequence[float]) -> float:
 
 
 def _backward_arrays(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
+    plan: _Plan,
     x: np.ndarray,
     t: np.ndarray,
     grad_w: Sequence[np.ndarray],
     grad_b: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Write the mean-batch-loss gradients into ``grad_w`` and ``grad_b``, and
-    return the residuals a - t; with a leading stack axis, per network."""
-    activations, preacts = _forward_batch(weights, biases, x)
+    """Write the mean-batch-loss gradients of the network that ``plan`` runs
+    into ``grad_w`` and ``grad_b``, and return the residuals a - t; with a
+    leading stack axis, per network."""
+    activations = _forward(plan, x)
     n = x.shape[-2]
     # d(mean over n*2 elements of (a-t)^2) / da = (a - t) / n
     grad = (diff := activations[-1] - t) / n
-    for k in reversed(range(len(weights))):
+    for k in reversed(range(len(plan))):
         np.matmul(grad.swapaxes(-1, -2), activations[k], out=grad_w[k])
         grad.sum(axis=-2, out=grad_b[k])
-        if k > 0:
-            grad = (grad @ weights[k]) * (preacts[k - 1] > 0.0)
+        if k > 0:  # ReLU passes gradient where its output is > 0
+            grad = (grad @ plan[k][0].swapaxes(-1, -2)) * (activations[k] > 0.0)
     return diff
 
 
@@ -326,7 +316,7 @@ def backward(
             f"batch size mismatch: {x.shape[0]} inputs vs {t.shape[0]} targets"
         )
     grad_w, grad_b = _layer_views(np.empty_like(model.params), model.layer_sizes)
-    _backward_arrays(model.weights, model.biases, x, t, grad_w, grad_b)
+    _backward_arrays(model._layers, x, t, grad_w, grad_b)
     return grad_w, grad_b
 
 
@@ -366,22 +356,6 @@ def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
     return p_ch if zscore is None else (p_ch - zscore[0]) / zscore[1]
 
 
-def _outputs_chunked(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    x: np.ndarray,
-    out: np.ndarray,
-    work: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Fill ``out`` with the outputs for the rows of ``x``, ``CHUNK_ROWS`` rows
-    at a time through the layer buffers ``work``, so that a full-set pass
-    holds one chunk's activations and allocates none."""
-    for start in range(0, len(x), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        out[rows] = _forward_batch(weights, biases, x[rows], work)[0][-1]
-    return out
-
-
 def _fold_arrays(part: Samples, model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
     """A fold's inputs as ``model`` takes them, and its unit-circle targets
     (cos phi, sin phi)."""
@@ -393,17 +367,13 @@ class _SeedRun:
     """One fold of a ``train_many`` call: its arrays, its shuffle stream, and
     its per-epoch record with the best checkpoint so far."""
 
-    def __init__(
-        self, fold: tuple[Samples, Samples], config: TrainConfig, seed: int, work: list[np.ndarray]
-    ):
+    def __init__(self, fold: tuple[Samples, Samples], config: TrainConfig, seed: int):
         train_set, val_set = fold
         stats = feature_stats(train_set) if config.standardize else None
         self.model0 = init_model(seed, stats=stats)
         self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
         self.x_val, self.t_val = _fold_arrays(val_set, self.model0)
         self.phi_val = val_set.phi_deg
-        self.val_out = np.empty_like(self.t_val)
-        self.work = work  # layer buffers that the folds share
         self.shuffle_rng = substream(seed, SHUFFLE)
         self.initial_val = self.best_val = loss(self._val_outputs(self.model0.params), self.t_val)
         self.best_params = self.model0.params.copy()
@@ -413,8 +383,12 @@ class _SeedRun:
         self.val_rmse: list[float] = []
 
     def _val_outputs(self, params: np.ndarray) -> np.ndarray:
-        weights, biases = _layer_views(params, self.model0.layer_sizes)
-        return _outputs_chunked(weights, biases, self.x_val, self.val_out, self.work)
+        """Outputs for the validation fold, ``CHUNK_ROWS`` rows per pass."""
+        plan = _plan(*_layer_views(params, self.model0.layer_sizes))
+        x = self.x_val
+        return np.concatenate(
+            [_forward(plan, x[i : i + CHUNK_ROWS])[-1] for i in range(0, len(x), CHUNK_ROWS)]
+        )
 
     def end_epoch(self, epoch: int, params: np.ndarray, sq_sum: float, patience: int) -> bool:
         """Record ``epoch``'s losses (training from its squared residuals); True once
@@ -474,8 +448,7 @@ def train_many(
     if any(len(train_set) != n for train_set, _ in folds):
         raise ConfigError("lockstep training needs training folds of one size")
     sizes = DEFAULT_LAYER_SIZES
-    work = [np.empty((CHUNK_ROWS, width)) for width in sizes[1:]]
-    runs = [_SeedRun(fold, config, seed, work) for fold, seed in zip(folds, seeds)]
+    runs = [_SeedRun(fold, config, seed) for fold, seed in zip(folds, seeds)]
     # Each live fold's training set in this epoch's order, stacked.
     x_epoch = np.empty((len(runs), n, sizes[0]))
     t_epoch = np.empty((len(runs), n, sizes[-1]))
@@ -485,10 +458,10 @@ def train_many(
     params = np.stack([run.model0.params for run in live])
     v = np.zeros_like(params)
     for epoch in range(1, config.max_epochs + 1):
-        # Gradients match the stack; the per-layer views alias params and
-        # grads, so both are written in place.
+        # Gradients match the stack; the plan and the gradient views alias
+        # params and grads, so both are written in place.
         grads = np.empty_like(params)
-        weights, biases = _layer_views(params, sizes)
+        plan = _plan(*_layer_views(params, sizes))
         grad_w, grad_b = _layer_views(grads, sizes)
         # Each fold's epoch order, gathered once; batches are slices of it.
         x, t = x_epoch[: len(live)], t_epoch[: len(live)]
@@ -499,7 +472,7 @@ def train_many(
             np.take(run.t_train, order, axis=0, out=t[i])
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)
-            diff = _backward_arrays(weights, biases, x[:, batch], t[:, batch], grad_w, grad_b)
+            diff = _backward_arrays(plan, x[:, batch], t[:, batch], grad_w, grad_b)
             sq_sum += np.square(diff).sum(axis=(-2, -1))
             rmsprop_step(params, grads, v, config)
         going = [
@@ -541,7 +514,7 @@ def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.n
     if p_ch.shape[1:] != (n_in := model.layer_sizes[0],):
         raise InvalidInputError(f"expected {n_in} inputs, got shape {p_ch.shape[1:]}")
     x = _model_inputs(model, p_ch)
-    return x, _run_rows(model, x[:, None, :])[:, 0]
+    return x, _forward(model._layers, x[:, None, :])[-1][:, 0]
 
 
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:

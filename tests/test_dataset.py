@@ -111,12 +111,15 @@ class TestSamples:
         samples = small_samples()
         assert np.shares_memory(samples.p_ch, samples.table)
         assert np.array_equal(samples.p_ch[3], samples[3].frame.p_ch)
+        assert np.shares_memory(samples.p_atm, samples.table)
+        assert samples.p_atm.tolist() == [[s.frame.p_atm] for s in samples]
         assert np.array_equal(samples.phi_deg, [s.pose.phi.degrees for s in samples])
         assert samples.table.flags.c_contiguous
 
     def test_table_is_read_only(self):
         samples = small_samples()
-        for view in (samples.table, samples.p_ch, samples.phi_deg, samples[1:].table):
+        columns = (samples.p_ch, samples.p_atm, samples.phi_deg)
+        for view in (samples.table, *columns, samples[1:].table):
             with pytest.raises(ValueError):
                 view[0] = 0.0
 

@@ -39,7 +39,7 @@ from cuphaptics import (
     split,
     train,
 )
-from cuphaptics.mlp import _forward_batch, _n_params, _outputs_by_row
+from cuphaptics.mlp import _forward, _layer_views, _n_params, _outputs_by_row, _plan
 from helpers import equal_chamber_rows
 
 GEOM = CupGeometry()
@@ -459,8 +459,11 @@ class TestRowKernel:
     def test_forward_equals_the_stacked_product(self, model, data):
         n_in = model.layer_sizes[0]
         x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_in, max_size=n_in)))
-        want = _forward_batch(model.weights, model.biases, x[None, :])[0][-1][0]
-        assert forward(model, x).tobytes() == want.tobytes()
+        got = forward(model, x).tobytes()
+        assert got == _forward(model._layers, x[None, :])[-1][0].tobytes()
+        # The trainer's plan for an (S, P) stack, here S = 1.
+        stacked = _plan(*_layer_views(model.params[None, :], model.layer_sizes))
+        assert got == _forward(stacked, x[None, None, :])[-1][0, 0].tobytes()
 
     @settings(max_examples=300)
     @given(
@@ -483,7 +486,7 @@ class TestRowKernel:
         frames = [s.frame for s in samples]
         # init_model fills the weights in place after building the model.
         model, other = init_model(1), init_model(2)
-        stacked = _forward_batch(model.weights, model.biases, samples.p_ch[:, None, :])[0][-1]
+        stacked = _forward(_plan(model.weights, model.biases), samples.p_ch[:, None, :])[-1]
         first = [predict_angle(model, f) for f in frames]
         assert None not in first
         assert [bits(a) for a in first] == [

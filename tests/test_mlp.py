@@ -41,7 +41,7 @@ from cuphaptics import (
 )
 from cuphaptics import SplitSpec, mlp
 from cuphaptics import split as split_samples
-from cuphaptics.mlp import CHUNK_ROWS, MODEL_MAGIC, _forward_batch, _outputs_chunked
+from cuphaptics.mlp import CHUNK_ROWS, MODEL_MAGIC
 from cuphaptics.rng import substream
 from helpers import (
     gradient_check_trials,
@@ -245,6 +245,23 @@ class TestBackward:
     def test_rejects_empty_batch(self):
         with pytest.raises(InvalidInputError):
             backward(init_model(0), np.empty((0, 4)), np.empty((0, 2)))
+
+    @pytest.mark.parametrize(
+        "x, want_w, want_b",
+        [
+            (0.0, [[[0.0]], [[0.0]]], [[0.0], [-1.0]]),
+            (-0.0, [[[0.0]], [[0.0]]], [[0.0], [-1.0]]),
+            (-1e-300, [[[0.0]], [[0.0]]], [[0.0], [-1.0]]),
+            (1e-300, [[[-1e-300]], [[-1e-300]]], [[-1.0], [-1.0]]),
+        ],
+    )
+    def test_relu_subgradient_at_the_kink(self, x, want_w, want_b):
+        # One ReLU unit between identity layers, target 1: the hidden layer
+        # passes gradient only where its pre-activation x is > 0.
+        model = MlpModel((1, 1, 1), [1.0, 0.0, 1.0, 0.0])
+        grad_w, grad_b = backward(model, [[x]], [[1.0]])
+        assert [g.tolist() for g in grad_w] == want_w
+        assert [g.tolist() for g in grad_b] == want_b
 
     def test_matches_finite_differences_quick(self):
         checked, _, worst = gradient_check_trials(20, base_seed=50_000)
@@ -475,12 +492,22 @@ class TestTrainMany:
 
     def test_chunked_pass_equals_one_forward_pass(self):
         rows = 2 * CHUNK_ROWS + 123
-        x = np.random.default_rng(3).normal(size=(rows, 4))
-        model = init_model(8)
-        work = [np.empty((CHUNK_ROWS, width)) for width in model.layer_sizes[1:]]
-        chunked = _outputs_chunked(model.weights, model.biases, x, np.empty((rows, 2)), work)
-        whole = _forward_batch(model.weights, model.biases, x)[0][-1]
+        samples = small_dataset(n=rows + 50)
+        run = mlp._SeedRun((samples[:50], samples[50:]), TrainConfig(), 8)
+        chunked = run._val_outputs(run.model0.params)
+        whole = mlp._forward(run.model0._layers, run.x_val)[-1]
+        assert chunked.shape == (rows, 2)
         assert chunked.tobytes() == whole.tobytes()
+
+    def test_stacked_plan_gives_each_network_its_own_bits(self):
+        models = [init_model(seed) for seed in (8, 9)]
+        x = np.random.default_rng(3).normal(size=(2, 100, 4))
+        stack = np.stack([model.params for model in models])
+        plan = mlp._plan(*mlp._layer_views(stack, models[0].layer_sizes))
+        stacked = mlp._forward(plan, x)
+        for i, model in enumerate(models):
+            solo = mlp._forward(model._layers, x[i])
+            assert [a[i].tobytes() for a in stacked] == [a.tobytes() for a in solo]
 
 
 class TestPredictAngle:

@@ -493,7 +493,7 @@ class TestEstimateBatch:
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_equals_estimate_bit_for_bit(self, name, table):
         est = ESTIMATORS[name]
-        yaw = est.estimate_batch(table.p_ch, table.table[:, 4:5], table.phi_deg)
+        yaw = est.estimate_batch(table.p_ch, table.p_atm, table.phi_deg)
         want = [frame_yaw(est, s.frame, s.pose) for s in table]
         assert [y.hex() for y in yaw.tolist()] == [
             math.nan.hex() if a is None else a.degrees.hex() for a in want

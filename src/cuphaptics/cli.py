@@ -102,9 +102,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         sampling="grid" if args.sampling == "grid" else "uniform_random",
         seed=args.seed,
     )
-    params = PressureFieldParams(
-        response=args.response, noise_sigma_kpa=args.noise_sigma
-    )
+    params = PressureFieldParams(response=args.response, noise_sigma_kpa=args.noise_sigma)
     samples = generate_dataset(CupGeometry(), params, config)
     path = _out_dir(args) / DATASET_FILENAME
     write_csv(samples, path)
@@ -202,12 +200,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=args.seed,
     )
-    rows = batch_search(
-        spec,
-        config,
-        CupGeometry(),
-        PressureFieldParams(noise_sigma_kpa=args.noise_sigma),
-    )
+    rows = batch_search(spec, config, CupGeometry(), PressureFieldParams())  # the grid sets noise
     path = _out_dir(args) / SEARCH_FILENAME
     write_batch_csv(rows, path)
     overall = sum(r.success_rate for r in rows) / len(rows)
@@ -257,16 +250,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "generate", parents=[common], help="write a synthetic dataset CSV"
     )
-    p_gen.add_argument("--n", type=int, default=25_273, help="sample count")
-    p_gen.add_argument("--delta-min", type=float, default=7.0, help="min offset, mm")
-    p_gen.add_argument("--delta-max", type=float, default=14.0, help="max offset, mm")
-    p_gen.add_argument(
-        "--noise-sigma", type=float, default=0.3, help="sensor noise std, kPa"
-    )
+    p_gen.add_argument("--n", type=int, default=GenerationConfig.n_samples, help="sample count")
+    d_min, d_max = GenerationConfig.delta_range_mm
+    p_gen.add_argument("--delta-min", type=float, default=d_min, help="min offset, mm")
+    p_gen.add_argument("--delta-max", type=float, default=d_max, help="max offset, mm")
+    noise = dict(type=float, default=PressureFieldParams.noise_sigma_kpa)  # generate and search
+    p_gen.add_argument("--noise-sigma", **noise, help="sensor noise std, kPa")
     p_gen.add_argument(
         "--response",
         choices=("affine", "sigmoid"),
-        default="sigmoid",
+        default=PressureFieldParams.response,
         help="coverage-to-vacuum response curve",
     )
     p_gen.add_argument(
@@ -278,14 +271,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(handler=cmd_generate)
 
     train_common = argparse.ArgumentParser(add_help=False)
+    train_common.add_argument("--data", required=True, help="dataset CSV path")
     train_common.add_argument(
-        "--train-fraction", type=float, default=0.8, help="train share of the split"
+        "--train-fraction",
+        type=float,
+        default=SplitSpec.train_fraction,
+        help="train share of the split",
     )
-    train_common.add_argument("--epochs", type=int, default=200, help="max epochs")
-    train_common.add_argument("--batch-size", type=int, default=64)
-    train_common.add_argument("--lr", type=float, default=1e-3, help="learning rate")
     train_common.add_argument(
-        "--patience", type=int, default=20, help="early-stop patience, epochs"
+        "--epochs", type=int, default=TrainConfig.max_epochs, help="max epochs"
+    )
+    train_common.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    train_common.add_argument("--lr", type=float, default=TrainConfig.lr, help="learning rate")
+    train_common.add_argument(
+        "--patience", type=int, default=TrainConfig.patience, help="early-stop patience, epochs"
     )
     train_common.add_argument(
         "--raw-inputs",
@@ -298,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common, train_common],
         help="train the network on a dataset CSV",
     )
-    p_train.add_argument("--data", required=True, help="dataset CSV path")
     p_train.set_defaults(handler=cmd_train)
 
     p_cmp = sub.add_parser(
@@ -306,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common, train_common],
         help="multi-seed comparison of both estimators",
     )
-    p_cmp.add_argument("--data", required=True, help="dataset CSV path")
     p_cmp.add_argument(
         "--seeds", default="1,2,3,4,5", help="comma-separated seed list"
     )
@@ -322,18 +319,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--model", help="model file (required for mlp)")
     p_search.add_argument("--delta0", type=float, default=14.0, help="start offset, mm")
-    p_search.add_argument("--step", type=float, default=2.0, help="step size, mm")
-    p_search.add_argument("--max-steps", type=int, default=25)
     p_search.add_argument(
-        "--success-delta", type=float, default=7.0, help="success threshold, mm"
+        "--step", type=float, default=SearchConfig.step_size_mm, help="step size, mm"
+    )
+    p_search.add_argument("--max-steps", type=int, default=SearchConfig.max_steps)
+    p_search.add_argument(
+        "--success-delta",
+        type=float,
+        default=SearchConfig.success_delta_mm,
+        help="success threshold, mm",
     )
     p_search.add_argument(
         "--phi-points", type=int, default=36, help="evenly spaced start yaws"
     )
-    p_search.add_argument(
-        "--noise-sigma", type=float, default=0.3, help="sensor noise std, kPa"
-    )
-    p_search.add_argument("--reps", type=int, default=5, help="repetitions per cell")
+    p_search.add_argument("--noise-sigma", **noise, help="sensor noise std, kPa")
+    p_search.add_argument("--reps", type=int, default=BatchSpec.reps, help="repetitions per cell")
     p_search.set_defaults(handler=cmd_search)
 
     p_pred = sub.add_parser(
@@ -342,7 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--p-ch", required=True, help="four chamber pressures, kPa, comma-separated"
     )
-    p_pred.add_argument("--p-atm", type=float, default=101.325, help="ambient, kPa")
+    p_pred.add_argument(
+        "--p-atm", type=float, default=PressureFieldParams.p_atm_kpa, help="ambient, kPa"
+    )
     p_pred.add_argument("--method", choices=("model", "mlp"), default="model")
     p_pred.add_argument("--model", help="model file (required for mlp)")
     p_pred.add_argument("--format", choices=("json", "csv"), default="json")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_real
 
 # Below this norm (in pressure-sum units) a direction vector is treated as
 # zero and carries no usable angle. Far below any sensor noise scale.
@@ -27,13 +27,14 @@ PRESSURE_TOLERANCE_KPA = 0.5
 
 
 def _as_finite(value: object, what: str) -> float:
-    try:
-        out = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} must be a real number, got {value!r}") from exc
-    if not math.isfinite(out):
-        raise InvalidInputError(f"{what} must be finite, got {out!r}")
-    return out
+    if type(value) is not float:  # a float needs no conversion
+        try:
+            value = as_real(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{what} must be a real number, got {value!r}") from exc
+    if not math.isfinite(value):  # type: ignore[arg-type]
+        raise InvalidInputError(f"{what} must be finite, got {value!r}")
+    return value  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,13 +31,14 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Angle, GroundTruthPose, SensorFrame, _wrap_deg, frames_valid
+from .core import Angle, GroundTruthPose, SensorFrame, _as_finite, _wrap_deg, frames_valid
 from .errors import (
     ConfigError,
     CsvParseError,
     DegenerateChannelError,
     InvalidInputError,
     require_count,
+    require_real,
 )
 from .rng import SPLIT, substream
 
@@ -128,9 +129,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        f = self.train_fraction
-        if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 < f < 1.0):
-            raise ConfigError(f"train_fraction must be in (0, 1), got {f!r}")
+        require_real("train_fraction", self.train_fraction, high=1.0)
         require_count("seed", self.seed)
 
 
@@ -142,13 +141,11 @@ class FeatureStats:
     std: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        mean = tuple(float(m) for m in self.mean)
-        std = tuple(float(s) for s in self.std)
+        mean = tuple(_as_finite(m, f"mean of channel {j}") for j, m in enumerate(self.mean, 1))
+        std = tuple(_as_finite(s, f"std of channel {j}") for j, s in enumerate(self.std, 1))
         if len(mean) != 4 or len(std) != 4:
             raise InvalidInputError("feature stats must cover exactly 4 channels")
-        for j, (m, s) in enumerate(zip(mean, std), start=1):
-            if not (math.isfinite(m) and math.isfinite(s)):
-                raise InvalidInputError(f"non-finite stats for channel {j}")
+        for j, s in enumerate(std, start=1):
             if s <= 0.0:
                 raise DegenerateChannelError(
                     f"channel {j} has std {s}; a positive spread is required"

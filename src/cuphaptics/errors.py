@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check of its configs."""
+"""Exception types shared across the package, and the number checks of its configs."""
 
+import math
 import operator
 
 
@@ -25,6 +26,29 @@ def require_count(name: str, value: object, minimum: int | None = None) -> int:
     if minimum is not None and count < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def as_real(value: object) -> float:
+    """``float(value)``, except that text, which it parses, raises TypeError."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"text is not a real number: {value!r}")
+    return float(value)  # type: ignore[arg-type]
+
+
+def require_real(name: str, value: object, low=0.0, high=math.inf, *, open_low=True) -> float:
+    """``value`` as a float; ConfigError unless ``as_real`` takes it and it lies
+    in (low, high), or in [low, high) if not ``open_low``."""
+    try:
+        real = as_real(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+    if not (low < real if open_low else low <= real) or not real < high:
+        lo, hi = (str(bound).removesuffix(".0") for bound in (low, high))  # 0.0 reads 0
+        rule = f"in {'(' if open_low else '['}{lo}, {hi})"
+        if high == math.inf:
+            rule = f"finite and {'>' if open_low else '>='} {lo}"
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    return real
 
 
 class CsvParseError(CupHapticsError):

@@ -66,6 +66,7 @@ from .errors import (
     InvalidInputError,
     ModelFormatError,
     require_count,
+    require_real,
 )
 from .rng import INIT, SHUFFLE, substream
 
@@ -153,12 +154,9 @@ class TrainConfig:
         require_count("max_epochs", self.max_epochs, 1)
         require_count("patience", self.patience, 0)
         require_count("seed", self.seed)
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        require_real("lr", self.lr)
+        require_real("rho", self.rho, high=1.0)
+        require_real("eps", self.eps)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .core import (
     frames_valid,
 )
 from .dataset import write_table
-from .errors import ConfigError, InvalidInputError, require_count
+from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .mlp import MlpModel, _outputs_by_row, predict_angle
 from .rng import SEARCH_STEP, derive_seed, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise
@@ -135,14 +135,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step_size_mm < math.inf:
-            raise ConfigError(f"step_size_mm must be finite and > 0, got {self.step_size_mm}")
+        require_real("step_size_mm", self.step_size_mm)
         require_count("max_steps", self.max_steps, 1)
         require_count("seed", self.seed)
-        if not 0.0 <= self.success_delta_mm < math.inf:
-            raise ConfigError(
-                f"success_delta_mm must be finite and >= 0, got {self.success_delta_mm}"
-            )
+        require_real("success_delta_mm", self.success_delta_mm, open_low=False)
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,9 @@ def run_search(
     params: PressureFieldParams,
 ) -> SearchResult:
     """Sense-estimate-translate until success, no-gradient, or budget."""
-    rollout = (pose0, params, config.seed)
-    (reason,), (steps,) = _lockstep(config.estimator, [rollout], config, geom, params)
-    return SearchResult(success=reason is None, steps=steps, failure_reason=reason)
+    start = np.array([[pose0.delta, pose0.phi.degrees, params.noise_sigma_kpa]])
+    (reason,), (steps,) = _lockstep(config.estimator, start, [config.seed], config, geom, params)
+    return SearchResult(success=reason is None, steps=int(steps), failure_reason=reason)
 
 
 @dataclass(frozen=True)
@@ -198,12 +194,8 @@ class BatchSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (
-            self.delta0_values_mm
-            and self.phi0_values_deg
-            and self.noise_values_kpa
-            and self.estimators
-        ):
+        axes = self.delta0_values_mm, self.phi0_values_deg, self.noise_values_kpa, self.estimators
+        if not all(axes):
             raise ConfigError("batch grid must be non-empty on every axis")
         require_count("reps", self.reps, 1)
         require_count("seed", self.seed)
@@ -246,27 +238,25 @@ def batch_search(
     """
     axes = spec.delta0_values_mm, spec.phi0_values_deg, spec.noise_values_kpa, spec.estimators
     cells = list(itertools.product(*axes))
-    starts = [  # cell c: (start pose, params)
-        (GroundTruthPose(delta=d0, phi=Angle(phi0)), replace(params, noise_sigma_kpa=noise))
-        for d0, phi0, noise, _ in cells
-    ]
     reps = spec.reps
-    rollouts = [  # rollout c * reps + rep: (start pose, params, seed)
-        (*starts[c], derive_seed(spec.seed, SEARCH_STEP, c, rep))
-        for c in range(len(cells)) for rep in range(reps)
-    ]
-    reasons, steps = [None] * len(rollouts), [0] * len(rollouts)
+    cell_starts = []  # start offset, yaw and noise level, checked as a pose and params check them
+    for d0, phi0, noise, _ in cells:
+        pose = GroundTruthPose(delta=d0, phi=Angle(phi0))
+        sigma = replace(params, noise_sigma_kpa=noise).noise_sigma_kpa
+        cell_starts.append((pose.delta, pose.phi.degrees, sigma))
+    starts = np.repeat(cell_starts, reps, axis=0)  # rollout j = c * reps + rep starts as cell c
+    seeds = [derive_seed(spec.seed, SEARCH_STEP, j // reps, j % reps) for j in range(len(starts))]
+    reasons, steps = np.empty(len(seeds), dtype=object), np.zeros(len(seeds), dtype=np.int64)
     try:
         for e, est in enumerate(spec.estimators):
-            group = [j for j in range(len(rollouts)) if j // reps % len(spec.estimators) == e]
-            outcomes = _lockstep(est, [rollouts[j] for j in group], config, geom, params)
-            for j, reason, n in zip(group, *outcomes):
-                reasons[j], steps[j] = reason, n
+            group = np.flatnonzero(np.arange(len(seeds)) // reps % len(spec.estimators) == e)
+            result = _lockstep(est, starts[group], [seeds[j] for j in group], config, geom, params)
+            reasons[group], steps[group] = result
     except InvalidInputError:
         reasons = None
     if reasons is None:  # the first rollout in cell order that fails raises
-        for j, rollout in enumerate(rollouts):
-            _lockstep(cells[j // reps][3], [rollout], config, geom, params)
+        for j, seed in enumerate(seeds):
+            _lockstep(cells[j // reps][3], starts[j : j + 1], [seed], config, geom, params)
         raise AssertionError("a lockstep search rejected a grid that runs a rollout at a time")
     return [
         BatchRow(
@@ -274,7 +264,7 @@ def batch_search(
             phi0_deg=phi0,
             noise_sigma_kpa=noise,
             estimator=est.name,
-            success_rate=float(np.mean([r is None for r in reasons[c * reps : (c + 1) * reps]])),
+            success_rate=float(np.mean(np.equal(reasons[c * reps : (c + 1) * reps], None))),
             mean_steps=float(np.mean(steps[c * reps : (c + 1) * reps])),
         )
         for c, (d0, phi0, noise, est) in enumerate(cells)
@@ -283,25 +273,21 @@ def batch_search(
 
 def _lockstep(
     est: Estimator,
-    rollouts: Sequence[tuple[GroundTruthPose, PressureFieldParams, int]],
+    starts: np.ndarray,
+    seeds: Sequence[int],
     config: SearchConfig,
     geom: CupGeometry,
     params: PressureFieldParams,
-) -> tuple[list[str | None], list[int]]:
-    """Each rollout's failure reason (None where it sealed) and step count, all
-    run under ``est`` as arrays from their (start pose, params, seed). Only a
-    rollout's noise level is read from its params. The first live rollout
-    whose frame or offset the single-frame path rejects raises that path's
-    ``InvalidInputError``."""
-    n, max_steps, seal_at = len(rollouts), config.max_steps, config.success_delta_mm
-    delta = np.array([pose.delta for pose, _, _ in rollouts])
-    phi = np.array([pose.phi.degrees for pose, _, _ in rollouts])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each rollout's failure reason (None where it sealed) and step count, as
+    arrays, all run under ``est``. Rollout j starts from row j of ``starts``
+    (offset mm, yaw in [0, 360) deg, noise level kPa; already checked), and
+    ``seeds[j]`` keys its noise stream. The first live rollout whose frame or
+    offset the single-frame path rejects raises that path's error."""
+    n, max_steps, seal_at = len(starts), config.max_steps, config.success_delta_mm
+    delta, phi, sigma = starts[:, 0].copy(), starts[:, 1], starts[:, 2]
     sealed = delta <= seal_at
-    noisy = {  # rollout -> (its params, its noise stream)
-        j: (rollout_params, substream(seed, SEARCH_STEP))
-        for j, (_, rollout_params, seed) in enumerate(rollouts)
-        if rollout_params.noise_sigma_kpa > 0.0 and not sealed[j]
-    }
+    streams = {j: substream(seeds[j], SEARCH_STEP) for j in np.flatnonzero((sigma > 0) & ~sealed)}
     block = min(max_steps, NOISE_BLOCK_STEPS)
     noise = np.zeros((n, block, 4))  # zero rows add nothing to a noiseless frame
     steps = np.zeros(n, dtype=np.int64)
@@ -312,9 +298,8 @@ def _lockstep(
             break
         if k % block == 0:  # the next steps' noise of every live noisy rollout
             rows = min(block, max_steps - k)
-            for j in live.tolist():
-                if j in noisy:
-                    noise[j, :rows] = sensor_noise(*noisy[j], (rows, 4))
+            for j in streams.keys() & live.tolist():
+                noise[j, :rows] = sensor_noise(sigma[j], streams[j], (rows, 4))
         d, f = delta[live], phi[live]
         p_ch = _chamber_pressures(geom, params, d, f, noise[live, k % block])
         bad = ~frames_valid(p_ch, params.p_atm_kpa)
@@ -335,7 +320,7 @@ def _lockstep(
         reasons[live[~moved]] = FAILURE_NO_GRADIENT
         reasons[live[moved & (new <= seal_at)]] = None
         live = live[moved & (new > seal_at)]
-    return reasons.tolist(), steps.tolist()
+    return reasons, steps
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame, _wrap_deg
 from .dataset import CSV_COLUMNS, Samples
-from .errors import ConfigError, InvalidInputError, require_count
+from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
 
 if TYPE_CHECKING:
@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 # not configurable.
 CHAMBER_ANGLES_DEG = (315.0, 225.0, 135.0, 45.0)
 _CHAMBER_ANGLES_RAD = np.radians(CHAMBER_ANGLES_DEG)
+_ABOVE_360 = math.nextafter(360.0, math.inf)  # a float below it is at most 360
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,8 @@ class CupGeometry:
     r_chamber_mm: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r_chamber_mm < self.r_cup_mm < math.inf):
-            raise ConfigError(
-                "need 0 < r_chamber < r_cup, both finite, "
-                f"got r_chamber={self.r_chamber_mm}, r_cup={self.r_cup_mm}"
-            )
+        r_cup = require_real("r_cup_mm", self.r_cup_mm)
+        require_real("r_chamber_mm", self.r_chamber_mm, high=r_cup)
 
 
 @dataclass(frozen=True)
@@ -68,21 +66,12 @@ class PressureFieldParams:
     p_atm_kpa: float = 101.325
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_max_kpa < math.inf:
-            raise ConfigError(f"p_max_kpa must be finite and > 0, got {self.p_max_kpa}")
-        if not 0.0 < self.transition_width_mm < math.inf:
-            raise ConfigError(
-                "transition_width_mm must be finite and > 0, "
-                f"got {self.transition_width_mm}"
-            )
+        require_real("p_max_kpa", self.p_max_kpa)
+        require_real("transition_width_mm", self.transition_width_mm)
         if self.response not in ("affine", "sigmoid"):
             raise ConfigError(f"unknown response {self.response!r}")
-        if not 0.0 <= self.noise_sigma_kpa < math.inf:
-            raise ConfigError(
-                f"noise_sigma_kpa must be finite and >= 0, got {self.noise_sigma_kpa}"
-            )
-        if not 0.0 <= self.p_atm_kpa < math.inf:
-            raise ConfigError(f"p_atm_kpa must be finite and >= 0, got {self.p_atm_kpa}")
+        require_real("noise_sigma_kpa", self.noise_sigma_kpa, open_low=False)
+        require_real("p_atm_kpa", self.p_atm_kpa, open_low=False)
 
 
 @dataclass(frozen=True)
@@ -98,12 +87,14 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         require_count("n_samples", self.n_samples, 1)
         require_count("seed", self.seed)
-        d_lo, d_hi = self.delta_range_mm
-        if not (0.0 <= d_lo <= d_hi):
-            raise ConfigError(f"bad delta_range_mm {self.delta_range_mm}")
-        p_lo, p_hi = self.phi_range_deg
-        if not (0.0 <= p_lo < p_hi <= 360.0):
-            raise ConfigError(f"bad phi_range_deg {self.phi_range_deg}")
+        name = "delta_range_mm"  # the range under check, which an error names
+        try:  # 0 <= d_lo <= d_hi < inf, then 0 <= p_lo < p_hi <= 360
+            d_lo, d_hi = self.delta_range_mm
+            require_real(name, d_hi, require_real(name, d_lo, open_low=False), open_low=False)
+            name, (p_lo, p_hi) = "phi_range_deg", self.phi_range_deg
+            require_real(name, p_hi, require_real(name, p_lo, open_low=False), _ABOVE_360)
+        except (ConfigError, TypeError, ValueError):
+            raise ConfigError(f"bad {name} {getattr(self, name)}") from None
         if self.sampling not in ("uniform_random", "grid"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
 
@@ -121,15 +112,15 @@ def coverage_depth(geom: CupGeometry, delta: ArrayLike, phi_deg: ArrayLike) -> n
 
 
 def sensor_noise(
-    params: PressureFieldParams, rng: np.random.Generator | None, shape: tuple[int, ...]
+    sigma_kpa: float, rng: np.random.Generator | None, shape: tuple[int, ...]
 ) -> np.ndarray | None:
-    """Gaussian sensor noise (kPa) of ``shape`` from ``rng``, in C order; None
-    when noise_sigma_kpa is 0, which draws nothing."""
-    if params.noise_sigma_kpa == 0.0:
+    """Gaussian sensor noise of std ``sigma_kpa`` (kPa) and ``shape`` from
+    ``rng``, in C order; None when sigma_kpa is 0, which draws nothing."""
+    if sigma_kpa == 0.0:
         return None
     if rng is None:
         raise InvalidInputError("noise_sigma_kpa > 0 requires an rng")
-    return rng.normal(0.0, params.noise_sigma_kpa, size=shape)
+    return rng.normal(0.0, sigma_kpa, size=shape)
 
 
 def chamber_vacuum(
@@ -142,7 +133,7 @@ def chamber_vacuum(
     that cannot overflow. When noise_sigma_kpa > 0, ``rng`` gives one
     normal draw per element of ``d``, in C order.
     """
-    return _vacuum(params, d, sensor_noise(params, rng, np.shape(d)))
+    return _vacuum(params, d, sensor_noise(params.noise_sigma_kpa, rng, np.shape(d)))
 
 
 def _vacuum(params: PressureFieldParams, d: ArrayLike, noise: np.ndarray | None) -> np.ndarray:
@@ -174,7 +165,7 @@ def synth_frame(
     rng: np.random.Generator | None = None,
 ) -> SensorFrame:
     """Sensor frame at one pose: the one-row case of ``generate_dataset``."""
-    noise = sensor_noise(params, rng, (4,))
+    noise = sensor_noise(params.noise_sigma_kpa, rng, (4,))
     p_ch = _chamber_pressures(geom, params, pose.delta, pose.phi.degrees, noise)
     return SensorFrame(p_ch=tuple(p_ch.tolist()), p_atm=params.p_atm_kpa)
 
@@ -204,7 +195,7 @@ def generate_dataset(
         delta = substream(seed, DATASET_DELTA).uniform(d_lo, d_hi, size=n)
         phi = substream(seed, DATASET_PHI).uniform(p_lo, p_hi, size=n)
     phi = _wrap_deg(phi)  # every phi is in [0, 360]: 360 becomes 0
-    noise = sensor_noise(params, substream(seed, DATASET_NOISE), (n, 4))
+    noise = sensor_noise(params.noise_sigma_kpa, substream(seed, DATASET_NOISE), (n, 4))
     p_ch = _chamber_pressures(geom, params, delta, phi, noise)
     if not (p_ch >= 0.0).all():  # SensorFrame's rules: the cap holds the top
         i, j = np.argwhere(~(p_ch >= 0.0))[0]  # NaN is caught here too

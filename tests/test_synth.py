@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,11 +8,16 @@ from cuphaptics import (
     Angle,
     ConfigError,
     CupGeometry,
+    FeatureStats,
     GenerationConfig,
     GroundTruthPose,
     InvalidInputError,
+    OracleEstimator,
     PressureFieldParams,
+    SearchConfig,
     SensorFrame,
+    SplitSpec,
+    TrainConfig,
     angular_error,
     chamber_vacuum,
     coverage_depth,
@@ -28,6 +34,47 @@ NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
 
 def pose(delta, phi):
     return GroundTruthPose(delta=delta, phi=Angle(phi))
+
+
+FLOAT_FIELDS = [  # (test id prefix, constructor, float field)
+    ("PressureFieldParams", PressureFieldParams, "p_max_kpa"),
+    ("PressureFieldParams", PressureFieldParams, "transition_width_mm"),
+    ("PressureFieldParams", PressureFieldParams, "noise_sigma_kpa"),
+    ("PressureFieldParams", PressureFieldParams, "p_atm_kpa"),
+    ("CupGeometry", CupGeometry, "r_chamber_mm"),
+    ("CupGeometry", CupGeometry, "r_cup_mm"),
+    ("TrainConfig", TrainConfig, "lr"),
+    ("TrainConfig", TrainConfig, "rho"),
+    ("TrainConfig", TrainConfig, "eps"),
+    ("SearchConfig", partial(SearchConfig, OracleEstimator()), "step_size_mm"),
+    ("SearchConfig", partial(SearchConfig, OracleEstimator()), "success_delta_mm"),
+    ("SplitSpec", SplitSpec, "train_fraction"),
+]
+NON_NUMBERS = {"nan": math.nan, "inf": math.inf, "text": "1", "bytes": b"1", "none": None}
+# (constructor, keyword arguments, error, what the message must name)
+BAD_NUMBERS = [
+    pytest.param(make, {field: value}, ConfigError, field, id=f"{cls}-{field}-{vid}")
+    for vid, value in NON_NUMBERS.items()
+    for cls, make, field in FLOAT_FIELDS
+] + [
+    pytest.param(
+        GenerationConfig, {"delta_range_mm": (1.0,)}, ConfigError, "delta_range_mm",
+        id="GenerationConfig-one-end",
+    ),
+    pytest.param(
+        GenerationConfig, {"delta_range_mm": (0.0, "5")}, ConfigError, "delta_range_mm",
+        id="GenerationConfig-text-end",
+    ),
+    pytest.param(Angle, {"degrees": b"45"}, InvalidInputError, "angle", id="Angle-bytes"),
+    pytest.param(
+        partial(GroundTruthPose, phi=Angle(0)), {"delta": "1_0"}, InvalidInputError, "delta",
+        id="GroundTruthPose-text",
+    ),
+    pytest.param(
+        partial(FeatureStats, std=("2",) * 4), {"mean": ("1",) * 4}, InvalidInputError,
+        "channel 1", id="FeatureStats-text",
+    ),
+]
 
 
 class TestGeometry:
@@ -303,21 +350,16 @@ class TestGenerateDataset:
                 GEOM, NOISELESS, GenerationConfig(delta_range_mm=(7.0, 31.0))
             )
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize(
-        "cls, field",
-        [
-            (PressureFieldParams, "p_max_kpa"),
-            (PressureFieldParams, "transition_width_mm"),
-            (PressureFieldParams, "noise_sigma_kpa"),
-            (PressureFieldParams, "p_atm_kpa"),
-            (CupGeometry, "r_chamber_mm"),
-            (CupGeometry, "r_cup_mm"),
-        ],
-    )
-    def test_rejects_non_finite_floats(self, cls, field, value):
-        with pytest.raises(ConfigError):
-            cls(**{field: value})
+    @pytest.mark.parametrize("make, kwargs, error, name", BAD_NUMBERS)
+    def test_rejects_non_finite_floats(self, make, kwargs, error, name):
+        # Every float field of every config, and the value types, reject NaN,
+        # inf and anything that is not a real number, text included, naming
+        # the field. A non-number is named by its repr.
+        with pytest.raises(error, match=name) as exc_info:
+            make(**kwargs)
+        value = next(iter(kwargs.values()))
+        if isinstance(value, (str, bytes, type(None))):
+            assert repr(value) in str(exc_info.value)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):

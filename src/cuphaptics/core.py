@@ -133,17 +133,20 @@ class DirectionEstimate:
 
 def _yaw_deg(x: float, y: float) -> float:
     """Polar angle of the direction (x, y) in degrees, before ``Angle`` or
-    ``_wrap_deg`` wraps it; NaN when its norm is ~zero. A table maps this over
-    its rows: numpy's arctan2 and hypot differ from libm's on some rows."""
+    ``_wrap_deg`` wraps it; NaN when its norm is ~zero. A table maps
+    ``math.hypot`` and ``math.atan2`` over its columns (``search._yaws``):
+    numpy's arctan2 and hypot differ from libm's on some rows."""
     if not math.hypot(x, y) > EPS_ZERO:
         return math.nan
     return math.degrees(math.atan2(y, x))
 
 
-def _wrap_deg(deg: np.ndarray) -> np.ndarray:
-    """A new column of yaws in degrees, each as ``Angle`` stores it; NaN stays."""
-    wrapped = deg % 360.0
-    return np.where(wrapped == 360.0, 0.0, wrapped)  # Angle's rule
+def _wrap_deg(deg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A column of yaws in degrees, each as ``Angle`` stores it, NaN staying
+    NaN: a new one, or ``out``, which may be ``deg`` itself."""
+    wrapped = np.remainder(deg, 360.0, out=out)
+    wrapped[wrapped == 360.0] = 0.0  # Angle's rule
+    return wrapped
 
 
 def direction_angle(x: float, y: float) -> Angle | None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -101,9 +102,7 @@ class MlpModel:
     _zscore: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise InvalidInputError(f"bad layer_sizes {sizes}")
+        sizes = _checked_sizes(self.layer_sizes)
         params = np.asarray(self.params, dtype=np.float64)
         if params.shape != (_n_params(sizes),):
             raise InvalidInputError(
@@ -157,6 +156,8 @@ class TrainConfig:
         require_real("lr", self.lr)
         require_real("rho", self.rho, high=1.0)
         require_real("eps", self.eps)
+        if not isinstance(self.standardize, bool):  # the sidecar records true or false
+            raise ConfigError(f"standardize must be a bool, got {self.standardize!r}")
 
 
 @dataclass(frozen=True)
@@ -185,13 +186,25 @@ def init_model(
     """Glorot-uniform weights, zero biases, deterministic in ``seed``; the
     model standardizes its inputs under ``stats`` when they are given."""
     rng = substream(seed, INIT)
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = _checked_sizes(layer_sizes)
     model = MlpModel(sizes, np.zeros(_n_params(sizes)), stats)
     for w in model.weights:  # drawn in place, layer by layer
         fan_out, fan_in = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w[:] = rng.uniform(-limit, limit, size=w.shape)
     return model
+
+
+def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
+    """``layer_sizes`` as a tuple of ints; InvalidInputError unless there are
+    two or more and each is an integer (``operator.index`` takes it) >= 1."""
+    try:
+        sizes = tuple(map(operator.index, layer_sizes))
+    except TypeError:
+        raise InvalidInputError(f"bad layer_sizes {layer_sizes!r}") from None
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise InvalidInputError(f"bad layer_sizes {sizes}")
+    return sizes
 
 
 def _n_params(layer_sizes: Sequence[int]) -> int:

@@ -13,11 +13,15 @@ on the seed and k, whichever estimator runs.
 
 One kernel runs the rollouts that share an estimator in lockstep: one
 array kernel call synthesizes the frames of every live rollout, one
-``Estimator.estimate_batch`` call estimates them, and each live rollout's
-noise is drawn ahead in blocks of at most ``NOISE_BLOCK_STEPS`` steps.
-``run_search`` is its one-rollout case. Each rollout ends, or raises, as a
-loop of ``synth_frame``, the single-frame estimate and ``search_step``
-would. ``evaluate`` scores datasets through the same ``estimate_batch``.
+``Estimator.estimate_batch`` call estimates them, the offsets step as a
+column, and each live rollout's noise is drawn ahead in blocks of at most
+``NOISE_BLOCK_STEPS`` steps. A grid's rollout seeds and noise streams are
+keyed in one pass each (``rng.derive_seeds``, ``rng.Streams``), from the
+same keys and to the same bits as ``derive_seed`` and ``substream`` key
+them one by one. ``run_search`` is its one-rollout case. Each rollout
+ends, or raises, as a loop of ``synth_frame``, the single-frame estimate
+and ``search_step`` would. ``evaluate`` scores datasets through the same
+``estimate_batch``.
 """
 
 from __future__ import annotations
@@ -31,20 +35,20 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .core import (
+    EPS_ZERO,
     Angle,
     DirectionEstimate,
     GroundTruthPose,
     SensorFrame,
     _model_direction_columns,
     _wrap_deg,
-    _yaw_deg,
     estimate_direction,
     frames_valid,
 )
 from .dataset import write_table
 from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .mlp import MlpModel, _outputs_by_row, predict_angle
-from .rng import SEARCH_STEP, derive_seed, substream
+from .rng import SEARCH_STEP, Streams, derive_seeds
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise
 from .synth import synth_frame  # noqa: F401  the single-frame sensing step, beside search_step
 
@@ -77,7 +81,11 @@ def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], obje
     """Yaw (deg) of each row's direction (x, y), NaN where it is ~zero. A row
     is rejected where ``ok`` is false, ``SensorFrame`` rejects its pressures,
     or its true yaw or (x, y) is not finite; the first such row replays its
-    frame, its ``Angle`` and ``estimate(frame)``, which raise its error."""
+    frame, its ``Angle`` and ``estimate(frame)``, which raise its error.
+
+    ``math.hypot`` and ``math.atan2`` map over the columns, as ``_yaw_deg``
+    calls them: numpy's differ from libm's on some rows. The one new column,
+    the yaws, is turned to degrees, blanked and wrapped in place."""
     ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(phi_deg) & np.isfinite(x) & np.isfinite(y)
     if not ok.all():
         i = int(ok.argmin())
@@ -85,7 +93,12 @@ def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], obje
         frame, _ = SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm_i), Angle(phi_deg[i])
         estimate(frame)
         raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
-    return _wrap_deg(np.fromiter(map(_yaw_deg, x.tolist(), y.tolist()), float, count=len(x)))
+    xs, ys, n = memoryview(x), memoryview(y), len(x)  # floats one by one, no lists
+    zero = ~(np.fromiter(map(math.hypot, xs, ys), float, count=n) > EPS_ZERO)
+    yaw = np.fromiter(map(math.atan2, ys, xs), float, count=n)
+    np.degrees(yaw, out=yaw)  # math.degrees' constant
+    yaw[zero] = np.nan
+    return _wrap_deg(yaw, out=yaw)
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,18 @@ class OracleEstimator:
         return phi_deg
 
 
+def _require_estimator(name: str, est: object) -> None:
+    """ConfigError unless ``est`` has a str ``name`` and a callable
+    ``estimate_batch``, as an ``Estimator`` does; its class is no estimator."""
+    if isinstance(est, type) or not (
+        isinstance(getattr(est, "name", None), str)
+        and callable(getattr(est, "estimate_batch", None))
+    ):
+        raise ConfigError(
+            f"{name} must have a str name and a callable estimate_batch, got {est!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Step policy, budget, success threshold, estimator, and noise seed."""
@@ -135,6 +160,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_estimator("estimator", self.estimator)
         require_real("step_size_mm", self.step_size_mm)
         require_count("max_steps", self.max_steps, 1)
         require_count("seed", self.seed)
@@ -170,6 +196,20 @@ def _next_delta(delta: float, phi_pred_deg: float, phi_deg: float, step_size: fl
     return max(delta - step_size * math.cos(math.radians(phi_pred_deg - phi_deg)), 0.0)
 
 
+def _next_deltas(
+    delta: np.ndarray, phi_pred_deg: np.ndarray, phi_deg: np.ndarray, step_size: float
+) -> np.ndarray:
+    """``_next_delta`` of each row, bit for bit: ``math.cos`` maps over the
+    angles, so libm gives the cosines on any host, not numpy's SIMD loop.
+    NaN where the yaw is NaN; an offset past the float range is inf."""
+    angles = np.radians(phi_pred_deg - phi_deg)
+    cos = np.fromiter(map(math.cos, memoryview(angles)), float, count=len(angles))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite offset is rejected
+        new = delta - step_size * cos
+    new[new < 0.0] = 0.0  # Python's max(new, 0.0), which keeps -0.0 as np.maximum does not
+    return new
+
+
 def run_search(
     pose0: GroundTruthPose,
     config: SearchConfig,
@@ -197,6 +237,8 @@ class BatchSpec:
         axes = self.delta0_values_mm, self.phi0_values_deg, self.noise_values_kpa, self.estimators
         if not all(axes):
             raise ConfigError("batch grid must be non-empty on every axis")
+        for i, est in enumerate(self.estimators):
+            _require_estimator(f"estimators[{i}]", est)
         require_count("reps", self.reps, 1)
         require_count("seed", self.seed)
 
@@ -227,10 +269,13 @@ def batch_search(
     Cell order: delta0 (outer), then phi0, then noise, then estimator.
     Each repetition is the ``run_search`` rollout under seed =
     derive_seed(spec.seed, SEARCH_STEP, cell, rep), so the table is
-    reproducible. ``mean_steps`` averages over all repetitions, successful
-    or not. The rollouts of one estimator run in lockstep; if a frame or an
-    offset is one the single-frame path rejects, the rollouts are rerun one
-    at a time in cell order, which raises the first rollout's error.
+    reproducible; every rollout's seed, and then every noisy rollout's noise
+    stream, is keyed in one pass. ``mean_steps`` averages over all
+    repetitions, successful or not. The rollouts of one estimator run in
+    lockstep; if a frame or an offset is one the single-frame path rejects,
+    the rollouts are rerun one at a time in cell order, which raises the
+    first rollout's error. Each noise level and each start pose is checked
+    once, in cell order: the first pose, the noise levels, the other poses.
 
     Only ``step_size_mm``, ``max_steps`` and ``success_delta_mm`` are read
     from ``config``; the estimators and the seed come from ``spec``. The
@@ -238,18 +283,24 @@ def batch_search(
     """
     axes = spec.delta0_values_mm, spec.phi0_values_deg, spec.noise_values_kpa, spec.estimators
     cells = list(itertools.product(*axes))
-    reps = spec.reps
-    cell_starts = []  # start offset, yaw and noise level, checked as a pose and params check them
-    for d0, phi0, noise, _ in cells:
-        pose = GroundTruthPose(delta=d0, phi=Angle(phi0))
-        sigma = replace(params, noise_sigma_kpa=noise).noise_sigma_kpa
-        cell_starts.append((pose.delta, pose.phi.degrees, sigma))
+    reps, n = spec.reps, len(cells) * spec.reps
+    # each start pose and noise level checked once, as a pose and params check
+    # them, in the order the cells meet them: the first pose, the noise levels
+    poses = itertools.product(spec.delta0_values_mm, spec.phi0_values_deg)
+    poses = (GroundTruthPose(delta=d0, phi=Angle(phi0)) for d0, phi0 in poses)
+    first = next(poses)
+    sigmas = [replace(params, noise_sigma_kpa=v).noise_sigma_kpa for v in spec.noise_values_kpa]
+    cell_starts = []  # start offset, yaw and noise level of each cell
+    for pose in itertools.chain([first], poses):
+        for sigma in sigmas:
+            cell_starts += [(pose.delta, pose.phi.degrees, sigma)] * len(spec.estimators)
     starts = np.repeat(cell_starts, reps, axis=0)  # rollout j = c * reps + rep starts as cell c
-    seeds = [derive_seed(spec.seed, SEARCH_STEP, j // reps, j % reps) for j in range(len(starts))]
-    reasons, steps = np.empty(len(seeds), dtype=object), np.zeros(len(seeds), dtype=np.int64)
+    rollout = np.arange(n)
+    seeds = derive_seeds([spec.seed] * n, SEARCH_STEP, rollout // reps, rollout % reps)
+    reasons, steps = np.empty(n, dtype=object), np.zeros(n, dtype=np.int64)
     try:
         for e, est in enumerate(spec.estimators):
-            group = np.flatnonzero(np.arange(len(seeds)) // reps % len(spec.estimators) == e)
+            group = np.flatnonzero(rollout // reps % len(spec.estimators) == e)
             result = _lockstep(est, starts[group], [seeds[j] for j in group], config, geom, params)
             reasons[group], steps[group] = result
     except InvalidInputError:
@@ -258,16 +309,12 @@ def batch_search(
         for j, seed in enumerate(seeds):
             _lockstep(cells[j // reps][3], starts[j : j + 1], [seed], config, geom, params)
         raise AssertionError("a lockstep search rejected a grid that runs a rollout at a time")
+    # exact means: sums of at most reps small integers, then one division
+    success_rates = np.equal(reasons, None).reshape(-1, reps).mean(axis=1).tolist()
+    mean_steps = steps.reshape(-1, reps).mean(axis=1).tolist()
     return [
-        BatchRow(
-            delta0_mm=d0,
-            phi0_deg=phi0,
-            noise_sigma_kpa=noise,
-            estimator=est.name,
-            success_rate=float(np.mean(np.equal(reasons[c * reps : (c + 1) * reps], None))),
-            mean_steps=float(np.mean(steps[c * reps : (c + 1) * reps])),
-        )
-        for c, (d0, phi0, noise, est) in enumerate(cells)
+        BatchRow(d0, phi0, noise, est.name, success_rate, mean)
+        for (d0, phi0, noise, est), success_rate, mean in zip(cells, success_rates, mean_steps)
     ]
 
 
@@ -287,7 +334,10 @@ def _lockstep(
     n, max_steps, seal_at = len(starts), config.max_steps, config.success_delta_mm
     delta, phi, sigma = starts[:, 0].copy(), starts[:, 1], starts[:, 2]
     sealed = delta <= seal_at
-    streams = {j: substream(seeds[j], SEARCH_STEP) for j in np.flatnonzero((sigma > 0) & ~sealed)}
+    noisy = (sigma > 0) & ~sealed  # the rollouts that draw noise, keyed in one pass
+    keyed = np.flatnonzero(noisy)
+    streams = Streams([seeds[j] for j in keyed.tolist()], SEARCH_STEP) if keyed.size else None
+    stream_of = (np.cumsum(noisy) - 1).tolist()  # rollout j draws from stream stream_of[j]
     block = min(max_steps, NOISE_BLOCK_STEPS)
     noise = np.zeros((n, block, 4))  # zero rows add nothing to a noiseless frame
     steps = np.zeros(n, dtype=np.int64)
@@ -298,8 +348,11 @@ def _lockstep(
             break
         if k % block == 0:  # the next steps' noise of every live noisy rollout
             rows = min(block, max_steps - k)
-            for j in streams.keys() & live.tolist():
-                noise[j, :rows] = sensor_noise(sigma[j], streams[j], (rows, 4))
+            for j in live[noisy[live]].tolist():
+                s = stream_of[j]
+                noise[j, :rows] = sensor_noise(sigma[j], streams.at(s), (rows, 4))
+                if k + rows < max_steps:
+                    streams.keep(s)
         d, f = delta[live], phi[live]
         p_ch = _chamber_pressures(geom, params, d, f, noise[live, k % block])
         bad = ~frames_valid(p_ch, params.p_atm_kpa)
@@ -307,8 +360,7 @@ def _lockstep(
             SensorFrame(p_ch=tuple(p_ch[bad.argmax()].tolist()), p_atm=params.p_atm_kpa)
             raise AssertionError("a search frame is rejected here but not by SensorFrame")
         yaw = est.estimate_batch(p_ch, params.p_atm_kpa, f)
-        rows = zip(d.tolist(), yaw.tolist(), f.tolist())
-        new = np.array([_next_delta(*row, config.step_size_mm) for row in rows])
+        new = _next_deltas(d, yaw, f, config.step_size_mm)
         bad = np.isinf(new)
         if bad.any():
             i = bad.argmax()

@@ -145,6 +145,23 @@ class TestModelValidation:
         with pytest.raises(InvalidInputError, match="non-finite"):
             MlpModel(layer_sizes=(4, 16, 32, 16, 2), params=params)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [("4", "3", "2"), (4, 3.7, 2), (4, 3.0, 2), (4,), (4, 0, 2), 4],
+        ids=["text", "fraction", "float", "one-layer", "zero-width", "not-a-sequence"],
+    )
+    def test_rejects_layer_sizes_that_are_not_integers_or_too_few(self, sizes):
+        # a size that only int() takes would build another network than asked
+        with pytest.raises(InvalidInputError, match="bad layer_sizes"):
+            MlpModel(layer_sizes=sizes, params=np.zeros(23))
+        with pytest.raises(InvalidInputError, match="bad layer_sizes"):
+            init_model(0, layer_sizes=sizes)
+
+    def test_numpy_integer_layer_sizes_are_ints(self):
+        model = init_model(0, layer_sizes=np.array([4, 3, 2]))
+        assert model.layer_sizes == (4, 3, 2)
+        assert all(type(s) is int for s in model.layer_sizes)
+
 
 class TestForward:
     def test_zero_model_outputs_zero(self):
@@ -305,6 +322,13 @@ class TestRmsprop:
             TrainConfig(rho=1.0)
         with pytest.raises(ConfigError, match="eps must be finite and > 0"):
             TrainConfig(eps=0.0)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.True_])
+    def test_standardize_must_be_a_bool(self, value):
+        # any truthy value used to train z-scored, and the sidecar recorded it
+        with pytest.raises(ConfigError, match=f"standardize must be a bool, got {value!r}"):
+            TrainConfig(standardize=value)
+        assert TrainConfig(standardize=False).standardize is False
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["lr", "rho", "eps"])

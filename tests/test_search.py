@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -5,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuphaptics import (
     Angle,
@@ -31,7 +34,9 @@ from cuphaptics import (
     write_batch_csv,
 )
 from cuphaptics import GenerationConfig, Samples, SplitSpec
+from cuphaptics.core import EPS_ZERO, _yaw_deg
 from cuphaptics.rng import SEARCH_STEP, derive_seed
+from cuphaptics.search import _next_delta, _next_deltas, _yaws
 from helpers import StubEstimator, frame_yaw, rollout_a_frame_at_a_time
 
 GEOM = CupGeometry()
@@ -185,6 +190,19 @@ class TestRunSearch:
     def test_config_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError):
             SearchConfig(estimator=OracleEstimator(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "est",
+        [None, "oracle", OracleEstimator, StubEstimator(phi=0.0, name=None)],
+        ids=["none", "a-name", "a-class", "no-str-name"],
+    )
+    def test_config_rejects_what_is_not_an_estimator(self, est):
+        # run_search would fail later with a bare AttributeError or TypeError
+        message = f"estimator must have a str name and a callable estimate_batch, got {est!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SearchConfig(estimator=est)
+        with pytest.raises(ConfigError, match=re.escape(f"estimators[1] {message[10:]}")):
+            BatchSpec((14.0,), (0.0,), (0.0,), (OracleEstimator(), est))
 
 
 def one_cell_spec(**counts):
@@ -464,6 +482,30 @@ class TestBatchSearch:
         with pytest.raises(error, match=message):
             batch_search(spec, config, GEOM, PressureFieldParams())
 
+    @pytest.mark.parametrize(
+        "delta0_values, phi0_values, noise_values",
+        [
+            ((14.0,), (math.nan, 0.0), (0.3, -1.0)),  # the first pose is checked first
+            ((14.0,), (0.0, math.nan), (0.3, -1.0)),  # then every noise level
+            ((14.0, -1.0), (0.0, math.inf), (0.3, 0.0)),  # then the other poses in order
+            ((14.0, math.nan), (0.0,), (0.3, math.inf)),
+        ],
+    )
+    def test_bad_grid_values_raise_the_first_bad_cells_error(
+        self, delta0_values, phi0_values, noise_values
+    ):
+        spec = BatchSpec(delta0_values, phi0_values, noise_values, (OracleEstimator(),) * 2)
+        params = PressureFieldParams()
+        with pytest.raises((ConfigError, InvalidInputError)) as want:
+            for d0, phi0, noise, _ in itertools.product(
+                delta0_values, phi0_values, noise_values, spec.estimators
+            ):
+                GroundTruthPose(delta=d0, phi=Angle(phi0))
+                replace(params, noise_sigma_kpa=noise)
+        with pytest.raises(want.type) as got:
+            batch_search(spec, SearchConfig(estimator=OracleEstimator()), GEOM, params)
+        assert str(got.value) == str(want.value)
+
 
 STATS = FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0))
 ESTIMATORS = {
@@ -594,3 +636,87 @@ class TestRejectedRollout:
         params = PressureFieldParams(p_atm_kpa=5.0, noise_sigma_kpa=0.0)
         self.run(OracleEstimator(), SearchConfig(estimator=OracleEstimator()), params,
                  "must be >= 0 kPa")
+
+
+def scalar_yaws(x, y):
+    """Each row's yaw from ``_yaw_deg`` and ``Angle``, as hex; NaN without one."""
+    degs = map(_yaw_deg, x.tolist(), y.tolist())
+    return [math.nan.hex() if math.isnan(d) else Angle(d).degrees.hex() for d in degs]
+
+
+def column_yaws(x, y):
+    """``_yaws`` of the rows (x, y), on frames that every check accepts, as hex."""
+    n = len(x)
+    p_ch, ok = np.full((n, 4), 96.0), np.ones(n, dtype=bool)
+    yaw = _yaws(p_ch, 101.325, np.zeros(n), x, y, ok, estimate=None)
+    return [v.hex() for v in yaw.tolist()]
+
+
+def scalar_deltas(d, yaw, f, step):
+    return [_next_delta(*row, step).hex() for row in zip(d.tolist(), yaw.tolist(), f.tolist())]
+
+
+def column_deltas(d, yaw, f, step):
+    return [v.hex() for v in _next_deltas(d, yaw, f, step).tolist()]
+
+
+TINY = 5e-324  # the smallest subnormal
+BIG = 1.7e308
+# (x, y) rows at the edges of _yaw_deg: no norm, a norm at and just past
+# EPS_ZERO, signed zeros on the +-180 degree cut, a hair below 0 degrees
+# (which wraps to 360.0 and is stored as 0.0), and norms near the float limit.
+YAW_EDGES = [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+    (EPS_ZERO, 0.0), (0.0, -EPS_ZERO), (math.nextafter(EPS_ZERO, 1.0), 0.0),
+    (TINY, TINY), (-1.0, 0.0), (-1.0, -0.0), (1.0, -TINY), (1.0, -1e-17),
+    (BIG, BIG), (-BIG, BIG), (BIG, -TINY), (3.0, 4.0), (-2.5, -7.0),
+]
+# (delta, yaw, true yaw, step) rows at the edges of _next_delta: no yaw,
+# signed zero offsets, a step that underflows to zero, a step past the
+# offset (floored at 0), and offsets that overflow either way.
+DELTA_EDGES = [
+    (14.0, math.nan, 30.0, 1.0),
+    (0.0, 90.0, 0.0, TINY), (-0.0, 90.0, 0.0, TINY), (-0.0, 0.0, 0.0, 1.0),
+    (0.5, 10.0, 10.0, 1.0), (14.0, 359.9999, 0.0, 2.0), (14.0, 0.0, 359.9999, 2.0),
+    (BIG, 180.0, 0.0, BIG), (BIG, 0.0, 0.0, BIG), (TINY, 270.0, 90.0, TINY),
+]
+
+
+class TestColumnsEqualTheSingleFramePath:
+    """The yaw and offset columns that the lockstep search steps equal
+    ``_yaw_deg`` (wrapped as ``Angle`` wraps it) and ``_next_delta`` row by
+    row, bit for bit."""
+
+    def test_yaw_edges(self):
+        x, y = np.array(YAW_EDGES).T
+        assert column_yaws(x, y) == scalar_yaws(x, y)
+        assert column_yaws(x[:4], y[:4]) == [math.nan.hex()] * 4
+        assert column_yaws(x[4:7], y[4:7])[:2] == [math.nan.hex()] * 2
+
+    def test_offset_edges(self):
+        for d, yaw, f, step in DELTA_EDGES:
+            row = np.array([d]), np.array([yaw]), np.array([f])
+            assert column_deltas(*row, step) == scalar_deltas(*row, step)
+        zero = column_deltas(np.array([-0.0]), np.array([90.0]), np.array([0.0]), TINY)
+        assert zero == [(-0.0).hex()]  # Python's max keeps the first of two equal zeros
+        beyond = column_deltas(np.array([BIG]), np.array([180.0]), np.array([0.0]), BIG)
+        assert beyond == [math.inf.hex()]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(0.0, 1e3),
+                st.floats(0.0, 360.0, exclude_max=True),
+                st.floats(0.0, 360.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(1e-6, 1e3),
+    )
+    def test_random_rows(self, rows, step):
+        x, y, d, yaw, f = np.array(rows).T
+        assert column_yaws(x, y) == scalar_yaws(x, y)
+        assert column_deltas(d, yaw, f, step) == scalar_deltas(d, yaw, f, step)

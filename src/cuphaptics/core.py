@@ -49,6 +49,14 @@ class Angle:
             wrapped = 0.0
         object.__setattr__(self, "degrees", wrapped)
 
+    @classmethod
+    def _wrapped(cls, degrees: float) -> Angle:
+        """The Angle of ``degrees``, unchecked: it must be what ``__init__``
+        stores, as ``_wrap_deg`` gives it for a finite yaw. Keeps the float."""
+        angle = object.__new__(cls)
+        object.__setattr__(angle, "degrees", degrees)
+        return angle
+
     @property
     def radians(self) -> float:
         return math.radians(self.degrees)

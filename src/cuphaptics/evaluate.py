@@ -12,6 +12,7 @@ and a row the single-frame path rejects raises that row's error.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import Angle, _rmse, _wrap_deg, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, require_count
 from .mlp import MlpModel, TrainConfig, train_many
 from .search import Estimator, MlpEstimator, ModelBasedEstimator
 
@@ -116,10 +117,18 @@ def _defined_errors(phi_true: np.ndarray, phi_pred: np.ndarray) -> np.ndarray:
 
 
 def _pairs(phi_true: np.ndarray, phi_pred: np.ndarray) -> list[PredictionPair]:
-    return [
-        PredictionPair(phi_true=Angle(t), phi_pred=None if math.isnan(p) else Angle(p))
-        for t, p in zip(phi_true.tolist(), phi_pred.tolist())
-    ]
+    """A pair per row of ``_columns``' checked, wrapped yaws, each float kept.
+    Pairs form no cycle, so the collector would only rescan the list: it pauses."""
+    angle, collecting = Angle._wrapped, gc.isenabled()
+    gc.disable()
+    try:
+        return [
+            PredictionPair(angle(t), None if math.isnan(p) else angle(p))
+            for t, p in zip(phi_true.tolist(), phi_pred.tolist())
+        ]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
@@ -177,9 +186,16 @@ def run_comparison(
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition. The seeds' networks
     train together in lockstep, each as ``train`` would train it alone.
+    A seed that repeats another (mod 2**64, which keys its streams) would
+    count one run twice, so it is a ConfigError.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
+    keys = [require_count("seed", seed) % 2**64 for seed in seeds]  # as rng keys streams
+    for i, key in enumerate(keys):
+        if (j := keys.index(key)) < i:
+            alias = "" if seeds[j] == seeds[i] else f" ({seeds[j]} mod 2**64)"
+            raise ConfigError(f"seed {seeds[i]} is repeated{alias}; each seed is one run")
     folds = [split(samples, replace(split_spec, seed=seed)) for seed in seeds]
     trained = train_many(folds, train_config, seeds)
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns

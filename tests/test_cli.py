@@ -219,6 +219,13 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_repeated_seed_is_usage_error(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "out"
+        code = main(["compare", "--data", str(data_csv), "--seeds", "1,1", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed 1 is repeated; each seed is one run\n"
+        assert not (out / REPORT_FILENAME).exists()
+
     def test_estimator_without_any_direction_is_usage_error(self, tmp_path, capsys):
         # every frame fully sealed: the closed form answers None on each row
         data = tmp_path / "data"

@@ -1,5 +1,8 @@
+import contextlib
+import gc
 import math
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +19,9 @@ from cuphaptics import (
     FeatureStats,
     GenerationConfig,
     InvalidInputError,
+    MlpEstimator,
     MlpModel,
+    ModelBasedEstimator,
     PredictionPair,
     PressureFieldParams,
     Samples,
@@ -39,6 +44,7 @@ from cuphaptics import (
     split,
     train,
 )
+from cuphaptics import evaluate as evaluate_module
 from cuphaptics.mlp import _forward, _layer_views, _n_params, _outputs_by_row, _plan
 from helpers import equal_chamber_rows
 
@@ -192,6 +198,23 @@ class TestCompare:
     def test_needs_a_seed(self, samples):
         with pytest.raises(ConfigError):
             run_comparison(samples, SplitSpec(), quick_config(), seeds=[])
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ([1, 1], "seed 1 is repeated; each seed is one run"),
+            ([2, 3, 2], "seed 2 is repeated; each seed is one run"),
+            ([-1, 2**64 - 1], f"seed {2**64 - 1} is repeated (-1 mod 2**64)"),
+        ],
+        ids=["twice", "apart", "same-mod-2**64"],
+    )
+    def test_repeated_seed_is_rejected_before_training(self, samples, monkeypatch, seeds, message):
+        def no_training(*args):
+            raise AssertionError("trained despite a repeated seed")
+
+        monkeypatch.setattr(evaluate_module, "train_many", no_training)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_comparison(samples, SplitSpec(), quick_config(), seeds=seeds)
 
     def test_estimator_without_any_direction_on_a_fold(self):
         # Four equal chambers on every row: the closed form has no direction.
@@ -428,6 +451,106 @@ def test_earliest_rejected_row_wins(evaluate):
     ):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             evaluate(Samples(np.array(rows)))
+
+
+EVALUATORS = {
+    "model_based": (evaluate_model_based, ModelBasedEstimator()),
+    "mlp": (lambda samples: evaluate_mlp(RAW_MODEL, samples), MlpEstimator(RAW_MODEL)),
+}
+# Yaws whose wrap has an edge: signed zero, the 360 boundary from both sides,
+# a negative, a yaw past a turn, and tiny negatives that wrap up to 360.
+EDGE_YAWS = [-0.0, 360.0, -30.0, 400.0, 359.99999999999994, -360.0, 720.0, -1e-300, -5e-324]
+
+
+def f64(x):
+    return struct.pack("<d", x)
+
+
+def edge_yaw_table():
+    """Per edge yaw, a row both estimators give a direction and an all-zero
+    row they give none: a zero vector to each."""
+    rows = []
+    for yaw in EDGE_YAWS:
+        rows.append([96.0, 97.0, 96.0, 95.0, 101.325, 1.0, yaw])
+        rows.append([0.0, 0.0, 0.0, 0.0, 101.325, 1.0, yaw])
+    return Samples(np.array(rows))
+
+
+class TestPairs:
+    """Pairs are built from the checked, wrapped columns, each float kept."""
+
+    @pytest.mark.parametrize("method", sorted(EVALUATORS))
+    def test_angles_have_the_checked_paths_bits(self, method):
+        evaluate, estimator = EVALUATORS[method]
+        samples = edge_yaw_table()
+        pairs = evaluate(samples)
+        column = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
+        assert len(pairs) == len(samples) == len(column)
+        assert np.isnan(column).any() and not np.isnan(column).all()
+        want = [
+            pair(None if math.isnan(pred) else pred, yaw)
+            for yaw, pred in zip(samples.phi_deg.tolist(), column.tolist())
+        ]
+        assert pairs == want
+        for got, wanted, pred in zip(pairs, want, column.tolist()):
+            assert type(got.phi_true) is Angle
+            assert f64(got.phi_true.degrees) == f64(wanted.phi_true.degrees)
+            assert (got.phi_pred is None) == math.isnan(pred)
+            if got.phi_pred is not None:
+                assert type(got.phi_pred) is Angle
+                assert f64(got.phi_pred.degrees) == f64(wanted.phi_pred.degrees)
+
+    @settings(max_examples=200)
+    @given(yaws=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_any_finite_yaw_is_stored_as_angle_stores_it(self, yaws):
+        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, 1.0, yaw] for yaw in yaws]
+        pairs = evaluate_model_based(Samples(np.array(rows)))
+        assert [f64(p.phi_true.degrees) for p in pairs] == [f64(Angle(y).degrees) for y in yaws]
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off, and put back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorState:
+    """The collector pauses while pairs are built and is left as it was found."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("method", sorted(EVALUATORS))
+    def test_left_as_found(self, method, enabled):
+        evaluate, _ = EVALUATORS[method]
+        rejected = Samples(np.array([BASE_ROW, [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]]))
+        with collector(enabled):
+            assert len(evaluate(edge_yaw_table())) == 2 * len(EDGE_YAWS)
+            assert gc.isenabled() is enabled
+            with pytest.raises(InvalidInputError, match="p_ch1 = 150.0 kPa exceeds"):
+                evaluate(rejected)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("method", sorted(EVALUATORS))
+    def test_paused_while_building_and_restored_on_failure(self, method, monkeypatch):
+        evaluate, _ = EVALUATORS[method]
+        seen = []
+
+        def failing_pair(phi_true, phi_pred):
+            seen.append(gc.isenabled())
+            if len(seen) == 3:
+                raise RuntimeError("pair 3 fails")
+            return PredictionPair(phi_true, phi_pred)
+
+        monkeypatch.setattr(evaluate_module, "PredictionPair", failing_pair)
+        with collector(True):
+            with pytest.raises(RuntimeError, match="pair 3 fails"):
+                evaluate(edge_yaw_table())
+            assert gc.isenabled()
+        assert seen == [False, False, False]
 
 
 # Sizes the row kernel is checked at: one neuron per layer, a small net,

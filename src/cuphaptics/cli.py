@@ -23,6 +23,7 @@ from .errors import ConfigError, CupHapticsError, InvalidInputError, require_cou
 from .evaluate import (
     MLP_METHOD,
     MODEL_BASED_METHOD,
+    _check_seeds,
     _columns,
     _defined_errors,
     export_scatter,
@@ -69,6 +70,7 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}") from None
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    _check_seeds(seeds)  # as run_comparison does, before the dataset is read
     return seeds
 
 
@@ -111,11 +113,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    samples = read_csv(args.data)
-    train_set, val_set = split(
-        samples, SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
-    )
-    config = _train_config(args)
+    spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
+    config = _train_config(args)  # flags are checked before the dataset is read
+    train_set, val_set = split(read_csv(args.data), spec)
     model, history = train(train_set, val_set, config)
 
     errors = _defined_errors(*_columns(MlpEstimator(model), val_set))
@@ -151,14 +151,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    samples = read_csv(args.data)
-    seeds = _parse_seeds(args.seeds)
-    report, first_columns = run_comparison(
-        samples,
-        SplitSpec(train_fraction=args.train_fraction, seed=seeds[0]),
-        _train_config(args),
-        seeds,
-    )
+    seeds = _parse_seeds(args.seeds)  # flags are checked before the dataset is read
+    spec = SplitSpec(train_fraction=args.train_fraction, seed=seeds[0])
+    config = _train_config(args)
+    report, first_columns = run_comparison(read_csv(args.data), spec, config, seeds)
     out = _out_dir(args)
     report_path = out / REPORT_FILENAME
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")

@@ -5,7 +5,8 @@ degrees normalized to [0, 360). The tool frame is a 2D cup-fixed frame;
 chambers 1 and 4 sit on the +x side, chambers 3 and 4 on the +y side, so
 pairwise chamber sums give a vector that points toward the better seal.
 
-Everything here is an immutable value or a pure function.
+Everything here is an immutable value or a pure function. The value types
+keep plain floats in range as given, one comparison each, and convert the rest.
 """
 
 from __future__ import annotations
@@ -85,7 +86,16 @@ class SensorFrame:
     p_atm: float
 
     def __post_init__(self) -> None:
-        p_atm = _as_finite(self.p_atm, "p_atm")
+        # Plain floats in range are kept as given, one comparison each (NaN
+        # fails it); anything else is converted, or raises, below.
+        p_atm, p_ch = self.p_atm, self.p_ch
+        if type(p_ch) is tuple and len(p_ch) == 4 and type(p_atm) is float:
+            p1, p2, p3, p4 = p_ch
+            hi = p_atm + PRESSURE_TOLERANCE_KPA
+            if type(p1) is type(p2) is type(p3) is type(p4) is float and 0.0 <= p_atm < math.inf:
+                if 0.0 <= p1 <= hi and 0.0 <= p2 <= hi and 0.0 <= p3 <= hi and 0.0 <= p4 <= hi:
+                    return
+        p_atm = _as_finite(p_atm, "p_atm")
         if p_atm < 0.0:
             raise InvalidInputError(f"p_atm must be >= 0 kPa, got {p_atm}")
         chambers = tuple(self.p_ch)
@@ -124,6 +134,8 @@ class GroundTruthPose:
     phi: Angle
 
     def __post_init__(self) -> None:
+        if type(self.delta) is float and 0.0 <= self.delta < math.inf:
+            return
         delta = _as_finite(self.delta, "delta")
         if delta < 0.0:
             raise InvalidInputError(f"delta must be >= 0 mm, got {delta}")
@@ -163,6 +175,15 @@ def direction_angle(x: float, y: float) -> Angle | None:
     return None if math.isnan(deg) else Angle(deg)
 
 
+def _finite_direction_angle(x: float, y: float) -> Angle | None:
+    """``direction_angle`` of a finite (x, y), from the same float operations:
+    its yaw is finite, so the Angle is built without a second check."""
+    deg = _yaw_deg(x, y) % 360.0
+    if math.isnan(deg):
+        return None
+    return Angle._wrapped(0.0 if deg == 360.0 else deg)  # Angle's rule
+
+
 def _model_direction_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, ...]:
     """Chamber-sum direction (x, y) per row of (n, 4) chamber pressures, from
     ``estimate_direction``'s float operations in its order, and the rows whose
@@ -183,15 +204,17 @@ def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
     outcome and yields no angle.
     """
     vacuum = [frame.p_atm - p for p in frame.p_ch]
-    for i, v in enumerate(vacuum, start=1):
-        if v < -PRESSURE_TOLERANCE_KPA:
-            raise InvalidInputError(
-                f"vacuum p{i} = {v} kPa is below the -{PRESSURE_TOLERANCE_KPA} kPa "
-                "noise tolerance"
-            )
     p1, p2, p3, p4 = vacuum
     x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-    for name, value in (("x", x), ("y", y)):
-        if not math.isfinite(value):
-            raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
-    return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))
+    # A NaN in vacuum, which min() may pass over, makes x and y NaN.
+    if not (min(vacuum) >= -PRESSURE_TOLERANCE_KPA and math.isfinite(x) and math.isfinite(y)):
+        for i, v in enumerate(vacuum, start=1):  # the first bad value names the error
+            if v < -PRESSURE_TOLERANCE_KPA:
+                raise InvalidInputError(
+                    f"vacuum p{i} = {v} kPa is below the -{PRESSURE_TOLERANCE_KPA} kPa "
+                    "noise tolerance"
+                )
+        for name, value in (("x", x), ("y", y)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
+    return DirectionEstimate(v_pred=(x, y), phi_pred=_finite_direction_angle(x, y))

@@ -174,6 +174,18 @@ def _summarize(method: str, rows: Sequence[SeedMetrics]) -> MethodSummary:
     )
 
 
+def _check_seeds(seeds: Sequence[int]) -> None:
+    """ConfigError unless ``seeds`` names one or more distinct runs: integers
+    that differ mod 2**64, which keys their streams."""
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    keys = [require_count("seed", seed) % 2**64 for seed in seeds]
+    for i, key in enumerate(keys):
+        if (j := keys.index(key)) < i:
+            alias = "" if seeds[j] == seeds[i] else f" ({seeds[j]} mod 2**64)"
+            raise ConfigError(f"seed {seeds[i]} is repeated{alias}; each seed is one run")
+
+
 def run_comparison(
     samples: Samples,
     split_spec: SplitSpec,
@@ -189,13 +201,7 @@ def run_comparison(
     A seed that repeats another (mod 2**64, which keys its streams) would
     count one run twice, so it is a ConfigError.
     """
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    keys = [require_count("seed", seed) % 2**64 for seed in seeds]  # as rng keys streams
-    for i, key in enumerate(keys):
-        if (j := keys.index(key)) < i:
-            alias = "" if seeds[j] == seeds[i] else f" ({seeds[j]} mod 2**64)"
-            raise ConfigError(f"seed {seeds[i]} is repeated{alias}; each seed is one run")
+    _check_seeds(seeds)
     folds = [split(samples, replace(split_spec, seed=seed)) for seed in seeds]
     trained = train_many(folds, train_config, seeds)
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns

@@ -24,11 +24,11 @@ views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
 when the caller supplies them. Each model makes its forward plan when it
 is built: per layer, W.T and b as views into ``params``, and its stats as
-two float64 arrays. One forward kernel runs every pass: single frames;
-tables, as a stack of one-row products so that each row keeps its
-single-frame bits (an n-row product may not); and training's forward half
-and validation pass, on plans built the same way from the parameters being
-trained.
+two float64 arrays for tables. One forward kernel runs every pass: single
+frames, z-scored on their floats, with ``ndarray.dot``; tables, as a stack
+of one-row ``matmul`` products with single-frame bits (an n-row product may
+not keep them); and training's forward half and validation pass, on plans
+built the same way from the parameters being trained.
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
@@ -56,6 +56,7 @@ from .core import (
     Angle,
     DirectionEstimate,
     SensorFrame,
+    _finite_direction_angle,
     _rmse,
     angular_errors,
     direction_angle,
@@ -77,6 +78,8 @@ MODEL_MAGIC = b"CUPMLP1"
 # enough that OpenBLAS keeps each product on one thread, none left spinning.
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
+_ZERO = np.zeros(())  # ReLU's bound, a float64 array np.maximum takes unconverted
+_ZERO.flags.writeable = False
 # A forward plan: (W.T, b) per layer, the input of ``_forward``.
 _Plan = tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -90,7 +93,7 @@ class MlpModel:
     The model standardizes its inputs exactly when ``stats`` is not None.
     Models compare by identity; compare ``params`` for equal values.
     ``_layers`` ((W.T, b) per layer) is the forward plan that ``_forward``
-    runs, and ``_zscore`` the inputs' (mean, std) arrays.
+    runs, and ``_zscore`` the (mean, std) arrays that z-score a table.
     """
 
     layer_sizes: tuple[int, ...]
@@ -239,16 +242,18 @@ def _plan(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> _Plan:
 def _forward(plan: _Plan, x: np.ndarray) -> list[np.ndarray]:
     """The forward kernel: every layer's output for unchecked inputs along
     the last axis of ``x``, ``x`` itself first. Per layer ``x @ W.T``,
-    ``+= b`` and, on hidden layers, ReLU in place. A 1-D input and each row
-    of an (n, 1, in) stack run the same one-row product, so both give one
-    frame's bits; with a stacked plan, an (S, n, in) input runs S networks."""
+    ``+= b`` and, on hidden layers, ReLU in place. A 1-D input runs the
+    product as ``x.dot(W.T)`` (``np.dot``'s BLAS gemv, undispatched), with
+    the bits of the one-row ``matmul`` that each row of an (n, 1, in) stack
+    runs; with a stacked plan, an (S, n, in) input runs S networks."""
     activations = [x]
     last = len(plan) - 1
+    product = np.ndarray.dot if x.ndim == 1 else np.matmul
     for k, (w_t, b) in enumerate(plan):
-        x = x @ w_t
+        x = product(x, w_t)
         x += b
         if k < last:
-            np.maximum(x, 0.0, out=x)
+            np.maximum(x, _ZERO, out=x)
         activations.append(x)
     return activations
 
@@ -516,8 +521,14 @@ def train(
 
 
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
-    """Raw 2-vector output for a frame, standardized if the model has stats."""
-    return forward(model, _model_inputs(model, np.asarray(frame.p_ch, dtype=np.float64)))
+    """Raw 2-vector output for a frame, standardized if the model has stats: on
+    its floats, which round as ``_model_inputs``' columns and overflow silently."""
+    z = frame.p_ch
+    if model.stats is not None:
+        z = [(p - m) / s for p, m, s in zip(z, model.stats.mean, model.stats.std)]
+    if len(z) != model.layer_sizes[0] or not all(map(math.isfinite, z)):
+        return forward(model, z)  # raises forward's error
+    return _forward(model._layers, np.array(z))[-1]
 
 
 def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +544,7 @@ def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
     ``decode_estimate(network_output(model, frame)).phi_pred``."""
     x, y = network_output(model, frame).tolist()
     if math.isfinite(x) and math.isfinite(y):
-        return direction_angle(x, y)
+        return _finite_direction_angle(x, y)
     return decode_estimate((x, y)).phi_pred  # raises the non-finite output error
 
 

@@ -1,10 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from cuphaptics import Samples, load_model, write_csv
+from cuphaptics import FeatureStats, Samples, cli, init_model, load_model, save_model, write_csv
 from helpers import (
     equal_chamber_rows,
     write_model_with_nan_param,
@@ -440,6 +441,16 @@ class TestPredict:
     def test_pressure_far_above_ambient_is_usage_error(self):
         assert main(["predict", "--p-ch", "103,96,96,96"]) == 2
 
+    def test_overflowing_standardized_input_is_one_error_line(self, tmp_path, capsys):
+        # The z-scored inputs overflow; no numpy warning joins the error line.
+        path = tmp_path / "tiny-spread.cupmlp"
+        save_model(init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)), path)
+        argv = ["predict", "--p-ch", "1e10,1e10,1e10,1e10", "--p-atm", "1e10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--method", "mlp", "--model", str(path)]) == 2
+        assert capsys.readouterr().err == "error: inputs must be finite\n"
+
     def test_corrupt_model_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cupmlp"
         bad.write_bytes(b"not a model")
@@ -484,6 +495,44 @@ class TestPredict:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestFlagsBeforeData:
+    """train and compare check their flags before they read the dataset."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["compare", "--seeds", "1,1"], "error: seed 1 is repeated; each seed is one run\n"),
+            (["train", "--lr", "inf"], "error: lr must be finite and > 0, got inf\n"),
+        ],
+        ids=["compare-repeated-seed", "train-infinite-lr"],
+    )
+    def test_usage_error_is_not_masked_by_missing_data(self, tmp_path, capsys, argv, err):
+        data = ["--data", str(tmp_path / "missing.csv")]
+        assert main([*argv, *data, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--seeds", "1,1"],
+            ["compare", "--seeds=-1,18446744073709551615"],
+            ["compare", "--seeds", ","],
+            ["compare", "--seeds", "1,two"],
+            ["compare", "--lr", "inf"],
+            ["compare", "--train-fraction", "1.5"],
+            ["train", "--lr", "nan"],
+            ["train", "--batch-size", "0"],
+            ["train", "--train-fraction", "0"],
+        ],
+    )
+    def test_bad_flag_reads_no_data(self, tmp_path, data_csv, monkeypatch, argv):
+        def read_csv(path):
+            raise AssertionError(f"read {path} before checking the flags")
+
+        monkeypatch.setattr(cli, "read_csv", read_csv)
+        assert main([*argv, "--data", str(data_csv), "--out-dir", str(tmp_path)]) == 2
 
 
 class TestNonFiniteConfig:

@@ -19,7 +19,12 @@ from cuphaptics import (
     angular_errors,
     estimate_direction,
 )
-from cuphaptics.core import PRESSURE_TOLERANCE_KPA, frames_valid
+from cuphaptics.core import (
+    PRESSURE_TOLERANCE_KPA,
+    _finite_direction_angle,
+    direction_angle,
+    frames_valid,
+)
 
 finite_angles = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -285,3 +290,161 @@ class TestAngleConstruction:
     def test_keyword_and_positional_forms_agree(self):
         assert Angle(degrees=-90) == Angle(-90) == Angle(270.0)
         assert type(Angle(np.float64(12.5)).degrees) is float
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: ("ok", its fields as exact bits) or
+    ("error", the message)."""
+    try:
+        value = build(*args)
+    except InvalidInputError as exc:
+        return "error", str(exc)
+    fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    flat = [v for f in fields for v in (f if isinstance(f, tuple) else (f,))]
+    return "ok", [(type(v), v.hex()) if isinstance(v, float) else v for v in flat]
+
+
+# Chamber values the checks reject at p_atm = 101.325, and their messages.
+BAD_CHAMBERS = [
+    (math.nan, "p_ch{i} must be finite, got nan"),
+    (math.inf, "p_ch{i} must be finite, got inf"),
+    (-math.inf, "p_ch{i} must be finite, got -inf"),
+    (-1.0, "p_ch{i} must be >= 0 kPa, got -1.0"),
+    (101.9, "p_ch{i} = 101.9 kPa exceeds ambient 101.325 kPa by more than 0.5 kPa"),
+]
+# Values either check path takes, and values one of its comparisons rejects.
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, 5e-324, 101.825, 101.826]
+
+
+class TestValueTypeChecks:
+    """``SensorFrame`` and ``GroundTruthPose`` take plain floats in range with
+    one comparison each; their results and errors equal those of the
+    converting checks, which a list, ints and numpy floats still take."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "bad, message", BAD_CHAMBERS, ids=["nan", "inf", "-inf", "neg", "high"]
+    )
+    def test_each_bad_chamber_is_named(self, i, bad, message):
+        p_ch = [96.0] * 4
+        p_ch[i - 1] = bad
+        want = ("error", message.format(i=i))
+        assert outcome(SensorFrame, tuple(p_ch), 101.325) == want
+        assert outcome(SensorFrame, p_ch, 101.325) == want  # the converting checks
+
+    @pytest.mark.parametrize(
+        "p_atm, message",
+        [
+            (math.nan, "p_atm must be finite, got nan"),
+            (math.inf, "p_atm must be finite, got inf"),
+            (-math.inf, "p_atm must be finite, got -inf"),
+            (-1.0, "p_atm must be >= 0 kPa, got -1.0"),
+        ],
+    )
+    def test_bad_ambient_is_named_before_any_chamber(self, p_atm, message):
+        for p_ch in ((96.0,) * 4, (math.nan, -1.0, math.inf, 96.0), (0.0,) * 4):
+            assert outcome(SensorFrame, p_ch, p_atm) == ("error", message)
+
+    @pytest.mark.parametrize(
+        "p_ch, field",
+        [
+            # min() and max() of these skip the NaN or stop at it, by order.
+            ((96.0, math.nan, 96.0, 96.0), "p_ch2 must be finite, got nan"),
+            ((math.nan, 96.0, 96.0, 96.0), "p_ch1 must be finite, got nan"),
+            ((96.0, 96.0, 96.0, math.nan), "p_ch4 must be finite, got nan"),
+            # The first bad value names the error, whatever follows it.
+            ((96.0, -1.0, math.nan, 200.0), "p_ch2 must be >= 0 kPa, got -1.0"),
+            ((96.0, 96.0, math.inf, -1.0), "p_ch3 must be finite, got inf"),
+        ],
+    )
+    def test_first_bad_value_names_the_error(self, p_ch, field):
+        assert outcome(SensorFrame, p_ch, 101.325) == ("error", field)
+
+    @given(
+        p_ch=st.lists(st.sampled_from(EDGE_VALUES) | st.floats(), min_size=4, max_size=4),
+        p_atm=st.sampled_from(EDGE_VALUES + [101.325]) | st.floats(),
+    )
+    def test_tuple_of_floats_equals_the_converting_checks(self, p_ch, p_atm):
+        # A list, or numpy floats, take the converting checks.
+        want = outcome(SensorFrame, p_ch, p_atm)
+        assert outcome(SensorFrame, tuple(p_ch), p_atm) == want
+        assert outcome(SensorFrame, tuple(map(np.float64, p_ch)), np.float64(p_atm)) == want
+
+    @pytest.mark.parametrize(
+        "p_ch, p_atm",
+        [
+            ((96, 95, 94, 93), 101),
+            ([96.0, 95.0, 94.0, 93.0], 101.325),
+            (tuple(np.float64([96.0, 95.0, 94.0, 93.0])), np.float64(101.325)),
+            ((96.0, 95, np.float64(94.0), 93.0), 101.325),
+            ((96.0, 95.0, 94.0, np.float64(93.0)), 101.325),
+            ((96.0, 95.0, 94.0, 93), 101.325),
+        ],
+        ids=["ints", "list", "numpy", "mixed", "last-numpy", "last-int"],
+    )
+    def test_other_numbers_are_stored_as_a_tuple_of_floats(self, p_ch, p_atm):
+        frame = SensorFrame(p_ch, p_atm)
+        assert type(frame.p_ch) is tuple and type(frame.p_atm) is float
+        assert [type(p) for p in frame.p_ch] == [float] * 4
+        assert frame.p_ch == tuple(float(p) for p in p_ch) and frame.p_atm == float(p_atm)
+
+    def test_negative_zero_is_kept(self):
+        frame = SensorFrame((-0.0, 0.0, -0.0, 0.4), -0.0)
+        signs = [math.copysign(1.0, v) for v in (*frame.p_ch, frame.p_atm)]
+        assert signs == [-1.0, 1.0, -1.0, 1.0, -1.0]
+        assert math.copysign(1.0, GroundTruthPose(-0.0, Angle(0.0)).delta) == -1.0
+
+    @pytest.mark.parametrize(
+        "delta, want",
+        [
+            (math.nan, ("error", "delta must be finite, got nan")),
+            (math.inf, ("error", "delta must be finite, got inf")),
+            (-1.0, ("error", "delta must be >= 0 mm, got -1.0")),
+            (3, ("ok", [(float, (3.0).hex()), Angle(1.0)])),
+            (np.float64(2.5), ("ok", [(float, (2.5).hex()), Angle(1.0)])),
+            (2.5, ("ok", [(float, (2.5).hex()), Angle(1.0)])),
+        ],
+    )
+    def test_pose_delta(self, delta, want):
+        assert outcome(GroundTruthPose, delta, Angle(1.0)) == want
+
+
+class TestDirectionChecks:
+    """``estimate_direction`` names the first bad gauge pressure, then a
+    non-finite vector, and decodes a finite one as ``direction_angle`` does."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_each_low_gauge_pressure_is_named(self, i):
+        # p_atm + 0.5 rounds up to 2**53, so chambers at 2**53 are accepted.
+        p_ch = [2.0**53 - 1] * 4
+        p_ch[i - 1] = 2.0**53
+        frame = SensorFrame(tuple(p_ch), 2.0**53 - 1)
+        message = f"vacuum p{i} = -1.0 kPa is below the -0.5 kPa noise tolerance"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            estimate_direction(frame)
+
+    @pytest.mark.parametrize(
+        "vacuum, message",
+        [
+            ((0.9e308, 0.0, 0.0, 0.9e308), "vector x must be finite, got inf"),
+            ((0.0, 0.0, 0.9e308, 0.9e308), "vector y must be finite, got inf"),
+            ((0.0, 0.9e308, 0.9e308, 0.0), "vector x must be finite, got -inf"),
+        ],
+    )
+    def test_one_overflowing_component_is_named(self, vacuum, message):
+        # One pair sum overflows; the other component stays finite.
+        frame = gauge_frame(*vacuum, p_atm=1.7e308)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            estimate_direction(frame)
+
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.0, 0.0, -1e-300, 1e-9, -5e-324]),
+        y=st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.0, 0.0, -1e-300, 1e-9, -5e-324]),
+    )
+    def test_finite_decode_equals_direction_angle(self, x, y):
+        got, want = _finite_direction_angle(x, y), direction_angle(x, y)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert type(got) is Angle and got.degrees.hex() == want.degrees.hex()

@@ -3,6 +3,7 @@ import gc
 import math
 import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -645,6 +646,15 @@ class TestRowKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match=re.escape(message)):
                 single(model, frame)
+
+    @pytest.mark.parametrize("single", [predict_angle, network_output])
+    def test_overflowing_standardized_input_warns_of_nothing(self, single):
+        # No np.errstate: the z-score runs on floats, so only the error is raised.
+        model = init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^inputs must be finite$"):
+                single(model, SensorFrame((1e10,) * 4, 1e10))
 
     def test_overflowing_output_is_rejected_by_the_decode(self):
         model = MlpModel(RAW_MODEL.layer_sizes, RAW_MODEL.params * 1e300)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import gc
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -116,16 +118,35 @@ def _defined_errors(phi_true: np.ndarray, phi_pred: np.ndarray) -> np.ndarray:
     return angular_errors(phi_pred, phi_true)[~np.isnan(phi_pred)]
 
 
+def _fill(cls: type, name: str, objects: list, values: list) -> None:
+    """Set field ``name`` of each object to its value through ``cls``'s slot
+    descriptor: the write ``object.__setattr__`` makes in a frozen ``__init__``."""
+    deque(map(cls.__dict__[name].__set__, objects, values), maxlen=0)
+
+
+def _build(cls: type, n: int, **columns: list) -> list:
+    """``n`` blank ``cls``s from ``object.__new__``, filled a field at a time."""
+    objects = list(map(object.__new__, repeat(cls, n)))
+    for name, values in columns.items():
+        _fill(cls, name, objects, values)
+    return objects
+
+
 def _pairs(phi_true: np.ndarray, phi_pred: np.ndarray) -> list[PredictionPair]:
     """A pair per row of ``_columns``' checked, wrapped yaws, each float kept.
-    Pairs form no cycle, so the collector would only rescan the list: it pauses."""
-    angle, collecting = Angle._wrapped, gc.isenabled()
+
+    Each pass of ``_build`` is a ``map`` with no Python frame per object, and
+    the objects equal, hash and pickle as constructed ones do. A NaN
+    prediction's ``Angle`` is then swapped for ``None``. Pairs form no cycle,
+    so the collector would only rescan the lists: it pauses."""
+    n, collecting = len(phi_true), gc.isenabled()
     gc.disable()
     try:
-        return [
-            PredictionPair(angle(t), None if math.isnan(p) else angle(p))
-            for t, p in zip(phi_true.tolist(), phi_pred.tolist())
-        ]
+        preds = _build(Angle, n, degrees=phi_pred.tolist())
+        for row in np.flatnonzero(np.isnan(phi_pred)).tolist():
+            preds[row] = None
+        true = _build(Angle, n, degrees=phi_true.tolist())
+        return _build(PredictionPair, n, phi_true=true, phi_pred=preds)
     finally:
         if collecting:
             gc.enable()

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, fields, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -377,4 +378,4 @@ def _lockstep(
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
     """Write batch results in the fixed six-column schema."""
-    write_table(path, BATCH_CSV_COLUMNS, (astuple(r) for r in rows))
+    write_table(path, BATCH_CSV_COLUMNS, map(operator.attrgetter(*BATCH_CSV_COLUMNS), rows))

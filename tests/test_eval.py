@@ -1,10 +1,12 @@
 import contextlib
+import copy
 import gc
 import math
+import pickle
 import re
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -501,6 +503,23 @@ class TestPairs:
                 assert type(got.phi_pred) is Angle
                 assert f64(got.phi_pred.degrees) == f64(wanted.phi_pred.degrees)
 
+    @pytest.mark.parametrize("method", sorted(EVALUATORS))
+    def test_built_objects_behave_as_constructed(self, method):
+        evaluate, estimator = EVALUATORS[method]
+        samples = edge_yaw_table()
+        column = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
+        for got, pred, yaw in zip(evaluate(samples), column.tolist(), samples.phi_deg.tolist()):
+            want = pair(None if math.isnan(pred) else pred, yaw)
+            assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
+            angles = [got.phi_true] + ([] if got.phi_pred is None else [got.phi_pred])
+            for obj, field in [(got, "phi_true"), (got, "phi_pred")] + [(a, "degrees") for a in angles]:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, field, None)
+            for obj in [got] + angles:
+                for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), replace(obj)):
+                    assert type(copied) is type(obj)
+                    assert (copied, hash(copied), repr(copied)) == (obj, hash(obj), repr(obj))
+
     @settings(max_examples=200)
     @given(yaws=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
     def test_any_finite_yaw_is_stored_as_angle_stores_it(self, yaws):
@@ -538,17 +557,17 @@ class TestCollectorState:
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
     def test_paused_while_building_and_restored_on_failure(self, method, monkeypatch):
         evaluate, _ = EVALUATORS[method]
-        seen = []
+        seen, fill = [], evaluate_module._fill
 
-        def failing_pair(phi_true, phi_pred):
+        def failing_fill(*args):
             seen.append(gc.isenabled())
             if len(seen) == 3:
-                raise RuntimeError("pair 3 fails")
-            return PredictionPair(phi_true, phi_pred)
+                raise RuntimeError("fill 3 fails")
+            fill(*args)
 
-        monkeypatch.setattr(evaluate_module, "PredictionPair", failing_pair)
+        monkeypatch.setattr(evaluate_module, "_fill", failing_fill)
         with collector(True):
-            with pytest.raises(RuntimeError, match="pair 3 fails"):
+            with pytest.raises(RuntimeError, match="fill 3 fails"):
                 evaluate(edge_yaw_table())
             assert gc.isenabled()
         assert seen == [False, False, False]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -172,14 +172,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.estimator == "model_based":
-        estimator = ModelBasedEstimator()
-    elif args.estimator == "oracle":
-        estimator = OracleEstimator()
-    else:
-        if args.model is None:
-            raise ConfigError("--model is required when --estimator mlp")
-        estimator = MlpEstimator(model=load_model(args.model))
+    if args.estimator == "mlp" and args.model is None:
+        raise ConfigError("--model is required when --estimator mlp")
+    # The closed form stands in for the network while the flags are checked,
+    # so a bad flag is a usage error before the model file is read.
+    estimator = OracleEstimator() if args.estimator == "oracle" else ModelBasedEstimator()
     config = SearchConfig(
         estimator=estimator,
         step_size_mm=args.step,
@@ -196,6 +193,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=args.seed,
     )
+    if args.estimator == "mlp":
+        estimator = MlpEstimator(model=load_model(args.model))
+        config, spec = replace(config, estimator=estimator), replace(spec, estimators=(estimator,))
     rows = batch_search(spec, config, CupGeometry(), PressureFieldParams())  # the grid sets noise
     path = _out_dir(args) / SEARCH_FILENAME
     write_batch_csv(rows, path)

@@ -154,7 +154,90 @@ class FeatureStats:
         object.__setattr__(self, "std", std)
 
 
-BLOCK_ROWS = 1024  # rows per %-format call; a block's buffers stay under 128 KiB
+# Rows per block: one numpy pass or one %-format call. The numpy pass's
+# buffers for a 7-column block peak under 1.5 MB.
+BLOCK_ROWS = 1024
+
+
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_format_block``.
+
+    A cell's class is 0 for 0, 1 for 0 < |v| < 1e-5, 7 + x for 10**x <= |v|
+    < 10**(x + 1) with x from -5 to 8, and 16 from 1e9 up and for inf and
+    NaN; a set sign bit adds 17. No binade (the values of one float64
+    exponent) holds two powers of ten, so a cell's class is its binade's,
+    plus one from the power of ten in the binade up. Each cell is laid out
+    in the 24 bytes ``-0.000d.d.d.d.d.d.d.d.d,``: a word with the sign, the
+    ``0.000`` before a small value's digits and the first digit, then two
+    ``_DOTTED`` words of 4 digits, each digit followed by a point, the last
+    point turned into the separator. The class and the count of trailing
+    zero digits pick the bytes kept (``_KEEP``).
+    """
+    powers = np.array([5e-324] + [float(f"1e{k}") for k in range(-5, 10)])
+    lows = (np.arange(2048, dtype=np.int64) << 52).view(np.float64)  # 0, 2**k, inf
+    binade = (lows[:, None] >= powers).sum(axis=1)
+    binade_class = np.concatenate([binade, binade + 17])  # by sign and exponent bits
+    next_power = np.append(powers, np.inf)[binade_class % 17]  # no class above 16
+    scale = np.array([float(f"1e{k}") for k in range(15, -2, -1)] * 2)  # 10**(8 - x)
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # row q: q's 4 digits
+    dotted = np.full((10_000, 8), ord("."), np.uint8)
+    dotted[:, ::2] = digits + ord("0")
+    trailing_zeros = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    cls, zeros, pos = np.arange(34)[:, None, None], np.arange(9)[:, None], np.arange(24)
+    c = cls % 17
+    x = (c - 7) * (c > 0)  # 0 prints as its first digit
+    n = 9 - zeros  # significant digits
+    keep = (
+        (pos == 0) & (cls >= 17)
+        | (x < 0) & (1 <= pos) & (pos <= 1 - x)  # "0.", "0.0", "0.00" or "0.000"
+        | (pos >= 6) & (pos % 2 == 0) & (pos < 6 + 2 * np.maximum(n, (x + 1) * (x >= 0)))
+        | (x >= 0) & (n > x + 1) & (pos == 7 + 2 * x)  # the point after digit x
+        | (pos == 23)
+    )
+    percent = ((c == 1) | (c == 2) | (c == 16)).ravel()  # printed with an exponent
+    tables = binade_class, next_power, scale, dotted.view("<i8").ravel(), trailing_zeros
+    return *tables, keep.reshape(-1, 24).view("<i8"), percent
+
+
+_BINADE_CLASS, _NEXT_POWER, _SCALE, _DOTTED, _TRAILING_ZEROS, _KEEP, _PERCENT = _cell_tables()
+_LEAD = int.from_bytes(b"-0.0000.", "little")  # the first word, digit 0 added at byte 6
+
+
+def _format_block(block: np.ndarray) -> bytes | None:
+    """The bytes the %.9g rule prints for a float64 block's rows (cells
+    joined by ',', each row ended by '\\n'), or None where a cell needs the
+    %-format: it is not finite, prints with an exponent, or is within 1e-6
+    of a rounding tie, in units of its ninth significant digit."""
+    if block.dtype != np.float64 or block.ndim != 2 or not block.size:
+        return None
+    v = block.ravel()
+    a = np.abs(v)
+    if not np.isfinite(a).all() or a.max() >= 1e9:
+        return None
+    top = v.view(np.int64) >> 52  # sign and exponent bits; negative indexes the upper half
+    cls = _BINADE_CLASS[top]
+    cls += a >= _NEXT_POWER[top]
+    s = np.multiply(a, _SCALE[cls], out=a)  # < 2**30: within 2**-24 of the exact product
+    d = np.rint(s)
+    if np.abs(s - d).max() > 0.5 - 1e-6:
+        return None  # near a tie, where rounding s may not round the exact product
+    carry = d == 1e9  # 999.99999996 prints as 1000: 1e8 in the next class
+    cls += carry
+    d -= 9e8 * carry
+    if _PERCENT[cls].any():
+        return None
+    d = d.astype(np.int64)
+    low = d - d // 10_000 * 10_000  # digits 5 to 8
+    d //= 10_000
+    canvas = np.empty((v.size, 3), "<i8")
+    canvas[:, 0] = (d // 10_000 << 48) + _LEAD  # digit 0
+    d -= d // 10_000 * 10_000  # digits 1 to 4
+    canvas[:, 1] = _DOTTED[d]
+    canvas[:, 2] = _DOTTED[low] ^ ((ord(".") ^ ord(",")) << 56)  # its last byte: the separator
+    canvas.reshape(*block.shape, 3)[:, -1, 2] ^= (ord(",") ^ ord("\n")) << 56
+    zeros = _TRAILING_ZEROS[low] + (low == 0) * _TRAILING_ZEROS[d]
+    keep = _KEEP.take(cls * 9 + zeros, axis=0)
+    return canvas.view(np.uint8).compress(keep.view(bool).ravel()).tobytes()
 
 
 def write_table(
@@ -164,25 +247,33 @@ def write_table(
 
     Numbers are printed with 9 significant digits, strings as given. Each
     column holds numbers or strings throughout, as in the first row, and
-    every row has its length. One %-format formats a block of rows, an
-    array's without per-row objects. Every CSV the package writes goes here.
+    every row has its length. An array is written a block of rows at a
+    time: ``_format_block`` prints a float64 block's bytes with numpy, and
+    a block it leaves (a cell that is not finite, prints with an exponent,
+    or is near a rounding tie) and every block of other rows are printed
+    with one repeated %-format, which is the rule both follow. Every CSV
+    the package writes goes here.
     """
     it = iter(rows)
     blocks = iter(lambda: list(islice(it, BLOCK_ROWS)), [])
     if isinstance(rows, np.ndarray):
         blocks = (rows[i : i + BLOCK_ROWS] for i in range(0, len(rows), BLOCK_ROWS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
         fmt = ""
         for block in blocks:
             fmt = fmt or ",".join("%s" if isinstance(v, str) else "%.9g" for v in block[0]) + "\n"
             if isinstance(block, np.ndarray):
+                data = _format_block(block)
+                if data is not None:
+                    fh.write(data)
+                    continue
                 cells = block.ravel().tolist()
             elif {len(row) for row in block} == {fmt.count("%")}:
                 cells = [*chain.from_iterable(block)]
             else:
                 raise TypeError(f"every row must have {fmt.count('%')} cells, like the first row")
-            fh.write((fmt * len(block)) % tuple(cells))
+            fh.write(((fmt * len(block)) % tuple(cells)).encode())
 
 
 def write_csv(samples: Samples, path: str | Path) -> None:

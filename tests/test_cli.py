@@ -534,6 +534,29 @@ class TestFlagsBeforeData:
         monkeypatch.setattr(cli, "read_csv", read_csv)
         assert main([*argv, "--data", str(data_csv), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, err",
+        [
+            ("--step", "nan", "error: step_size_mm must be finite and > 0, got nan\n"),
+            ("--phi-points", "0", "error: --phi-points must be >= 1, got 0\n"),
+            ("--reps", "0", "error: reps must be >= 1, got 0\n"),
+        ],
+    )
+    def test_search_checks_flags_before_loading_the_model(
+        self, tmp_path, capsys, monkeypatch, flag, value, err
+    ):
+        missing = ["--estimator", "mlp", "--model", str(tmp_path / "missing.cupmlp")]
+        argv = ["search", *missing, flag, value, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+        def load_model(path):
+            raise AssertionError(f"loaded {path} before checking the flags")
+
+        monkeypatch.setattr(cli, "load_model", load_model)
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestNonFiniteConfig:
     @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 import csv
 import math
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from cuphaptics import (
     Angle,
@@ -30,7 +33,7 @@ from cuphaptics import (
     write_batch_csv,
     write_csv,
 )
-from cuphaptics.dataset import BLOCK_ROWS, write_table
+from cuphaptics.dataset import BLOCK_ROWS, _format_block, write_table
 from cuphaptics.mlp import _model_inputs, init_model
 from helpers import first_bad_row_error, samples_of
 
@@ -49,6 +52,54 @@ def per_cell_bytes(columns, rows):
         for row in rows
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Cells the numpy formatter prints itself: signed zeros, carries into the
+# next decade (9.9999999996 prints as 10, 99999999.96 as 100000000, and
+# 0.000099999999996 as 0.0001), and the neighbours of powers of ten.
+POWERS = [float(f"1e{k}") for k in range(-4, 9)]
+KERNEL_CELLS = (
+    0.0,
+    -0.0,
+    9.9999999996,
+    -99999999.96,
+    0.000099999999996,
+    999999999.4,
+    *(np.nextafter(p, to) * sign for p in POWERS for to in (0.0, math.inf) for sign in (1, -1)),
+    *POWERS,
+)
+# Cells it leaves to the %-format: ties at the ninth digit, exact or within
+# 1e-6 (99999999.95 is 99999999.9500000030 and prints as 100000000; the
+# float64 product of 0.1234567895 and 1e9 is a tie, its exact one is not,
+# and it prints as 0.123456789), values printed with an exponent
+# (subnormals among them, and 999999999.5 and the float below 1e9, which
+# round up to 1e+09), and inf and NaN.
+PERCENT_CELLS = (
+    123456789.5,
+    -0.1234567895,
+    99999999.95,
+    1.5e-323,
+    -2.2250738585072014e-308,
+    np.nextafter(1e-4, 0.0) / 2,
+    9.99999999e-5,
+    999999999.5,
+    np.nextafter(1e9, 0.0),
+    1e9,
+    1e16,
+    math.inf,
+    -math.inf,
+    math.nan,
+)
+
+
+def near_tie(value):
+    """Whether ``value``'s digits after its ninth significant one lie within
+    1.1e-6 (in units of the ninth digit) of a half: exactly, in decimal."""
+    exact = abs(Decimal(value))
+    if not exact:
+        return False
+    shifted = exact.scaleb(8 - exact.adjusted())
+    return abs(shifted % 1 - Decimal("0.5")) < Decimal("1.1e-6")
 
 
 def write_rows(path, *rows):
@@ -623,6 +674,67 @@ class TestWrittenBytes:
         path = tmp_path_factory.mktemp("t") / "t.csv"
         write_table(path, ("a", "b", "c"), rows)
         assert path.read_bytes() == per_cell_bytes(("a", "b", "c"), rows)
+
+    @pytest.mark.parametrize("value", KERNEL_CELLS)
+    def test_kernel_cell(self, tmp_path, value):
+        table = np.array([[value, -value, 1.0]])
+        assert b"a,b,c\n" + _format_block(table) == per_cell_bytes("abc", table.tolist())
+        write_table(tmp_path / "t.csv", "abc", table)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes("abc", table.tolist())
+
+    @pytest.mark.parametrize("value", PERCENT_CELLS)
+    def test_percent_cell(self, tmp_path, value):
+        # One such cell sends its whole block to the %-format.
+        table = np.array([[1.0, 2.5], [value, 3.0]])
+        assert _format_block(table) is None
+        write_table(tmp_path / "t.csv", "ab", table)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes("ab", table.tolist())
+
+    @settings(max_examples=200)
+    @given(
+        table=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats() | st.floats(1e-4, 1e9) | st.floats(-1e9, -1e-4),
+        )
+    )
+    def test_any_table_property(self, tmp_path_factory, table):
+        # Any float64 table, within [1e-4, 1e9) in magnitude and outside it.
+        path = tmp_path_factory.mktemp("t") / "t.csv"
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        write_table(path, columns, table)
+        assert path.read_bytes() == per_cell_bytes(columns, table.tolist())
+
+    @settings(max_examples=200)
+    @given(
+        table=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats(1e-4, 999999999.4) | st.floats(-999999999.4, -1e-4) | st.just(0.0),
+        )
+    )
+    def test_kernel_prints_in_range_tables(self, table):
+        # Cells the %.9g rule prints without an exponent go through the
+        # kernel, unless one is within about 1e-6 of a rounding tie.
+        got = _format_block(table)
+        if got is None:
+            assert any(near_tie(v) for v in table.ravel().tolist())
+        else:
+            columns = [f"c{j}" for j in range(table.shape[1])]
+            assert got == per_cell_bytes(columns, table.tolist()).split(b"\n", 1)[1]
+
+    def test_kernel_memory_is_per_block(self, tmp_path):
+        values = np.random.default_rng(5).uniform(-400.0, 400.0, size=(50_000, 7))
+        samples = Samples(values)
+        write_csv(samples, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            write_csv(samples, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert _format_block(values[:BLOCK_ROWS]) is not None
 
     @pytest.mark.parametrize(
         "n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]

@@ -137,8 +137,10 @@ def _pairs(phi_true: np.ndarray, phi_pred: np.ndarray) -> list[PredictionPair]:
 
     Each pass of ``_build`` is a ``map`` with no Python frame per object, and
     the objects equal, hash and pickle as constructed ones do. A NaN
-    prediction's ``Angle`` is then swapped for ``None``. Pairs form no cycle,
-    so the collector would only rescan the lists: it pauses."""
+    prediction's ``Angle`` is then swapped for ``None``. The collector pauses
+    while they are built, which delays its young-generation pass rather than
+    saving it: the caller's next allocation scans every new object (about
+    10 ms on 50,000 rows)."""
     n, collecting = len(phi_true), gc.isenabled()
     gc.disable()
     try:

@@ -7,21 +7,24 @@ Moving a step along unit direction m when the true inward normal is n
 changes the offset by -step * (m . n), so a perfect estimate closes the
 gap by exactly one step.
 
-Sensing noise is fresh per step: a rollout draws four normals per step
-from its stream keyed (seed, SEARCH_STEP), so step k's noise depends only
-on the seed and k, whichever estimator runs.
+Sensing noise is fresh per step. A lockstep of m rollouts keys one stream,
+``substream(seed, SEARCH_STEP)``, and while any rollout is live each step
+draws a row of four normals for every rollout, live or not, at that
+rollout's noise level: rollout i's noise at step k is row i of draw k. It
+depends only on the seed, m and i, not on which rollouts are still live or
+on the step budget, and memory holds one step's rows, not a rollout's
+whole budget. A lockstep whose rollouts are all noiseless draws nothing.
+Every estimator's lockstep keys the same stream, so the estimators of a
+grid meet the same noise at the same (start, rep), and ``run_search``,
+the one-rollout case, meets the noise of its seed whichever estimator
+runs.
 
 One kernel runs the rollouts that share an estimator in lockstep: one
 array kernel call synthesizes the frames of every live rollout, one
-``Estimator.estimate_batch`` call estimates them, the offsets step as a
-column, and each live rollout's noise is drawn ahead in blocks of at most
-``NOISE_BLOCK_STEPS`` steps. A grid's rollout seeds and noise streams are
-keyed in one pass each (``rng.derive_seeds``, ``rng.Streams``), from the
-same keys and to the same bits as ``derive_seed`` and ``substream`` key
-them one by one. ``run_search`` is its one-rollout case. Each rollout
-ends, or raises, as a loop of ``synth_frame``, the single-frame estimate
-and ``search_step`` would. ``evaluate`` scores datasets through the same
-``estimate_batch``.
+``Estimator.estimate_batch`` call estimates them, and the offsets step as
+a column. Each rollout ends, or raises, as a loop of ``synth_frame`` on
+its noise rows, the single-frame estimate and ``search_step`` would.
+``evaluate`` scores datasets through the same ``estimate_batch``.
 """
 
 from __future__ import annotations
@@ -49,17 +52,12 @@ from .core import (
 from .dataset import write_table
 from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .mlp import MlpModel, _outputs_by_row, predict_angle
-from .rng import SEARCH_STEP, Streams, derive_seeds
-from .synth import CupGeometry, PressureFieldParams, _chamber_pressures, sensor_noise
+from .rng import SEARCH_STEP, substream
+from .synth import CupGeometry, PressureFieldParams, _chamber_pressures
 from .synth import synth_frame  # noqa: F401  the single-frame sensing step, beside search_step
 
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
-
-# A lockstep rollout draws its noise this many steps ahead at most, so memory
-# does not grow with the step budget; a stream's normals do not depend on how
-# its draws are split.
-NOISE_BLOCK_STEPS = 64
 
 
 class Estimator(Protocol):
@@ -219,7 +217,9 @@ def run_search(
 ) -> SearchResult:
     """Sense-estimate-translate until success, no-gradient, or budget."""
     start = np.array([[pose0.delta, pose0.phi.degrees, params.noise_sigma_kpa]])
-    (reason,), (steps,) = _lockstep(config.estimator, start, [config.seed], config, geom, params)
+    (reason,), (steps,) = _lockstep(config.estimator, start, config.seed, config, geom, params)
+    if isinstance(reason, InvalidInputError):
+        raise reason
     return SearchResult(success=reason is None, steps=int(steps), failure_reason=reason)
 
 
@@ -268,15 +268,16 @@ def batch_search(
     """Success rate and mean steps per grid cell.
 
     Cell order: delta0 (outer), then phi0, then noise, then estimator.
-    Each repetition is the ``run_search`` rollout under seed =
-    derive_seed(spec.seed, SEARCH_STEP, cell, rep), so the table is
-    reproducible; every rollout's seed, and then every noisy rollout's noise
-    stream, is keyed in one pass. ``mean_steps`` averages over all
-    repetitions, successful or not. The rollouts of one estimator run in
-    lockstep; if a frame or an offset is one the single-frame path rejects,
-    the rollouts are rerun one at a time in cell order, which raises the
-    first rollout's error. Each noise level and each start pose is checked
-    once, in cell order: the first pose, the noise levels, the other poses.
+    Each repetition is one rollout. The rollouts of one estimator, in cell
+    order and then by rep, run in one lockstep whose noise stream is keyed
+    (spec.seed, SEARCH_STEP): its i-th rollout takes row i of each step's
+    draw, so the table is reproducible, and every estimator meets the same
+    noise at the same (start, rep). A one-cell, one-rep grid is
+    ``run_search`` under ``spec.seed``. ``mean_steps`` averages over all
+    repetitions, successful or not. A rollout whose frame, estimate or
+    offset the single-frame path rejects ends with that error, and the
+    first such rollout in cell order raises it. Each noise level and each start pose is checked once,
+    in cell order: the first pose, the noise levels, the other poses.
 
     Only ``step_size_mm``, ``max_steps`` and ``success_delta_mm`` are read
     from ``config``; the estimators and the seed come from ``spec``. The
@@ -296,20 +297,14 @@ def batch_search(
         for sigma in sigmas:
             cell_starts += [(pose.delta, pose.phi.degrees, sigma)] * len(spec.estimators)
     starts = np.repeat(cell_starts, reps, axis=0)  # rollout j = c * reps + rep starts as cell c
-    rollout = np.arange(n)
-    seeds = derive_seeds([spec.seed] * n, SEARCH_STEP, rollout // reps, rollout % reps)
+    group_of = np.arange(n) // reps % len(spec.estimators)  # each rollout's estimator
     reasons, steps = np.empty(n, dtype=object), np.zeros(n, dtype=np.int64)
-    try:
-        for e, est in enumerate(spec.estimators):
-            group = np.flatnonzero(rollout // reps % len(spec.estimators) == e)
-            result = _lockstep(est, starts[group], [seeds[j] for j in group], config, geom, params)
-            reasons[group], steps[group] = result
-    except InvalidInputError:
-        reasons = None
-    if reasons is None:  # the first rollout in cell order that fails raises
-        for j, seed in enumerate(seeds):
-            _lockstep(cells[j // reps][3], starts[j : j + 1], [seed], config, geom, params)
-        raise AssertionError("a lockstep search rejected a grid that runs a rollout at a time")
+    for e, est in enumerate(spec.estimators):
+        group = np.flatnonzero(group_of == e)
+        reasons[group], steps[group] = _lockstep(est, starts[group], spec.seed, config, geom, params)
+    for reason in reasons.tolist():
+        if isinstance(reason, InvalidInputError):
+            raise reason  # the first rollout in cell order that was rejected
     # exact means: sums of at most reps small integers, then one division
     success_rates = np.equal(reasons, None).reshape(-1, reps).mean(axis=1).tolist()
     mean_steps = steps.reshape(-1, reps).mean(axis=1).tolist()
@@ -322,58 +317,73 @@ def batch_search(
 def _lockstep(
     est: Estimator,
     starts: np.ndarray,
-    seeds: Sequence[int],
+    seed: int,
     config: SearchConfig,
     geom: CupGeometry,
     params: PressureFieldParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each rollout's failure reason (None where it sealed) and step count, as
-    arrays, all run under ``est``. Rollout j starts from row j of ``starts``
+    arrays, all run under ``est``. Rollout i starts from row i of ``starts``
     (offset mm, yaw in [0, 360) deg, noise level kPa; already checked), and
-    ``seeds[j]`` keys its noise stream. The first live rollout whose frame or
-    offset the single-frame path rejects raises that path's error."""
-    n, max_steps, seal_at = len(starts), config.max_steps, config.success_delta_mm
-    delta, phi, sigma = starts[:, 0].copy(), starts[:, 1], starts[:, 2]
+    its noise at step k is row i of the k-th draw from ``substream(seed,
+    SEARCH_STEP)``. A rollout whose frame, estimate or offset the
+    single-frame path rejects ends there, and its reason is that path's
+    error; the step's other rollouts go on as if it were not there."""
+    max_steps, seal_at = config.max_steps, config.success_delta_mm
+    delta, phi, sigma = starts[:, 0].copy(), starts[:, 1], starts[:, 2:]
+    rng = substream(seed, SEARCH_STEP) if sigma.any() else None  # noiseless: no draws
+    steps = np.zeros(len(starts), dtype=np.int64)
     sealed = delta <= seal_at
-    noisy = (sigma > 0) & ~sealed  # the rollouts that draw noise, keyed in one pass
-    keyed = np.flatnonzero(noisy)
-    streams = Streams([seeds[j] for j in keyed.tolist()], SEARCH_STEP) if keyed.size else None
-    stream_of = (np.cumsum(noisy) - 1).tolist()  # rollout j draws from stream stream_of[j]
-    block = min(max_steps, NOISE_BLOCK_STEPS)
-    noise = np.zeros((n, block, 4))  # zero rows add nothing to a noiseless frame
-    steps = np.zeros(n, dtype=np.int64)
     reasons = np.where(sealed, None, FAILURE_BUDGET_EXHAUSTED)  # a rollout still live runs out
     live = np.flatnonzero(~sealed)
     for k in range(max_steps):
         if not live.size:
             break
-        if k % block == 0:  # the next steps' noise of every live noisy rollout
-            rows = min(block, max_steps - k)
-            for j in live[noisy[live]].tolist():
-                s = stream_of[j]
-                noise[j, :rows] = sensor_noise(sigma[j], streams.at(s), (rows, 4))
-                if k + rows < max_steps:
-                    streams.keep(s)
         d, f = delta[live], phi[live]
-        p_ch = _chamber_pressures(geom, params, d, f, noise[live, k % block])
-        bad = ~frames_valid(p_ch, params.p_atm_kpa)
-        if bad.any():
-            SensorFrame(p_ch=tuple(p_ch[bad.argmax()].tolist()), p_atm=params.p_atm_kpa)
-            raise AssertionError("a search frame is rejected here but not by SensorFrame")
-        yaw = est.estimate_batch(p_ch, params.p_atm_kpa, f)
-        new = _next_deltas(d, yaw, f, config.step_size_mm)
-        bad = np.isinf(new)
-        if bad.any():
-            i = bad.argmax()
-            GroundTruthPose(delta=new[i], phi=Angle(f[i]))
-            raise AssertionError("a search offset is rejected here but not by GroundTruthPose")
-        moved = ~np.isnan(yaw)  # NaN: no gradient, the rollout ends here
+        noise = rng.normal(0.0, sigma, (len(starts), 4))[live] if rng else None
+        p_ch = _chamber_pressures(geom, params, d, f, noise)
+        rejected = {}
+        try:
+            yaw, new = _step(est, p_ch, params.p_atm_kpa, d, f, config.step_size_mm)
+        except InvalidInputError:  # the rows one at a time, to find each rejected one
+            yaw, new = np.full(len(live), np.nan), d.copy()
+            for i in range(len(live)):
+                one = slice(i, i + 1)
+                try:
+                    (yaw[i],), (new[i],) = _step(
+                        est, p_ch[one], params.p_atm_kpa, d[one], f[one], config.step_size_mm
+                    )
+                except InvalidInputError as error:
+                    rejected[live[i]] = error
+            if not rejected:
+                raise AssertionError("a search step is rejected but none of its rows alone")
+        moved = ~np.isnan(yaw)  # NaN: no gradient (or rejected), the rollout ends here
         delta[live] = new
         steps[live] = k + moved
         reasons[live[~moved]] = FAILURE_NO_GRADIENT
         reasons[live[moved & (new <= seal_at)]] = None
         live = live[moved & (new > seal_at)]
+        for j, error in rejected.items():
+            reasons[j] = error
     return reasons, steps
+
+
+def _step(est, p_ch, p_atm, d, f, step_size) -> tuple[np.ndarray, np.ndarray]:
+    """Each live rollout's yaw estimate and next offset from its frame; the
+    first row whose frame, estimate or offset the single-frame path rejects
+    raises that path's error."""
+    bad = ~frames_valid(p_ch, p_atm)
+    if bad.any():
+        SensorFrame(p_ch=tuple(p_ch[bad.argmax()].tolist()), p_atm=p_atm)
+        raise AssertionError("a search frame is rejected here but not by SensorFrame")
+    yaw = est.estimate_batch(p_ch, p_atm, f)
+    new = _next_deltas(d, yaw, f, step_size)
+    bad = np.isinf(new)
+    if bad.any():
+        i = bad.argmax()
+        GroundTruthPose(delta=new[i], phi=Angle(f[i]))
+        raise AssertionError("a search offset is rejected here but not by GroundTruthPose")
+    return yaw, new
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:

@@ -180,13 +180,28 @@ def frame_yaw(est, frame, pose):
     return None if est.phi is None else Angle(est.phi)  # a StubEstimator
 
 
-def rollout_a_frame_at_a_time(pose0, config, geom, params):
-    """One search rollout from the single-frame functions: ``synth_frame`` on the
-    rollout's noise stream, ``frame_yaw`` and ``search_step``, until it seals,
-    finds no gradient or runs out of budget. Returns the ``SearchResult`` and the
-    poses visited."""
+class NoiseRows:
+    """Stands in for a rollout's ``Generator``: the k-th ``normal`` call
+    returns row k of ``standard`` (standard normals) as numpy scales a
+    standard normal, loc + scale * z."""
+
+    def __init__(self, standard):
+        self._rows = iter(standard)
+
+    def normal(self, loc, scale, size):
+        z = next(self._rows)
+        assert z.shape == size
+        return loc + scale * z
+
+
+def rollout_a_frame_at_a_time(pose0, config, geom, params, rng=None):
+    """One search rollout from the single-frame functions: ``synth_frame`` on
+    ``rng`` (by default the rollout's noise stream, keyed (config.seed,
+    SEARCH_STEP)), ``frame_yaw`` and ``search_step``, until it seals, finds no
+    gradient or runs out of budget. Returns the ``SearchResult`` and the poses
+    visited."""
     pose, trajectory, reason = pose0, [pose0], None
-    rng = substream(config.seed, SEARCH_STEP)
+    rng = substream(config.seed, SEARCH_STEP) if rng is None else rng
     while pose.delta > config.success_delta_mm:
         if len(trajectory) > config.max_steps:
             reason = "budget-exhausted"

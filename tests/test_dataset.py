@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 
@@ -33,7 +36,8 @@ from cuphaptics import (
     write_batch_csv,
     write_csv,
 )
-from cuphaptics.dataset import BLOCK_ROWS, _format_block, write_table
+import cuphaptics
+from cuphaptics.dataset import BLOCK_ROWS, _cell_tables, _format_block, write_table
 from cuphaptics.mlp import _model_inputs, init_model
 from helpers import first_bad_row_error, samples_of
 
@@ -762,6 +766,24 @@ class TestWrittenBytes:
     def test_row_of_another_length_is_rejected(self, tmp_path, rows):
         with pytest.raises(TypeError, match="every row must have 2 cells"):
             write_table(tmp_path / "t.csv", ("a", "b"), rows)
+
+
+def test_the_writer_tables_are_built_on_the_first_array_write(tmp_path):
+    # A fresh process: import, then predict, writes no table and builds none.
+    script = (
+        "import cuphaptics\n"
+        "from cuphaptics.cli import main\n"
+        "from cuphaptics.dataset import _cell_tables\n"
+        "assert main(['predict', '--p-ch', '91.325,96.325,96.325,91.325']) == 0\n"
+        "print(_cell_tables.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cuphaptics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0"
+    write_table(tmp_path / "t.csv", "ab", np.array([[1.0, 2.5]]))
+    assert _cell_tables.cache_info().currsize == 1
 
 
 class TestSplit:

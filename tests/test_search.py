@@ -35,9 +35,10 @@ from cuphaptics import (
 )
 from cuphaptics import GenerationConfig, Samples, SplitSpec
 from cuphaptics.core import EPS_ZERO, _yaw_deg
-from cuphaptics.rng import SEARCH_STEP, derive_seed
+from cuphaptics.rng import SEARCH_STEP, substream
+import cuphaptics.search as search_module
 from cuphaptics.search import _next_delta, _next_deltas, _yaws
-from helpers import StubEstimator, frame_yaw, rollout_a_frame_at_a_time
+from helpers import NoiseRows, StubEstimator, frame_yaw, rollout_a_frame_at_a_time
 
 GEOM = CupGeometry()
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
@@ -239,9 +240,21 @@ def test_configs_reject_non_integer_counts(make, field, value):
     assert getattr(make(**{field: np.int64(3)}), field) == 3  # numpy integers pass
 
 
+def grid_noise_rows(spec, config, position):
+    """The noise of the rollout at ``position`` among its estimator's rollouts
+    (in cell order, then by rep), as ``rollout_a_frame_at_a_time`` takes it:
+    every step's draw holds a row of standard normals for each of those
+    rollouts, all drawn from one stream keyed (spec.seed, SEARCH_STEP)."""
+    m = len(spec.delta0_values_mm) * len(spec.phi0_values_deg) * len(spec.noise_values_kpa)
+    stream = substream(spec.seed, SEARCH_STEP)
+    standard = stream.standard_normal((config.max_steps, m * spec.reps, 4))
+    return NoiseRows(standard[:, position])
+
+
 def rows_a_rollout_at_a_time(spec, config, params):
     """``batch_search``'s rows built from rollouts of the single-frame
-    functions, seeded as it seeds them, and the rollouts' results."""
+    functions, one rollout at a time on its rows of the grid's noise, and the
+    rollouts' results."""
     cells = [
         (d0, phi0, noise, est)
         for d0 in spec.delta0_values_mm
@@ -251,12 +264,14 @@ def rows_a_rollout_at_a_time(spec, config, params):
     ]
     rows, every_run = [], []
     for i, (d0, phi0, noise, est) in enumerate(cells):
+        start = i // len(spec.estimators) * spec.reps  # the cell's first among its estimator's
         runs = [
             rollout_a_frame_at_a_time(
                 pose(d0, phi0),
-                replace(config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, i, rep)),
+                replace(config, estimator=est),
                 GEOM,
                 replace(params, noise_sigma_kpa=noise),
+                grid_noise_rows(spec, config, start + rep),
             )[0]
             for rep in range(spec.reps)
         ]
@@ -357,7 +372,8 @@ class TestBatchSearch:
             # on the last step of the budget at best, and 30 mm never does.
             delta0_values_mm=(7.0, 14.0, 18.0, 30.0),
             phi0_values_deg=(0.0, 120.0, 240.0),
-            noise_values_kpa=(0.0, 0.3, 4.0),
+            # 8 kPa gives each table every rate under the grid's shared noise
+            noise_values_kpa=(0.0, 0.3, 4.0, 8.0),
             estimators=(ModelBasedEstimator(), OracleEstimator(), MlpEstimator(model=model)),
             reps=4,
             seed=11,
@@ -375,10 +391,9 @@ class TestBatchSearch:
             assert {r.success_rate for r in rows} == {0.0, 0.25, 0.5, 0.75, 1.0}
         assert reasons == {None, "no-gradient", "budget-exhausted"}
 
-    def test_noise_drawn_in_blocks_equals_run_search(self):
-        # 0.1 mm steps keep the 14 mm rollouts live into a second noise block,
-        # a short one that the budget ends; the 7.5 mm starts seal inside the
-        # first block.
+    def test_long_noisy_rollouts_equal_the_replay(self):
+        # 0.1 mm steps keep the 14 mm rollouts live to the 100-step budget,
+        # long after the 7.5 mm starts seal; every step still draws their rows.
         spec = BatchSpec(
             delta0_values_mm=(7.5, 14.0),
             phi0_values_deg=(0.0, 200.0),
@@ -392,6 +407,110 @@ class TestBatchSearch:
         assert batch_search(spec, config, GEOM, PressureFieldParams()) == expected
         steps = [r.steps for r in runs]
         assert min(steps) < 64 < max(steps) == 100
+
+    def test_estimators_meet_the_same_noise(self):
+        # A renamed copy of the closed form steers as the original does, so
+        # every cell's rows match: the two locksteps draw the same rows.
+        spec = BatchSpec(
+            delta0_values_mm=(14.0, 22.0),
+            phi0_values_deg=(0.0, 120.0, 240.0),
+            noise_values_kpa=(1.5,),
+            estimators=(ModelBasedEstimator(), ModelBasedEstimator(name="copy")),
+            reps=4,
+            seed=8,
+        )
+        config = SearchConfig(estimator=OracleEstimator(), step_size_mm=1.0, max_steps=20)
+        rows = batch_search(spec, config, GEOM, PressureFieldParams())
+        original, copy = rows[::2], rows[1::2]
+        assert [replace(r, estimator="copy") for r in original] == copy
+        assert any(r.mean_steps % 1 for r in rows)  # the reps meet different noise
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
+    def test_noisy_single_rollout_is_run_search_under_the_grid_seed(self, seed):
+        spec = BatchSpec((22.0,), (75.0,), (1.5,), (ModelBasedEstimator(),), reps=1, seed=seed)
+        config = SearchConfig(estimator=ModelBasedEstimator(), max_steps=12, seed=seed)
+        params = PressureFieldParams(noise_sigma_kpa=1.5)
+        result = run_search(pose(22.0, 75.0), config, GEOM, params)
+        (row,) = batch_search(spec, replace(config, seed=99), GEOM, params)
+        assert (row.success_rate, row.mean_steps) == (float(result.success), result.steps)
+        replay = grid_noise_rows(spec, config, 0)
+        alone = rollout_a_frame_at_a_time(pose(22.0, 75.0), config, GEOM, params, replay)[0]
+        assert result == alone
+
+    def test_a_rollout_does_not_depend_on_the_others(self):
+        # reps=1: each row is one rollout. The 14 mm rollouts keep their rows
+        # of the noise when the far starts begin sealed at 5 mm, and when the
+        # budget is cut to the 14 mm rollouts' own step counts, below the far
+        # rollouts' counts.
+        def rows(far, max_steps):
+            spec = BatchSpec((14.0, far), tuple(range(0, 360, 45)), (4.0,),
+                             (ModelBasedEstimator(),), reps=1, seed=21)
+            config = SearchConfig(estimator=OracleEstimator(), step_size_mm=1.0,
+                                  max_steps=max_steps)
+            return batch_search(spec, config, GEOM, PressureFieldParams())
+
+        full = rows(28.0, 40)
+        near, far = full[:8], full[8:]
+        assert len({r.mean_steps for r in near}) > 2  # the noise matters
+        assert rows(5.0, 40)[:8] == near
+        cut = int(max(r.mean_steps for r in near))
+        assert max(r.mean_steps for r in far) > cut
+        assert rows(28.0, cut)[:8] == near
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 + 1])
+    def test_step_k_draws_a_row_for_every_rollout(self, monkeypatch, seed):
+        # reps=1 and the oracle: rollout i is row i, live for its first
+        # mean_steps steps. Each step's noise is the live rows of one draw of
+        # all twelve rollouts, the sealed and the noiseless ones included.
+        seen = []
+        chamber_pressures = search_module._chamber_pressures
+
+        def recording(geom, params, d, f, noise):
+            seen.append(noise)
+            return chamber_pressures(geom, params, d, f, noise)
+
+        monkeypatch.setattr(search_module, "_chamber_pressures", recording)
+        spec = BatchSpec((5.0, 14.0, 22.0, 30.0), (40.0,), (0.0, 0.8, 2.5),
+                         (OracleEstimator(),), reps=1, seed=seed)
+        config = SearchConfig(estimator=OracleEstimator(), step_size_mm=2.0, max_steps=10)
+        rows = batch_search(spec, config, GEOM, PressureFieldParams())
+        steps = np.array([r.mean_steps for r in rows])
+        sigma = np.array([r.noise_sigma_kpa for r in rows])
+        assert sorted(set(steps)) == [0, 4, 8, 10]  # the 5 mm starts begin sealed
+        stream = substream(seed, SEARCH_STEP)
+        assert len(seen) == 10
+        for k, noise in enumerate(seen):
+            want = stream.normal(0.0, sigma[:, None], (len(rows), 4))[steps > k]
+            assert noise.tobytes() == want.tobytes()
+
+    def test_a_noiseless_grid_keys_no_stream(self, monkeypatch):
+        keyed = []
+
+        def keying(seed, purpose, *index):
+            keyed.append((seed, purpose, *index))
+            return substream(seed, purpose, *index)
+
+        monkeypatch.setattr(search_module, "substream", keying)
+        spec = BatchSpec((14.0, 22.0), (0.0, 90.0), (0.0,),
+                         (ModelBasedEstimator(), OracleEstimator()), reps=2, seed=4)
+        config = SearchConfig(estimator=OracleEstimator(), max_steps=10)
+        batch_search(spec, config, GEOM, PressureFieldParams())
+        run_search(pose(14.0), config, GEOM, NOISELESS)
+        assert keyed == []
+        batch_search(replace(spec, noise_values_kpa=(0.0, 0.5)), config, GEOM, NOISELESS)
+        assert keyed == [(4, SEARCH_STEP)] * 2  # one stream per estimator's lockstep
+
+    def test_noiseless_cells_of_a_noisy_grid_are_the_noiseless_grid(self):
+        # A noiseless rollout's rows are scaled by 0 kPa, so it meets no noise
+        # beside noisy rollouts either.
+        spec = BatchSpec((14.0, 22.0), (0.0, 150.0, 300.0), (0.0,),
+                         (ModelBasedEstimator(),), reps=3, seed=6)
+        config = SearchConfig(estimator=OracleEstimator(), step_size_mm=1.0, max_steps=20)
+        noiseless = batch_search(spec, config, GEOM, PressureFieldParams())
+        mixed = batch_search(replace(spec, noise_values_kpa=(2.0, 0.0)), config, GEOM,
+                             PressureFieldParams())
+        assert mixed[1::2] == noiseless
+        assert any(r.mean_steps % 1 for r in mixed[::2])  # the noisy reps differ
 
     def test_memory_does_not_grow_with_the_step_budget(self):
         spec = BatchSpec(
@@ -455,12 +574,38 @@ class TestBatchSearch:
             seed=3,
         )
         config = SearchConfig(estimator=OracleEstimator(), max_steps=10, seed=0)
-        first = replace(config, seed=derive_seed(spec.seed, SEARCH_STEP, 0, 0))
+        first = grid_noise_rows(spec, config, 0)
         with pytest.raises(InvalidInputError, match="must be >= 0 kPa") as want:
-            rollout_a_frame_at_a_time(pose(26.0, 0.0), first, GEOM, params)
+            rollout_a_frame_at_a_time(pose(26.0, 0.0), config, GEOM, params, first)
         with pytest.raises(InvalidInputError) as got:
             batch_search(spec, config, GEOM, params)
         assert str(got.value) == str(want.value)
+
+    def test_rejected_estimate_raises_the_first_rollouts_error(self):
+        # The estimator rejects a frame with a chamber below 96 kPa. The 14 mm
+        # rollout meets one on its first frame, the 26 mm one (first in cell
+        # order) only nearer in; the 26 mm one raises, with the error it
+        # raises when the other start begins sealed at 5 mm.
+        class RejectsDeepVacuum:
+            name = "rejects"
+
+            def estimate_batch(self, p_ch, p_atm, phi_deg):
+                for row in p_ch:
+                    if row.min() < 96.0:
+                        raise InvalidInputError(f"rejected at {row.min()!r} kPa")
+                return phi_deg.copy()
+
+        def error(*delta0_values_mm):
+            spec = BatchSpec(delta0_values_mm, (0.0,), (0.3,),
+                             (OracleEstimator(), RejectsDeepVacuum()), reps=1, seed=3)
+            config = SearchConfig(estimator=OracleEstimator(), max_steps=20)
+            with pytest.raises(InvalidInputError) as got:
+                batch_search(spec, config, GEOM, PressureFieldParams())
+            return str(got.value)
+
+        first = error(26.0, 14.0)
+        assert first == error(26.0, 5.0)
+        assert error(14.0, 26.0) != first  # the 14 mm rollout's own error
 
     @pytest.mark.parametrize(
         "axis, value, error, message",
@@ -603,7 +748,7 @@ STARTS = {
 )
 def test_run_search_equals_the_single_frame_rollout(est, noise, start):
     d0, phi0, closed_form_reason = STARTS[start]
-    config = SearchConfig(estimator=est, max_steps=6, seed=derive_seed(2, SEARCH_STEP, 0, 0))
+    config = SearchConfig(estimator=est, max_steps=6, seed=11580396128195341621)
     params = PressureFieldParams(response="affine", noise_sigma_kpa=noise)
     result = run_search(pose(d0, phi0), config, GEOM, params)
     assert result == rollout_a_frame_at_a_time(pose(d0, phi0), config, GEOM, params)[0]
@@ -617,7 +762,7 @@ class TestRejectedRollout:
 
     def run(self, est, config, params, message):
         spec = BatchSpec((14.0,), (0.0,), (0.0,), (est,), reps=1)
-        config = replace(config, estimator=est, seed=derive_seed(spec.seed, SEARCH_STEP, 0, 0))
+        config = replace(config, estimator=est, seed=5159740435168934496)
         with pytest.raises(InvalidInputError, match=re.escape(message)) as want:
             rollout_a_frame_at_a_time(pose(14.0), config, GEOM, params)
         for search in (lambda: run_search(pose(14.0), config, GEOM, params),

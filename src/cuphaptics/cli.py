@@ -93,7 +93,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         patience=args.patience,
         seed=args.seed,
         lr=args.lr,
-        standardize=not args.raw_inputs,
     )
 
 
@@ -281,11 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train_common.add_argument("--lr", type=float, default=TrainConfig.lr, help="learning rate")
     train_common.add_argument(
         "--patience", type=int, default=TrainConfig.patience, help="early-stop patience, epochs"
-    )
-    train_common.add_argument(
-        "--raw-inputs",
-        action="store_true",
-        help="feed raw kPa inputs instead of standardized ones",
     )
 
     p_train = sub.add_parser(

@@ -1,4 +1,4 @@
-"""Datasets: the ``Samples`` table, CSV persistence, splitting, feature stats.
+"""Datasets: the ``Samples`` table, CSV persistence and splitting.
 
 A dataset is one ``Samples``: a read-only (n, 7) float64 table whose
 columns follow the CSV schema below. ``samples.table`` is that array,
@@ -32,11 +32,10 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .core import Angle, GroundTruthPose, SensorFrame, _as_finite, _wrap_deg, frames_valid
+from .core import Angle, GroundTruthPose, SensorFrame, _wrap_deg, frames_valid
 from .errors import (
     ConfigError,
     CsvParseError,
-    DegenerateChannelError,
     InvalidInputError,
     require_count,
     require_real,
@@ -132,27 +131,6 @@ class SplitSpec:
     def __post_init__(self) -> None:
         require_real("train_fraction", self.train_fraction, high=1.0)
         require_count("seed", self.seed)
-
-
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-channel mean and population (divide-by-n) std of the 4 inputs."""
-
-    mean: tuple[float, float, float, float]
-    std: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        mean = tuple(_as_finite(m, f"mean of channel {j}") for j, m in enumerate(self.mean, 1))
-        std = tuple(_as_finite(s, f"std of channel {j}") for j, s in enumerate(self.std, 1))
-        if len(mean) != 4 or len(std) != 4:
-            raise InvalidInputError("feature stats must cover exactly 4 channels")
-        for j, s in enumerate(std, start=1):
-            if s <= 0.0:
-                raise DegenerateChannelError(
-                    f"channel {j} has std {s}; a positive spread is required"
-                )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
 
 
 # Rows per block: one numpy pass or one %-format call. The numpy pass's
@@ -418,18 +396,3 @@ def split(samples: Samples, spec: SplitSpec) -> tuple[Samples, Samples]:
     n_train = round(n * spec.train_fraction)
     perm = substream(spec.seed, SPLIT).permutation(n)
     return samples[perm[:n_train]], samples[perm[n_train:]]
-
-
-def feature_stats(train: Samples) -> FeatureStats:
-    """Per-channel mean/std of chamber pressures. Training set only."""
-    if not len(train):
-        raise ConfigError("cannot compute feature stats of an empty set")
-    x = train.p_ch
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)  # population convention (divide by n)
-    for j, s in enumerate(std, start=1):
-        if not s > 0.0:
-            raise DegenerateChannelError(
-                f"channel {j} is constant in the training set (std = {s})"
-            )
-    return FeatureStats(mean=tuple(mean), std=tuple(std))

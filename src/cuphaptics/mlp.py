@@ -23,12 +23,14 @@ that the model holds, ``train`` optimizes, ``save_model`` writes and
 views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
 when the caller supplies them. Each model makes its forward plan when it
-is built: per layer, W.T and b as views into ``params``, and its stats as
-two float64 arrays for tables. One forward kernel runs every pass: single
-frames, z-scored on their floats, with ``ndarray.dot``; tables, as a stack
-of one-row ``matmul`` products with single-frame bits (an n-row product may
-not keep them); and training's forward half and validation pass, on plans
-built the same way from the parameters being trained.
+is built: per layer, W.T and b as views into ``params``. One forward kernel
+runs every pass: single frames, z-scored on their floats, with
+``ndarray.dot``; tables, as a stack of one-row ``matmul`` products with
+single-frame bits (an n-row product may not keep them); and training's
+forward half and validation pass, on plans built the same way from the
+parameters being trained. Training always z-scores inputs under the
+training fold's ``feature_stats``, which the model and its file keep; a
+model without stats (mode 0) takes raw kPa values.
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
@@ -56,12 +58,13 @@ from .core import (
     Angle,
     DirectionEstimate,
     SensorFrame,
+    _as_finite,
     _finite_direction_angle,
     _rmse,
     angular_errors,
     direction_angle,
 )
-from .dataset import FeatureStats, Samples, feature_stats
+from .dataset import Samples
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -84,6 +87,42 @@ _ZERO.flags.writeable = False
 _Plan = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+@dataclass(frozen=True)
+class FeatureStats:
+    """Per-channel mean and population (divide-by-n) std of the 4 inputs."""
+
+    mean: tuple[float, float, float, float]
+    std: tuple[float, float, float, float]
+
+    def __post_init__(self) -> None:
+        mean = tuple(_as_finite(m, f"mean of channel {j}") for j, m in enumerate(self.mean, 1))
+        std = tuple(_as_finite(s, f"std of channel {j}") for j, s in enumerate(self.std, 1))
+        if len(mean) != 4 or len(std) != 4:
+            raise InvalidInputError("feature stats must cover exactly 4 channels")
+        for j, s in enumerate(std, start=1):
+            if s <= 0.0:
+                raise DegenerateChannelError(
+                    f"channel {j} has std {s}; a positive spread is required"
+                )
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
+
+
+def feature_stats(train: Samples) -> FeatureStats:
+    """Per-channel mean/std of chamber pressures. Training set only."""
+    if not len(train):
+        raise ConfigError("cannot compute feature stats of an empty set")
+    x = train.p_ch
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)  # population convention (divide by n)
+    for j, s in enumerate(std, start=1):
+        if not s > 0.0:
+            raise DegenerateChannelError(
+                f"channel {j} is constant in the training set (std = {s})"
+            )
+    return FeatureStats(mean=tuple(mean), std=tuple(std))
+
+
 @dataclass(frozen=True, eq=False)
 class MlpModel:
     """Parameters as one flat vector, and the stats that z-score its inputs.
@@ -92,8 +131,7 @@ class MlpModel:
     in, row-major); ``weights`` and ``biases`` are per-layer views into it.
     The model standardizes its inputs exactly when ``stats`` is not None.
     Models compare by identity; compare ``params`` for equal values.
-    ``_layers`` ((W.T, b) per layer) is the forward plan that ``_forward``
-    runs, and ``_zscore`` the (mean, std) arrays that z-score a table.
+    ``_layers`` ((W.T, b) per layer) is the forward plan that ``_forward`` runs.
     """
 
     layer_sizes: tuple[int, ...]
@@ -102,7 +140,6 @@ class MlpModel:
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _layers: _Plan = field(init=False, repr=False)
-    _zscore: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = _checked_sizes(self.layer_sizes)
@@ -125,9 +162,6 @@ class MlpModel:
         object.__setattr__(self, "biases", tuple(biases))
         # Views, not copies: writes through params (init_model's fill) reach them.
         object.__setattr__(self, "_layers", _plan(weights, biases))
-        stats = self.stats
-        zscore = None if stats is None else (np.asarray(stats.mean), np.asarray(stats.std))
-        object.__setattr__(self, "_zscore", zscore)
 
     def __reduce__(self):  # copies and pickles rebuild the views into params
         return (MlpModel, (self.layer_sizes, self.params, self.stats))
@@ -136,11 +170,7 @@ class MlpModel:
 @dataclass(frozen=True)
 class TrainConfig:
     """Training schedule and RMSprop settings (learning rate ``lr``, decay
-    ``rho`` of the squared-gradient average, and ``eps``).
-
-    ``standardize`` controls whether inputs are z-scored with training-set
-    stats (the default) or fed as raw kPa values.
-    """
+    ``rho`` of the squared-gradient average, and ``eps``)."""
 
     batch_size: int = 64
     max_epochs: int = 200
@@ -149,7 +179,6 @@ class TrainConfig:
     lr: float = 1e-3
     rho: float = 0.9
     eps: float = 1e-8
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         require_count("batch_size", self.batch_size, 1)
@@ -159,8 +188,6 @@ class TrainConfig:
         require_real("lr", self.lr)
         require_real("rho", self.rho, high=1.0)
         require_real("eps", self.eps)
-        if not isinstance(self.standardize, bool):  # the sidecar records true or false
-            raise ConfigError(f"standardize must be a bool, got {self.standardize!r}")
 
 
 @dataclass(frozen=True)
@@ -368,8 +395,8 @@ def rmsprop_step(
 def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
     """Chamber pressures (last axis) as the network takes them: z-scored
     under the model's stats when it has them."""
-    zscore = model._zscore
-    return p_ch if zscore is None else (p_ch - zscore[0]) / zscore[1]
+    stats = model.stats
+    return p_ch if stats is None else (p_ch - stats.mean) / stats.std
 
 
 def _fold_arrays(part: Samples, model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +412,7 @@ class _SeedRun:
 
     def __init__(self, fold: tuple[Samples, Samples], config: TrainConfig, seed: int):
         train_set, val_set = fold
-        stats = feature_stats(train_set) if config.standardize else None
-        self.model0 = init_model(seed, stats=stats)
+        self.model0 = init_model(seed, stats=feature_stats(train_set))
         self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
         self.x_val, self.t_val = _fold_arrays(val_set, self.model0)
         self.phi_val = val_set.phi_deg

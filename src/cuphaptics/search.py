@@ -54,7 +54,7 @@ from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .mlp import MlpModel, _outputs_by_row, predict_angle
 from .rng import SEARCH_STEP, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures
-from .synth import synth_frame  # noqa: F401  the single-frame sensing step, beside search_step
+from .synth import synth_frame  # noqa: F401  perfbench's tracer test reads it here
 
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"

@@ -226,11 +226,9 @@ def train_a_batch_at_a_time(train_set, config, epochs):
     the parameters after each epoch (the initial ones first) and, per epoch,
     the batches' squared residuals summed over both outputs, divided by
     twice the row count."""
-    stats = feature_stats(train_set) if config.standardize else None
+    stats = feature_stats(train_set)
     model = init_model(config.seed, stats=stats)
-    x = train_set.p_ch
-    if stats is not None:
-        x = (x - np.array(stats.mean)) / np.array(stats.std)
+    x = (train_set.p_ch - np.array(stats.mean)) / np.array(stats.std)
     t = target_encoding(train_set.phi_deg)
     rng = substream(config.seed, SHUFFLE)
     v = np.zeros_like(model.params)

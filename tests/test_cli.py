@@ -1,11 +1,21 @@
 import csv
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cuphaptics import FeatureStats, Samples, cli, init_model, load_model, save_model, write_csv
+from cuphaptics import (
+    FeatureStats,
+    Samples,
+    TrainConfig,
+    cli,
+    init_model,
+    load_model,
+    save_model,
+    write_csv,
+)
 from helpers import (
     equal_chamber_rows,
     write_model_with_nan_param,
@@ -105,6 +115,11 @@ class TestTrain:
         assert len(history["train_loss"]) == len(history["val_loss"])
         assert len(history["val_loss"]) <= 8
 
+    def test_sidecar_records_every_config_field(self, model_dir):
+        meta = json.loads((model_dir / (MODEL_FILENAME + ".json")).read_text())
+        assert list(meta["train_config"]) == [f.name for f in fields(TrainConfig)]
+        assert "standardize" not in meta["train_config"]
+
     def test_model_file_loads(self, model_dir):
         model = load_model(model_dir / MODEL_FILENAME)
         assert model.layer_sizes == (4, 16, 32, 16, 2)
@@ -130,6 +145,15 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_raw_inputs_flag_is_gone(self, tmp_path, data_csv, capsys):
+        # Training always z-scores its inputs; the old flag is an unknown option.
+        argv = ["train", "--data", str(data_csv), "--raw-inputs", "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --raw-inputs" in capsys.readouterr().err
+        assert not (tmp_path / MODEL_FILENAME).exists()
 
     def test_unreadable_data_is_runtime_error(self, tmp_path, capsys):
         code = main(
@@ -191,6 +215,14 @@ class TestCompare:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: not UTF-8 text") and err.count("\n") == 1
+
+    def test_raw_inputs_flag_is_gone(self, tmp_path, data_csv, capsys):
+        argv = ["compare", "--data", str(data_csv), "--raw-inputs", "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --raw-inputs" in capsys.readouterr().err
+        assert not (tmp_path / REPORT_FILENAME).exists()
 
     def test_empty_seed_list_is_usage_error(self, tmp_path, data_csv):
         code = main(

@@ -889,3 +889,10 @@ class TestFeatureStats:
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError):
             feature_stats(samples_of([]))
+
+    def test_defined_in_mlp_and_exported_at_top_level(self):
+        # The learned estimator is their only user; the dataset module has none.
+        assert FeatureStats is cuphaptics.mlp.FeatureStats
+        assert feature_stats is cuphaptics.mlp.feature_stats
+        assert not hasattr(cuphaptics.dataset, "FeatureStats")
+        assert not hasattr(cuphaptics.dataset, "feature_stats")

@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,11 +26,13 @@ from cuphaptics import (
     angular_error,
     backward,
     decode_estimate,
+    feature_stats,
     forward,
     generate_dataset,
     init_model,
     load_model,
     loss,
+    network_output,
     predict_angle,
     rmsprop_step,
     save_model,
@@ -323,12 +325,12 @@ class TestRmsprop:
         with pytest.raises(ConfigError, match="eps must be finite and > 0"):
             TrainConfig(eps=0.0)
 
-    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.True_])
-    def test_standardize_must_be_a_bool(self, value):
-        # any truthy value used to train z-scored, and the sidecar recorded it
-        with pytest.raises(ConfigError, match=f"standardize must be a bool, got {value!r}"):
+    @pytest.mark.parametrize("value", [True, False])
+    def test_standardize_is_no_field(self, value):
+        # Training always z-scores: asking for either mode fails loudly.
+        with pytest.raises(TypeError, match="standardize"):
             TrainConfig(standardize=value)
-        assert TrainConfig(standardize=False).standardize is False
+        assert len(fields(TrainConfig)) == 7
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["lr", "rho", "eps"])
@@ -399,16 +401,6 @@ class TestTrain:
                 continue  # initial model kept; trivially equal
             assert hist.val_loss[hist.best_epoch - 1] <= hist.initial_val_loss
 
-    def test_raw_input_mode(self):
-        samples = small_dataset(n=80, seed=2)
-        model, _ = train(
-            samples[:60],
-            samples[60:],
-            TrainConfig(max_epochs=3, patience=3, seed=0, standardize=False),
-        )
-        assert model.stats is None
-        assert predict_angle(model, samples[0].frame) is not None
-
     def test_training_runs_the_public_step(self, monkeypatch):
         samples = small_dataset(n=70)
         config = TrainConfig(batch_size=16, max_epochs=4, patience=1, seed=3)
@@ -449,16 +441,22 @@ class TestTrain:
             assert angular_error(phi, s.pose.phi) < 5.0
 
 
+    @pytest.mark.parametrize("n, seed", [(60, 2), (80, 5), (120, 7)])
+    def test_model_keeps_the_training_rows_stats(self, n, seed):
+        samples = small_dataset(n=n, seed=seed)
+        cut = n * 3 // 4
+        config = TrainConfig(max_epochs=2, patience=2, seed=seed)
+        model, _ = train(samples[:cut], samples[cut:], config)
+        assert model.stats == feature_stats(samples[:cut])
+        assert model.stats != feature_stats(samples)  # validation rows stay out
+
     # Of 50 rows, 7 and 16 leave a short last batch, 50 is one full batch and
-    # 64 one short one.
-    @pytest.mark.parametrize("batch_size", [7, 16, 50, 64])
-    @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
-    def test_equals_a_batch_at_a_time_replay(self, batch_size, standardize):
+    # 64 one short one. Inputs are z-scored, as the ids say.
+    @pytest.mark.parametrize("batch_size", [7, 16, 50, 64], ids=lambda b: f"standardized-{b}")
+    def test_equals_a_batch_at_a_time_replay(self, batch_size):
         samples = small_dataset(n=70)
         epochs = 5
-        config = TrainConfig(
-            batch_size=batch_size, max_epochs=epochs, patience=epochs, seed=6, standardize=standardize
-        )
+        config = TrainConfig(batch_size=batch_size, max_epochs=epochs, patience=epochs, seed=6)
         model, history = train(samples[:50], samples[50:], config)
         snapshots, train_loss = train_a_batch_at_a_time(samples[:50], config, epochs)
         assert len(history.train_loss) == epochs
@@ -482,12 +480,13 @@ def lockstep_folds(seeds, n=300):
 class TestTrainMany:
     SEEDS = (3, 4, 5)
 
-    @pytest.mark.parametrize("standardize", [True, False], ids=["standardized", "raw"])
-    def test_each_fold_equals_a_solo_train(self, standardize):
+    # patience 1 stops the three seeds at different epochs, so the stack
+    # sheds folds while the others keep training. Inputs are z-scored.
+    @pytest.mark.parametrize(
+        "config", [TrainConfig(batch_size=16, max_epochs=25, patience=1)], ids=["standardized"]
+    )
+    def test_each_fold_equals_a_solo_train(self, config):
         folds = lockstep_folds(self.SEEDS)
-        # patience 1 stops the three seeds at different epochs, so the
-        # stack sheds folds while the others keep training.
-        config = TrainConfig(batch_size=16, max_epochs=25, patience=1, standardize=standardize)
         stacked = train_many(folds, config, self.SEEDS)
         epochs = [len(history.val_loss) for _, history in stacked]
         assert len(set(epochs)) == 3 and max(epochs) < config.max_epochs
@@ -501,6 +500,13 @@ class TestTrainMany:
                 ), name
             assert history.best_epoch == solo_history.best_epoch
             assert history.initial_val_loss == solo_history.initial_val_loss
+
+    def test_each_fold_keeps_its_own_stats(self):
+        folds = lockstep_folds(self.SEEDS)
+        stacked = train_many(folds, TrainConfig(max_epochs=2, patience=2), self.SEEDS)
+        stats = [model.stats for model, _ in stacked]
+        assert stats == [feature_stats(train_set) for train_set, _ in folds]
+        assert len(set(stats)) == len(self.SEEDS)
 
     def test_training_folds_of_different_sizes_are_rejected(self):
         (a_train, a_val), (b_train, b_val) = lockstep_folds((1, 2))
@@ -532,6 +538,29 @@ class TestTrainMany:
         for i, model in enumerate(models):
             solo = mlp._forward(model._layers, x[i])
             assert [a[i].tobytes() for a in stacked] == [a.tobytes() for a in solo]
+
+
+class TestModelInputs:
+    STATS = FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0))
+
+    def test_model_without_stats_takes_raw_kpa(self):
+        p_ch = small_dataset(n=5).p_ch
+        assert mlp._model_inputs(init_model(3), p_ch) is p_ch
+
+    def test_table_is_z_scored_under_the_stats_bit_for_bit(self):
+        p_ch = small_dataset(n=40).p_ch
+        want = (p_ch - np.array(self.STATS.mean)) / np.array(self.STATS.std)
+        got = mlp._model_inputs(init_model(3, stats=self.STATS), p_ch)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stats", [None, STATS], ids=["raw", "standardized"])
+    def test_single_frame_runs_the_forward_pass_on_its_inputs(self, stats):
+        model = init_model(5, stats=stats)
+        for s in small_dataset(n=6):
+            x = np.array(s.frame.p_ch)
+            if stats is not None:
+                x = (x - np.array(stats.mean)) / np.array(stats.std)
+            assert network_output(model, s.frame).tobytes() == forward(model, x).tobytes()
 
 
 class TestPredictAngle:

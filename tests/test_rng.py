@@ -36,7 +36,6 @@ def head(rng, n=16):
 class TestSubstream:
     def test_same_key_same_draws(self):
         assert head(substream(5, SPLIT)) == head(substream(5, SPLIT))
-        assert head(substream(5, SEARCH_STEP, 3)) == head(substream(5, SEARCH_STEP, 3))
 
     def test_purposes_are_distinct(self):
         assert len(set(PURPOSES)) == len(PURPOSES)
@@ -51,23 +50,13 @@ class TestSubstream:
         ]
         assert len(set(draws)) == len(draws)
 
-    def test_index_extends_the_key(self):
-        draws = [
-            head(substream(0, SEARCH_STEP)),
-            head(substream(0, SEARCH_STEP, 0)),
-            head(substream(0, SEARCH_STEP, 1)),
-            head(substream(0, SEARCH_STEP, 0, 0)),
-        ]
-        assert len(set(draws)) == len(draws)
-
     def test_wide_seed_is_not_read_as_a_purpose(self):
-        # A flat SeedSequence((seed, purpose, ...)) reads seed 5 + 2**32 * b
-        # as the words (5, b), so seed 5 + 2**32 * SPLIT with purpose INIT
-        # would be seed 5 with purpose SPLIT and index INIT; and it pads
-        # (3, SPLIT) with a zero, so index 0 would add nothing.
+        # A flat SeedSequence((seed, purpose)) reads seed 5 + 2**32 * b as
+        # the words (5, b), so seed 5 + 2**32 * SPLIT with purpose INIT
+        # would be the words of seed 5 with purpose SPLIT, then INIT.
         wide = 5 + 2**32 * SPLIT
-        assert head(substream(wide, INIT)) != head(substream(5, SPLIT, INIT))
-        assert head(substream(3, SPLIT)) != head(substream(3, SPLIT, 0))
+        flat = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, SPLIT, INIT))))
+        assert head(substream(wide, INIT)) != head(flat)
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 2**64, 99999999999999999999999])
     def test_any_int_seed_is_masked_to_64_bits(self, seed):
@@ -78,19 +67,18 @@ class TestSubstream:
         # the configs take numpy integers as seeds; `&` on one would overflow
         assert head(substream(seed, SPLIT)) == head(substream(int(seed), SPLIT))
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            substream(0, SEARCH_STEP, -1)
+    def test_index_words_are_rejected(self):
+        # A stream's key is its seed and purpose, no more.
+        with pytest.raises(TypeError):
+            substream(0, SEARCH_STEP, 3)
 
-
-    @pytest.mark.parametrize(
-        "seed, index",
-        [(0, ()), (11, (4, 2)), (-1, ()), (2**64 + 7, (0,)), (np.int64(-7), (2**32 - 1, 3))],
-    )
-    def test_is_numpy_seed_sequence_and_pcg64(self, seed, index):
-        key = np.random.SeedSequence(int(seed) % 2**64, spawn_key=(SEARCH_STEP, *index))
+    # The ids keep the names these cases had when substream also took index
+    # words; each is the empty-index case.
+    @pytest.mark.parametrize("seed", [0, -1], ids=["0-index0", "-1-index2"])
+    def test_is_numpy_seed_sequence_and_pcg64(self, seed):
+        key = np.random.SeedSequence(int(seed) % 2**64, spawn_key=(SEARCH_STEP,))
         want = np.random.Generator(np.random.PCG64(key)).normal(0.0, 0.3, (64, 4))
-        drawn = substream(seed, SEARCH_STEP, *index).normal(0.0, 0.3, size=(64, 4))
+        drawn = substream(seed, SEARCH_STEP).normal(0.0, 0.3, size=(64, 4))
         assert drawn.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -103,25 +91,21 @@ class TestSubstream:
         ids=lambda seed: f"{type(seed).__name__}({seed})",
     )
     def test_edge_seeds_key_as_numpy_does(self, seed):
-        # Seeds at the 32- and 64-bit edges, of Python's and numpy's integer
-        # types, with index words at both ends of their range.
-        for index in ((), (0,), (2**32 - 1, 0)):
-            key = np.random.SeedSequence(int(seed) % 2**64, spawn_key=(SEARCH_STEP, *index))
-            want = np.random.Generator(np.random.PCG64(key)).normal(0.0, 0.3, (16, 4))
-            drawn = substream(seed, SEARCH_STEP, *index).normal(0.0, 0.3, (16, 4))
-            assert drawn.tobytes() == want.tobytes()
+        # Seeds at the 32- and 64-bit edges, of Python's and numpy's integer types.
+        key = np.random.SeedSequence(int(seed) % 2**64, spawn_key=(SEARCH_STEP,))
+        want = np.random.Generator(np.random.PCG64(key)).normal(0.0, 0.3, (16, 4))
+        drawn = substream(seed, SEARCH_STEP).normal(0.0, 0.3, (16, 4))
+        assert drawn.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "seed, index, digest",
-        [
-            (0, (), "4cf43dad7da61a5bcea9d19791093a3745c69a1fca34148bdbdc444706f61b3e"),
-            (11, (4, 2), "a1fb3e1f5f1e609669bcc87199a5cf4d2f341432df8f513a8ea61e83499505ae"),
-        ],
+        "seed, digest",
+        [(0, "4cf43dad7da61a5bcea9d19791093a3745c69a1fca34148bdbdc444706f61b3e")],
+        ids=lambda v: v if isinstance(v, str) else f"{v}-index0",
     )
-    def test_normals_are_pinned(self, seed, index, digest):
+    def test_normals_are_pinned(self, seed, digest):
         # Every golden pin rests on numpy's SeedSequence keying, PCG64 and
         # normal; a numpy whose draws differ fails here first.
-        drawn = substream(seed, SEARCH_STEP, *index).normal(0.0, 0.3, size=(64, 4))
+        drawn = substream(seed, SEARCH_STEP).normal(0.0, 0.3, size=(64, 4))
         assert hashlib.sha256(drawn.tobytes()).hexdigest() == digest
 
 

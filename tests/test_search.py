@@ -486,9 +486,9 @@ class TestBatchSearch:
     def test_a_noiseless_grid_keys_no_stream(self, monkeypatch):
         keyed = []
 
-        def keying(seed, purpose, *index):
-            keyed.append((seed, purpose, *index))
-            return substream(seed, purpose, *index)
+        def keying(seed, purpose):
+            keyed.append((seed, purpose))
+            return substream(seed, purpose)
 
         monkeypatch.setattr(search_module, "substream", keying)
         spec = BatchSpec((14.0, 22.0), (0.0, 90.0), (0.0,),

@@ -3,9 +3,9 @@
 Exit codes are a stable contract for scripting: 0 on success, 1 on
 runtime/I-O failures (unreadable data or model files), 2 on usage or
 configuration errors (argparse itself exits 2 on bad flags). Every
-subcommand is deterministic given --seed and its inputs; bulky results go
-to files under --out-dir, while `predict` emits machine-readable JSON on
-stdout.
+subcommand is deterministic given its seeds (--seed, or compare's --seeds)
+and its inputs; bulky results go to files under --out-dir, while `predict`
+emits machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -86,12 +86,12 @@ def _parse_pressures(raw: str) -> tuple[float, float, float, float]:
         raise ConfigError(f"--p-ch values must be numbers, got {raw!r}") from None
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
+def _train_config(args: argparse.Namespace, seed: int = TrainConfig.seed) -> TrainConfig:
     return TrainConfig(
         batch_size=args.batch_size,
         max_epochs=args.epochs,
         patience=args.patience,
-        seed=args.seed,
+        seed=seed,
         lr=args.lr,
     )
 
@@ -113,7 +113,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
-    config = _train_config(args)  # flags are checked before the dataset is read
+    config = _train_config(args, args.seed)  # flags are checked before the dataset is read
     train_set, val_set = split(read_csv(args.data), spec)
     model, history = train(train_set, val_set, config)
 
@@ -152,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)  # flags are checked before the dataset is read
     spec = SplitSpec(train_fraction=args.train_fraction, seed=seeds[0])
-    config = _train_config(args)
+    config = _train_config(args)  # each fold is seeded from --seeds
     report, first_columns = run_comparison(read_csv(args.data), spec, config, seeds)
     out = _out_dir(args)
     report_path = out / REPORT_FILENAME
@@ -236,14 +236,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
-        "--out-dir", default=".", help="directory for output files (default .)"
-    )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out-dir", default=".", help="directory for output files (default .)")
 
     p_gen = sub.add_parser(
-        "generate", parents=[common], help="write a synthetic dataset CSV"
+        "generate", parents=[seeded, output], help="write a synthetic dataset CSV"
     )
     p_gen.add_argument("--n", type=int, default=GenerationConfig.n_samples, help="sample count")
     d_min, d_max = GenerationConfig.delta_range_mm
@@ -284,15 +283,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser(
         "train",
-        parents=[common, train_common],
+        parents=[seeded, output, train_common],
         help="train the network on a dataset CSV",
     )
     p_train.set_defaults(handler=cmd_train)
 
     p_cmp = sub.add_parser(
         "compare",
-        parents=[common, train_common],
+        parents=[output, train_common],
         help="multi-seed comparison of both estimators",
+        allow_abbrev=False,  # --seed is no abbreviation of --seeds
     )
     p_cmp.add_argument(
         "--seeds", default="1,2,3,4,5", help="comma-separated seed list"
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_search = sub.add_parser(
-        "search", parents=[common], help="closed-loop search success-rate table"
+        "search", parents=[seeded, output], help="closed-loop search success-rate table"
     )
     p_search.add_argument(
         "--estimator",

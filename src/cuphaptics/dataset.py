@@ -14,12 +14,12 @@ comma-separated, '.' decimal point, UTF-8, LF line endings, one row per
 sample, numbers printed with 9 significant digits. Round trips are
 lossless at that precision. ``read_csv`` parses with numpy's C reader and
 checks the values a column at a time; the csv module's row pass reads what
-that cannot vouch for and names the earliest bad line of a bad file.
+that cannot vouch for, one checked row at a time, and names the first bad
+line of a bad file.
 """
 
 from __future__ import annotations
 
-import array
 import csv
 import io
 import math
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,59 +281,31 @@ def _rows_ok(table: np.ndarray) -> np.ndarray:
     return ok & (0.0 <= phi) & (phi <= 360.0)
 
 
-def _raise_row_error(raw: bytes, index: int) -> NoReturn:
-    """Raise the error of row ``index`` after the header (blank lines not
-    counted) at the file line it starts on, checking in order its column
-    count, each cell, its phi range, ``SensorFrame`` and ``GroundTruthPose``."""
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
-    next(reader)  # the header
-    end = reader.line_num
+def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
+    """The table of the rows after the header, read on from ``reader`` by the
+    csv module. Each row but a blank one is checked in turn: its column
+    count, each cell, its phi range, then ``SensorFrame`` and
+    ``GroundTruthPose``. The first bad row raises its error at the file line
+    it starts on; a csv module or decoder error raises where it comes."""
+    rows, end = [], reader.line_num
     for row in reader:
         line, end = end + 1, reader.line_num  # a quoted cell may span lines
-        index -= bool(row)
-        if index < 0:
-            break
-    if len(row) != len(CSV_COLUMNS):
-        raise CsvParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line)
-    values = [_parse_cell(cell, line, col) for cell, col in zip(row, CSV_COLUMNS)]
-    phi = values[6]
-    if not (0.0 <= phi <= 360.0):
-        raise CsvParseError(f"phi_deg must be in [0, 360], got {phi}", line=line, column="phi_deg")
-    try:
-        SensorFrame(p_ch=tuple(values[0:4]), p_atm=values[4])
-        GroundTruthPose(delta=values[5], phi=Angle(phi))
-    except InvalidInputError as exc:
-        raise CsvParseError(str(exc), line=line) from exc
-    raise AssertionError(f"line {line} is rejected as a table but not as a row")
-
-
-def _csv_rows(reader: Iterator[list[str]], raw: bytes) -> np.ndarray:
-    """The table of the rows after the header, read on from ``reader`` by the
-    csv module and ``float()``. Reading stops at a row of another length, a
-    cell ``float()`` rejects, or a csv module or decoder error. The earliest
-    row the table checks reject, else the row reading stopped at, raises its
-    error at its line; else the csv module's or decoder's error raises."""
-    values, error = array.array("d"), None
-    extend, width = values.extend, len(CSV_COLUMNS)  # bound once: the loop is the read
-    try:
-        for row in reader:
-            if len(row) != width and row:
-                break
-            extend(map(float, row))  # a blank line adds nothing
-        else:
-            row = None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        error, row = exc, None
-    except ValueError:  # row is the one that failed; its parsed cells are dropped below
-        pass
-    n = len(values) // width
-    table = np.frombuffer(values)[: n * width].reshape(n, width)
-    ok = _rows_ok(table)
-    if not ok.all() or row is not None:
-        _raise_row_error(raw, n if ok.all() else int(ok.argmin()))
-    if error is not None:
-        raise error
-    return table
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise CsvParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line)
+        values = [_parse_cell(cell, line, col) for cell, col in zip(row, CSV_COLUMNS)]
+        *p_ch, p_atm, delta, phi = values
+        if not (0.0 <= phi <= 360.0):
+            message = f"phi_deg must be in [0, 360], got {phi}"
+            raise CsvParseError(message, line=line, column="phi_deg")
+        try:
+            SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm)
+            GroundTruthPose(delta=delta, phi=Angle(phi))
+        except InvalidInputError as exc:
+            raise CsvParseError(str(exc), line=line) from exc
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
 
 
 def _numpy_rows(raw: bytes) -> np.ndarray | None:
@@ -362,8 +334,8 @@ def read_csv(path: str | Path) -> Samples:
     ``phi_deg`` must lie in [0, 360]; an exact 360 (a 9-significant-digit
     rounding artifact of values just below the wrap) reads back as 0. The
     file is read from disk once. Rows the numpy pass cannot vouch for are
-    read by the csv module row by row and checked as a table; the earliest
-    bad row is read again to name its line and cell.
+    read by the csv module and checked one row at a time, and the first bad
+    row names its line and cell.
     """
     with open(path, "rb") as fh:
         raw = fh.read()  # decoded lazily below, in the lines open(path, newline="") gives
@@ -379,7 +351,7 @@ def read_csv(path: str | Path) -> Samples:
             )
         table = _numpy_rows(raw)
         if table is None:
-            table = _csv_rows(reader, raw)
+            table = _csv_rows(reader)
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

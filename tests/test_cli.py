@@ -224,6 +224,16 @@ class TestCompare:
         assert "unrecognized arguments: --raw-inputs" in capsys.readouterr().err
         assert not (tmp_path / REPORT_FILENAME).exists()
 
+    def test_seed_flag_is_gone(self, tmp_path, data_csv, capsys):
+        # --seeds seeds every fold's split and training; a --seed would change nothing.
+        out = tmp_path / "out"
+        argv = ["compare", "--data", str(data_csv), "--seed", "1", "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_seed_list_is_usage_error(self, tmp_path, data_csv):
         code = main(
             [

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import subprocess
@@ -37,7 +38,14 @@ from cuphaptics import (
     write_csv,
 )
 import cuphaptics
-from cuphaptics.dataset import BLOCK_ROWS, _cell_tables, _format_block, write_table
+from cuphaptics.dataset import (
+    BLOCK_ROWS,
+    _cell_tables,
+    _csv_rows,
+    _format_block,
+    _rows_ok,
+    write_table,
+)
 from cuphaptics.mlp import _model_inputs, init_model
 from helpers import first_bad_row_error, samples_of
 
@@ -531,6 +539,25 @@ def valid_rows(draw):
     return rows
 
 
+def edge_table():
+    """Rows at the edges of the checks: each p_atm below, with one chamber at
+    each p_ch below (the others at 0), each delta and each phi."""
+    rows = []
+    for p_atm in (101.325, 0.0, -0.0, 5e-324, 1.797e308, math.inf, math.nan):
+        tip = p_atm + 0.5  # the highest p_ch SensorFrame accepts
+        chambers = (0.0, tip, *(math.nextafter(tip, to) for to in (-math.inf, math.inf)), -5e-324)
+        for k, p, delta, phi in itertools.product(
+            range(4),
+            chambers,
+            (9.5, -0.0, -1e-300, math.inf),
+            (123.0, 360.0, math.nextafter(360.0, math.inf), -0.0, math.nan),
+        ):
+            p_ch = [0.0] * 4
+            p_ch[k] = p
+            rows.append([*p_ch, p_atm, delta, phi])
+    return np.array(rows)
+
+
 class TestCsvAcceptsWhatTheRowPassAccepts:
     """Files the csv module and ``float`` accept read as they do, cell for cell,
     and files they reject fail with the same error, whichever parser runs."""
@@ -594,6 +621,21 @@ class TestCsvAcceptsWhatTheRowPassAccepts:
         want = np.array([[float(cell) for cell in row] for row in rows])
         want[:, 6] = [Angle(phi).degrees for phi in want[:, 6]]
         assert read_csv(path).table.tobytes() == want.tobytes()
+
+    def test_table_check_accepts_what_the_row_check_accepts(self):
+        # The numpy pass returns a table only where _rows_ok accepts every row,
+        # so _rows_ok must accept a row exactly when the csv pass's checks do.
+        table = edge_table()
+        accepted = _rows_ok(table)
+        for row, ok in zip(table.tolist(), accepted.tolist()):
+            reader = csv.reader([",".join(map(repr, row))])
+            try:
+                read = _csv_rows(reader)
+            except CsvParseError:
+                read = None
+            assert (read is not None) == ok, row
+            assert read is None or read.tobytes() == np.array([row]).tobytes()
+        assert 0 < accepted.sum() < len(table) == 2_800
 
 
 # kind -> (the columns it may sit in, its text): a cell float() rejects, a
@@ -693,6 +735,14 @@ class TestWrittenBytes:
         assert _format_block(table) is None
         write_table(tmp_path / "t.csv", "ab", table)
         assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes("ab", table.tolist())
+
+    def test_int_table(self, tmp_path):
+        # Only float64 blocks go through the kernel; others print by the %-format.
+        table = np.array([[0, -7, 123456789], [10**9, -(10**12), 5]])
+        assert _format_block(table) is None
+        write_table(tmp_path / "t.csv", "abc", table)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes("abc", table.tolist())
+        assert (tmp_path / "t.csv").read_bytes().endswith(b"1e+09,-1e+12,5\n")
 
     @settings(max_examples=200)
     @given(

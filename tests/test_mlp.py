@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -159,6 +160,17 @@ class TestModelValidation:
         with pytest.raises(InvalidInputError, match="bad layer_sizes"):
             init_model(0, layer_sizes=sizes)
 
+    def test_rejects_stats_of_another_width(self):
+        stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(InvalidInputError) as exc_info:
+            MlpModel(layer_sizes=(3, 2), params=np.zeros(8), stats=stats)
+        assert str(exc_info.value) == "stats cover 4 channels, model takes 3"
+
+    def test_stats_must_cover_four_channels(self):
+        with pytest.raises(InvalidInputError) as exc_info:
+            FeatureStats(mean=(90.0, 91.0, 92.0), std=(1.0, 1.0, 1.0))
+        assert str(exc_info.value) == "feature stats must cover exactly 4 channels"
+
     def test_numpy_integer_layer_sizes_are_ints(self):
         model = init_model(0, layer_sizes=np.array([4, 3, 2]))
         assert model.layer_sizes == (4, 3, 2)
@@ -240,8 +252,18 @@ class TestLoss:
     def test_non_negative(self, p, t):
         assert loss(p, t) >= 0.0
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError) as exc_info:
+            loss((0.3, -0.8), (0.3, -0.8, 0.0))
+        assert str(exc_info.value) == "shape mismatch (2,) vs (3,)"
+
 
 class TestBackward:
+    def test_batch_size_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError) as exc_info:
+            backward(zero_model(), np.zeros((2, 4)), np.zeros((3, 2)))
+        assert str(exc_info.value) == "batch size mismatch: 2 inputs vs 3 targets"
+
     def test_zero_gradient_at_exact_fit(self):
         model = zero_model()
         x = np.array([[90.0, 91.0, 92.0, 93.0], [1.0, 2.0, 3.0, 4.0]])
@@ -729,6 +751,27 @@ class TestPersistence:
         write_model_with_sizes(path, sizes, standardized)
         with pytest.raises(ModelFormatError, match="4 inputs to 2 outputs"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "offset, fmt, value, message",
+        [
+            (0, "<B", 255, "unknown input-mode byte 255"),
+            (1, "<I", 1, "implausible layer count 1"),
+            (1, "<I", 65, "implausible layer count 65"),
+            (9, "<I", 0, "non-positive layer size in (4, 0, 2)"),
+        ],
+        ids=["mode-255", "depth-1", "depth-65", "zero-width"],
+    )
+    def test_bad_header_rejected(self, tmp_path, offset, fmt, value, message):
+        # Offsets past the magic: the mode byte at 0, the depth at 1, sizes from 5.
+        path = tmp_path / "m.cupmlp"
+        save_model(init_model(0, layer_sizes=(4, 8, 2)), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, len(MODEL_MAGIC) + offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError) as exc_info:
+            load_model(path)
+        assert str(exc_info.value) == message
 
     def test_sidecar_metadata(self, tmp_path):
         path = tmp_path / "m.cupmlp"

@@ -350,6 +350,11 @@ class TestGenerateDataset:
                 GEOM, NOISELESS, GenerationConfig(delta_range_mm=(7.0, 31.0))
             )
 
+    def test_rejects_an_unknown_sampling_mode(self):
+        with pytest.raises(ConfigError) as exc_info:
+            GenerationConfig(sampling="sobol")
+        assert str(exc_info.value) == "unknown sampling mode 'sobol'"
+
     @pytest.mark.parametrize("make, kwargs, error, name", BAD_NUMBERS)
     def test_rejects_non_finite_floats(self, make, kwargs, error, name):
         # Every float field of every config, and the value types, reject NaN,

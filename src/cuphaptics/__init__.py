@@ -7,6 +7,32 @@ learned network — and provides the synthetic data, training, evaluation,
 and closed-loop search machinery to compare them.
 """
 
+
+def _load_numpy() -> None:
+    """Import numpy with its OpenBLAS on the calling thread alone.
+
+    OpenBLAS starts a busy-waiting worker per core as it loads (about 60 ms
+    of start-up on 2 vCPUs), yet no product here is wide enough for it to
+    split (see ``mlp.CHUNK_ROWS``). It reads the variable only then, so the
+    environment is restored at once. A thread count the environment sets is
+    kept, and a numpy already loaded leaves the environment unwritten.
+    """
+    import os
+    import sys
+
+    chosen = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(name in os.environ for name in chosen):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy()
+del _load_numpy
+
 from .core import (
     EPS_ZERO,
     PRESSURE_TOLERANCE_KPA,

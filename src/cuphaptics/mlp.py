@@ -78,7 +78,9 @@ from .rng import INIT, SHUFFLE, substream
 DEFAULT_LAYER_SIZES = (4, 16, 32, 16, 2)
 MODEL_MAGIC = b"CUPMLP1"
 # Rows per forward call when training scores a validation fold; small
-# enough that OpenBLAS keeps each product on one thread, none left spinning.
+# enough that OpenBLAS keeps each product on one thread (M*N*K at most
+# 4 * 65,536), so the package imports numpy with a one-thread OpenBLAS
+# (see ``cuphaptics/__init__.py``).
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
 _ZERO = np.zeros(())  # ReLU's bound, a float64 array np.maximum takes unconverted

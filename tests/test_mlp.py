@@ -551,6 +551,31 @@ class TestTrainMany:
         assert chunked.shape == (rows, 2)
         assert chunked.tobytes() == whole.tobytes()
 
+    def test_no_product_is_wide_enough_for_openblas_to_split(self, monkeypatch):
+        # OpenBLAS keeps a gemm of M*N*K <= 4 * 65,536 on the calling thread
+        # (GEMM_MULTITHREAD_THRESHOLD times SMP_THRESHOLD_MIN), which is why
+        # importing cuphaptics loads it without a worker pool. The widest
+        # product is a validation chunk through the widest layer pair; every
+        # training product (forward, weight gradient, gradient back through
+        # a layer) is a 64-row batch through one pair, and inference runs a
+        # row at a time.
+        limit = 4 * 65_536
+        sizes = mlp.DEFAULT_LAYER_SIZES
+        widest = max(a * b for a, b in zip(sizes, sizes[1:]))
+        assert CHUNK_ROWS * widest == 512 * 16 * 32 <= limit
+        assert TrainConfig().batch_size < CHUNK_ROWS
+        mnk = []
+        matmul = np.matmul
+
+        def recorded(a, b, *args, **kwargs):
+            mnk.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        samples = small_dataset(n=128 + CHUNK_ROWS + 7)
+        train(samples[:128], samples[128:], TrainConfig(max_epochs=1))
+        assert max(mnk) == CHUNK_ROWS * widest
+
     def test_stacked_plan_gives_each_network_its_own_bits(self):
         models = [init_model(seed) for seed in (8, 9)]
         x = np.random.default_rng(3).normal(size=(2, 100, 4))

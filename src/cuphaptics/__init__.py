@@ -39,6 +39,8 @@ from .core import (
     Angle,
     DirectionEstimate,
     GroundTruthPose,
+    ModelBasedEstimator,
+    OracleEstimator,
     SensorFrame,
     angular_error,
     angular_errors,
@@ -75,6 +77,7 @@ from .evaluate import (
 from .mlp import (
     DEFAULT_LAYER_SIZES,
     FeatureStats,
+    MlpEstimator,
     MlpModel,
     TrainConfig,
     TrainHistory,
@@ -96,9 +99,6 @@ from .mlp import (
 from .search import (
     BatchRow,
     BatchSpec,
-    MlpEstimator,
-    ModelBasedEstimator,
-    OracleEstimator,
     SearchConfig,
     SearchResult,
     batch_search,
@@ -124,6 +124,8 @@ __all__ = [
     "Angle",
     "DirectionEstimate",
     "GroundTruthPose",
+    "ModelBasedEstimator",
+    "OracleEstimator",
     "SensorFrame",
     "angular_error",
     "angular_errors",
@@ -153,6 +155,7 @@ __all__ = [
     "rmse_deg",
     "run_comparison",
     "DEFAULT_LAYER_SIZES",
+    "MlpEstimator",
     "MlpModel",
     "TrainConfig",
     "TrainHistory",
@@ -171,9 +174,6 @@ __all__ = [
     "train_many",
     "BatchRow",
     "BatchSpec",
-    "MlpEstimator",
-    "ModelBasedEstimator",
-    "OracleEstimator",
     "SearchConfig",
     "SearchResult",
     "batch_search",

@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import SensorFrame, _rmse, estimate_direction
+from .core import ModelBasedEstimator, OracleEstimator, SensorFrame, _rmse, estimate_direction
 from .dataset import SplitSpec, read_csv, split, write_csv
 from .errors import ConfigError, CupHapticsError, InvalidInputError, require_count
 from .evaluate import (
@@ -30,6 +30,7 @@ from .evaluate import (
     run_comparison,
 )
 from .mlp import (
+    MlpEstimator,
     TrainConfig,
     decode_estimate,
     load_model,
@@ -37,15 +38,7 @@ from .mlp import (
     save_model,
     train,
 )
-from .search import (
-    BatchSpec,
-    MlpEstimator,
-    ModelBasedEstimator,
-    OracleEstimator,
-    SearchConfig,
-    batch_search,
-    write_batch_csv,
-)
+from .search import BatchSpec, SearchConfig, batch_search, write_batch_csv
 from .synth import CupGeometry, GenerationConfig, PressureFieldParams, generate_dataset
 
 DATASET_FILENAME = "dataset.csv"

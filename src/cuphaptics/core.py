@@ -1,4 +1,4 @@
-"""Core types and the pressure-difference direction estimate.
+"""Core types, the pressure-difference direction estimate and the estimators.
 
 Units are fixed package-wide: pressures in kPa, lengths in mm, angles in
 degrees normalized to [0, 360). The tool frame is a 2D cup-fixed frame;
@@ -7,12 +7,17 @@ pairwise chamber sums give a vector that points toward the better seal.
 
 Everything here is an immutable value or a pure function. The value types
 keep plain floats in range as given, one comparison each, and convert the rest.
+
+``ModelBasedEstimator`` and ``OracleEstimator`` answer for a table of frames
+through ``estimate_batch``, as ``mlp.MlpEstimator`` does beside ``predict_angle``:
+each row gets its single-frame function's bits (``_yaws`` decodes the rows).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -154,7 +159,7 @@ class DirectionEstimate:
 def _yaw_deg(x: float, y: float) -> float:
     """Polar angle of the direction (x, y) in degrees, before ``Angle`` or
     ``_wrap_deg`` wraps it; NaN when its norm is ~zero. A table maps
-    ``math.hypot`` and ``math.atan2`` over its columns (``search._yaws``):
+    ``math.hypot`` and ``math.atan2`` over its columns (``_yaws``):
     numpy's arctan2 and hypot differ from libm's on some rows."""
     if not math.hypot(x, y) > EPS_ZERO:
         return math.nan
@@ -170,29 +175,12 @@ def _wrap_deg(deg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def direction_angle(x: float, y: float) -> Angle | None:
-    """Polar angle of the direction (x, y); None when its norm is ~zero."""
-    deg = _yaw_deg(x, y)
-    return None if math.isnan(deg) else Angle(deg)
-
-
-def _finite_direction_angle(x: float, y: float) -> Angle | None:
-    """``direction_angle`` of a finite (x, y), from the same float operations:
-    its yaw is finite, so the Angle is built without a second check."""
+    """Polar angle of the direction (x, y); None when its norm is ~zero or
+    (x, y) holds a NaN. ``_yaw_deg`` is NaN or finite, so no check is left."""
     deg = _yaw_deg(x, y) % 360.0
     if math.isnan(deg):
         return None
     return Angle._wrapped(0.0 if deg == 360.0 else deg)  # Angle's rule
-
-
-def _model_direction_columns(p_ch: np.ndarray, p_atm) -> tuple[np.ndarray, ...]:
-    """Chamber-sum direction (x, y) per row of (n, 4) chamber pressures, from
-    ``estimate_direction``'s float operations in its order, and the rows whose
-    gauge pressures it accepts."""
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-        vacuum = p_atm - p_ch
-        p1, p2, p3, p4 = vacuum.T
-        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-    return x, y, (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
 
 
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
@@ -217,4 +205,70 @@ def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
         for name, value in (("x", x), ("y", y)):
             if not math.isfinite(value):
                 raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
-    return DirectionEstimate(v_pred=(x, y), phi_pred=_finite_direction_angle(x, y))
+    return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))
+
+
+class Estimator(Protocol):
+    """Direction source for a table of frames: the live rollouts of a
+    lockstep search step, or a dataset."""
+
+    name: str
+
+    def estimate_batch(
+        self, p_ch: np.ndarray, p_atm: float | np.ndarray, phi_deg: np.ndarray
+    ) -> np.ndarray:
+        """Yaw (deg) per row, as the estimator's single-frame function gives it
+        for the frame (p_ch[i], p_atm) at true yaw phi_deg[i]; NaN where it
+        gives none. ``p_atm`` is a number or an (n, 1) column. Raises
+        ``InvalidInputError`` where the single-frame function raises."""
+        ...
+
+
+def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], object]) -> np.ndarray:
+    """Yaw (deg) of each row's direction (x, y), NaN where it is ~zero. A row
+    is rejected where ``ok`` is false, ``SensorFrame`` rejects its pressures,
+    or its true yaw or (x, y) is not finite; the first such row replays its
+    frame, its ``Angle`` and ``estimate(frame)``, which raise its error.
+
+    ``math.hypot`` and ``math.atan2`` map over the columns, as ``_yaw_deg``
+    calls them: numpy's differ from libm's on some rows. The one new column,
+    the yaws, is turned to degrees, blanked and wrapped in place."""
+    ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(phi_deg) & np.isfinite(x) & np.isfinite(y)
+    if not ok.all():
+        i = int(ok.argmin())
+        p_atm_i = np.broadcast_to(p_atm, (len(p_ch), 1))[i, 0]
+        frame, _ = SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm_i), Angle(phi_deg[i])
+        estimate(frame)
+        raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
+    xs, ys, n = memoryview(x), memoryview(y), len(x)  # floats one by one, no lists
+    zero = ~(np.fromiter(map(math.hypot, xs, ys), float, count=n) > EPS_ZERO)
+    yaw = np.fromiter(map(math.atan2, ys, xs), float, count=n)
+    np.degrees(yaw, out=yaw)  # math.degrees' constant
+    yaw[zero] = np.nan
+    return _wrap_deg(yaw, out=yaw)
+
+
+@dataclass(frozen=True)
+class ModelBasedEstimator:
+    """Pairwise chamber-sum direction from the frame alone."""
+
+    name: str = "model_based"
+
+    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+        # estimate_direction's float operations in its order, a column at a time
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+            vacuum = p_atm - p_ch
+            p1, p2, p3, p4 = vacuum.T
+            x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+        ok = (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
+        return _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate_direction)
+
+
+@dataclass(frozen=True)
+class OracleEstimator:
+    """Ground-truth direction; the upper bound every estimator chases."""
+
+    name: str = "oracle"
+
+    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+        return phi_deg

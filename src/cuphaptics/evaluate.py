@@ -6,8 +6,9 @@ absent predictions are excluded from the error metrics and reported as a
 separate count rather than being scored at some arbitrary penalty angle.
 Across-seed spread is the population (divide-by-n) standard deviation.
 Each evaluator scores a table through its estimator's ``estimate_batch``
-(see ``search``), so its answers carry the single-frame answers' bits,
-and a row the single-frame path rejects raises that row's error.
+(``core.ModelBasedEstimator``, ``mlp.MlpEstimator``), so its answers carry
+the single-frame answers' bits, and a row the single-frame path rejects
+raises that row's error.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, _rmse, _wrap_deg, angular_errors
+from .core import Angle, Estimator, ModelBasedEstimator, _rmse, _wrap_deg, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError, require_count
-from .mlp import MlpModel, TrainConfig, train_many
-from .search import Estimator, MlpEstimator, ModelBasedEstimator
+from .mlp import MlpEstimator, MlpModel, TrainConfig, train_many
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"

@@ -39,6 +39,9 @@ runs each network's products and sums as it would for that network alone,
 so every fold's model and history equal a solo ``train`` bit for bit;
 ``train`` is the one-fold case. The validation fold is scored at each epoch's
 end in fixed chunks; the training loss is accumulated from the mini-batches.
+
+``MlpEstimator``, beside ``predict_angle``, is the table path: it decodes
+``_outputs_by_row``'s rows through ``core._yaws``, as ``direction_angle`` would.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ from .core import (
     DirectionEstimate,
     SensorFrame,
     _as_finite,
-    _finite_direction_angle,
     _rmse,
+    _yaws,
     angular_errors,
     direction_angle,
 )
@@ -111,18 +114,22 @@ class FeatureStats:
 
 
 def feature_stats(train: Samples) -> FeatureStats:
-    """Per-channel mean/std of chamber pressures. Training set only."""
+    """Per-channel mean/std of chamber pressures. Training set only. A channel
+    with a non-finite cell or one value on every row is refused first."""
     if not len(train):
         raise ConfigError("cannot compute feature stats of an empty set")
     x = train.p_ch
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)  # population convention (divide by n)
-    for j, s in enumerate(std, start=1):
-        if not s > 0.0:
-            raise DegenerateChannelError(
-                f"channel {j} is constant in the training set (std = {s})"
-            )
-    return FeatureStats(mean=tuple(mean), std=tuple(std))
+    finite = np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise InvalidInputError(f"channel {finite.argmin() + 1} has a non-finite value")
+    constant = x.min(axis=0) == x.max(axis=0)
+    if constant.any():
+        raise DegenerateChannelError(
+            f"channel {constant.argmax() + 1} is constant in the training set"
+        )
+    # population std (divide by n); a constant column's need not be 0, and
+    # FeatureStats refuses one that rounds to 0
+    return FeatureStats(mean=tuple(x.mean(axis=0)), std=tuple(x.std(axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,8 +579,23 @@ def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
     ``decode_estimate(network_output(model, frame)).phi_pred``."""
     x, y = network_output(model, frame).tolist()
     if math.isfinite(x) and math.isfinite(y):
-        return _finite_direction_angle(x, y)
+        return direction_angle(x, y)
     return decode_estimate((x, y)).phi_pred  # raises the non-finite output error
+
+
+@dataclass(frozen=True)
+class MlpEstimator:
+    """Learned direction from a trained network: ``predict_angle`` per row."""
+
+    model: MlpModel
+    name: str = "mlp"
+
+    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+            inputs, out = _outputs_by_row(self.model, p_ch)
+        x, y = out.T
+        ok = np.isfinite(inputs).all(axis=1)
+        return _yaws(p_ch, p_atm, phi_deg, x, y, ok, lambda f: predict_angle(self.model, f))
 
 
 def save_model(

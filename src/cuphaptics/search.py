@@ -21,10 +21,10 @@ runs.
 
 One kernel runs the rollouts that share an estimator in lockstep: one
 array kernel call synthesizes the frames of every live rollout, one
-``Estimator.estimate_batch`` call estimates them, and the offsets step as
-a column. Each rollout ends, or raises, as a loop of ``synth_frame`` on
-its noise rows, the single-frame estimate and ``search_step`` would.
-``evaluate`` scores datasets through the same ``estimate_batch``.
+``estimate_batch`` call (a ``core.Estimator``'s) estimates them, and the
+offsets step as a column. Each rollout ends, or raises, as a loop of
+``synth_frame`` on its noise rows, the single-frame estimate and
+``search_step`` would.
 """
 
 from __future__ import annotations
@@ -34,106 +34,22 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import (
-    EPS_ZERO,
-    Angle,
-    DirectionEstimate,
-    GroundTruthPose,
-    SensorFrame,
-    _model_direction_columns,
-    _wrap_deg,
-    estimate_direction,
-    frames_valid,
-)
+from .core import Angle, DirectionEstimate, GroundTruthPose, SensorFrame, frames_valid
 from .dataset import write_table
 from .errors import ConfigError, InvalidInputError, require_count, require_real
-from .mlp import MlpModel, _outputs_by_row, predict_angle
 from .rng import SEARCH_STEP, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures
 from .synth import synth_frame  # noqa: F401  perfbench's tracer test reads it here
 
+if TYPE_CHECKING:
+    from .core import Estimator
+
 FAILURE_NO_GRADIENT = "no-gradient"
 FAILURE_BUDGET_EXHAUSTED = "budget-exhausted"
-
-
-class Estimator(Protocol):
-    """Direction source for a table of frames: the live rollouts of a
-    lockstep step, or a dataset."""
-
-    name: str
-
-    def estimate_batch(
-        self, p_ch: np.ndarray, p_atm: float | np.ndarray, phi_deg: np.ndarray
-    ) -> np.ndarray:
-        """Yaw (deg) per row, as the estimator's single-frame function gives it
-        for the frame (p_ch[i], p_atm) at true yaw phi_deg[i]; NaN where it
-        gives none. ``p_atm`` is a number or an (n, 1) column. Raises
-        ``InvalidInputError`` where the single-frame function raises."""
-        ...
-
-
-def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], object]) -> np.ndarray:
-    """Yaw (deg) of each row's direction (x, y), NaN where it is ~zero. A row
-    is rejected where ``ok`` is false, ``SensorFrame`` rejects its pressures,
-    or its true yaw or (x, y) is not finite; the first such row replays its
-    frame, its ``Angle`` and ``estimate(frame)``, which raise its error.
-
-    ``math.hypot`` and ``math.atan2`` map over the columns, as ``_yaw_deg``
-    calls them: numpy's differ from libm's on some rows. The one new column,
-    the yaws, is turned to degrees, blanked and wrapped in place."""
-    ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(phi_deg) & np.isfinite(x) & np.isfinite(y)
-    if not ok.all():
-        i = int(ok.argmin())
-        p_atm_i = np.broadcast_to(p_atm, (len(p_ch), 1))[i, 0]
-        frame, _ = SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm_i), Angle(phi_deg[i])
-        estimate(frame)
-        raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
-    xs, ys, n = memoryview(x), memoryview(y), len(x)  # floats one by one, no lists
-    zero = ~(np.fromiter(map(math.hypot, xs, ys), float, count=n) > EPS_ZERO)
-    yaw = np.fromiter(map(math.atan2, ys, xs), float, count=n)
-    np.degrees(yaw, out=yaw)  # math.degrees' constant
-    yaw[zero] = np.nan
-    return _wrap_deg(yaw, out=yaw)
-
-
-@dataclass(frozen=True)
-class ModelBasedEstimator:
-    """Pairwise chamber-sum direction from the frame alone."""
-
-    name: str = "model_based"
-
-    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
-        columns = _model_direction_columns(p_ch, p_atm)
-        return _yaws(p_ch, p_atm, phi_deg, *columns, estimate_direction)
-
-
-@dataclass(frozen=True)
-class MlpEstimator:
-    """Learned direction from a trained network."""
-
-    model: MlpModel
-    name: str = "mlp"
-
-    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-            inputs, out = _outputs_by_row(self.model, p_ch)
-        x, y = out.T
-        ok = np.isfinite(inputs).all(axis=1)
-        return _yaws(p_ch, p_atm, phi_deg, x, y, ok, lambda f: predict_angle(self.model, f))
-
-
-@dataclass(frozen=True)
-class OracleEstimator:
-    """Ground-truth direction; the upper bound every estimator chases."""
-
-    name: str = "oracle"
-
-    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
-        return phi_deg
 
 
 def _require_estimator(name: str, est: object) -> None:

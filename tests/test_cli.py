@@ -13,6 +13,7 @@ from cuphaptics import (
     cli,
     init_model,
     load_model,
+    read_csv,
     save_model,
     write_csv,
 )
@@ -269,15 +270,34 @@ class TestCompare:
         assert capsys.readouterr().err == "error: seed 1 is repeated; each seed is one run\n"
         assert not (out / REPORT_FILENAME).exists()
 
-    def test_estimator_without_any_direction_is_usage_error(self, tmp_path, capsys):
-        # every frame fully sealed: the closed form answers None on each row
+    @staticmethod
+    def sealed_dataset(tmp_path):
+        """60 generated frames, every one fully sealed: four equal chambers."""
         data = tmp_path / "data"
         generate = ["generate", "--n", "60", "--response", "affine", "--noise-sigma", "0"]
         sealed = ["--delta-min", "0", "--delta-max", "0", "--out-dir", str(data)]
         assert main(generate + sealed) == 0
+        return data / DATASET_FILENAME
+
+    def test_fully_sealed_dataset_is_refused_before_training(self, tmp_path, capsys):
+        # Every chamber reads one value on every row, so no input can be z-scored.
+        out = tmp_path / "out"
+        data = self.sealed_dataset(tmp_path)
+        code = main(["compare", "--data", str(data), "--seeds", "4", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: channel 1 is constant in the training set\n"
+        assert not out.exists()
+
+    def test_estimator_without_any_direction_is_usage_error(self, tmp_path, capsys):
+        # The fully sealed frames, each row's chambers moved by one offset that
+        # varies across rows: the closed form answers None on each row.
+        data = self.sealed_dataset(tmp_path)
+        table = read_csv(data).table.copy()
+        table[:, :4] -= np.linspace(0.0, 5.0, len(table))[:, None]
+        write_csv(Samples(table), data)
         out = tmp_path / "out"
         code = main(
-            ["compare", "--data", str(data / DATASET_FILENAME), "--seeds", "4"]
+            ["compare", "--data", str(data), "--seeds", "4"]
             + ["--epochs", "2", "--out-dir", str(out)]
         )
         assert code == 2

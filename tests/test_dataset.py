@@ -932,6 +932,28 @@ class TestFeatureStats:
         with pytest.raises(DegenerateChannelError):
             feature_stats(samples)
 
+    @pytest.mark.parametrize("value", [101.325, 96.3, 0.1])
+    def test_constant_channel_with_an_inexact_mean_rejected(self, value):
+        # A chamber stuck at one reading on all 20,000 rows: the float mean
+        # of the column is not exactly that reading, so its std is not 0.
+        table = small_samples(n=20_000, seed=3).table.copy()
+        table[:, 0] = value
+        assert table[:, 0].std() > 0.0
+        with pytest.raises(DegenerateChannelError, match="^channel 1 is constant"):
+            feature_stats(Samples(table))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_rejected_before_a_constant_channel(self, bad):
+        # Channel 1 is constant, but channel 3's non-finite cell is named
+        # first, with no numpy warning (the suite turns those into errors).
+        table = samples_of([
+            make_sample(p_ch=(90.0, 92.0, 94.0, 96.0)),
+            make_sample(p_ch=(90.0, 93.0, 95.0, 97.0)),
+        ]).table.copy()
+        table[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="^channel 3 has a non-finite value$"):
+            feature_stats(Samples(table))
+
     def test_stats_type_rejects_zero_std(self):
         with pytest.raises(DegenerateChannelError):
             FeatureStats(mean=(0.0, 0.0, 0.0, 0.0), std=(1.0, 0.0, 1.0, 1.0))

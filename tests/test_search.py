@@ -34,10 +34,11 @@ from cuphaptics import (
     write_batch_csv,
 )
 from cuphaptics import GenerationConfig, Samples, SplitSpec
-from cuphaptics.core import EPS_ZERO, _yaw_deg
+from cuphaptics.core import EPS_ZERO, _yaw_deg, _yaws
 from cuphaptics.rng import SEARCH_STEP, substream
+import cuphaptics
 import cuphaptics.search as search_module
-from cuphaptics.search import _next_delta, _next_deltas, _yaws
+from cuphaptics.search import _next_delta, _next_deltas
 from helpers import NoiseRows, StubEstimator, frame_yaw, rollout_a_frame_at_a_time
 
 GEOM = CupGeometry()
@@ -726,6 +727,26 @@ class TestEstimateBatch:
         phi = table.phi_deg
         yaw = OracleEstimator().estimate_batch(table.p_ch, 101.325, phi)
         assert yaw.tobytes() == phi.tobytes()
+
+
+class TestEstimatorHomes:
+    """Each estimator is defined beside its single-frame function."""
+
+    def test_defined_beside_the_single_frame_functions_and_exported_at_top_level(self):
+        core, mlp = cuphaptics.core, cuphaptics.mlp
+        assert cuphaptics.ModelBasedEstimator is core.ModelBasedEstimator
+        assert cuphaptics.OracleEstimator is core.OracleEstimator
+        assert cuphaptics.MlpEstimator is mlp.MlpEstimator
+        assert core.Estimator.__module__ == "cuphaptics.core"
+        for name in ("Estimator", "ModelBasedEstimator", "OracleEstimator", "MlpEstimator"):
+            assert not hasattr(cuphaptics.search, name)
+
+    @pytest.mark.parametrize(
+        "module, other", [("search", "cuphaptics.mlp"), ("evaluate", "cuphaptics.search")]
+    )
+    def test_module_holds_nothing_from_a_module_it_does_not_need(self, module, other):
+        held = vars(getattr(cuphaptics, module)).items()
+        assert [name for name, value in held if getattr(value, "__module__", None) == other] == []
 
 
 # start -> (delta0, phi0, how the noiseless closed form ends from there under

@@ -33,6 +33,8 @@ def _load_numpy() -> None:
 _load_numpy()
 del _load_numpy
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     EPS_ZERO,
     PRESSURE_TOLERANCE_KPA,
@@ -118,74 +120,11 @@ from .synth import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above, the submodules aside, and the version.
 __all__ = [
-    "EPS_ZERO",
-    "PRESSURE_TOLERANCE_KPA",
-    "Angle",
-    "DirectionEstimate",
-    "GroundTruthPose",
-    "ModelBasedEstimator",
-    "OracleEstimator",
-    "SensorFrame",
-    "angular_error",
-    "angular_errors",
-    "estimate_direction",
-    "FeatureStats",
-    "LabeledSample",
-    "Samples",
-    "SplitSpec",
-    "feature_stats",
-    "read_csv",
-    "split",
-    "write_csv",
-    "ConfigError",
-    "CsvParseError",
-    "CupHapticsError",
-    "DegenerateChannelError",
-    "InvalidInputError",
-    "ModelFormatError",
-    "EvalReport",
-    "MethodSummary",
-    "PredictionPair",
-    "SeedMetrics",
-    "evaluate_mlp",
-    "evaluate_model_based",
-    "export_scatter",
-    "mae_deg",
-    "rmse_deg",
-    "run_comparison",
-    "DEFAULT_LAYER_SIZES",
-    "MlpEstimator",
-    "MlpModel",
-    "TrainConfig",
-    "TrainHistory",
-    "backward",
-    "decode_estimate",
-    "forward",
-    "init_model",
-    "load_model",
-    "loss",
-    "network_output",
-    "predict_angle",
-    "rmsprop_step",
-    "save_model",
-    "target_encoding",
-    "train",
-    "train_many",
-    "BatchRow",
-    "BatchSpec",
-    "SearchConfig",
-    "SearchResult",
-    "batch_search",
-    "run_search",
-    "search_step",
-    "write_batch_csv",
-    "CupGeometry",
-    "GenerationConfig",
-    "PressureFieldParams",
-    "chamber_vacuum",
-    "coverage_depth",
-    "generate_dataset",
-    "synth_frame",
-    "__version__",
+    name
+    for name, value in [*globals().items()]
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
 ]
+__all__.append("__version__")
+del _ModuleType

@@ -5,6 +5,9 @@ columns follow the CSV schema below. ``samples.table`` is that array,
 ``samples.p_ch``, ``samples.p_atm`` and ``samples.phi_deg`` are column
 views, and ``samples[i]`` builds the ``LabeledSample`` (frame and pose) of
 row i, so per-row objects exist only where a caller asks for one.
+``Samples`` holds only rows that a frame and a pose accept, the rule
+``read_csv`` applies to a file, with each yaw as ``Angle`` stores it; so
+the modules that generate, train on and score a dataset check no row.
 
 The on-disk format is a plain CSV with the exact header
 
@@ -13,9 +16,9 @@ The on-disk format is a plain CSV with the exact header
 comma-separated, '.' decimal point, UTF-8, LF line endings, one row per
 sample, numbers printed with 9 significant digits. Round trips are
 lossless at that precision. ``read_csv`` parses with numpy's C reader and
-checks the values a column at a time; the csv module's row pass reads what
-that cannot vouch for, one checked row at a time, and names the first bad
-line of a bad file.
+builds the ``Samples`` from its table; the csv module's row pass reads what
+that cannot vouch for or ``Samples`` refuses, one checked row at a time,
+and names the first bad line of a bad file.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Angle, GroundTruthPose, SensorFrame, _wrap_deg, frames_valid
+from .core import Angle, GroundTruthPose, SensorFrame, frames_valid
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -69,29 +72,64 @@ def _labeled(row: Sequence[float]) -> LabeledSample:
     )
 
 
+def _frozen(table: object) -> np.ndarray:
+    """``table`` as a read-only C-contiguous view, if it is a float64 (n, 7) array."""
+    if not (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.float64
+        and table.shape[1:] == (len(CSV_COLUMNS),)
+    ):
+        raise InvalidInputError(
+            f"samples table must be float64 of shape (n, {len(CSV_COLUMNS)}), "
+            f"got {np.asarray(table).dtype} of shape {np.shape(table)}"
+        )
+    table = np.ascontiguousarray(table).view()
+    table.flags.writeable = False
+    return table
+
+
+def _rows_ok(table: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 7) table: whether ``SensorFrame`` accepts its frame,
+    delta is in [0, inf) and phi in [0, 360]; false on a non-finite value."""
+    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
+    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
+    return ok & (0.0 <= phi) & (phi <= 360.0)
+
+
 @dataclass(frozen=True, eq=False)
 class Samples:
     """A dataset as one read-only (n, 7) float64 table in CSV_COLUMNS order.
 
-    Indexing with an int gives that row's ``LabeledSample``; indexing with a
-    slice, an index array or a mask gives another ``Samples``.
+    A table from outside is checked a column at a time (``_rows_ok``), and
+    the first row refused replays the checks ``_csv_rows`` makes of a row,
+    raising ``InvalidInputError`` as ``row i: <message>``. Each yaw is held
+    as ``Angle`` stores it (360 as 0, -0.0 as +0.0), on a copy made only
+    where one changes. Indexing with an int gives that row's
+    ``LabeledSample``; indexing with a slice, an index array or a mask gives
+    another ``Samples``, of rows already checked.
     """
 
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = self.table
-        if not (
-            isinstance(table, np.ndarray)
-            and table.dtype == np.float64
-            and table.shape[1:] == (len(CSV_COLUMNS),)
-        ):
-            raise InvalidInputError(
-                f"samples table must be float64 of shape (n, {len(CSV_COLUMNS)}), "
-                f"got {np.asarray(table).dtype} of shape {np.shape(table)}"
-            )
-        table = np.ascontiguousarray(table).view()
-        table.flags.writeable = False
+        table = _frozen(self.table)
+        ok = _rows_ok(table)
+        if not ok.all():
+            i = int(ok.argmin())
+            row = table[i].tolist()
+            try:
+                if not (0.0 <= row[6] <= 360.0):
+                    raise InvalidInputError(f"phi_deg must be in [0, 360], got {row[6]}")
+                _labeled(row)  # SensorFrame, then GroundTruthPose
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"row {i}: {exc}") from None
+            raise AssertionError(f"row {i} is refused by the table check but not by its row")
+        phi = table[:, 6]
+        moved = (phi == 360.0) | np.signbit(phi)  # phi >= 0, so only -0.0 has a sign
+        if moved.any():
+            table = table.copy()
+            table[moved, 6] = 0.0  # Angle's rule
+            table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -115,7 +153,9 @@ class Samples:
     def __getitem__(self, key) -> LabeledSample | Samples:
         if isinstance(key, (int, np.integer)):
             return _labeled(self.table[key].tolist())
-        return Samples(self.table[key])
+        cut = object.__new__(Samples)  # rows of a checked table: no second check
+        object.__setattr__(cut, "table", _frozen(self.table[key]))
+        return cut
 
     def __iter__(self) -> Iterator[LabeledSample]:
         return map(_labeled, self.table.tolist())
@@ -273,14 +313,6 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     return value
 
 
-def _rows_ok(table: np.ndarray) -> np.ndarray:
-    """Per row of an (n, 7) table: whether ``SensorFrame`` accepts its frame,
-    delta is in [0, inf) and phi in [0, 360]; false on a non-finite value."""
-    p_atm, delta, phi = table[:, 4:5], table[:, 5], table[:, 6]
-    ok = frames_valid(table[:, 0:4], p_atm) & (0.0 <= delta) & (delta < np.inf)
-    return ok & (0.0 <= phi) & (phi <= 360.0)
-
-
 def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
     """The table of the rows after the header, read on from ``reader`` by the
     csv module. Each row but a blank one is checked in turn: its column
@@ -325,17 +357,18 @@ def _numpy_rows(raw: bytes) -> np.ndarray | None:
         return None
     if table.shape[1] != len(CSV_COLUMNS):
         return None
-    return table if _rows_ok(table).all() else None
+    return table
 
 
 def read_csv(path: str | Path) -> Samples:
     """Read a dataset CSV, validating the header and every cell.
 
-    ``phi_deg`` must lie in [0, 360]; an exact 360 (a 9-significant-digit
-    rounding artifact of values just below the wrap) reads back as 0. The
-    file is read from disk once. Rows the numpy pass cannot vouch for are
-    read by the csv module and checked one row at a time, and the first bad
-    row names its line and cell.
+    Its rows must pass ``Samples``' rule, so ``phi_deg`` lies in [0, 360];
+    an exact 360 (a 9-significant-digit rounding artifact of values just
+    below the wrap) reads back as 0. The file is read from disk once. Where
+    the numpy pass cannot vouch for its cells or ``Samples`` refuses its
+    table, the csv module reads the rows and checks them one at a time, and
+    the first bad row names its line and cell.
     """
     with open(path, "rb") as fh:
         raw = fh.read()  # decoded lazily below, in the lines open(path, newline="") gives
@@ -350,13 +383,16 @@ def read_csv(path: str | Path) -> Samples:
                 line=1,
             )
         table = _numpy_rows(raw)
-        if table is None:
-            table = _csv_rows(reader)
+        if table is not None:
+            try:
+                return Samples(table)
+            except InvalidInputError:
+                pass  # the csv pass names the refused row's file line
+        table = _csv_rows(reader)
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise CsvParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
-    table[:, 6] = _wrap_deg(table[:, 6])  # 360 reads as 0, -0 as +0
     return Samples(table)
 
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, Estimator, ModelBasedEstimator, _rmse, _wrap_deg, angular_errors
+from .core import Angle, Estimator, ModelBasedEstimator, _rmse, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError, require_count
 from .mlp import MlpEstimator, MlpModel, TrainConfig, train_many
@@ -109,9 +109,10 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
 
 
 def _columns(estimator: Estimator, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
-    """True yaws as ``Angle`` stores them, and ``estimate_batch``'s yaws (NaN where none)."""
+    """True yaws (``samples.phi_deg``, which ``Samples`` holds as ``Angle``
+    stores them) and ``estimate_batch``'s yaws (NaN where none)."""
     yaws = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
-    return _wrap_deg(samples.phi_deg), yaws
+    return samples.phi_deg, yaws
 
 
 def _defined_errors(phi_true: np.ndarray, phi_pred: np.ndarray) -> np.ndarray:

@@ -114,14 +114,13 @@ class FeatureStats:
 
 
 def feature_stats(train: Samples) -> FeatureStats:
-    """Per-channel mean/std of chamber pressures. Training set only. A channel
-    with a non-finite cell or one value on every row is refused first."""
+    """Per-channel mean/std of chamber pressures. Training set only; its cells
+    are finite, as ``Samples`` holds them. A channel with one value on every
+    row is refused first. A mean or std too large for a float is inf, which
+    ``FeatureStats`` refuses."""
     if not len(train):
         raise ConfigError("cannot compute feature stats of an empty set")
     x = train.p_ch
-    finite = np.isfinite(x).all(axis=0)
-    if not finite.all():
-        raise InvalidInputError(f"channel {finite.argmin() + 1} has a non-finite value")
     constant = x.min(axis=0) == x.max(axis=0)
     if constant.any():
         raise DegenerateChannelError(
@@ -129,7 +128,9 @@ def feature_stats(train: Samples) -> FeatureStats:
         )
     # population std (divide by n); a constant column's need not be 0, and
     # FeatureStats refuses one that rounds to 0
-    return FeatureStats(mean=tuple(x.mean(axis=0)), std=tuple(x.std(axis=0)))
+    with np.errstate(over="ignore"):
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    return FeatureStats(mean=tuple(mean), std=tuple(std))
 
 
 @dataclass(frozen=True, eq=False)

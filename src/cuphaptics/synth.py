@@ -197,7 +197,4 @@ def generate_dataset(
     phi = _wrap_deg(phi)  # every phi is in [0, 360]: 360 becomes 0
     noise = sensor_noise(params.noise_sigma_kpa, substream(seed, DATASET_NOISE), (n, 4))
     p_ch = _chamber_pressures(geom, params, delta, phi, noise)
-    if not (p_ch >= 0.0).all():  # SensorFrame's rules: the cap holds the top
-        i, j = np.argwhere(~(p_ch >= 0.0))[0]  # NaN is caught here too
-        raise InvalidInputError(f"row {i}: p_ch{j + 1} = {p_ch[i, j]} kPa is below 0")
     return Samples(np.column_stack((p_ch, np.full(n, params.p_atm_kpa), delta, phi)))

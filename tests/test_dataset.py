@@ -2,9 +2,11 @@ import csv
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -40,6 +42,7 @@ from cuphaptics import (
 import cuphaptics
 from cuphaptics.dataset import (
     BLOCK_ROWS,
+    CSV_COLUMNS,
     _cell_tables,
     _csv_rows,
     _format_block,
@@ -117,6 +120,11 @@ def near_tie(value):
 def write_rows(path, *rows):
     path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
     return path
+
+
+def row_at(p_ch3=96.2, p_atm=101.325, delta=9.5, phi=123.0):
+    """GOOD_ROW's values as a table row, with these cells in place of its own."""
+    return [91.3, 96.3, p_ch3, 91.4, p_atm, delta, phi]
 
 
 def make_sample(p_ch=(91.3, 96.3, 96.2, 91.4), p_atm=101.325, delta=9.5, phi=123.0):
@@ -207,6 +215,63 @@ class TestSamples:
     def test_rejects_a_bad_table(self, table):
         with pytest.raises(InvalidInputError):
             Samples(table)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([row_at(phi=400.0), row_at(delta=-3.0)],
+             "row 0: phi_deg must be in [0, 360], got 400.0"),
+            ([row_at(), row_at(delta=-3.0)], "row 1: delta must be >= 0 mm, got -3.0"),
+            ([row_at(p_atm=-1.0)], "row 0: p_atm must be >= 0 kPa, got -1.0"),
+            ([row_at(p_ch3=150.0)],
+             "row 0: p_ch3 = 150.0 kPa exceeds ambient 101.325 kPa by more than 0.5 kPa"),
+            ([row_at(delta=math.inf)], "row 0: delta must be finite, got inf"),
+            ([row_at(phi=-1e-300)], "row 0: phi_deg must be in [0, 360], got -1e-300"),
+        ],
+        ids=["yaw-and-offset", "offset", "ambient", "chamber", "infinite-offset", "tiny-negative-yaw"],
+    )
+    def test_refuses_the_first_row_a_frame_or_pose_refuses(self, rows, message):
+        # The rule read_csv applies to a file, with its message for that row.
+        with pytest.raises(InvalidInputError) as exc_info:
+            Samples(np.array(rows))
+        assert str(exc_info.value) == message
+
+    def test_yaws_are_held_as_angle_stores_them_on_a_copy(self):
+        table = small_samples().table.copy()
+        assert Samples(table).table.base is table  # no yaw changes: no copy
+        table[[1, 4], 6] = [360.0, -0.0]
+        samples = Samples(table)
+        assert not np.shares_memory(samples.table, table)
+        assert [f"{v!r}" for v in samples.phi_deg[[1, 4]]] == ["np.float64(0.0)"] * 2
+        assert [f"{v!r}" for v in table[[1, 4], 6].tolist()] == ["360.0", "-0.0"]
+        kept = np.delete(samples.table, [1, 4], axis=0)
+        assert np.array_equal(kept, np.delete(table, [1, 4], axis=0))
+
+    def test_rows_cut_from_a_checked_table_are_not_checked_again(self, monkeypatch):
+        samples = small_samples(n=20)
+
+        def no_check(table):
+            raise AssertionError("a cut table was checked again")
+
+        monkeypatch.setattr(cuphaptics.dataset, "_rows_ok", no_check)
+        parts = [samples[2:9], samples[np.array([3, 3, 0])], samples[samples.phi_deg > 180.0]]
+        parts += split(samples, SplitSpec(seed=1))
+        for part in parts:
+            assert isinstance(part, Samples) and not part.table.flags.writeable
+        with pytest.raises(AssertionError, match="checked again"):
+            Samples(samples.table)
+
+    def test_read_csv_checks_the_rows_once(self, tmp_path, monkeypatch):
+        write_csv(small_samples(), tmp_path / "d.csv")
+        calls, rows_ok = [], cuphaptics.dataset._rows_ok
+
+        def counted(table):
+            calls.append(len(table))
+            return rows_ok(table)
+
+        monkeypatch.setattr(cuphaptics.dataset, "_rows_ok", counted)
+        assert len(read_csv(tmp_path / "d.csv")) == 12
+        assert calls == [12]
 
 
 class TestCsvRoundTrip:
@@ -638,6 +703,54 @@ class TestCsvAcceptsWhatTheRowPassAccepts:
         assert 0 < accepted.sum() < len(table) == 2_800
 
 
+def nine_digit_edges():
+    """The values of ``edge_table`` that %.9g prints exactly, NaN included."""
+    values = {}
+    for v in edge_table().ravel().tolist():
+        if math.isnan(v) or float(f"{v:.9g}") == v:
+            values.setdefault(repr(v), v)
+    return list(values.values())
+
+
+NINE_DIGIT_EDGES = nine_digit_edges()
+
+
+@st.composite
+def nine_digit_tables(draw):
+    """Tables whose cells %.9g prints exactly: valid rows, some of whose cells
+    are swapped for an edge value or any other number."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        p_atm = draw(st.floats(0.0, 1e6))
+        p_ch = [draw(st.floats(0.0, p_atm)) for _ in range(4)]
+        row = [*p_ch, p_atm, draw(st.floats(0.0, 1e300)), draw(st.floats(0.0, 360.0))]
+        for j in draw(st.lists(st.integers(0, 6), max_size=2)):
+            row[j] = draw(st.sampled_from(NINE_DIGIT_EDGES) | st.floats(-1e3, 1e3) | st.floats())
+        rows.append([float(f"{v:.9g}") for v in row])
+    return np.array(rows)
+
+
+@settings(max_examples=200)
+@given(table=nine_digit_tables())
+def test_samples_rule_is_the_csv_rule(tmp_path_factory, table):
+    # A table Samples holds round-trips through the CSV bit for bit; a file
+    # of one it refuses is refused at the line of the row Samples names.
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    try:
+        samples = Samples(table)
+    except InvalidInputError as exc:
+        row, message = re.fullmatch(r"row (\d+): (.*)", str(exc)).groups()
+        write_table(path, CSV_COLUMNS, table)
+        with pytest.raises(CsvParseError) as got:
+            read_csv(path)
+        assert got.value.line == int(row) + 2
+        if np.isfinite(table[int(row)]).all():  # else the csv pass names the cell
+            assert str(got.value).startswith(f"{message} (line {got.value.line}")
+    else:
+        write_csv(samples, path)
+        assert read_csv(path).table.tobytes() == samples.table.tobytes()
+
+
 # kind -> (the columns it may sit in, its text): a cell float() rejects, a
 # non-finite one, a phi out of range, a frame SensorFrame rejects, a negative
 # offset.
@@ -676,9 +789,16 @@ class TestWrittenBytes:
 
     def test_write_csv(self, tmp_path):
         rows = [[v, 1.0, 2.0, 3.0, 4.0, 5.0, v] for v in TRICKY]
-        path = tmp_path / "d.csv"
-        write_csv(Samples(np.array(rows)), path)
-        assert path.read_bytes() == per_cell_bytes(HEADER.split(","), rows)
+        write_table(tmp_path / "t.csv", CSV_COLUMNS, np.array(rows))
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes(CSV_COLUMNS, rows)
+        # The rows of a dataset: each tricky value that Samples holds, in
+        # every column where it may stand (1e16 may not: it exceeds p_atm).
+        valid = [[v, 1.0, 2.0, 3.0, 1e16, v, v] for v in TRICKY if v != 1e16]
+        samples = Samples(np.array(valid))
+        write_csv(samples, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == per_cell_bytes(
+            CSV_COLUMNS, samples.table.tolist()
+        )
 
     def test_export_scatter(self, tmp_path):
         true = np.array(TRICKY)
@@ -779,11 +899,10 @@ class TestWrittenBytes:
 
     def test_kernel_memory_is_per_block(self, tmp_path):
         values = np.random.default_rng(5).uniform(-400.0, 400.0, size=(50_000, 7))
-        samples = Samples(values)
-        write_csv(samples, tmp_path / "warm.csv")
+        write_table(tmp_path / "warm.csv", CSV_COLUMNS, values)
         tracemalloc.start()
         try:
-            write_csv(samples, tmp_path / "d.csv")
+            write_table(tmp_path / "d.csv", CSV_COLUMNS, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -796,9 +915,9 @@ class TestWrittenBytes:
     def test_block_boundaries(self, tmp_path, n):
         values = np.random.default_rng(n).normal(scale=1e3, size=(n, 7))
         values[: len(TRICKY), 0] = TRICKY
-        write_csv(Samples(values), tmp_path / "d.csv")
+        write_table(tmp_path / "d.csv", CSV_COLUMNS, values)
         rows = values.tolist()
-        assert (tmp_path / "d.csv").read_bytes() == per_cell_bytes(HEADER.split(","), rows)
+        assert (tmp_path / "d.csv").read_bytes() == per_cell_bytes(CSV_COLUMNS, rows)
         named = [(a, f"r{i}", b) for i, (a, b) in enumerate(values[:, :2].tolist())]
         write_table(tmp_path / "t.csv", ("a", "name", "b"), named)
         assert (tmp_path / "t.csv").read_bytes() == per_cell_bytes(("a", "name", "b"), named)
@@ -944,15 +1063,33 @@ class TestFeatureStats:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_cell_rejected_before_a_constant_channel(self, bad):
-        # Channel 1 is constant, but channel 3's non-finite cell is named
-        # first, with no numpy warning (the suite turns those into errors).
+        # Channel 1 is constant, but channel 3's non-finite cell is refused
+        # first: Samples holds no such row, so feature_stats never sees one.
         table = samples_of([
             make_sample(p_ch=(90.0, 92.0, 94.0, 96.0)),
             make_sample(p_ch=(90.0, 93.0, 95.0, 97.0)),
         ]).table.copy()
         table[1, 2] = bad
-        with pytest.raises(InvalidInputError, match="^channel 3 has a non-finite value$"):
-            feature_stats(Samples(table))
+        with pytest.raises(InvalidInputError, match=f"^row 1: p_ch3 must be finite, got {bad}$"):
+            Samples(table)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ((1e200, 2e200), "std of channel 1 must be finite, got inf"),
+            ((1e308, 1.5e308), "mean of channel 1 must be finite, got inf"),
+        ],
+        ids=["std-overflows", "mean-overflows"],
+    )
+    def test_finite_cells_too_large_for_the_stats_are_rejected(self, cells, message):
+        # Cells Samples holds (p_atm is above them), whose std or mean is too
+        # large for a float: FeatureStats refuses the inf, with no numpy warning.
+        rows = [[c, 90.0 + k, 92.0 + k, 94.0 + k, 1.7e308, 9.5, 10.0] for k, c in enumerate(cells)]
+        samples = Samples(np.array(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                feature_stats(samples)
 
     def test_stats_type_rejects_zero_std(self):
         with pytest.raises(DegenerateChannelError):

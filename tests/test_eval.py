@@ -49,7 +49,7 @@ from cuphaptics import (
 )
 from cuphaptics import evaluate as evaluate_module
 from cuphaptics.mlp import _forward, _layer_views, _n_params, _outputs_by_row, _plan
-from helpers import equal_chamber_rows
+from helpers import equal_chamber_rows, frame_yaw
 
 GEOM = CupGeometry()
 
@@ -312,20 +312,36 @@ class TestClosedFormColumns:
         assert bits(pairs[2].phi_pred) == bits(estimate_direction(frames[2]).phi_pred)
 
     @pytest.mark.parametrize(
-        "row, message",
+        "row, refusal, message",
         [
-            ([150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch1 = 150.0 kPa exceeds"),
-            ([96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan], "angle must be finite"),
-            ([96.0, -1.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch2 must be >= 0"),
+            (
+                [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0],
+                "row 1: p_ch1 = 150.0 kPa exceeds",
+                "p_ch1 = 150.0 kPa exceeds",
+            ),
+            (
+                [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan],
+                "row 1: phi_deg must be in [0, 360], got nan",
+                "angle must be finite",
+            ),
+            (
+                [96.0, -1.0, 96.0, 96.0, 101.325, 1.0, 10.0],
+                "row 1: p_ch2 must be >= 0",
+                "p_ch2 must be >= 0",
+            ),
             # Ambient plus the tolerance rounds up, so the gauge pressure of a
             # chamber at that bound falls just below -0.5 kPa.
             ([1.3008000000000001] + [0.8008000000000001] * 3 + [0.8008000000000001, 1.0, 10.0],
-             "vacuum p1 = -0.5000000000000001 kPa"),
-            ([np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0], "p_atm must be finite"),
-            ([1.7e308, 0.0, 1.7e308, 0.0, 1.79e308, 1.0, 10.0], "vector x must be finite"),
+             None, "vacuum p1 = -0.5000000000000001 kPa"),
+            (
+                [np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0],
+                "row 1: p_atm must be finite",
+                "p_atm must be finite",
+            ),
+            ([1.7e308, 0.0, 1.7e308, 0.0, 1.79e308, 1.0, 10.0], None, "vector x must be finite"),
             # At 2**53 - 1 the bound rounds up by half a unit, to 2**53.
             ([2.0**53] * 4 + [2.0**53 - 1, 1.0, 10.0],
-             "vacuum p1 = -1.0 kPa is below the -0.5 kPa noise tolerance"),
+             None, "vacuum p1 = -1.0 kPa is below the -0.5 kPa noise tolerance"),
         ],
         ids=[
             "above-ambient",
@@ -337,20 +353,32 @@ class TestClosedFormColumns:
             "gauge-one-kpa-below-zero",
         ],
     )
-    def test_rejected_row_raises_the_single_frame_error(self, row, message):
-        samples = Samples(np.array([[96.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], row]))
+    def test_rejected_row_raises_the_single_frame_error(self, row, refusal, message):
+        # The estimator raises the single-frame error on any columns. Samples
+        # refuses a row the frame rule refuses (``refusal``), so only rows it
+        # holds reach ``evaluate_model_based``, which raises the same error.
+        table = np.array([[96.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], row])
         with pytest.raises(InvalidInputError, match=re.escape(message)):
-            evaluate_model_based(samples)
+            ModelBasedEstimator().estimate_batch(table[:, 0:4], table[:, 4:5], table[:, 6])
+        with pytest.raises(InvalidInputError, match="^" + re.escape(refusal or message)):
+            evaluate_model_based(Samples(table))
 
-    def test_rows_outside_the_dataset_ranges_score_as_before(self):
-        # A hand-built table may hold a negative offset or a yaw past 360;
-        # the frame types accept both, so they are scored, not rejected.
-        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, -1.0, 400.0],
-                [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]]
-        pairs = evaluate_model_based(Samples(np.array(rows)))
-        assert [p.phi_true.degrees for p in pairs] == [40.0, 330.0]
+    def test_rows_outside_the_dataset_ranges_are_refused(self):
+        # A negative offset or a yaw outside [0, 360] is refused, so no
+        # evaluation scores 400 deg as 40 deg; the estimator, which a rollout
+        # may reach with any finite yaw, still answers for the columns.
+        rows = np.array([[96.0, 97.0, 96.0, 95.0, 101.325, 9.5, 400.0],
+                         [96.0, 97.0, 96.0, 95.0, 101.325, -3.0, 10.0],
+                         [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]])
+        for i, message in enumerate(
+            ["phi_deg must be in [0, 360], got 400.0", "delta must be >= 0 mm, got -3.0",
+             "phi_deg must be in [0, 360], got -30.0"]
+        ):
+            with pytest.raises(InvalidInputError, match=re.escape(f"row 0: {message}") + "$"):
+                Samples(rows[i:])
+        yaws = ModelBasedEstimator().estimate_batch(rows[:, 0:4], rows[:, 4:5], rows[:, 6])
         want = estimate_direction(SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325)).phi_pred
-        assert [bits(p.phi_pred) for p in pairs] == [bits(want)] * 2
+        assert [f64(y) for y in yaws.tolist()] == [f64(want.degrees)] * 3
 
 
 RAW_MODEL = init_model(4)
@@ -392,21 +420,43 @@ class TestMlpColumns:
             assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize(
-        "model, row, message",
+        "model, row, refusal, message",
         [
-            (RAW_MODEL, [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch1 = 150.0 kPa exceeds"),
-            (STD_MODEL, [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan], "angle must be finite"),
-            (RAW_MODEL, [96.0, -1.0, 96.0, 96.0, 101.325, 1.0, 10.0], "p_ch2 must be >= 0"),
-            (STD_MODEL, [np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0], "p_atm must be finite"),
+            (
+                RAW_MODEL,
+                [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0],
+                "row 1: p_ch1 = 150.0 kPa exceeds",
+                "p_ch1 = 150.0 kPa exceeds",
+            ),
+            (
+                STD_MODEL,
+                [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan],
+                "row 1: phi_deg must be in [0, 360], got nan",
+                "angle must be finite",
+            ),
+            (
+                RAW_MODEL,
+                [96.0, -1.0, 96.0, 96.0, 101.325, 1.0, 10.0],
+                "row 1: p_ch2 must be >= 0",
+                "p_ch2 must be >= 0",
+            ),
+            (
+                STD_MODEL,
+                [np.inf, 96.0, 96.0, 96.0, np.inf, 1.0, 10.0],
+                "row 1: p_atm must be finite",
+                "p_atm must be finite",
+            ),
             # A tiny spread sends the standardized inputs past the float range.
             (
                 init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
                 [1e10, 1e10, 1e10, 1e10, 1e10, 1.0, 10.0],
+                None,
                 "inputs must be finite",
             ),
             (
                 MlpModel(RAW_MODEL.layer_sizes, RAW_MODEL.params * 1e300),
                 [200.0, 200.0, 200.0, 200.0, 200.0, 1.0, 10.0],
+                None,
                 "output must be finite",
             ),
         ],
@@ -419,68 +469,97 @@ class TestMlpColumns:
             "output-overflows",
         ],
     )
-    def test_rejected_row_raises_the_single_frame_error(self, model, row, message):
-        samples = Samples(np.array([BASE_ROW, row]))
+    def test_rejected_row_raises_the_single_frame_error(self, model, row, refusal, message):
+        # As for the closed form: the estimator raises on any columns, and
+        # only rows that Samples holds reach ``evaluate_mlp``.
+        table = np.array([BASE_ROW, row])
         # Overflow warnings are silenced so the single-frame error surfaces.
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match=re.escape(message)):
-                evaluate_mlp(model, samples)
+                MlpEstimator(model).estimate_batch(table[:, 0:4], table[:, 4:5], table[:, 6])
+            with pytest.raises(InvalidInputError, match="^" + re.escape(refusal or message)):
+                evaluate_mlp(model, Samples(table))
 
     def test_model_of_another_input_width_is_rejected(self):
         model = init_model(0, layer_sizes=(3, 8, 2))
         with pytest.raises(InvalidInputError, match=re.escape("expected 3 inputs")):
             evaluate_mlp(model, Samples(np.array([BASE_ROW])))
 
-    def test_rows_outside_the_dataset_ranges_score_as_before(self):
-        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, -1.0, 400.0],
-                [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]]
-        pairs = evaluate_mlp(RAW_MODEL, Samples(np.array(rows)))
-        assert [p.phi_true.degrees for p in pairs] == [40.0, 330.0]
+    def test_rows_outside_the_dataset_ranges_are_refused(self):
+        rows = np.array([[96.0, 97.0, 96.0, 95.0, 101.325, -1.0, 400.0],
+                         [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]])
+        with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
+            evaluate_mlp(RAW_MODEL, Samples(rows))
+        yaws = MlpEstimator(RAW_MODEL).estimate_batch(rows[:, 0:4], rows[:, 4:5], rows[:, 6])
         want = predict_angle(RAW_MODEL, SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325))
-        assert [bits(p.phi_pred) for p in pairs] == [bits(want)] * 2
+        assert [f64(y) for y in yaws.tolist()] == [f64(want.degrees)] * 2
 
 
 @pytest.mark.parametrize(
-    "evaluate",
-    [evaluate_model_based, lambda samples: evaluate_mlp(RAW_MODEL, samples)],
-    ids=["model_based", "mlp"],
+    "estimator", [ModelBasedEstimator(), MlpEstimator(RAW_MODEL)], ids=["model_based", "mlp"]
 )
-def test_earliest_rejected_row_wins(evaluate):
+def test_earliest_rejected_row_wins(estimator):
     nan_yaw = [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan]
     above = [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]
-    for rows, message in (
-        ([BASE_ROW, nan_yaw, above], "angle must be finite"),
-        ([BASE_ROW, above, nan_yaw], "p_ch1 = 150.0 kPa exceeds"),
+    for rows, refusal, message in (
+        ([BASE_ROW, nan_yaw, above], "row 1: phi_deg must be in", "angle must be finite"),
+        ([BASE_ROW, above, nan_yaw], "row 1: p_ch1 = 150.0 kPa", "p_ch1 = 150.0 kPa exceeds"),
     ):
+        table = np.array(rows)
+        with pytest.raises(InvalidInputError, match="^" + re.escape(refusal)):
+            Samples(table)
         with pytest.raises(InvalidInputError, match=re.escape(message)):
-            evaluate(Samples(np.array(rows)))
+            estimator.estimate_batch(table[:, 0:4], table[:, 4:5], table[:, 6])
 
 
 EVALUATORS = {
     "model_based": (evaluate_model_based, ModelBasedEstimator()),
     "mlp": (lambda samples: evaluate_mlp(RAW_MODEL, samples), MlpEstimator(RAW_MODEL)),
 }
-# Yaws whose wrap has an edge: signed zero, the 360 boundary from both sides,
-# a negative, a yaw past a turn, and tiny negatives that wrap up to 360.
-EDGE_YAWS = [-0.0, 360.0, -30.0, 400.0, 359.99999999999994, -360.0, 720.0, -1e-300, -5e-324]
+# Yaws of a dataset whose wrap has an edge: signed zero and the 360 boundary
+# from both sides.
+EDGE_YAWS = [-0.0, 360.0, 359.99999999999994]
+# Yaws outside it that still wrap at an edge: a negative, a yaw past a turn,
+# and tiny negatives that wrap up to 360.
+OUTSIDE_YAWS = [-30.0, 400.0, -360.0, 720.0, -1e-300, -5e-324]
 
 
 def f64(x):
     return struct.pack("<d", x)
 
 
-def edge_yaw_table():
-    """Per edge yaw, a row both estimators give a direction and an all-zero
-    row they give none: a zero vector to each."""
+def edge_yaw_rows(yaws):
+    """Per yaw, a row both estimators give a direction and an all-zero row
+    they give none: a zero vector to each."""
     rows = []
-    for yaw in EDGE_YAWS:
+    for yaw in yaws:
         rows.append([96.0, 97.0, 96.0, 95.0, 101.325, 1.0, yaw])
         rows.append([0.0, 0.0, 0.0, 0.0, 101.325, 1.0, yaw])
-    return Samples(np.array(rows))
+    return np.array(rows)
+
+
+def edge_yaw_table():
+    return Samples(edge_yaw_rows(EDGE_YAWS))
 
 
 class TestPairs:
     """Pairs are built from the checked, wrapped columns, each float kept."""
+
+    @pytest.mark.parametrize("method", sorted(EVALUATORS))
+    def test_yaws_outside_the_dataset_reach_only_the_estimator(self, method):
+        # Samples refuses each; the estimator answers each row as its
+        # single-frame function does, and wraps its own yaws.
+        _, estimator = EVALUATORS[method]
+        rows = edge_yaw_rows(OUTSIDE_YAWS)
+        with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
+            Samples(rows)
+        column = estimator.estimate_batch(rows[:, 0:4], rows[:, 4:5], rows[:, 6])
+        frames = [SensorFrame(tuple(row[:4]), row[4]) for row in rows.tolist()]
+        single = [frame_yaw(estimator, frame, None) for frame in frames]
+        assert np.isnan(column).any() and not np.isnan(column).all()
+        assert [None if math.isnan(y) else f64(y) for y in column.tolist()] == [
+            None if a is None else f64(a.degrees) for a in single
+        ]
 
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
     def test_angles_have_the_checked_paths_bits(self, method):
@@ -521,11 +600,23 @@ class TestPairs:
                     assert (copied, hash(copied), repr(copied)) == (obj, hash(obj), repr(obj))
 
     @settings(max_examples=200)
-    @given(yaws=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    @given(
+        yaws=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(-0.0, 360.0)
+            | st.sampled_from(EDGE_YAWS + OUTSIDE_YAWS),
+            min_size=1,
+        )
+    )
     def test_any_finite_yaw_is_stored_as_angle_stores_it(self, yaws):
-        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, 1.0, yaw] for yaw in yaws]
-        pairs = evaluate_model_based(Samples(np.array(rows)))
-        assert [f64(p.phi_true.degrees) for p in pairs] == [f64(Angle(y).degrees) for y in yaws]
+        # A yaw in [0, 360] is held as Angle stores it; any other is refused.
+        held = [y for y in yaws if 0.0 <= y <= 360.0]
+        rows = [[96.0, 97.0, 96.0, 95.0, 101.325, 1.0, yaw] for yaw in held]
+        pairs = evaluate_model_based(Samples(np.array(rows).reshape(-1, 7)))
+        assert [f64(p.phi_true.degrees) for p in pairs] == [f64(Angle(y).degrees) for y in held]
+        for yaw in set(yaws) - set(held):
+            with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
+                Samples(np.array([[96.0, 97.0, 96.0, 95.0, 101.325, 1.0, yaw]]))
 
 
 @contextlib.contextmanager
@@ -545,13 +636,15 @@ class TestCollectorState:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
     def test_left_as_found(self, method, enabled):
-        evaluate, _ = EVALUATORS[method]
-        rejected = Samples(np.array([BASE_ROW, [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]]))
+        evaluate, estimator = EVALUATORS[method]
+        rejected = np.array([BASE_ROW, [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]])
         with collector(enabled):
             assert len(evaluate(edge_yaw_table())) == 2 * len(EDGE_YAWS)
             assert gc.isenabled() is enabled
-            with pytest.raises(InvalidInputError, match="p_ch1 = 150.0 kPa exceeds"):
-                evaluate(rejected)
+            with pytest.raises(InvalidInputError, match="^row 1: p_ch1 = 150.0 kPa exceeds"):
+                Samples(rejected)
+            with pytest.raises(InvalidInputError, match="^p_ch1 = 150.0 kPa exceeds"):
+                estimator.estimate_batch(rejected[:, 0:4], rejected[:, 4:5], rejected[:, 6])
             assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
@@ -707,13 +800,13 @@ class TestRunComparison:
         assert truths_mlp == truths_mb
 
     def test_columns_and_metrics_equal_the_public_pairs(self):
-        # Yaws moved by +-360 deg read back wrapped, as Angle stores them; rows
+        # Yaws of 360 and -0.0 are held as 0.0, as Angle stores them; rows
         # with four equal chambers give the closed form no direction (NaN).
         table = generate_dataset(
             GEOM, PressureFieldParams(), GenerationConfig(n_samples=200, seed=5)
         ).table.copy()
-        table[0::4, 6] += 360.0
-        table[1::4, 6] -= 360.0
+        table[0::4, 6] = 360.0
+        table[1::4, 6] = -0.0
         table[2::10, 0:4] = table[2::10, 0:1]
         samples, config, seeds = Samples(table), quick_config(), [9, 10]
         report, first = run_comparison(samples, SplitSpec(), config, seeds)
@@ -736,5 +829,5 @@ class TestRunComparison:
                 assert (row.n_scored, row.n_undefined) == (len(scored), len(pairs) - len(scored))
             if i == 0:  # the first fold holds both kinds of row
                 phi = val_set.phi_deg
-                assert ((phi < 0.0) | (phi >= 360.0)).any()
+                assert (phi == 0.0).sum() > 1 and not np.signbit(phi).any()
                 assert np.isnan(first["model_based"][1]).any()

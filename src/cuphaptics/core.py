@@ -8,20 +8,24 @@ pairwise chamber sums give a vector that points toward the better seal.
 Everything here is an immutable value or a pure function. The value types
 keep plain floats in range as given, one comparison each, and convert the rest.
 
-``ModelBasedEstimator`` and ``OracleEstimator`` answer for a table of frames
+``ModelBasedEstimator`` and ``OracleEstimator`` answer for a ``Samples`` table
 through ``estimate_batch``, as ``mlp.MlpEstimator`` does beside ``predict_angle``:
-each row gets its single-frame function's bits (``_yaws`` decodes the rows).
+each row gets its single-frame function's bits (``_yaws`` decodes the rows), and
+only the estimator's own rejections are checked, as ``Samples`` checked each frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
 from .errors import InvalidInputError, as_real
+
+if TYPE_CHECKING:
+    from .dataset import Samples
 
 # Below this norm (in pressure-sum units) a direction vector is treated as
 # zero and carries no usable angle. Far below any sensor noise scale.
@@ -214,31 +218,27 @@ class Estimator(Protocol):
 
     name: str
 
-    def estimate_batch(
-        self, p_ch: np.ndarray, p_atm: float | np.ndarray, phi_deg: np.ndarray
-    ) -> np.ndarray:
+    def estimate_batch(self, rows: Samples) -> np.ndarray:
         """Yaw (deg) per row, as the estimator's single-frame function gives it
-        for the frame (p_ch[i], p_atm) at true yaw phi_deg[i]; NaN where it
-        gives none. ``p_atm`` is a number or an (n, 1) column. Raises
+        for row i's frame at its true yaw; NaN where it gives none. Raises
         ``InvalidInputError`` where the single-frame function raises."""
         ...
 
 
-def _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate: Callable[[SensorFrame], object]) -> np.ndarray:
-    """Yaw (deg) of each row's direction (x, y), NaN where it is ~zero. A row
-    is rejected where ``ok`` is false, ``SensorFrame`` rejects its pressures,
-    or its true yaw or (x, y) is not finite; the first such row replays its
-    frame, its ``Angle`` and ``estimate(frame)``, which raise its error.
+def _yaws(rows: Samples, x, y, ok, estimate: Callable[[SensorFrame], object]) -> np.ndarray:
+    """Yaw (deg) of the direction (x, y) of each of ``rows``, NaN where it is
+    ~zero. A row is rejected where ``ok`` is false or its (x, y) is not
+    finite; the first such row replays ``estimate`` on its frame, which
+    raises its error. ``Samples`` has checked each frame and true yaw.
 
     ``math.hypot`` and ``math.atan2`` map over the columns, as ``_yaw_deg``
     calls them: numpy's differ from libm's on some rows. The one new column,
     the yaws, is turned to degrees, blanked and wrapped in place."""
-    ok = ok & frames_valid(p_ch, p_atm) & np.isfinite(phi_deg) & np.isfinite(x) & np.isfinite(y)
+    ok = ok & np.isfinite(x) & np.isfinite(y)
     if not ok.all():
         i = int(ok.argmin())
-        p_atm_i = np.broadcast_to(p_atm, (len(p_ch), 1))[i, 0]
-        frame, _ = SensorFrame(p_ch=tuple(p_ch[i].tolist()), p_atm=p_atm_i), Angle(phi_deg[i])
-        estimate(frame)
+        *p_ch, p_atm, _, _ = rows.table[i].tolist()
+        estimate(SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm))
         raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
     xs, ys, n = memoryview(x), memoryview(y), len(x)  # floats one by one, no lists
     zero = ~(np.fromiter(map(math.hypot, xs, ys), float, count=n) > EPS_ZERO)
@@ -254,14 +254,14 @@ class ModelBasedEstimator:
 
     name: str = "model_based"
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+    def estimate_batch(self, rows: Samples) -> np.ndarray:
         # estimate_direction's float operations in its order, a column at a time
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-            vacuum = p_atm - p_ch
+            vacuum = rows.p_atm - rows.p_ch
             p1, p2, p3, p4 = vacuum.T
             x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
         ok = (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
-        return _yaws(p_ch, p_atm, phi_deg, x, y, ok, estimate_direction)
+        return _yaws(rows, x, y, ok, estimate_direction)
 
 
 @dataclass(frozen=True)
@@ -270,5 +270,5 @@ class OracleEstimator:
 
     name: str = "oracle"
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
-        return phi_deg
+    def estimate_batch(self, rows: Samples) -> np.ndarray:
+        return rows.phi_deg

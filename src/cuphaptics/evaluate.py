@@ -5,10 +5,10 @@ prediction can be absent (the pressure-difference vector was ~zero);
 absent predictions are excluded from the error metrics and reported as a
 separate count rather than being scored at some arbitrary penalty angle.
 Across-seed spread is the population (divide-by-n) standard deviation.
-Each evaluator scores a table through its estimator's ``estimate_batch``
+Each evaluator hands its ``Samples`` to its estimator's ``estimate_batch``
 (``core.ModelBasedEstimator``, ``mlp.MlpEstimator``), so its answers carry
-the single-frame answers' bits, and a row the single-frame path rejects
-raises that row's error.
+the single-frame answers' bits, and a row the estimator rejects raises its
+single-frame error; ``Samples`` has refused every other bad row.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
 def _columns(estimator: Estimator, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
     """True yaws (``samples.phi_deg``, which ``Samples`` holds as ``Angle``
     stores them) and ``estimate_batch``'s yaws (NaN where none)."""
-    yaws = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
-    return samples.phi_deg, yaws
+    return samples.phi_deg, estimator.estimate_batch(samples)
 
 
 def _defined_errors(phi_true: np.ndarray, phi_pred: np.ndarray) -> np.ndarray:

@@ -40,8 +40,8 @@ so every fold's model and history equal a solo ``train`` bit for bit;
 ``train`` is the one-fold case. The validation fold is scored at each epoch's
 end in fixed chunks; the training loss is accumulated from the mini-batches.
 
-``MlpEstimator``, beside ``predict_angle``, is the table path: it decodes
-``_outputs_by_row``'s rows through ``core._yaws``, as ``direction_angle`` would.
+``MlpEstimator``, beside ``predict_angle``, is the table path: it decodes the
+``_outputs_by_row`` rows of a ``Samples`` through ``core._yaws``, as ``direction_angle`` would.
 """
 
 from __future__ import annotations
@@ -591,12 +591,12 @@ class MlpEstimator:
     model: MlpModel
     name: str = "mlp"
 
-    def estimate_batch(self, p_ch: np.ndarray, p_atm, phi_deg: np.ndarray) -> np.ndarray:
+    def estimate_batch(self, rows: Samples) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-            inputs, out = _outputs_by_row(self.model, p_ch)
+            inputs, out = _outputs_by_row(self.model, rows.p_ch)
         x, y = out.T
         ok = np.isfinite(inputs).all(axis=1)
-        return _yaws(p_ch, p_atm, phi_deg, x, y, ok, lambda f: predict_angle(self.model, f))
+        return _yaws(rows, x, y, ok, lambda f: predict_angle(self.model, f))
 
 
 def save_model(

@@ -21,9 +21,9 @@ runs.
 
 One kernel runs the rollouts that share an estimator in lockstep: one
 array kernel call synthesizes the frames of every live rollout, one
-``estimate_batch`` call (a ``core.Estimator``'s) estimates them, and the
-offsets step as a column. Each rollout ends, or raises, as a loop of
-``synth_frame`` on its noise rows, the single-frame estimate and
+``estimate_batch`` call (a ``core.Estimator``'s) estimates their ``Samples``
+table, and the offsets step as a column. Each rollout ends, or raises, as a
+loop of ``synth_frame`` on its noise rows, the single-frame estimate and
 ``search_step`` would.
 """
 
@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import Angle, DirectionEstimate, GroundTruthPose, SensorFrame, frames_valid
-from .dataset import write_table
+from .core import Angle, DirectionEstimate, GroundTruthPose, SensorFrame
+from .dataset import Samples, write_table
 from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .rng import SEARCH_STEP, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures
@@ -288,11 +288,13 @@ def _step(est, p_ch, p_atm, d, f, step_size) -> tuple[np.ndarray, np.ndarray]:
     """Each live rollout's yaw estimate and next offset from its frame; the
     first row whose frame, estimate or offset the single-frame path rejects
     raises that path's error."""
-    bad = ~frames_valid(p_ch, p_atm)
-    if bad.any():
-        SensorFrame(p_ch=tuple(p_ch[bad.argmax()].tolist()), p_atm=p_atm)
-        raise AssertionError("a search frame is rejected here but not by SensorFrame")
-    yaw = est.estimate_batch(p_ch, p_atm, f)
+    try:
+        rows = Samples(np.column_stack((p_ch, np.full(len(f), p_atm), d, f)))
+    except InvalidInputError:  # each offset and yaw is a pose's, so a frame is refused
+        for row in p_ch.tolist():
+            SensorFrame(p_ch=tuple(row), p_atm=p_atm)  # the error without Samples' "row i: "
+        raise AssertionError("a search frame is rejected here but not by SensorFrame") from None
+    yaw = est.estimate_batch(rows)
     new = _next_deltas(d, yaw, f, step_size)
     bad = np.isinf(new)
     if bad.any():

@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame, _wrap_deg
-from .dataset import CSV_COLUMNS, Samples
+from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame
+from .dataset import Samples
 from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
 
@@ -40,7 +40,6 @@ if TYPE_CHECKING:
 # not configurable.
 CHAMBER_ANGLES_DEG = (315.0, 225.0, 135.0, 45.0)
 _CHAMBER_ANGLES_RAD = np.radians(CHAMBER_ANGLES_DEG)
-_ABOVE_360 = math.nextafter(360.0, math.inf)  # a float below it is at most 360
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,18 @@ class GenerationConfig:
 
     n_samples: int = 25_273
     delta_range_mm: tuple[float, float] = (7.0, 14.0)
-    phi_range_deg: tuple[float, float] = (0.0, 360.0)
     sampling: Literal["uniform_random", "grid"] = "uniform_random"
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_count("n_samples", self.n_samples, 1)
         require_count("seed", self.seed)
-        name = "delta_range_mm"  # the range under check, which an error names
-        try:  # 0 <= d_lo <= d_hi < inf, then 0 <= p_lo < p_hi <= 360
+        name = "delta_range_mm"
+        try:  # 0 <= d_lo <= d_hi < inf
             d_lo, d_hi = self.delta_range_mm
             require_real(name, d_hi, require_real(name, d_lo, open_low=False), open_low=False)
-            name, (p_lo, p_hi) = "phi_range_deg", self.phi_range_deg
-            require_real(name, p_hi, require_real(name, p_lo, open_low=False), _ABOVE_360)
         except (ConfigError, TypeError, ValueError):
-            raise ConfigError(f"bad {name} {getattr(self, name)}") from None
+            raise ConfigError(f"bad {name} {self.delta_range_mm}") from None
         if self.sampling not in ("uniform_random", "grid"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
 
@@ -175,7 +171,8 @@ def generate_dataset(
 ) -> Samples:
     """Generate exactly n_samples labeled frames, fully determined by seed.
 
-    A grid row i takes offset i // n_phi and yaw i % n_phi, n_phi = ceil(sqrt(n)).
+    Yaws lie in [0, 360). A grid row i takes offset i // n_phi and yaw
+    i % n_phi, n_phi = ceil(sqrt(n)).
     """
     d_lo, d_hi = config.delta_range_mm
     if d_hi > 2.0 * geom.r_cup_mm:
@@ -183,18 +180,16 @@ def generate_dataset(
             f"delta_range_mm must stay within [0, {2.0 * geom.r_cup_mm}] "
             f"(cup diameter), got {config.delta_range_mm}"
         )
-    p_lo, p_hi = config.phi_range_deg
     n, seed = config.n_samples, config.seed
     if config.sampling == "grid":
         n_phi = math.ceil(math.sqrt(n))
         row = np.arange(n)
         delta = np.linspace(d_lo, d_hi, math.ceil(n / n_phi))[row // n_phi]
-        # phi endpoint excluded: the range wraps, so p_hi aliases p_lo.
-        phi = (p_lo + np.arange(n_phi) * ((p_hi - p_lo) / n_phi))[row % n_phi]
+        # 360 excluded: it aliases 0.
+        phi = (np.arange(n_phi) * (360.0 / n_phi))[row % n_phi]
     else:
         delta = substream(seed, DATASET_DELTA).uniform(d_lo, d_hi, size=n)
-        phi = substream(seed, DATASET_PHI).uniform(p_lo, p_hi, size=n)
-    phi = _wrap_deg(phi)  # every phi is in [0, 360]: 360 becomes 0
+        phi = substream(seed, DATASET_PHI).uniform(0.0, 360.0, size=n)  # below 360
     noise = sensor_noise(params.noise_sigma_kpa, substream(seed, DATASET_NOISE), (n, 4))
     p_ch = _chamber_pressures(geom, params, delta, phi, noise)
     return Samples(np.column_stack((p_ch, np.full(n, params.p_atm_kpa), delta, phi)))

@@ -1,8 +1,9 @@
 """Shared test utilities: the finite-difference gradient checker, a
 ``Samples`` builder, model-file writers with chosen standardization stats,
 layer sizes or a NaN parameter, a search rollout built from the
-single-frame functions, a trainer that steps one mini-batch at a time
-through the public functions, and a per-row dataset CSV reader."""
+single-frame functions and a grid rollout's noise rows, a trainer that
+steps one mini-batch at a time through the public functions, and a
+per-row dataset CSV reader."""
 
 import csv
 import math
@@ -164,8 +165,8 @@ class StubEstimator:
     phi: float | None
     name: str = "stub"
 
-    def estimate_batch(self, p_ch, p_atm, phi_deg):
-        return np.full(len(p_ch), math.nan if self.phi is None else Angle(self.phi).degrees)
+    def estimate_batch(self, rows):
+        return np.full(len(rows), math.nan if self.phi is None else Angle(self.phi).degrees)
 
 
 def frame_yaw(est, frame, pose):
@@ -192,6 +193,17 @@ class NoiseRows:
         z = next(self._rows)
         assert z.shape == size
         return loc + scale * z
+
+
+def grid_noise_rows(spec, config, position):
+    """The noise of the rollout at ``position`` among its estimator's rollouts
+    (in cell order, then by rep), as ``rollout_a_frame_at_a_time`` takes it:
+    every step's draw holds a row of standard normals for each of those
+    rollouts, all drawn from one stream keyed (spec.seed, SEARCH_STEP)."""
+    m = len(spec.delta0_values_mm) * len(spec.phi0_values_deg) * len(spec.noise_values_kpa)
+    stream = substream(spec.seed, SEARCH_STEP)
+    standard = stream.standard_normal((config.max_steps, m * spec.reps, 4))
+    return NoiseRows(standard[:, position])
 
 
 def rollout_a_frame_at_a_time(pose0, config, geom, params, rng=None):

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from cuphaptics import (
+    Angle,
+    BatchSpec,
+    CupGeometry,
     FeatureStats,
+    GroundTruthPose,
+    InvalidInputError,
+    ModelBasedEstimator,
+    PressureFieldParams,
     Samples,
+    SearchConfig,
     TrainConfig,
     cli,
     init_model,
@@ -19,6 +27,8 @@ from cuphaptics import (
 )
 from helpers import (
     equal_chamber_rows,
+    grid_noise_rows,
+    rollout_a_frame_at_a_time,
     write_model_with_nan_param,
     write_model_with_sizes,
     write_model_with_stats,
@@ -436,6 +446,25 @@ class TestSearch:
     def test_zero_phi_points_is_usage_error(self, tmp_path):
         code = main(["search", "--phi-points", "0", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_rejected_frame_is_usage_error(self, tmp_path, capsys):
+        # 1000 kPa of noise drives chambers below 0 kPa. The first rollout in
+        # cell order to meet such a frame raises what its single-frame loop
+        # raises, and no table is written.
+        args = ["--noise-sigma", "1000", "--phi-points", "4", "--reps", "1"]
+        code = main(["search", *args, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        est = ModelBasedEstimator()
+        spec = BatchSpec((14.0,), (0.0, 90.0, 180.0, 270.0), (1000.0,), (est,), reps=1)
+        config, params = SearchConfig(estimator=est), PressureFieldParams(noise_sigma_kpa=1000.0)
+        with pytest.raises(InvalidInputError, match=r"^p_ch[1-4] must be >= 0 kPa, ") as want:
+            for i, phi0 in enumerate(spec.phi0_values_deg):
+                pose0 = GroundTruthPose(delta=14.0, phi=Angle(phi0))
+                noise = grid_noise_rows(spec, config, i)
+                rollout_a_frame_at_a_time(pose0, config, CupGeometry(), params, noise)
+        assert err == f"error: {want.value}\n"
+        assert not (tmp_path / SEARCH_FILENAME).exists()
 
 
 class TestPredict:

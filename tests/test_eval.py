@@ -42,14 +42,17 @@ from cuphaptics import (
     mae_deg,
     network_output,
     predict_angle,
+    read_csv,
     rmse_deg,
     run_comparison,
     split,
     train,
+    write_csv,
 )
+import cuphaptics
 from cuphaptics import evaluate as evaluate_module
 from cuphaptics.mlp import _forward, _layer_views, _n_params, _outputs_by_row, _plan
-from helpers import equal_chamber_rows, frame_yaw
+from helpers import equal_chamber_rows
 
 GEOM = CupGeometry()
 
@@ -354,19 +357,22 @@ class TestClosedFormColumns:
         ],
     )
     def test_rejected_row_raises_the_single_frame_error(self, row, refusal, message):
-        # The estimator raises the single-frame error on any columns. Samples
-        # refuses a row the frame rule refuses (``refusal``), so only rows it
-        # holds reach ``evaluate_model_based``, which raises the same error.
+        # Samples refuses a row the frame rule refuses (``refusal``), so no
+        # estimator meets it. A row it holds that the estimator rejects raises
+        # the single-frame error, through the estimator and the evaluator.
         table = np.array([[96.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0], row])
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            ModelBasedEstimator().estimate_batch(table[:, 0:4], table[:, 4:5], table[:, 6])
-        with pytest.raises(InvalidInputError, match="^" + re.escape(refusal or message)):
+        if refusal is not None:
+            with pytest.raises(InvalidInputError, match="^" + re.escape(refusal)):
+                Samples(table)
+            return
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+            ModelBasedEstimator().estimate_batch(Samples(table))
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
             evaluate_model_based(Samples(table))
 
     def test_rows_outside_the_dataset_ranges_are_refused(self):
         # A negative offset or a yaw outside [0, 360] is refused, so no
-        # evaluation scores 400 deg as 40 deg; the estimator, which a rollout
-        # may reach with any finite yaw, still answers for the columns.
+        # evaluation scores 400 deg as 40 deg.
         rows = np.array([[96.0, 97.0, 96.0, 95.0, 101.325, 9.5, 400.0],
                          [96.0, 97.0, 96.0, 95.0, 101.325, -3.0, 10.0],
                          [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]])
@@ -376,9 +382,6 @@ class TestClosedFormColumns:
         ):
             with pytest.raises(InvalidInputError, match=re.escape(f"row 0: {message}") + "$"):
                 Samples(rows[i:])
-        yaws = ModelBasedEstimator().estimate_batch(rows[:, 0:4], rows[:, 4:5], rows[:, 6])
-        want = estimate_direction(SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325)).phi_pred
-        assert [f64(y) for y in yaws.tolist()] == [f64(want.degrees)] * 3
 
 
 RAW_MODEL = init_model(4)
@@ -470,14 +473,19 @@ class TestMlpColumns:
         ],
     )
     def test_rejected_row_raises_the_single_frame_error(self, model, row, refusal, message):
-        # As for the closed form: the estimator raises on any columns, and
-        # only rows that Samples holds reach ``evaluate_mlp``.
+        # As for the closed form: Samples refuses what the frame rule refuses,
+        # and a row it holds that the network rejects raises the single-frame
+        # error, through the estimator and ``evaluate_mlp``.
         table = np.array([BASE_ROW, row])
+        if refusal is not None:
+            with pytest.raises(InvalidInputError, match="^" + re.escape(refusal)):
+                Samples(table)
+            return
         # Overflow warnings are silenced so the single-frame error surfaces.
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInputError, match=re.escape(message)):
-                MlpEstimator(model).estimate_batch(table[:, 0:4], table[:, 4:5], table[:, 6])
-            with pytest.raises(InvalidInputError, match="^" + re.escape(refusal or message)):
+            with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+                MlpEstimator(model).estimate_batch(Samples(table))
+            with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
                 evaluate_mlp(model, Samples(table))
 
     def test_model_of_another_input_width_is_rejected(self):
@@ -490,26 +498,45 @@ class TestMlpColumns:
                          [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]])
         with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
             evaluate_mlp(RAW_MODEL, Samples(rows))
-        yaws = MlpEstimator(RAW_MODEL).estimate_batch(rows[:, 0:4], rows[:, 4:5], rows[:, 6])
-        want = predict_angle(RAW_MODEL, SensorFrame((96.0, 97.0, 96.0, 95.0), 101.325))
-        assert [f64(y) for y in yaws.tolist()] == [f64(want.degrees)] * 2
 
 
-@pytest.mark.parametrize(
-    "estimator", [ModelBasedEstimator(), MlpEstimator(RAW_MODEL)], ids=["model_based", "mlp"]
+# A network whose inputs overflow at 1e10 kPa and whose outputs overflow at 1 kPa.
+OVERFLOWING_MODEL = init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4))
+OVERFLOWING_MODEL = MlpModel(
+    OVERFLOWING_MODEL.layer_sizes, OVERFLOWING_MODEL.params * 1e300, OVERFLOWING_MODEL.stats
 )
-def test_earliest_rejected_row_wins(estimator):
+# Per estimator, two rows that Samples holds and it rejects, with their errors.
+REJECTED_BY = {
+    "model_based": (
+        ModelBasedEstimator(),
+        ([1.3008000000000001] + [0.8008000000000001] * 4 + [1.0, 10.0], "vacuum p1 = -0.5"),
+        ([1.7e308, 0.0, 1.7e308, 0.0, 1.79e308, 1.0, 10.0], "vector x must be finite"),
+    ),
+    "mlp": (
+        MlpEstimator(OVERFLOWING_MODEL),
+        ([1e10] * 5 + [1.0, 10.0], "inputs must be finite"),
+        ([1.0] * 5 + [1.0, 10.0], "output must be finite"),
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["model_based", "mlp"])
+def test_earliest_rejected_row_wins(method):
+    # Samples names the first row the frame rule refuses, and the estimator
+    # the first row of a table it holds that the estimator rejects.
     nan_yaw = [96.0, 96.0, 96.0, 96.0, 101.325, 1.0, np.nan]
     above = [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]
-    for rows, refusal, message in (
-        ([BASE_ROW, nan_yaw, above], "row 1: phi_deg must be in", "angle must be finite"),
-        ([BASE_ROW, above, nan_yaw], "row 1: p_ch1 = 150.0 kPa", "p_ch1 = 150.0 kPa exceeds"),
+    for rows, refusal in (
+        ([BASE_ROW, nan_yaw, above], "row 1: phi_deg must be in"),
+        ([BASE_ROW, above, nan_yaw], "row 1: p_ch1 = 150.0 kPa"),
     ):
-        table = np.array(rows)
         with pytest.raises(InvalidInputError, match="^" + re.escape(refusal)):
-            Samples(table)
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            estimator.estimate_batch(table[:, 0:4], table[:, 4:5], table[:, 6])
+            Samples(np.array(rows))
+    estimator, (a, a_error), (b, b_error) = REJECTED_BY[method]
+    for rows, message in (([BASE_ROW, a, b], a_error), ([BASE_ROW, b, a], b_error)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+                estimator.estimate_batch(Samples(np.array(rows)))
 
 
 EVALUATORS = {
@@ -547,26 +574,18 @@ class TestPairs:
 
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
     def test_yaws_outside_the_dataset_reach_only_the_estimator(self, method):
-        # Samples refuses each; the estimator answers each row as its
-        # single-frame function does, and wraps its own yaws.
-        _, estimator = EVALUATORS[method]
+        # Samples refuses each, so no estimator meets it.
         rows = edge_yaw_rows(OUTSIDE_YAWS)
-        with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
-            Samples(rows)
-        column = estimator.estimate_batch(rows[:, 0:4], rows[:, 4:5], rows[:, 6])
-        frames = [SensorFrame(tuple(row[:4]), row[4]) for row in rows.tolist()]
-        single = [frame_yaw(estimator, frame, None) for frame in frames]
-        assert np.isnan(column).any() and not np.isnan(column).all()
-        assert [None if math.isnan(y) else f64(y) for y in column.tolist()] == [
-            None if a is None else f64(a.degrees) for a in single
-        ]
+        for i in range(0, len(rows), 2):
+            with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
+                Samples(rows[i:])
 
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
     def test_angles_have_the_checked_paths_bits(self, method):
         evaluate, estimator = EVALUATORS[method]
         samples = edge_yaw_table()
         pairs = evaluate(samples)
-        column = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
+        column = estimator.estimate_batch(samples)
         assert len(pairs) == len(samples) == len(column)
         assert np.isnan(column).any() and not np.isnan(column).all()
         want = [
@@ -586,7 +605,7 @@ class TestPairs:
     def test_built_objects_behave_as_constructed(self, method):
         evaluate, estimator = EVALUATORS[method]
         samples = edge_yaw_table()
-        column = estimator.estimate_batch(samples.p_ch, samples.p_atm, samples.phi_deg)
+        column = estimator.estimate_batch(samples)
         for got, pred, yaw in zip(evaluate(samples), column.tolist(), samples.phi_deg.tolist()):
             want = pair(None if math.isnan(pred) else pred, yaw)
             assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
@@ -636,15 +655,13 @@ class TestCollectorState:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
     def test_left_as_found(self, method, enabled):
-        evaluate, estimator = EVALUATORS[method]
+        evaluate, _ = EVALUATORS[method]
         rejected = np.array([BASE_ROW, [150.0, 96.0, 96.0, 96.0, 101.325, 1.0, 10.0]])
         with collector(enabled):
             assert len(evaluate(edge_yaw_table())) == 2 * len(EDGE_YAWS)
             assert gc.isenabled() is enabled
             with pytest.raises(InvalidInputError, match="^row 1: p_ch1 = 150.0 kPa exceeds"):
                 Samples(rejected)
-            with pytest.raises(InvalidInputError, match="^p_ch1 = 150.0 kPa exceeds"):
-                estimator.estimate_batch(rejected[:, 0:4], rejected[:, 4:5], rejected[:, 6])
             assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("method", sorted(EVALUATORS))
@@ -784,6 +801,30 @@ class TestRowKernel:
 
 
 class TestRunComparison:
+    def test_the_frame_rule_runs_once_per_table(self, tmp_path, monkeypatch):
+        # Samples checks a table's frames where it is built; scoring it and
+        # training on it check none again.
+        samples = generate_dataset(
+            GEOM, PressureFieldParams(), GenerationConfig(n_samples=60, seed=5)
+        )
+        write_csv(samples, tmp_path / "d.csv")
+        calls, frames_valid = [], cuphaptics.core.frames_valid
+
+        def counted(p_ch, p_atm):
+            calls.append(len(p_ch))
+            return frames_valid(p_ch, p_atm)
+
+        for module in (cuphaptics.core, cuphaptics.dataset, cuphaptics.evaluate,
+                       cuphaptics.mlp, cuphaptics.search):
+            if hasattr(module, "frames_valid"):
+                monkeypatch.setattr(module, "frames_valid", counted)
+        evaluate_model_based(samples)
+        evaluate_mlp(RAW_MODEL, samples)
+        run_comparison(samples, SplitSpec(), quick_config(), seeds=[1, 2])
+        assert calls == []
+        assert len(read_csv(tmp_path / "d.csv")) == 60
+        assert calls == [60]
+
     def test_returns_first_seed_pairs(self):
         samples = generate_dataset(
             GEOM, PressureFieldParams(), GenerationConfig(n_samples=200, seed=5)

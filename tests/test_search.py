@@ -39,7 +39,7 @@ from cuphaptics.rng import SEARCH_STEP, substream
 import cuphaptics
 import cuphaptics.search as search_module
 from cuphaptics.search import _next_delta, _next_deltas
-from helpers import NoiseRows, StubEstimator, frame_yaw, rollout_a_frame_at_a_time
+from helpers import StubEstimator, frame_yaw, grid_noise_rows, rollout_a_frame_at_a_time
 
 GEOM = CupGeometry()
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
@@ -239,17 +239,6 @@ def test_configs_reject_non_integer_counts(make, field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
         make(**{field: value})
     assert getattr(make(**{field: np.int64(3)}), field) == 3  # numpy integers pass
-
-
-def grid_noise_rows(spec, config, position):
-    """The noise of the rollout at ``position`` among its estimator's rollouts
-    (in cell order, then by rep), as ``rollout_a_frame_at_a_time`` takes it:
-    every step's draw holds a row of standard normals for each of those
-    rollouts, all drawn from one stream keyed (spec.seed, SEARCH_STEP)."""
-    m = len(spec.delta0_values_mm) * len(spec.phi0_values_deg) * len(spec.noise_values_kpa)
-    stream = substream(spec.seed, SEARCH_STEP)
-    standard = stream.standard_normal((config.max_steps, m * spec.reps, 4))
-    return NoiseRows(standard[:, position])
 
 
 def rows_a_rollout_at_a_time(spec, config, params):
@@ -590,11 +579,11 @@ class TestBatchSearch:
         class RejectsDeepVacuum:
             name = "rejects"
 
-            def estimate_batch(self, p_ch, p_atm, phi_deg):
-                for row in p_ch:
+            def estimate_batch(self, rows):
+                for row in rows.p_ch:
                     if row.min() < 96.0:
                         raise InvalidInputError(f"rejected at {row.min()!r} kPa")
-                return phi_deg.copy()
+                return rows.phi_deg.copy()
 
         def error(*delta0_values_mm):
             spec = BatchSpec(delta0_values_mm, (0.0,), (0.3,),
@@ -681,7 +670,7 @@ class TestEstimateBatch:
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_equals_estimate_bit_for_bit(self, name, table):
         est = ESTIMATORS[name]
-        yaw = est.estimate_batch(table.p_ch, table.p_atm, table.phi_deg)
+        yaw = est.estimate_batch(table)
         want = [frame_yaw(est, s.frame, s.pose) for s in table]
         assert [y.hex() for y in yaw.tolist()] == [
             math.nan.hex() if a is None else a.degrees.hex() for a in want
@@ -689,22 +678,15 @@ class TestEstimateBatch:
         if name == "model_based":
             assert math.isnan(yaw[-2]) and yaw[-1].hex() == "0x0.0p+0"
 
-    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-    def test_scalar_ambient_equals_a_column(self, name, table):
-        est, p_ch, phi = ESTIMATORS[name], table.p_ch, table.phi_deg
-        assert set(table.table[:, 4].tolist()) == {101.325}
-        column = est.estimate_batch(p_ch, np.full((len(table), 1), 101.325), phi)
-        assert est.estimate_batch(p_ch, 101.325, phi).tobytes() == column.tobytes()
-
     @pytest.mark.parametrize(
         "est, row, p_atm, message",
         [
             (ESTIMATORS["model_based"], [150.0, 96.0, 96.0, 96.0], 101.325,
-             "p_ch1 = 150.0 kPa exceeds"),
+             "row 1: p_ch1 = 150.0 kPa exceeds"),
             (ESTIMATORS["mlp_raw"], [150.0, 96.0, 96.0, 96.0], 101.325,
-             "p_ch1 = 150.0 kPa exceeds"),
+             "row 1: p_ch1 = 150.0 kPa exceeds"),
             (ESTIMATORS["mlp_std"], [96.0, 96.0, 96.0, 150.0], 101.325,
-             "p_ch4 = 150.0 kPa exceeds"),
+             "row 1: p_ch4 = 150.0 kPa exceeds"),
             # A tiny spread sends the standardized inputs past the float range.
             (
                 MlpEstimator(init_model(6, stats=FeatureStats((0.0,) * 4, (1e-300,) * 4))),
@@ -717,16 +699,18 @@ class TestEstimateBatch:
              "mlp-standardized-input-overflows"],
     )
     def test_rejected_row_raises_the_single_frame_error(self, est, row, p_atm, message):
-        p_ch = np.array([[96.0, 96.0, 96.0, 96.0], row])
+        # Samples refuses a frame that SensorFrame refuses, naming its row, so
+        # no estimator meets it; a row it holds that the estimator rejects
+        # raises the estimator's single-frame error.
+        table = np.array([[96.0] * 4 + [p_atm, 1.0, 10.0], row + [p_atm, 1.0, 20.0]])
         # Overflow warnings are silenced so the single-frame error surfaces.
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInputError, match=re.escape(message)):
-                est.estimate_batch(p_ch, p_atm, np.array([10.0, 20.0]))
+            with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+                est.estimate_batch(Samples(table))
 
     def test_oracle_returns_the_true_yaws(self, table):
-        phi = table.phi_deg
-        yaw = OracleEstimator().estimate_batch(table.p_ch, 101.325, phi)
-        assert yaw.tobytes() == phi.tobytes()
+        yaw = OracleEstimator().estimate_batch(table)
+        assert yaw.tobytes() == table.phi_deg.tobytes()
 
 
 class TestEstimatorHomes:
@@ -811,10 +795,11 @@ def scalar_yaws(x, y):
 
 
 def column_yaws(x, y):
-    """``_yaws`` of the rows (x, y), on frames that every check accepts, as hex."""
+    """``_yaws`` of the rows (x, y), on a table of frames that every check
+    accepts, as hex."""
     n = len(x)
-    p_ch, ok = np.full((n, 4), 96.0), np.ones(n, dtype=bool)
-    yaw = _yaws(p_ch, 101.325, np.zeros(n), x, y, ok, estimate=None)
+    rows = Samples(np.tile([96.0, 96.0, 96.0, 96.0, 101.325, 1.0, 0.0], (n, 1)))
+    yaw = _yaws(rows, x, y, np.ones(n, dtype=bool), estimate=None)
     return [v.hex() for v in yaw.tolist()]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -308,13 +309,13 @@ class TestGenerateDataset:
             frame = synth_frame(GEOM, params, pose(delta, phi))
             assert frame.p_ch == tuple(p_ch) and frame.p_atm == p_atm
 
-    def test_yaw_at_range_end_wraps_to_zero_as_angle_does(self):
-        # Drawn yaws in [360 - ulp, 360) round up to 360 about half the time.
-        below = float(np.nextafter(360.0, 0.0))
-        config = GenerationConfig(n_samples=200, phi_range_deg=(below, 360.0), seed=2)
-        phis = generate_dataset(GEOM, NOISELESS, config).phi_deg
-        assert set(phis.tolist()) == {below, 0.0}
-        assert all(Angle(phi).degrees == phi for phi in phis.tolist())
+    def test_yaws_lie_in_the_half_open_turn(self):
+        # The raw column, before any Angle: in [0, 360), and no -0.0.
+        for sampling, n in itertools.product(["uniform_random", "grid"], [1, 7, 1000]):
+            config = GenerationConfig(n_samples=n, sampling=sampling, seed=3)
+            phis = generate_dataset(GEOM, NOISELESS, config).phi_deg
+            assert ((0.0 <= phis) & (phis < 360.0)).all()
+            assert not np.signbit(phis).any()
 
     def test_pressure_below_zero_is_rejected(self):
         # ambient 5 kPa cannot hold up to 10 kPa of vacuum

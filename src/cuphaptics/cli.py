@@ -185,9 +185,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=args.seed,
     )
-    if args.estimator == "mlp":
-        estimator = MlpEstimator(model=load_model(args.model))
-        config, spec = replace(config, estimator=estimator), replace(spec, estimators=(estimator,))
+    if args.estimator == "mlp":  # batch_search reads only the step policy from config
+        spec = replace(spec, estimators=(MlpEstimator(model=load_model(args.model)),))
     rows = batch_search(spec, config, CupGeometry(), PressureFieldParams())  # the grid sets noise
     path = _out_dir(args) / SEARCH_FILENAME
     write_batch_csv(rows, path)

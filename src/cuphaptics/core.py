@@ -237,8 +237,7 @@ def _yaws(rows: Samples, x, y, ok, estimate: Callable[[SensorFrame], object]) ->
     ok = ok & np.isfinite(x) & np.isfinite(y)
     if not ok.all():
         i = int(ok.argmin())
-        *p_ch, p_atm, _, _ = rows.table[i].tolist()
-        estimate(SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm))
+        estimate(rows[i].frame)
         raise AssertionError(f"row {i} is rejected here but not by the single-frame path")
     xs, ys, n = memoryview(x), memoryview(y), len(x)  # floats one by one, no lists
     zero = ~(np.fromiter(map(math.hypot, xs, ys), float, count=n) > EPS_ZERO)

@@ -72,8 +72,8 @@ def _labeled(row: Sequence[float]) -> LabeledSample:
     )
 
 
-def _frozen(table: object) -> np.ndarray:
-    """``table`` as a read-only C-contiguous view, if it is a float64 (n, 7) array."""
+def _c_table(table: object) -> np.ndarray:
+    """A float64 (n, 7) ``table``, copied only if not C-contiguous; else InvalidInputError."""
     if not (
         isinstance(table, np.ndarray)
         and table.dtype == np.float64
@@ -83,9 +83,7 @@ def _frozen(table: object) -> np.ndarray:
             f"samples table must be float64 of shape (n, {len(CSV_COLUMNS)}), "
             f"got {np.asarray(table).dtype} of shape {np.shape(table)}"
         )
-    table = np.ascontiguousarray(table).view()
-    table.flags.writeable = False
-    return table
+    return np.ascontiguousarray(table)
 
 
 def _rows_ok(table: np.ndarray) -> np.ndarray:
@@ -102,17 +100,28 @@ class Samples:
 
     A table from outside is checked a column at a time (``_rows_ok``), and
     the first row refused replays the checks ``_csv_rows`` makes of a row,
-    raising ``InvalidInputError`` as ``row i: <message>``. Each yaw is held
-    as ``Angle`` stores it (360 as 0, -0.0 as +0.0), on a copy made only
-    where one changes. Indexing with an int gives that row's
-    ``LabeledSample``; indexing with a slice, an index array or a mask gives
-    another ``Samples``, of rows already checked.
+    raising ``InvalidInputError`` as ``row i: <message>``. It checks a copy,
+    which no later write to the caller's array reaches, and holds each yaw
+    as ``Angle`` stores it (360 as 0, -0.0 as +0.0). Indexing with an int
+    gives that row's ``LabeledSample``; indexing with a slice, an index
+    array or a mask gives another ``Samples``, of rows already checked.
     """
 
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = _frozen(self.table)
+        self._hold(np.array(_c_table(self.table)))
+
+    @classmethod
+    def _adopt(cls, table: np.ndarray) -> Samples:
+        """The ``Samples`` of a table its builder writes no more: not copied
+        where it is C-contiguous, writable and owns its data."""
+        samples = object.__new__(cls)
+        samples._hold(np.require(_c_table(table), None, "OW"))
+        return samples
+
+    def _hold(self, table: np.ndarray) -> None:
+        """Check ``table``, which no one else writes, then wrap and freeze it."""
         ok = _rows_ok(table)
         if not ok.all():
             i = int(ok.argmin())
@@ -125,11 +134,8 @@ class Samples:
                 raise InvalidInputError(f"row {i}: {exc}") from None
             raise AssertionError(f"row {i} is refused by the table check but not by its row")
         phi = table[:, 6]
-        moved = (phi == 360.0) | np.signbit(phi)  # phi >= 0, so only -0.0 has a sign
-        if moved.any():
-            table = table.copy()
-            table[moved, 6] = 0.0  # Angle's rule
-            table.flags.writeable = False
+        phi[(phi == 360.0) | np.signbit(phi)] = 0.0  # Angle's rule (phi >= 0: only -0.0 has a sign)
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -154,7 +160,9 @@ class Samples:
         if isinstance(key, (int, np.integer)):
             return _labeled(self.table[key].tolist())
         cut = object.__new__(Samples)  # rows of a checked table: no second check
-        object.__setattr__(cut, "table", _frozen(self.table[key]))
+        table = _c_table(self.table[key])  # a new view, or an index result no one else holds
+        table.flags.writeable = False
+        object.__setattr__(cut, "table", table)
         return cut
 
     def __iter__(self) -> Iterator[LabeledSample]:
@@ -337,7 +345,7 @@ def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
         except InvalidInputError as exc:
             raise CsvParseError(str(exc), line=line) from exc
         rows.append(values)
-    return np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+    return np.array(rows or np.empty((0, len(CSV_COLUMNS))), dtype=np.float64)  # owns its data
 
 
 def _numpy_rows(raw: bytes) -> np.ndarray | None:
@@ -385,7 +393,7 @@ def read_csv(path: str | Path) -> Samples:
         table = _numpy_rows(raw)
         if table is not None:
             try:
-                return Samples(table)
+                return Samples._adopt(table)
             except InvalidInputError:
                 pass  # the csv pass names the refused row's file line
         table = _csv_rows(reader)
@@ -393,7 +401,7 @@ def read_csv(path: str | Path) -> Samples:
         raise CsvParseError(f"not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise CsvParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
-    return Samples(table)
+    return Samples._adopt(table)
 
 
 def split(samples: Samples, spec: SplitSpec) -> tuple[Samples, Samples]:

@@ -24,7 +24,9 @@ array kernel call synthesizes the frames of every live rollout, one
 ``estimate_batch`` call (a ``core.Estimator``'s) estimates their ``Samples``
 table, and the offsets step as a column. Each rollout ends, or raises, as a
 loop of ``synth_frame`` on its noise rows, the single-frame estimate and
-``search_step`` would.
+``search_step`` would: the table path only detects a rejection, and a step
+it rejects reruns each row through the single-frame functions in the loop's
+order, so a rejected rollout ends with the error its own row raises.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def _lockstep(
     SEARCH_STEP)``. A rollout whose frame, estimate or offset the
     single-frame path rejects ends there, and its reason is that path's
     error; the step's other rollouts go on as if it were not there."""
-    max_steps, seal_at = config.max_steps, config.success_delta_mm
+    max_steps, seal_at, step = config.max_steps, config.success_delta_mm, config.step_size_mm
     delta, phi, sigma = starts[:, 0].copy(), starts[:, 1], starts[:, 2:]
     rng = substream(seed, SEARCH_STEP) if sigma.any() else None  # noiseless: no draws
     steps = np.zeros(len(starts), dtype=np.int64)
@@ -258,17 +260,27 @@ def _lockstep(
         d, f = delta[live], phi[live]
         noise = rng.normal(0.0, sigma, (len(starts), 4))[live] if rng else None
         p_ch = _chamber_pressures(geom, params, d, f, noise)
+        table = np.column_stack((p_ch, np.full(len(live), params.p_atm_kpa), d, f))
+        try:  # the table path only detects a rejection
+            yaw = est.estimate_batch(Samples._adopt(table))
+            new = _next_deltas(d, yaw, f, step)
+        except InvalidInputError:
+            new = None
         rejected = {}
-        try:
-            yaw, new = _step(est, p_ch, params.p_atm_kpa, d, f, config.step_size_mm)
-        except InvalidInputError:  # the rows one at a time, to find each rejected one
+        if new is None or np.isinf(new).any():  # each row alone, as the single-frame loop runs it
             yaw, new = np.full(len(live), np.nan), d.copy()
-            for i in range(len(live)):
-                one = slice(i, i + 1)
+            for i, (*p, p_atm, d_i, f_i) in enumerate(table.tolist()):
                 try:
-                    (yaw[i],), (new[i],) = _step(
-                        est, p_ch[one], params.p_atm_kpa, d[one], f[one], config.step_size_mm
-                    )
+                    SensorFrame(p_ch=tuple(p), p_atm=p_atm)
+                    try:
+                        one = Samples(table[i : i + 1])
+                    except InvalidInputError as error:
+                        raise AssertionError("SensorFrame accepts, Samples refuses") from error
+                    (y,) = est.estimate_batch(one).tolist()
+                    n = _next_delta(d_i, y, f_i, step)
+                    if not math.isnan(y):  # with no gradient the loop stops before it steps
+                        GroundTruthPose(delta=n, phi=Angle(f_i))
+                    yaw[i], new[i] = y, n
                 except InvalidInputError as error:
                     rejected[live[i]] = error
             if not rejected:
@@ -282,26 +294,6 @@ def _lockstep(
         for j, error in rejected.items():
             reasons[j] = error
     return reasons, steps
-
-
-def _step(est, p_ch, p_atm, d, f, step_size) -> tuple[np.ndarray, np.ndarray]:
-    """Each live rollout's yaw estimate and next offset from its frame; the
-    first row whose frame, estimate or offset the single-frame path rejects
-    raises that path's error."""
-    try:
-        rows = Samples(np.column_stack((p_ch, np.full(len(f), p_atm), d, f)))
-    except InvalidInputError:  # each offset and yaw is a pose's, so a frame is refused
-        for row in p_ch.tolist():
-            SensorFrame(p_ch=tuple(row), p_atm=p_atm)  # the error without Samples' "row i: "
-        raise AssertionError("a search frame is rejected here but not by SensorFrame") from None
-    yaw = est.estimate_batch(rows)
-    new = _next_deltas(d, yaw, f, step_size)
-    bad = np.isinf(new)
-    if bad.any():
-        i = bad.argmax()
-        GroundTruthPose(delta=new[i], phi=Angle(f[i]))
-        raise AssertionError("a search offset is rejected here but not by GroundTruthPose")
-    return yaw, new
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:

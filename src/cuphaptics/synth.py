@@ -192,4 +192,4 @@ def generate_dataset(
         phi = substream(seed, DATASET_PHI).uniform(0.0, 360.0, size=n)  # below 360
     noise = sensor_noise(params.noise_sigma_kpa, substream(seed, DATASET_NOISE), (n, 4))
     p_ch = _chamber_pressures(geom, params, delta, phi, noise)
-    return Samples(np.column_stack((p_ch, np.full(n, params.p_atm_kpa), delta, phi)))
+    return Samples._adopt(np.column_stack((p_ch, np.full(n, params.p_atm_kpa), delta, phi)))

@@ -32,6 +32,7 @@ from cuphaptics import (
     SensorFrame,
     SplitSpec,
     feature_stats,
+    evaluate_model_based,
     export_scatter,
     generate_dataset,
     read_csv,
@@ -238,7 +239,7 @@ class TestSamples:
 
     def test_yaws_are_held_as_angle_stores_them_on_a_copy(self):
         table = small_samples().table.copy()
-        assert Samples(table).table.base is table  # no yaw changes: no copy
+        assert not np.shares_memory(Samples(table).table, table)  # a caller's table is copied
         table[[1, 4], 6] = [360.0, -0.0]
         samples = Samples(table)
         assert not np.shares_memory(samples.table, table)
@@ -272,6 +273,52 @@ class TestSamples:
         monkeypatch.setattr(cuphaptics.dataset, "_rows_ok", counted)
         assert len(read_csv(tmp_path / "d.csv")) == 12
         assert calls == [12]
+
+
+
+class TestSamplesOwnsItsTable:
+    """A ``Samples`` holds a table no caller can write: the caller's array is
+    copied, and a table handed over with ``Samples._adopt`` is kept only where
+    it owns its data. ``generate_dataset`` and ``read_csv`` hand over the arrays
+    ``np.column_stack`` and ``np.loadtxt`` built, without a copy."""
+
+    @pytest.mark.parametrize("read_only_view", [False, True], ids=["array", "read-only-view"])
+    def test_writes_to_the_callers_array_leave_it_as_checked(self, tmp_path, read_only_view):
+        table = np.array([row_at(phi=40.0), row_at(delta=3.0)])
+        given = table.view() if read_only_view else table
+        given.flags.writeable = not read_only_view
+        samples = Samples(given)
+        checked = samples.table.copy()
+        table[0, 6], table[1, 0] = 400.0, 500.0  # a yaw and a chamber the rule refuses
+        assert np.array_equal(samples.table, checked)
+        assert samples.phi_deg[0] == 40.0 and samples[0].pose.phi == Angle(40.0)
+        write_csv(samples, tmp_path / "d.csv")
+        assert np.array_equal(read_csv(tmp_path / "d.csv").table, checked)
+        assert [p.phi_true for p in evaluate_model_based(samples)] == [Angle(40.0), Angle(123.0)]
+
+    def test_a_handed_over_table_is_kept_where_it_owns_its_data(self):
+        owner = np.array([row_at(), row_at(phi=360.0)])
+        samples = Samples._adopt(owner)
+        assert samples.table is owner and not owner.flags.writeable
+        assert samples.phi_deg.tolist() == [123.0, 0.0]  # Angle's rule, in place
+        base = np.array([row_at(), row_at()])
+        samples = Samples._adopt(base[:1])  # a view: its base may be written
+        base[0, 6] = 400.0
+        assert samples.phi_deg.tolist() == [123.0]
+
+    def test_generate_and_read_csv_hand_over_the_table_numpy_built(self, tmp_path, monkeypatch):
+        built = []
+
+        def recorded(make):
+            return lambda *args, **kwargs: built.append(make(*args, **kwargs)) or built[-1]
+
+        monkeypatch.setattr(np, "column_stack", recorded(np.column_stack))
+        monkeypatch.setattr(np, "loadtxt", recorded(np.loadtxt))
+        samples = small_samples()
+        assert samples.table is built[-1]
+        write_csv(samples, tmp_path / "d.csv")
+        assert read_csv(tmp_path / "d.csv").table is built[-1]
+        assert [table.flags.owndata for table in built] == [True, True]
 
 
 class TestCsvRoundTrip:

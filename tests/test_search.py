@@ -38,6 +38,7 @@ from cuphaptics.core import EPS_ZERO, _yaw_deg, _yaws
 from cuphaptics.rng import SEARCH_STEP, substream
 import cuphaptics
 import cuphaptics.search as search_module
+import helpers
 from cuphaptics.search import _next_delta, _next_deltas
 from helpers import StubEstimator, frame_yaw, grid_noise_rows, rollout_a_frame_at_a_time
 
@@ -786,6 +787,62 @@ class TestRejectedRollout:
         params = PressureFieldParams(p_atm_kpa=5.0, noise_sigma_kpa=0.0)
         self.run(OracleEstimator(), SearchConfig(estimator=OracleEstimator()), params,
                  "must be >= 0 kPa")
+
+
+
+class RejectsSecondQuadrant:
+    """An estimator by true yaw: toward the plate below 90 degrees, a
+    rejection naming chamber 1 below 180, away from the plate below 270 and
+    no answer above. ``yaw`` is its single-frame function."""
+
+    name = "quadrants"
+
+    def yaw(self, frame, pose):
+        phi = pose.phi.degrees
+        if 90.0 <= phi < 180.0:
+            raise InvalidInputError(f"rejects p_ch1 = {frame.p_ch[0]!r} kPa")
+        return phi if phi < 90.0 else (phi + 180.0) % 360.0 if phi < 270.0 else math.nan
+
+    def estimate_batch(self, rows):
+        return np.array([self.yaw(row.frame, row.pose) for row in rows])
+
+
+def test_mixed_rejections_in_one_lockstep_each_end_their_own_rollout(monkeypatch):
+    # 1000 kPa noise drives most frames below 0 kPa, the estimator rejects
+    # every second-quadrant yaw, and a 1.7e308 mm step away from the plate
+    # overflows the offset: on the first step from 1.7e308 mm, on the second
+    # from 14 mm. The other rollouts seal or find no gradient meanwhile.
+    est = RejectsSecondQuadrant()
+    spec = BatchSpec((14.0, 1.7e308), (45.0, 135.0, 225.0, 315.0), (0.0, 1000.0), (est,),
+                     reps=2, seed=4)
+    config = SearchConfig(estimator=est, step_size_mm=1.7e308, max_steps=3)
+    cells = list(itertools.product(*(spec.delta0_values_mm, spec.phi0_values_deg,
+                                     spec.noise_values_kpa)))
+    starts = np.repeat(cells, spec.reps, axis=0)
+    reasons, _ = search_module._lockstep(est, starts, spec.seed, config, GEOM, NOISELESS)
+
+    def single_frame_yaw(est, frame, pose):
+        yaw = est.yaw(frame, pose)
+        return None if math.isnan(yaw) else Angle(yaw)
+
+    monkeypatch.setattr(helpers, "frame_yaw", single_frame_yaw)
+    errors = []
+    for j, (d0, phi0, noise) in enumerate(starts.tolist()):
+        params = replace(NOISELESS, noise_sigma_kpa=noise)
+        noise_rows = grid_noise_rows(spec, config, j)
+        try:
+            want = rollout_a_frame_at_a_time(pose(d0, phi0), config, GEOM, params, noise_rows)[0]
+        except InvalidInputError as error:
+            errors.append(error)
+            assert type(reasons[j]) is InvalidInputError and str(reasons[j]) == str(error)
+        else:
+            assert reasons[j] == want.failure_reason
+    kinds = ("must be >= 0 kPa", "rejects p_ch1", "delta must be finite, got inf")
+    assert all(any(kind in str(error) for error in errors) for kind in kinds)
+    assert {None, "no-gradient"} <= {r for r in reasons.tolist() if isinstance(r, (str, type(None)))}
+    with pytest.raises(InvalidInputError) as got:
+        batch_search(spec, config, GEOM, NOISELESS)
+    assert str(got.value) == str(errors[0])
 
 
 def scalar_yaws(x, y):

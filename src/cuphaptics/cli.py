@@ -24,7 +24,6 @@ from .evaluate import (
     MLP_METHOD,
     MODEL_BASED_METHOD,
     _check_seeds,
-    _columns,
     _defined_errors,
     export_scatter,
     run_comparison,
@@ -110,7 +109,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_set, val_set = split(read_csv(args.data), spec)
     model, history = train(train_set, val_set, config)
 
-    errors = _defined_errors(*_columns(MlpEstimator(model), val_set))
+    errors = _defined_errors(val_set.phi_deg, MlpEstimator(model).estimate_batch(val_set))
     val_rmse = _rmse(errors) if len(errors) else None
     out = _out_dir(args)
     model_path = out / MODEL_FILENAME

@@ -6,7 +6,7 @@ chambers 1 and 4 sit on the +x side, chambers 3 and 4 on the +y side, so
 pairwise chamber sums give a vector that points toward the better seal.
 
 Everything here is an immutable value or a pure function. The value types
-keep plain floats in range as given, one comparison each, and convert the rest.
+store each number as a finite float, converted and then range-checked.
 
 ``ModelBasedEstimator`` and ``OracleEstimator`` answer for a ``Samples`` table
 through ``estimate_batch``, as ``mlp.MlpEstimator`` does beside ``predict_angle``:
@@ -95,16 +95,7 @@ class SensorFrame:
     p_atm: float
 
     def __post_init__(self) -> None:
-        # Plain floats in range are kept as given, one comparison each (NaN
-        # fails it); anything else is converted, or raises, below.
-        p_atm, p_ch = self.p_atm, self.p_ch
-        if type(p_ch) is tuple and len(p_ch) == 4 and type(p_atm) is float:
-            p1, p2, p3, p4 = p_ch
-            hi = p_atm + PRESSURE_TOLERANCE_KPA
-            if type(p1) is type(p2) is type(p3) is type(p4) is float and 0.0 <= p_atm < math.inf:
-                if 0.0 <= p1 <= hi and 0.0 <= p2 <= hi and 0.0 <= p3 <= hi and 0.0 <= p4 <= hi:
-                    return
-        p_atm = _as_finite(p_atm, "p_atm")
+        p_atm = _as_finite(self.p_atm, "p_atm")
         if p_atm < 0.0:
             raise InvalidInputError(f"p_atm must be >= 0 kPa, got {p_atm}")
         chambers = tuple(self.p_ch)
@@ -143,8 +134,6 @@ class GroundTruthPose:
     phi: Angle
 
     def __post_init__(self) -> None:
-        if type(self.delta) is float and 0.0 <= self.delta < math.inf:
-            return
         delta = _as_finite(self.delta, "delta")
         if delta < 0.0:
             raise InvalidInputError(f"delta must be >= 0 mm, got {delta}")

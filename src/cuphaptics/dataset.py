@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Angle, GroundTruthPose, SensorFrame, frames_valid
+from .core import Angle, GroundTruthPose, SensorFrame, _wrap_deg, frames_valid
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -72,8 +72,8 @@ def _labeled(row: Sequence[float]) -> LabeledSample:
     )
 
 
-def _c_table(table: object) -> np.ndarray:
-    """A float64 (n, 7) ``table``, copied only if not C-contiguous; else InvalidInputError."""
+def _checked_table(table: object) -> np.ndarray:
+    """``table`` itself if it is a float64 (n, 7) array; else InvalidInputError."""
     if not (
         isinstance(table, np.ndarray)
         and table.dtype == np.float64
@@ -83,7 +83,7 @@ def _c_table(table: object) -> np.ndarray:
             f"samples table must be float64 of shape (n, {len(CSV_COLUMNS)}), "
             f"got {np.asarray(table).dtype} of shape {np.shape(table)}"
         )
-    return np.ascontiguousarray(table)
+    return table
 
 
 def _rows_ok(table: np.ndarray) -> np.ndarray:
@@ -100,9 +100,10 @@ class Samples:
 
     A table from outside is checked a column at a time (``_rows_ok``), and
     the first row refused replays the checks ``_csv_rows`` makes of a row,
-    raising ``InvalidInputError`` as ``row i: <message>``. It checks a copy,
-    which no later write to the caller's array reaches, and holds each yaw
-    as ``Angle`` stores it (360 as 0, -0.0 as +0.0). Indexing with an int
+    raising ``InvalidInputError`` as ``row i: <message>``. It checks one
+    C-ordered copy, which no later write to the caller's array reaches, and
+    holds each yaw as ``Angle`` stores it, through ``_wrap_deg`` (the
+    column form of its rule: 360 as 0, -0.0 as +0.0). Indexing with an int
     gives that row's ``LabeledSample``; indexing with a slice, an index
     array or a mask gives another ``Samples``, of rows already checked.
     """
@@ -110,14 +111,14 @@ class Samples:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        self._hold(np.array(_c_table(self.table)))
+        self._hold(np.array(_checked_table(self.table), order="C"))  # one copy, any layout
 
     @classmethod
     def _adopt(cls, table: np.ndarray) -> Samples:
         """The ``Samples`` of a table its builder writes no more: not copied
         where it is C-contiguous, writable and owns its data."""
         samples = object.__new__(cls)
-        samples._hold(np.require(_c_table(table), None, "OW"))
+        samples._hold(np.require(_checked_table(table), None, "COW"))
         return samples
 
     def _hold(self, table: np.ndarray) -> None:
@@ -133,8 +134,7 @@ class Samples:
             except InvalidInputError as exc:
                 raise InvalidInputError(f"row {i}: {exc}") from None
             raise AssertionError(f"row {i} is refused by the table check but not by its row")
-        phi = table[:, 6]
-        phi[(phi == 360.0) | np.signbit(phi)] = 0.0  # Angle's rule (phi >= 0: only -0.0 has a sign)
+        _wrap_deg(table[:, 6], out=table[:, 6])  # Angle's rule: 360 and -0.0 read +0.0
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -160,7 +160,8 @@ class Samples:
         if isinstance(key, (int, np.integer)):
             return _labeled(self.table[key].tolist())
         cut = object.__new__(Samples)  # rows of a checked table: no second check
-        table = _c_table(self.table[key])  # a new view, or an index result no one else holds
+        # a new view, or an index result no one else holds
+        table = np.ascontiguousarray(_checked_table(self.table[key]))
         table.flags.writeable = False
         object.__setattr__(cut, "table", table)
         return cut
@@ -324,7 +325,7 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
 def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
     """The table of the rows after the header, read on from ``reader`` by the
     csv module. Each row but a blank one is checked in turn: its column
-    count, each cell, its phi range, then ``SensorFrame`` and
+    count, each cell, its phi range, then ``_labeled``'s ``SensorFrame`` and
     ``GroundTruthPose``. The first bad row raises its error at the file line
     it starts on; a csv module or decoder error raises where it comes."""
     rows, end = [], reader.line_num
@@ -335,13 +336,11 @@ def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
         if len(row) != len(CSV_COLUMNS):
             raise CsvParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line)
         values = [_parse_cell(cell, line, col) for cell, col in zip(row, CSV_COLUMNS)]
-        *p_ch, p_atm, delta, phi = values
-        if not (0.0 <= phi <= 360.0):
-            message = f"phi_deg must be in [0, 360], got {phi}"
+        if not (0.0 <= values[6] <= 360.0):
+            message = f"phi_deg must be in [0, 360], got {values[6]}"
             raise CsvParseError(message, line=line, column="phi_deg")
         try:
-            SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm)
-            GroundTruthPose(delta=delta, phi=Angle(phi))
+            _labeled(values)  # SensorFrame, then GroundTruthPose
         except InvalidInputError as exc:
             raise CsvParseError(str(exc), line=line) from exc
         rows.append(values)

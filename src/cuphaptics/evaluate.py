@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Angle, Estimator, ModelBasedEstimator, _rmse, angular_errors
+from .core import Angle, ModelBasedEstimator, _rmse, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError, require_count
 from .mlp import MlpEstimator, MlpModel, TrainConfig, train_many
@@ -108,12 +108,6 @@ def mae_deg(pairs: Sequence[PredictionPair]) -> float:
     return float(np.mean(_errors(pairs, "mae_deg")))
 
 
-def _columns(estimator: Estimator, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
-    """True yaws (``samples.phi_deg``, which ``Samples`` holds as ``Angle``
-    stores them) and ``estimate_batch``'s yaws (NaN where none)."""
-    return samples.phi_deg, estimator.estimate_batch(samples)
-
-
 def _defined_errors(phi_true: np.ndarray, phi_pred: np.ndarray) -> np.ndarray:
     return angular_errors(phi_pred, phi_true)[~np.isnan(phi_pred)]
 
@@ -133,7 +127,8 @@ def _build(cls: type, n: int, **columns: list) -> list:
 
 
 def _pairs(phi_true: np.ndarray, phi_pred: np.ndarray) -> list[PredictionPair]:
-    """A pair per row of ``_columns``' checked, wrapped yaws, each float kept.
+    """A pair per row of true yaws (``Samples.phi_deg``, held as ``Angle``
+    stores them) and ``estimate_batch``'s yaws (NaN where none), each float kept.
 
     Each pass of ``_build`` is a ``map`` with no Python frame per object, and
     the objects equal, hash and pickle as constructed ones do. A NaN
@@ -157,13 +152,13 @@ def _pairs(phi_true: np.ndarray, phi_pred: np.ndarray) -> list[PredictionPair]:
 def evaluate_model_based(samples: Samples) -> list[PredictionPair]:
     """Pressure-difference estimate per sample, a column at a time; each
     answer equals ``estimate_direction`` on that row bit for bit."""
-    return _pairs(*_columns(ModelBasedEstimator(), samples))
+    return _pairs(samples.phi_deg, ModelBasedEstimator().estimate_batch(samples))
 
 
 def evaluate_mlp(model: MlpModel, samples: Samples) -> list[PredictionPair]:
     """Network estimate per sample, in one pass; each answer equals
     ``predict_angle`` on that row bit for bit."""
-    return _pairs(*_columns(MlpEstimator(model), samples))
+    return _pairs(samples.phi_deg, MlpEstimator(model).estimate_batch(samples))
 
 
 def _seed_metrics(method: str, seed: int, true: np.ndarray, pred: np.ndarray) -> SeedMetrics:
@@ -230,7 +225,7 @@ def run_comparison(
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns
     for seed, (_, val_set), (model, _) in zip(seeds, folds, trained):
         estimators = {MLP_METHOD: MlpEstimator(model), MODEL_BASED_METHOD: ModelBasedEstimator()}
-        columns = {method: _columns(est, val_set) for method, est in estimators.items()}
+        columns = {m: (val_set.phi_deg, e.estimate_batch(val_set)) for m, e in estimators.items()}
         metrics.append({m: _seed_metrics(m, seed, *c) for m, c in columns.items()})
         first = first or columns
     report = EvalReport(

@@ -420,7 +420,7 @@ class _SeedRun:
     """One fold of a ``train_many`` call: its arrays, its shuffle stream, and
     its per-epoch record with the best checkpoint so far."""
 
-    def __init__(self, fold: tuple[Samples, Samples], config: TrainConfig, seed: int):
+    def __init__(self, fold: tuple[Samples, Samples], seed: int):
         train_set, val_set = fold
         self.model0 = init_model(seed, stats=feature_stats(train_set))
         self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
@@ -500,7 +500,7 @@ def train_many(
     if any(len(train_set) != n for train_set, _ in folds):
         raise ConfigError("lockstep training needs training folds of one size")
     sizes = DEFAULT_LAYER_SIZES
-    runs = [_SeedRun(fold, config, seed) for fold, seed in zip(folds, seeds)]
+    runs = [_SeedRun(fold, seed) for fold, seed in zip(folds, seeds)]
     # Each live fold's training set in this epoch's order, stacked.
     x_epoch = np.empty((len(runs), n, sizes[0]))
     t_epoch = np.empty((len(runs), n, sizes[-1]))
@@ -602,7 +602,9 @@ class MlpEstimator:
 def save_model(
     model: MlpModel, path: str | Path, metadata: Mapping | None = None
 ) -> None:
-    """Write the binary model file; optionally a JSON sidecar at path+'.json'."""
+    """Write the binary model file; optionally a JSON sidecar at path+'.json'.
+    A model the file cannot hold raises before either is written."""
+    _check_file_sizes(model.layer_sizes)
     mode = 0 if model.stats is None else 1  # 1 exactly when the file carries stats
     depth = len(model.layer_sizes)
     parts = [MODEL_MAGIC, struct.pack(f"<BI{depth}I", mode, depth, *model.layer_sizes)]
@@ -614,6 +616,14 @@ def save_model(
         sidecar = Path(str(path) + ".json")
         sidecar.write_text(
             json.dumps(metadata, indent=2, sort_keys=False) + "\n", encoding="utf-8"
+        )
+
+
+def _check_file_sizes(sizes: Sequence[int]) -> None:
+    """The model file's rule: its network maps 4 inputs to 2 outputs."""
+    if sizes[0] != 4 or sizes[-1] != 2:
+        raise ModelFormatError(
+            f"a model file must map 4 inputs to 2 outputs, got {sizes[0]} -> {sizes[-1]}"
         )
 
 
@@ -645,10 +655,7 @@ def load_model(path: str | Path) -> MlpModel:
     sizes = struct.unpack_from(f"<{depth}I", buf, head)
     if any(s < 1 for s in sizes):
         raise ModelFormatError(f"non-positive layer size in {sizes}")
-    if sizes[0] != 4 or sizes[-1] != 2:
-        raise ModelFormatError(
-            f"model must map 4 inputs to 2 outputs, file says {sizes[0]} -> {sizes[-1]}"
-        )
+    _check_file_sizes(sizes)
     # Then float64 stats (mode 1 only), the params block, no more.
     pos = head + 4 * depth
     n_stats = 2 * sizes[0] if mode_byte == 1 else 0

@@ -7,6 +7,7 @@ per-row dataset CSV reader."""
 
 import csv
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,16 +139,13 @@ def write_model_with_nan_param(path):
 
 
 def write_model_with_sizes(path, sizes, standardized):
-    """Write a model file of any layer sizes, bypassing the 4-channel
-    FeatureStats check, so a file can hold shapes the loader must reject."""
-    save_model(init_model(0, layer_sizes=sizes), path)
-    if standardized:
-        blob = path.read_bytes()
-        mode = len(MODEL_MAGIC)
-        header = mode + 1 + 4 + 4 * len(sizes)  # magic, mode, depth, sizes
-        stats = np.array([0.0] * sizes[0] + [1.0] * sizes[0], dtype="<f8").tobytes()
-        head = blob[:mode] + b"\x01" + blob[mode + 1 : header]
-        path.write_bytes(head + stats + blob[header:])
+    """Write a model file of any layer sizes as raw bytes, bypassing the
+    4-channel FeatureStats check and save_model's 4-in, 2-out rule, so a
+    file can hold shapes the loader must reject."""
+    header = struct.pack(f"<BI{len(sizes)}I", int(standardized), len(sizes), *sizes)
+    stats = np.array([0.0] * sizes[0] + [1.0] * sizes[0], dtype="<f8").tobytes()
+    params = init_model(0, layer_sizes=sizes).params.astype("<f8").tobytes()
+    path.write_bytes(MODEL_MAGIC + header + stats * standardized + params)
 
 
 def equal_chamber_rows(n):

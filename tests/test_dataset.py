@@ -320,6 +320,22 @@ class TestSamplesOwnsItsTable:
         assert read_csv(tmp_path / "d.csv").table is built[-1]
         assert [table.flags.owndata for table in built] == [True, True]
 
+    def test_a_table_of_any_layout_is_copied_once(self):
+        table = np.tile(row_at(), (50_000, 1))  # 2.8 MB
+        layouts = {"fortran": np.asfortranarray(table), "strided": np.repeat(table, 2, 0)[::2]}
+        peaks = {}
+        for name, given in {"c": table, **layouts}.items():
+            tracemalloc.start()
+            try:
+                held = Samples(given).table
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert held.flags.c_contiguous and np.array_equal(held, table)
+        # The copy and the row check's columns; a second copy adds 2.8 MB.
+        for name in layouts:
+            assert peaks[name] < peaks["c"] + table.nbytes / 4, peaks
+
 
 class TestCsvRoundTrip:
     def test_header_exact(self, tmp_path):

@@ -545,7 +545,7 @@ class TestTrainMany:
     def test_chunked_pass_equals_one_forward_pass(self):
         rows = 2 * CHUNK_ROWS + 123
         samples = small_dataset(n=rows + 50)
-        run = mlp._SeedRun((samples[:50], samples[50:]), TrainConfig(), 8)
+        run = mlp._SeedRun((samples[:50], samples[50:]), 8)
         chunked = run._val_outputs(run.model0.params)
         whole = mlp._forward(run.model0._layers, run.x_val)[-1]
         assert chunked.shape == (rows, 2)
@@ -695,6 +695,19 @@ class TestPersistence:
         assert loaded.layer_sizes == (4, 8, 2)
         x = [1.0, -2.0, 0.5, 3.0]
         assert np.array_equal(forward(model, x), forward(loaded, x))
+
+    @pytest.mark.parametrize("sizes", [(3, 8, 2), (4, 8, 3), (1, 1, 1)], ids=str)
+    def test_save_refuses_what_load_refuses_and_writes_nothing(self, tmp_path, sizes):
+        # A model of another width trains in memory but has no model file.
+        path = tmp_path / "m.cupmlp"
+        with pytest.raises(ModelFormatError, match="4 inputs to 2 outputs"):
+            save_model(init_model(0, layer_sizes=sizes), path, metadata={"epochs": 1})
+        assert list(tmp_path.iterdir()) == []
+        model = init_model(0, layer_sizes=(4, 8, 2))
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.layer_sizes == (4, 8, 2)
+        assert loaded.params.tobytes() == model.params.tobytes()
 
     # Standardized 4-16-32-16-2 file: magic 0-6, mode 7, depth 8-11,
     # sizes 12-31, stats 32-95, params 96-9583.

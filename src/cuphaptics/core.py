@@ -180,24 +180,16 @@ def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
     """Direction estimate from pairwise chamber-sum differences.
 
     The gauge pressures P_i = p_atm - p_ch_i (larger means a stronger seal)
-    may dip below zero by the noise tolerance. x collects chambers (1, 4)
-    minus (2, 3); y collects (3, 4) minus (1, 2). A zero vector is a valid
-    outcome and yields no angle.
+    may dip below zero as far as ``SensorFrame`` lets a chamber exceed
+    ambient. x collects chambers (1, 4) minus (2, 3); y collects (3, 4)
+    minus (1, 2). A zero vector is a valid outcome and yields no angle; a
+    vector whose sums overflow is rejected.
     """
-    vacuum = [frame.p_atm - p for p in frame.p_ch]
-    p1, p2, p3, p4 = vacuum
+    p1, p2, p3, p4 = [frame.p_atm - p for p in frame.p_ch]
     x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-    # A NaN in vacuum, which min() may pass over, makes x and y NaN.
-    if not (min(vacuum) >= -PRESSURE_TOLERANCE_KPA and math.isfinite(x) and math.isfinite(y)):
-        for i, v in enumerate(vacuum, start=1):  # the first bad value names the error
-            if v < -PRESSURE_TOLERANCE_KPA:
-                raise InvalidInputError(
-                    f"vacuum p{i} = {v} kPa is below the -{PRESSURE_TOLERANCE_KPA} kPa "
-                    "noise tolerance"
-                )
-        for name, value in (("x", x), ("y", y)):
-            if not math.isfinite(value):
-                raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):  # the first non-finite one is named
+        name, value = ("y", y) if math.isfinite(x) else ("x", x)
+        raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
     return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))
 
 
@@ -245,11 +237,9 @@ class ModelBasedEstimator:
     def estimate_batch(self, rows: Samples) -> np.ndarray:
         # estimate_direction's float operations in its order, a column at a time
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-            vacuum = rows.p_atm - rows.p_ch
-            p1, p2, p3, p4 = vacuum.T
+            p1, p2, p3, p4 = (rows.p_atm - rows.p_ch).T
             x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
-        ok = (vacuum >= -PRESSURE_TOLERANCE_KPA).all(axis=1)
-        return _yaws(rows, x, y, ok, estimate_direction)
+        return _yaws(rows, x, y, True, estimate_direction)
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,13 @@ def run_comparison(
 def export_scatter(
     results: Mapping[str, tuple[np.ndarray, np.ndarray]], path: str | Path
 ) -> None:
-    """Write the defined (non-NaN) predictions as `phi_true_deg,phi_pred_deg,method` rows."""
+    """Write the defined (non-NaN) predictions as `phi_true_deg,phi_pred_deg,method` rows.
+    A method whose two columns differ in length raises before the file is opened."""
+    for method, (phi_true, phi_pred) in results.items():
+        if len(phi_true) != len(phi_pred):
+            raise InvalidInputError(
+                f"{method}: {len(phi_true)} true yaws but {len(phi_pred)} predictions"
+            )
     write_table(
         path,
         ("phi_true_deg", "phi_pred_deg", "method"),

@@ -313,9 +313,17 @@ def target_encoding(phi_deg: np.ndarray) -> np.ndarray:
     return np.stack((np.cos(rad), np.sin(rad)), axis=1)
 
 
+def _check_outputs(width: int) -> None:
+    """The decode's rule: a direction is read from 2 network outputs (x, y)."""
+    if width != 2:
+        raise InvalidInputError(f"expected 2 network outputs, got {width}")
+
+
 def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
     """Direction estimate for a 2-vector output: the vector and its angle."""
-    x, y = (float(v) for v in output)
+    values = [float(v) for v in output]
+    _check_outputs(len(values))
+    x, y = values
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"output must be finite, got ({x}, {y})")
     return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))
@@ -578,10 +586,12 @@ def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.n
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
     """Standardize if the model has stats, run forward, decode the angle:
     ``decode_estimate(network_output(model, frame)).phi_pred``."""
-    x, y = network_output(model, frame).tolist()
-    if math.isfinite(x) and math.isfinite(y):
-        return direction_angle(x, y)
-    return decode_estimate((x, y)).phi_pred  # raises the non-finite output error
+    out = network_output(model, frame).tolist()
+    if len(out) == 2:
+        x, y = out
+        if math.isfinite(x) and math.isfinite(y):
+            return direction_angle(x, y)
+    return decode_estimate(out).phi_pred  # raises the output width or non-finite error
 
 
 @dataclass(frozen=True)
@@ -590,6 +600,9 @@ class MlpEstimator:
 
     model: MlpModel
     name: str = "mlp"
+
+    def __post_init__(self) -> None:
+        _check_outputs(self.model.layer_sizes[-1])
 
     def estimate_batch(self, rows: Samples) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected

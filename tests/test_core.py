@@ -163,12 +163,14 @@ class TestVacuumPressures:
         assert est.v_pred == pytest.approx((-0.4, 0.4))
 
     def test_below_tolerance_is_rejected(self):
-        # p_atm + 0.5 rounds up to 2**53, so SensorFrame accepts chambers at
-        # 2**53, whose gauge pressure is -1 kPa.
+        # Only the frame rule bounds a chamber: p_atm + 0.5 rounds up to
+        # 2**53, so SensorFrame accepts chambers at 2**53, whose gauge
+        # pressure is -1 kPa, and the closed form answers the frame. Four
+        # equal gauges give a zero vector and no angle.
         f = SensorFrame(p_ch=(2.0**53,) * 4, p_atm=2.0**53 - 1)
-        message = "vacuum p1 = -1.0 kPa is below the -0.5 kPa noise tolerance"
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            estimate_direction(f)
+        est = estimate_direction(f)
+        assert est.v_pred == (0.0, 0.0)
+        assert est.phi_pred is None
 
 
 class TestModelDirection:
@@ -410,18 +412,22 @@ class TestValueTypeChecks:
 
 
 class TestDirectionChecks:
-    """``estimate_direction`` names the first bad gauge pressure, then a
-    non-finite vector, and decodes a finite one as ``direction_angle`` does."""
+    """``estimate_direction`` answers every frame ``SensorFrame`` accepts,
+    names the first non-finite vector component, and decodes a finite
+    vector as ``direction_angle`` does."""
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_each_low_gauge_pressure_is_named(self, i):
-        # p_atm + 0.5 rounds up to 2**53, so chambers at 2**53 are accepted.
+        # p_atm + 0.5 rounds up to 2**53, so a chamber at 2**53 is accepted
+        # and its gauge pressure of -1 kPa enters the sums like any other.
         p_ch = [2.0**53 - 1] * 4
         p_ch[i - 1] = 2.0**53
         frame = SensorFrame(tuple(p_ch), 2.0**53 - 1)
-        message = f"vacuum p{i} = -1.0 kPa is below the -0.5 kPa noise tolerance"
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            estimate_direction(frame)
+        p1, p2, p3, p4 = [-1.0 if k == i else 0.0 for k in (1, 2, 3, 4)]
+        x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+        est = estimate_direction(frame)
+        assert [v.hex() for v in est.v_pred] == [x.hex(), y.hex()]
+        assert est.phi_pred == Angle({1: 135.0, 2: 45.0, 3: 315.0, 4: 225.0}[i])
 
     @pytest.mark.parametrize(
         "vacuum, message",

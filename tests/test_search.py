@@ -24,8 +24,10 @@ from cuphaptics import (
     OracleEstimator,
     PressureFieldParams,
     SearchConfig,
+    SensorFrame,
     TrainConfig,
     batch_search,
+    estimate_direction,
     generate_dataset,
     init_model,
     run_search,
@@ -708,6 +710,25 @@ class TestEstimateBatch:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
                 est.estimate_batch(Samples(table))
+
+    def test_a_chamber_at_the_tolerance_bound_is_answered(self):
+        # Ambients in [2**k - 0.5, 2**k), one chamber per row at exactly
+        # p_atm + 0.5, the value synth's cap writes. That sum rounds up for
+        # about one ambient in four, so the chamber's gauge pressure falls
+        # below -0.5 kPa; SensorFrame accepts it and the closed form answers.
+        rng = np.random.default_rng(0)
+        p_atm = np.concatenate([rng.uniform(2.0**k - 0.5, 2.0**k, 40) for k in range(9)])
+        n = len(p_atm)
+        p_ch = rng.uniform(0.0, 1.0, (n, 4)) * p_atm[:, None]
+        p_ch[np.arange(n), np.arange(n) % 4] = p_atm + 0.5
+        assert ((p_atm[:, None] - p_ch) < -0.5).any(axis=1).sum() > n // 8
+        rows = np.column_stack([p_ch, p_atm, np.ones(n), np.zeros(n)])
+        frames = [SensorFrame(tuple(r[:4]), r[4]) for r in rows.tolist()]
+        want = [estimate_direction(f).phi_pred for f in frames]
+        yaw = ModelBasedEstimator().estimate_batch(Samples(rows))
+        assert [y.hex() for y in yaw.tolist()] == [
+            math.nan.hex() if a is None else a.degrees.hex() for a in want
+        ]
 
     def test_oracle_returns_the_true_yaws(self, table):
         yaw = OracleEstimator().estimate_batch(table)

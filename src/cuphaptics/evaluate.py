@@ -27,7 +27,7 @@ import numpy as np
 from .core import Angle, ModelBasedEstimator, _rmse, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError, require_count
-from .mlp import MlpEstimator, MlpModel, TrainConfig, train_many
+from .mlp import MlpEstimator, MlpModel, TrainConfig, _lockstep, _SeedRun
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
@@ -215,15 +215,18 @@ def run_comparison(
     Also returns the first seed's (true, predicted) yaw columns for scatter export.
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition. The seeds' networks
-    train together in lockstep, each as ``train`` would train it alone.
+    train together in lockstep, each as ``train`` would train it alone;
+    a seed's training rows go once its run is built, before the next split.
     A seed that repeats another (mod 2**64, which keys its streams) would
     count one run twice, so it is a ConfigError.
     """
     _check_seeds(seeds)
-    folds = [split(samples, replace(split_spec, seed=seed)) for seed in seeds]
-    trained = train_many(folds, train_config, seeds)
+    runs = []
+    for seed in seeds:  # a run keeps its validation rows and arrays, not its training rows
+        runs.append(_SeedRun(split(samples, replace(split_spec, seed=seed)), seed))
+    trained = _lockstep(runs, train_config)
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns
-    for seed, (_, val_set), (model, _) in zip(seeds, folds, trained):
+    for seed, (model, _), val_set in zip(seeds, trained, [run.val_set for run in runs]):
         estimators = {MLP_METHOD: MlpEstimator(model), MODEL_BASED_METHOD: ModelBasedEstimator()}
         columns = {m: (val_set.phi_deg, e.estimate_batch(val_set)) for m, e in estimators.items()}
         metrics.append({m: _seed_metrics(m, seed, *c) for m, c in columns.items()})
@@ -231,7 +234,7 @@ def run_comparison(
     report = EvalReport(
         seeds=tuple(int(s) for s in seeds),
         n_samples=len(samples),
-        n_validation=len(folds[0][1]),
+        n_validation=len(runs[0].val_set),
         single_run=len(seeds) == 1,
         mlp=_summarize(MLP_METHOD, [row[MLP_METHOD] for row in metrics]),
         model_based=_summarize(MODEL_BASED_METHOD, [row[MODEL_BASED_METHOD] for row in metrics]),

@@ -86,6 +86,7 @@ MODEL_MAGIC = b"CUPMLP1"
 # (see ``cuphaptics/__init__.py``).
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
+_EMPTY_FOLD = "train and validation sets must both be non-empty"
 _ZERO = np.zeros(())  # ReLU's bound, a float64 array np.maximum takes unconverted
 _ZERO.flags.writeable = False
 # A forward plan: (W.T, b) per layer, the input of ``_forward``.
@@ -425,15 +426,17 @@ def _fold_arrays(part: Samples, model: MlpModel) -> tuple[np.ndarray, np.ndarray
 
 
 class _SeedRun:
-    """One fold of a ``train_many`` call: its arrays, its shuffle stream, and
-    its per-epoch record with the best checkpoint so far."""
+    """One fold of a lockstep run: its arrays, its validation rows, its shuffle
+    stream, and its per-epoch record with the best checkpoint so far."""
 
     def __init__(self, fold: tuple[Samples, Samples], seed: int):
         train_set, val_set = fold
+        if not (len(train_set) and len(val_set)):
+            raise ConfigError(_EMPTY_FOLD)
         self.model0 = init_model(seed, stats=feature_stats(train_set))
         self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
         self.x_val, self.t_val = _fold_arrays(val_set, self.model0)
-        self.phi_val = val_set.phi_deg
+        self.val_set = val_set
         self.shuffle_rng = substream(seed, SHUFFLE)
         self.initial_val = self.best_val = loss(self._val_outputs(self.model0.params), self.t_val)
         self.best_params = self.model0.params.copy()
@@ -461,7 +464,7 @@ class _SeedRun:
         val_rmse = math.nan
         if defined.any():
             pred = np.degrees(np.arctan2(val_out[defined, 1], val_out[defined, 0]))
-            val_rmse = _rmse(angular_errors(pred % 360.0, self.phi_val[defined]))
+            val_rmse = _rmse(angular_errors(pred % 360.0, self.val_set.phi_deg[defined]))
         self.val_loss.append(val_loss)
         self.val_rmse.append(val_rmse)
         if val_loss < self.best_val:
@@ -503,12 +506,16 @@ def train_many(
     if not folds or len(folds) != len(seeds):
         raise ConfigError(f"need one seed per fold, got {len(folds)} folds, {len(seeds)} seeds")
     if not all(len(train_set) and len(val_set) for train_set, val_set in folds):
-        raise ConfigError("train and validation sets must both be non-empty")
-    n = len(folds[0][0])
-    if any(len(train_set) != n for train_set, _ in folds):
+        raise ConfigError(_EMPTY_FOLD)
+    if len({len(train_set) for train_set, _ in folds}) > 1:
         raise ConfigError("lockstep training needs training folds of one size")
+    return _lockstep([_SeedRun(fold, seed) for fold, seed in zip(folds, seeds)], config)
+
+
+def _lockstep(runs: list[_SeedRun], config: TrainConfig) -> list[tuple[MlpModel, TrainHistory]]:
+    """``train_many``'s epochs, over built runs whose training folds share one size."""
+    n = len(runs[0].x_train)
     sizes = DEFAULT_LAYER_SIZES
-    runs = [_SeedRun(fold, seed) for fold, seed in zip(folds, seeds)]
     # Each live fold's training set in this epoch's order, stacked.
     x_epoch = np.empty((len(runs), n, sizes[0]))
     t_epoch = np.empty((len(runs), n, sizes[-1]))

@@ -298,6 +298,23 @@ class TestCompare:
         assert capsys.readouterr().err == "error: channel 1 is constant in the training set\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["0.99", "0.01"], ids=["no-validation", "no-training"])
+    def test_empty_fold_is_usage_error(self, tmp_path, capsys, fraction):
+        # 20 rows cut at 0.99 leave no validation row; at 0.01, no training row.
+        data = tmp_path / "data"
+        assert main(["generate", "--n", "20", "--out-dir", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main(
+            ["compare", "--data", str(data / DATASET_FILENAME), "--train-fraction", fraction]
+            + ["--out-dir", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: train and validation sets must both be non-empty\n"
+        )
+        assert not (out / REPORT_FILENAME).exists()
+
     def test_estimator_without_any_direction_is_usage_error(self, tmp_path, capsys):
         # The fully sealed frames, each row's chambers moved by one offset that
         # varies across rows: the closed form answers None on each row.

@@ -6,6 +6,7 @@ import pickle
 import re
 import struct
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from cuphaptics import (
     BatchSpec,
     ConfigError,
     CupGeometry,
+    DegenerateChannelError,
     FeatureStats,
     GenerationConfig,
     InvalidInputError,
@@ -221,7 +223,7 @@ class TestCompare:
         def no_training(*args):
             raise AssertionError("trained despite a repeated seed")
 
-        monkeypatch.setattr(evaluate_module, "train_many", no_training)
+        monkeypatch.setattr(evaluate_module, "_lockstep", no_training)
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_comparison(samples, SplitSpec(), quick_config(), seeds=seeds)
 
@@ -234,6 +236,72 @@ class TestCompare:
         )
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_comparison(samples, SplitSpec(), quick_config(), seeds=[3])
+
+    @pytest.mark.parametrize("seeds", [(1, 2), (1, 2, 3)], ids=["2-seeds", "3-seeds"])
+    def test_training_rows_are_freed_before_training(self, samples, monkeypatch, seeds):
+        # Each seed's run holds its own arrays, so no training Samples that
+        # split made may still be alive when the first RMSprop step runs.
+        training, checked = [], []
+
+        def recorded(*args):
+            train_set, val_set = split(*args)
+            training.append(weakref.ref(train_set))
+            return train_set, val_set
+
+        def checked_step(*args):
+            if not checked:
+                checked.append(True)
+                assert len(training) == len(seeds)
+                assert all(ref() is None for ref in training)
+            return rmsprop_step(*args)
+
+        rmsprop_step = cuphaptics.mlp.rmsprop_step
+        monkeypatch.setattr(evaluate_module, "split", recorded)
+        monkeypatch.setattr(cuphaptics.mlp, "rmsprop_step", checked_step)
+        report, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds)
+        assert checked and report.seeds == seeds
+
+    @pytest.mark.parametrize("fraction", [0.99, 0.01], ids=["no-validation", "no-training"])
+    def test_empty_fold_is_refused_before_any_run(self, samples, fraction):
+        # 20 rows cut at 0.99 leave no validation row; at 0.01, no training row.
+        spec = SplitSpec(train_fraction=fraction)
+        with pytest.raises(ConfigError, match="^train and validation sets must both be non-empty$"):
+            run_comparison(samples[:20], spec, quick_config(), [1, 2])
+
+    def test_fold_with_a_constant_channel_is_refused(self, samples):
+        table = samples[:20].table.copy()
+        table[:, 0] = table[0, 0]
+        with pytest.raises(DegenerateChannelError, match="^channel 1 is constant"):
+            run_comparison(Samples(table), SplitSpec(), quick_config(), [1, 2])
+
+    def test_early_stopping_folds_equal_solo_runs(self):
+        # patience 1 stops the three seeds at different epochs, so the stack
+        # sheds folds while the others keep training.
+        samples = generate_dataset(
+            GEOM, PressureFieldParams(), GenerationConfig(n_samples=300, seed=5)
+        )
+        config, seeds = TrainConfig(batch_size=16, max_epochs=25, patience=1), (3, 4, 5)
+        report, first = run_comparison(samples, SplitSpec(), config, seeds)
+        epochs = []
+        for i, seed in enumerate(seeds):
+            train_set, val_set = split(samples, SplitSpec(seed=seed))
+            model, history = train(train_set, val_set, replace(config, seed=seed))
+            epochs.append(len(history.val_loss))
+            public = {
+                "mlp": evaluate_mlp(model, val_set),
+                "model_based": evaluate_model_based(val_set),
+            }
+            for method, pairs in public.items():
+                if i == 0:  # the returned columns, bit for bit
+                    true, pred = columns_of(pairs)
+                    assert first[method][0].tobytes() == true.tobytes()
+                    assert first[method][1].tobytes() == pred.tobytes()
+                scored = [p for p in pairs if p.phi_pred is not None]
+                row = getattr(report, method).per_seed[i]
+                assert row.seed == seed
+                assert (row.rmse_deg, row.mae_deg) == (rmse_deg(scored), mae_deg(scored))
+                assert (row.n_scored, row.n_undefined) == (len(scored), len(pairs) - len(scored))
+        assert len(set(epochs)) == 3 and max(epochs) < config.max_epochs
 
 
 class TestExportScatter:

@@ -216,14 +216,19 @@ def run_comparison(
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition. The seeds' networks
     train together in lockstep, each as ``train`` would train it alone;
-    a seed's training rows go once its run is built, before the next split.
+    a seed's training rows go once its run is built, before the next split,
+    and ``samples`` goes after the last split, before training.
     A seed that repeats another (mod 2**64, which keys its streams) would
     count one run twice, so it is a ConfigError.
     """
     _check_seeds(seeds)
-    runs = []
-    for seed in seeds:  # a run keeps its validation rows and arrays, not its training rows
-        runs.append(_SeedRun(split(samples, replace(split_spec, seed=seed)), seed))
+    n_samples, runs = len(samples), []
+    for i, seed in enumerate(seeds, 1):  # a run keeps its validation rows and arrays only
+        fold = split(samples, replace(split_spec, seed=seed))
+        if i == len(seeds):  # nothing reads the table after its last split
+            del samples
+        runs.append(_SeedRun(fold, seed))
+        del fold  # this seed's training rows, before the next split
     trained = _lockstep(runs, train_config)
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns
     for seed, (model, _), val_set in zip(seeds, trained, [run.val_set for run in runs]):
@@ -233,7 +238,7 @@ def run_comparison(
         first = first or columns
     report = EvalReport(
         seeds=tuple(int(s) for s in seeds),
-        n_samples=len(samples),
+        n_samples=n_samples,
         n_validation=len(runs[0].val_set),
         single_run=len(seeds) == 1,
         mlp=_summarize(MLP_METHOD, [row[MLP_METHOD] for row in metrics]),

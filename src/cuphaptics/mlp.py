@@ -28,9 +28,11 @@ runs every pass: single frames, z-scored on their floats, with
 ``ndarray.dot``; tables, as a stack of one-row ``matmul`` products with
 single-frame bits (an n-row product may not keep them); and training's
 forward half and validation pass, on plans built the same way from the
-parameters being trained. Training always z-scores inputs under the
-training fold's ``feature_stats``, which the model and its file keep; a
-model without stats (mode 0) takes raw kPa values.
+parameters being trained; training's steps pass it output arrays (``out=``),
+allocated once per live set of folds and batch length, which get the bits
+of fresh ones. Training always z-scores inputs under the training fold's
+``feature_stats``, which the model and its file keep; a model without stats
+(mode 0) takes raw kPa values.
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
@@ -87,7 +89,7 @@ MODEL_MAGIC = b"CUPMLP1"
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
 _EMPTY_FOLD = "train and validation sets must both be non-empty"
-_ZERO = np.zeros(())  # ReLU's bound, a float64 array np.maximum takes unconverted
+_ZERO = np.zeros(())  # ReLU's bound, a float64 array ufuncs take unconverted
 _ZERO.flags.writeable = False
 # A forward plan: (W.T, b) per layer, the input of ``_forward``.
 _Plan = tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -277,18 +279,19 @@ def _plan(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> _Plan:
     )
 
 
-def _forward(plan: _Plan, x: np.ndarray) -> list[np.ndarray]:
+def _forward(plan: _Plan, x: np.ndarray, out: list | None = None) -> list[np.ndarray]:
     """The forward kernel: every layer's output for unchecked inputs along
     the last axis of ``x``, ``x`` itself first. Per layer ``x @ W.T``,
     ``+= b`` and, on hidden layers, ReLU in place. A 1-D input runs the
     product as ``x.dot(W.T)`` (``np.dot``'s BLAS gemv, undispatched), with
     the bits of the one-row ``matmul`` that each row of an (n, 1, in) stack
-    runs; with a stacked plan, an (S, n, in) input runs S networks."""
+    runs; with a stacked plan, an (S, n, in) input runs S networks. Given
+    ``out``, one array per layer, each ``matmul`` writes its layer's there."""
     activations = [x]
     last = len(plan) - 1
     product = np.ndarray.dot if x.ndim == 1 else np.matmul
     for k, (w_t, b) in enumerate(plan):
-        x = product(x, w_t)
+        x = product(x, w_t) if out is None else np.matmul(x, w_t, out=out[k])
         x += b
         if k < last:
             np.maximum(x, _ZERO, out=x)
@@ -339,25 +342,40 @@ def loss(pred: Sequence[float], target: Sequence[float]) -> float:
     return float(np.mean((p - t) ** 2))
 
 
+def _work_arrays(shape: tuple[int, ...], sizes: Sequence[int]) -> tuple:
+    """Work arrays for inputs of ``shape``: layer outputs and the scaled residual,
+    their transposes, the ReLU masks, and the row count as an array ufuncs take unconverted."""
+    outs = [np.empty((*shape[:-1], s)) for s in (*sizes[1:], sizes[-1])]
+    masks = [np.empty((*shape[:-1], s), dtype=bool) for s in sizes[1:-1]]
+    return outs, [o.swapaxes(-1, -2) for o in outs], masks, np.array(float(shape[-2]))
+
+
 def _backward_arrays(
     plan: _Plan,
     x: np.ndarray,
     t: np.ndarray,
     grad_w: Sequence[np.ndarray],
     grad_b: Sequence[np.ndarray],
+    work: tuple,
 ) -> np.ndarray:
     """Write the mean-batch-loss gradients of the network that ``plan`` runs
     into ``grad_w`` and ``grad_b``, and return the residuals a - t; with a
-    leading stack axis, per network."""
-    activations = _forward(plan, x)
-    n = x.shape[-2]
+    leading stack axis, per network. Every product lands in ``work``: the
+    residuals in the output layer's array, each hidden layer's gradient in
+    its output's array once its ReLU mask is read."""
+    outs, outs_t, masks, n = work
+    activations = _forward(plan, x, outs)
     # d(mean over n*2 elements of (a-t)^2) / da = (a - t) / n
-    grad = (diff := activations[-1] - t) / n
+    diff = np.subtract(activations[-1], t, out=activations[-1])
+    grad, grad_t = np.divide(diff, n, out=outs[-1]), outs_t[-1]
     for k in reversed(range(len(plan))):
-        np.matmul(grad.swapaxes(-1, -2), activations[k], out=grad_w[k])
-        grad.sum(axis=-2, out=grad_b[k])
+        np.matmul(grad_t, activations[k], out=grad_w[k])
+        np.add.reduce(grad, axis=-2, out=grad_b[k])
         if k > 0:  # ReLU passes gradient where its output is > 0
-            grad = (grad @ plan[k][0].swapaxes(-1, -2)) * (activations[k] > 0.0)
+            mask = np.greater(activations[k], _ZERO, out=masks[k - 1])
+            grad = np.matmul(grad, plan[k][0].swapaxes(-1, -2), out=outs[k - 1])
+            np.multiply(grad, mask, out=grad)
+            grad_t = outs_t[k - 1]
     return diff
 
 
@@ -378,7 +396,7 @@ def backward(
             f"batch size mismatch: {x.shape[0]} inputs vs {t.shape[0]} targets"
         )
     grad_w, grad_b = _layer_views(np.empty_like(model.params), model.layer_sizes)
-    _backward_arrays(model._layers, x, t, grad_w, grad_b)
+    _backward_arrays(model._layers, x, t, grad_w, grad_b, _work_arrays(x.shape, model.layer_sizes))
     return grad_w, grad_b
 
 
@@ -391,8 +409,8 @@ def rmsprop_step(
     The three float64 arrays share one shape. The IEEE operations and their
     order are those of v <- rho*v + ((1-rho)*g)*g and
     theta <- theta - (lr*g) / (sqrt(v) + eps), so the bits equal that formula
-    evaluated into fresh arrays. A non-finite average (the run diverged)
-    raises before ``params`` is touched.
+    evaluated into fresh arrays. An average that is not finite and >= 0 (the
+    run diverged) raises before ``params`` is touched.
     """
     if not params.shape == grads.shape == v.shape:
         raise InvalidInputError(
@@ -402,7 +420,7 @@ def rmsprop_step(
     scratch *= grads
     v *= config.rho
     v += scratch
-    if not np.isfinite(v).all():
+    if not 0.0 <= np.minimum.reduce(v, axis=None) <= np.maximum.reduce(v, axis=None) < np.inf:
         raise InvalidInputError(_V_INVALID)
     np.sqrt(v, out=scratch)
     scratch += config.eps
@@ -520,27 +538,28 @@ def _lockstep(runs: list[_SeedRun], config: TrainConfig) -> list[tuple[MlpModel,
     x_epoch = np.empty((len(runs), n, sizes[0]))
     t_epoch = np.empty((len(runs), n, sizes[-1]))
 
-    live = runs
+    live, batches, size = runs, None, config.batch_size
     # Parameters and RMSprop averages, one row per live fold.
     params = np.stack([run.model0.params for run in live])
     v = np.zeros_like(params)
     for epoch in range(1, config.max_epochs + 1):
-        # Gradients match the stack; the plan and the gradient views alias
-        # params and grads, so both are written in place.
-        grads = np.empty_like(params)
-        plan = _plan(*_layer_views(params, sizes))
-        grad_w, grad_b = _layer_views(grads, sizes)
-        # Each fold's epoch order, gathered once; batches are slices of it.
-        x, t = x_epoch[: len(live)], t_epoch[: len(live)]
+        if batches is None:  # a new live set; its plan and gradient views alias params
+            # and grads. Batches slice the epoch order; one length shares work arrays.
+            grads = np.empty_like(params)
+            plan = _plan(*_layer_views(params, sizes))
+            grad_w, grad_b = _layer_views(grads, sizes)
+            x, t, batch_sq = x_epoch[: len(live)], t_epoch[: len(live)], np.empty(len(live))
+            batches = [(x[:, i : i + size], t[:, i : i + size]) for i in range(0, n, size)]
+            work = {s: _work_arrays(s, sizes) for s in {xb.shape for xb, _ in batches}}
+            batches = [(xb, tb, work[xb.shape]) for xb, tb in batches]
         sq_sum = np.zeros(len(live))  # per fold, the epoch's squared residuals
         for i, run in enumerate(live):
             order = run.shuffle_rng.permutation(n)
             np.take(run.x_train, order, axis=0, out=x[i])
             np.take(run.t_train, order, axis=0, out=t[i])
-        for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            diff = _backward_arrays(plan, x[:, batch], t[:, batch], grad_w, grad_b)
-            sq_sum += np.square(diff).sum(axis=(-2, -1))
+        for xb, tb, arrays in batches:
+            diff = _backward_arrays(plan, xb, tb, grad_w, grad_b, arrays)
+            sq_sum += np.add.reduce(np.square(diff, out=diff), axis=(-2, -1), out=batch_sq)
             rmsprop_step(params, grads, v, config)
         going = [
             not run.end_epoch(epoch, row, sq, config.patience)
@@ -550,7 +569,7 @@ def _lockstep(runs: list[_SeedRun], config: TrainConfig) -> list[tuple[MlpModel,
             live = [run for run, keep in zip(live, going) if keep]
             if not live:
                 break
-            params, v = params[going], v[going]
+            params, v, batches = params[going], v[going], None
     return [run.result() for run in runs]
 
 

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -260,6 +261,37 @@ class TestCompare:
         monkeypatch.setattr(cuphaptics.mlp, "rmsprop_step", checked_step)
         report, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds)
         assert checked and report.seeds == seeds
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before CPython 3.11 the caller's frame holds a call's arguments until it "
+        "returns, so run_comparison cannot free a table passed straight in",
+    )
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2)], ids=["1-seed", "2-seeds"])
+    def test_table_is_freed_before_training(self, monkeypatch, seeds):
+        # compare passes read_csv's table straight in; nothing reads it after
+        # the last split, so it must be dead when the first RMSprop step runs.
+        tables, checked = [], []
+
+        def recorded(table, spec):
+            tables.append(weakref.ref(table))
+            return split(table, spec)
+
+        def checked_step(*args):
+            if not checked:
+                checked.append(True)
+                assert len(tables) == len(seeds)
+                assert all(ref() is None for ref in tables)
+            return rmsprop_step(*args)
+
+        rmsprop_step = cuphaptics.mlp.rmsprop_step
+        monkeypatch.setattr(evaluate_module, "split", recorded)
+        monkeypatch.setattr(cuphaptics.mlp, "rmsprop_step", checked_step)
+        config = GenerationConfig(n_samples=100, seed=6)
+        report, _ = run_comparison(
+            generate_dataset(GEOM, PressureFieldParams(), config), SplitSpec(), quick_config(), seeds
+        )
+        assert checked and report.seeds == seeds and report.n_samples == 100
 
     @pytest.mark.parametrize("fraction", [0.99, 0.01], ids=["no-validation", "no-training"])
     def test_empty_fold_is_refused_before_any_run(self, samples, fraction):

@@ -375,6 +375,12 @@ class TestRmsprop:
         assert v.tobytes() == v2.tobytes()
         assert p.tobytes() == p2.tobytes()
 
+    def test_negative_average_is_rejected(self):
+        params = np.array([0.5, -0.5])
+        with pytest.raises(InvalidInputError, match=DIVERGED):
+            rmsprop_step(params, np.zeros(2), np.array([-1.0, 1.0]), TrainConfig())
+        assert params.tolist() == [0.5, -0.5]  # raised before the parameters moved
+
     def test_overflowing_average_is_rejected(self):
         params = np.array([0.5, -0.5])
         # The overflow warning is silenced so the optimizer's error surfaces.
@@ -503,9 +509,18 @@ class TestTrainMany:
     SEEDS = (3, 4, 5)
 
     # patience 1 stops the three seeds at different epochs, so the stack
-    # sheds folds while the others keep training. Inputs are z-scored.
+    # sheds folds while the others keep training. Inputs are z-scored. Of
+    # the 240 training rows, batches of 16 divide them; batches of 17 and
+    # 64 leave a short last batch (2 and 48 rows) in every live set, and
+    # train at lr 1e-2 so that their folds too stop at three epochs.
     @pytest.mark.parametrize(
-        "config", [TrainConfig(batch_size=16, max_epochs=25, patience=1)], ids=["standardized"]
+        "config",
+        [
+            TrainConfig(batch_size=16, max_epochs=25, patience=1),
+            TrainConfig(batch_size=17, max_epochs=25, patience=1, lr=1e-2),
+            TrainConfig(batch_size=64, max_epochs=25, patience=1, lr=1e-2),
+        ],
+        ids=["standardized", "short-last-batch-17", "short-last-batch-64"],
     )
     def test_each_fold_equals_a_solo_train(self, config):
         folds = lockstep_folds(self.SEEDS)
@@ -575,6 +590,38 @@ class TestTrainMany:
         samples = small_dataset(n=128 + CHUNK_ROWS + 7)
         train(samples[:128], samples[128:], TrainConfig(max_epochs=1))
         assert max(mnk) == CHUNK_ROWS * widest
+
+    # A full batch and a short one, each a strided slice of a two-fold stack
+    # as the lockstep takes it.
+    @pytest.mark.parametrize("rows", [64, 7])
+    def test_work_arrays_hold_the_bits_of_fresh_products(self, rows):
+        models = [init_model(seed) for seed in (8, 9)]
+        sizes = models[0].layer_sizes
+        params = np.stack([model.params for model in models])
+        plan = mlp._plan(*mlp._layer_views(params, sizes))
+        rng = np.random.default_rng(5)
+        x, t = rng.normal(size=(2, 100, 4))[:, :rows], rng.normal(size=(2, 100, 2))[:, :rows]
+        grad_w, grad_b = mlp._layer_views(np.empty_like(params), sizes)
+        work = mlp._work_arrays(x.shape, sizes)
+        diff = mlp._backward_arrays(plan, x, t, grad_w, grad_b, work)
+        sq = np.add.reduce(np.square(diff, out=diff), axis=(-2, -1), out=np.empty(2))
+        # The same operations, in the same order, each into a fresh array.
+        a = [x]
+        for k, (w_t, b) in enumerate(plan):
+            a.append(a[-1] @ w_t + b)
+            if k < len(plan) - 1:
+                a[-1] = np.maximum(a[-1], 0.0)
+        grad = (want_diff := a[-1] - t) / rows
+        want_w, want_b = [], []
+        for k in reversed(range(len(plan))):
+            want_w.insert(0, grad.swapaxes(-1, -2) @ a[k])
+            want_b.insert(0, grad.sum(axis=-2))
+            if k > 0:
+                grad = (grad @ plan[k][0].swapaxes(-1, -2)) * (a[k] > 0.0)
+        assert [g.tobytes() for g in grad_w] == [g.tobytes() for g in want_w]
+        assert [g.tobytes() for g in grad_b] == [g.tobytes() for g in want_b]
+        assert diff.tobytes() == np.square(want_diff).tobytes()
+        assert sq.tobytes() == np.square(want_diff).sum(axis=(-2, -1)).tobytes()
 
     def test_stacked_plan_gives_each_network_its_own_bits(self):
         models = [init_model(seed) for seed in (8, 9)]

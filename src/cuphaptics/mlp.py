@@ -17,6 +17,8 @@ Model file format (versioned, little-endian):
     params  per layer: weight matrix row-major (out x in) f64, bias f64 * out
 
 The byte length must match the header exactly; anything else is rejected.
+Every network maps 4 inputs to 2 outputs: ``_checked_sizes`` refuses any other
+shape where a model is built or a file's header is read, and nothing checks again.
 The params block is ``model.params``, the flat vector W0, b0, W1, b1, ...
 that the model holds, ``train`` optimizes, ``save_model`` writes and
 ``load_model`` reads; ``model.weights`` and ``model.biases`` are per-layer
@@ -142,7 +144,8 @@ class MlpModel:
 
     ``params`` holds W0, b0, W1, b1, ... in model-file order (weights out x
     in, row-major); ``weights`` and ``biases`` are per-layer views into it.
-    The model standardizes its inputs exactly when ``stats`` is not None.
+    The network maps 4 inputs to 2 outputs; it standardizes its inputs
+    exactly when ``stats`` is not None.
     Models compare by identity; compare ``params`` for equal values.
     ``_layers`` ((W.T, b) per layer) is the forward plan that ``_forward`` runs.
     """
@@ -164,9 +167,9 @@ class MlpModel:
             )
         if not np.isfinite(params).all():
             raise InvalidInputError("non-finite parameters")
-        if self.stats is not None and len(self.stats.mean) != sizes[0]:
+        if not (self.stats is None or isinstance(self.stats, FeatureStats)):
             raise InvalidInputError(
-                f"stats cover {len(self.stats.mean)} channels, model takes {sizes[0]}"
+                f"stats must be a FeatureStats or None, got {type(self.stats).__name__}"
             )
         weights, biases = _layer_views(params, sizes)
         object.__setattr__(self, "layer_sizes", sizes)
@@ -240,13 +243,18 @@ def init_model(
 
 def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
     """``layer_sizes`` as a tuple of ints; InvalidInputError unless there are
-    two or more and each is an integer (``operator.index`` takes it) >= 1."""
+    two or more, each is an integer (``operator.index`` takes it) >= 1, and
+    they map 4 inputs (the chamber pressures) to 2 outputs (cos, sin)."""
     try:
         sizes = tuple(map(operator.index, layer_sizes))
     except TypeError:
         raise InvalidInputError(f"bad layer_sizes {layer_sizes!r}") from None
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise InvalidInputError(f"bad layer_sizes {sizes}")
+    if sizes[0] != 4 or sizes[-1] != 2:
+        raise InvalidInputError(
+            f"a network must map 4 inputs to 2 outputs, got {sizes[0]} -> {sizes[-1]}"
+        )
     return sizes
 
 
@@ -300,8 +308,12 @@ def _forward(plan: _Plan, x: np.ndarray, out: list | None = None) -> list[np.nda
 
 
 def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
-    """Network output for one input vector (ReLU hidden, linear output)."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """Network output for one input vector (ReLU hidden, linear output); text
+    and other values that are not bool, integer or float are refused."""
+    x = np.asarray(inputs)
+    if x.dtype.kind not in "biuf":
+        raise InvalidInputError(f"inputs must be real numbers, got dtype {x.dtype}")
+    x = x.astype(np.float64, copy=False)
     if x.shape != (model.layer_sizes[0],):
         raise InvalidInputError(
             f"expected {model.layer_sizes[0]} inputs, got shape {x.shape}"
@@ -317,16 +329,11 @@ def target_encoding(phi_deg: np.ndarray) -> np.ndarray:
     return np.stack((np.cos(rad), np.sin(rad)), axis=1)
 
 
-def _check_outputs(width: int) -> None:
-    """The decode's rule: a direction is read from 2 network outputs (x, y)."""
-    if width != 2:
-        raise InvalidInputError(f"expected 2 network outputs, got {width}")
-
-
 def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
     """Direction estimate for a 2-vector output: the vector and its angle."""
     values = [float(v) for v in output]
-    _check_outputs(len(values))
+    if len(values) != 2:
+        raise InvalidInputError(f"expected 2 network outputs, got {len(values)}")
     x, y = values
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"output must be finite, got ({x}, {y})")
@@ -339,6 +346,8 @@ def loss(pred: Sequence[float], target: Sequence[float]) -> float:
     t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise InvalidInputError(f"shape mismatch {p.shape} vs {t.shape}")
+    if not p.size:
+        raise InvalidInputError("loss requires a non-empty batch")
     return float(np.mean((p - t) ** 2))
 
 
@@ -596,15 +605,13 @@ def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
     z = frame.p_ch
     if model.stats is not None:
         z = [(p - m) / s for p, m, s in zip(z, model.stats.mean, model.stats.std)]
-    if len(z) != model.layer_sizes[0] or not all(map(math.isfinite, z)):
+    if not all(map(math.isfinite, z)):
         return forward(model, z)  # raises forward's error
     return _forward(model._layers, np.array(z))[-1]
 
 
 def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked inputs and (n, 2) outputs, each row as ``network_output`` runs it."""
-    if p_ch.shape[1:] != (n_in := model.layer_sizes[0],):
-        raise InvalidInputError(f"expected {n_in} inputs, got shape {p_ch.shape[1:]}")
     x = _model_inputs(model, p_ch)
     return x, _forward(model._layers, x[:, None, :])[-1][:, 0]
 
@@ -612,12 +619,10 @@ def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.n
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:
     """Standardize if the model has stats, run forward, decode the angle:
     ``decode_estimate(network_output(model, frame)).phi_pred``."""
-    out = network_output(model, frame).tolist()
-    if len(out) == 2:
-        x, y = out
-        if math.isfinite(x) and math.isfinite(y):
-            return direction_angle(x, y)
-    return decode_estimate(out).phi_pred  # raises the output width or non-finite error
+    x, y = network_output(model, frame).tolist()
+    if math.isfinite(x) and math.isfinite(y):
+        return direction_angle(x, y)
+    return decode_estimate((x, y)).phi_pred  # raises the non-finite error
 
 
 @dataclass(frozen=True)
@@ -626,9 +631,6 @@ class MlpEstimator:
 
     model: MlpModel
     name: str = "mlp"
-
-    def __post_init__(self) -> None:
-        _check_outputs(self.model.layer_sizes[-1])
 
     def estimate_batch(self, rows: Samples) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
@@ -641,9 +643,7 @@ class MlpEstimator:
 def save_model(
     model: MlpModel, path: str | Path, metadata: Mapping | None = None
 ) -> None:
-    """Write the binary model file; optionally a JSON sidecar at path+'.json'.
-    A model the file cannot hold raises before either is written."""
-    _check_file_sizes(model.layer_sizes)
+    """Write the binary model file; optionally a JSON sidecar at path+'.json'."""
     mode = 0 if model.stats is None else 1  # 1 exactly when the file carries stats
     depth = len(model.layer_sizes)
     parts = [MODEL_MAGIC, struct.pack(f"<BI{depth}I", mode, depth, *model.layer_sizes)]
@@ -655,14 +655,6 @@ def save_model(
         sidecar = Path(str(path) + ".json")
         sidecar.write_text(
             json.dumps(metadata, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
-
-
-def _check_file_sizes(sizes: Sequence[int]) -> None:
-    """The model file's rule: its network maps 4 inputs to 2 outputs."""
-    if sizes[0] != 4 or sizes[-1] != 2:
-        raise ModelFormatError(
-            f"a model file must map 4 inputs to 2 outputs, got {sizes[0]} -> {sizes[-1]}"
         )
 
 
@@ -694,7 +686,10 @@ def load_model(path: str | Path) -> MlpModel:
     sizes = struct.unpack_from(f"<{depth}I", buf, head)
     if any(s < 1 for s in sizes):
         raise ModelFormatError(f"non-positive layer size in {sizes}")
-    _check_file_sizes(sizes)
+    try:
+        _checked_sizes(sizes)  # before any float is read
+    except InvalidInputError as exc:
+        raise ModelFormatError(f"invalid model file header: {exc}") from None
     # Then float64 stats (mode 1 only), the params block, no more.
     pos = head + 4 * depth
     n_stats = 2 * sizes[0] if mode_byte == 1 else 0

@@ -38,12 +38,12 @@ from cuphaptics import (
     target_encoding,
 )
 from cuphaptics.dataset import CSV_COLUMNS
-from cuphaptics.mlp import MODEL_MAGIC
+from cuphaptics.mlp import MODEL_MAGIC, _n_params
 from cuphaptics.rng import SEARCH_STEP, SHUFFLE, substream
 
 FD_STEP = 1e-6
 KINK_EPS = 1e-7
-SMALL_SIZES = (3, 6, 4, 2)
+SMALL_SIZES = (4, 6, 4, 2)
 
 
 def reference_forward(weights, biases, x):
@@ -139,12 +139,13 @@ def write_model_with_nan_param(path):
 
 
 def write_model_with_sizes(path, sizes, standardized):
-    """Write a model file of any layer sizes as raw bytes, bypassing the
-    4-channel FeatureStats check and save_model's 4-in, 2-out rule, so a
-    file can hold shapes the loader must reject."""
+    """Write a model file of any layer sizes as raw bytes, with zero
+    parameters, bypassing the 4-channel FeatureStats check and the 4-in,
+    2-out rule of every model, so a file can hold shapes the loader must
+    reject."""
     header = struct.pack(f"<BI{len(sizes)}I", int(standardized), len(sizes), *sizes)
     stats = np.array([0.0] * sizes[0] + [1.0] * sizes[0], dtype="<f8").tobytes()
-    params = init_model(0, layer_sizes=sizes).params.astype("<f8").tobytes()
+    params = np.zeros(_n_params(sizes), dtype="<f8").tobytes()
     path.write_bytes(MODEL_MAGIC + header + stats * standardized + params)
 
 

@@ -628,34 +628,35 @@ class TestMlpColumns:
                 evaluate_mlp(model, Samples(table))
 
     def test_model_of_another_input_width_is_rejected(self):
-        model = init_model(0, layer_sizes=(3, 8, 2))
-        with pytest.raises(InvalidInputError, match=re.escape("expected 3 inputs")):
-            evaluate_mlp(model, Samples(np.array([BASE_ROW])))
+        # Refused where the model is built, before evaluate_mlp could run it.
+        rule = "a network must map 4 inputs to 2 outputs, got 3 -> 2"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(rule)}$"):
+            evaluate_mlp(init_model(0, layer_sizes=(3, 8, 2)), Samples(np.array([BASE_ROW])))
 
     @pytest.mark.parametrize("width", [3, 1])
     @pytest.mark.parametrize(
         "path", ["predict_angle", "decode_estimate", "evaluate_mlp", "estimate_batch", "batch_search"]
     )
     def test_model_of_another_output_width_is_rejected(self, path, width):
-        # A direction decodes from exactly 2 outputs; any other width is named.
-        model = init_model(0, layer_sizes=(4, 8, width))
+        # A direction decodes from exactly 2 outputs; a model of any other
+        # width is refused where it is built, so no path runs it.
         samples = Samples(np.array([BASE_ROW]))
         frame = samples[0].frame
         calls = {
-            "predict_angle": lambda: predict_angle(model, frame),
-            "decode_estimate": lambda: decode_estimate(network_output(model, frame)),
-            "evaluate_mlp": lambda: evaluate_mlp(model, samples),
-            "estimate_batch": lambda: MlpEstimator(model).estimate_batch(samples),
-            "batch_search": lambda: batch_search(
+            "predict_angle": lambda model: predict_angle(model, frame),
+            "decode_estimate": lambda model: decode_estimate(network_output(model, frame)),
+            "evaluate_mlp": lambda model: evaluate_mlp(model, samples),
+            "estimate_batch": lambda model: MlpEstimator(model).estimate_batch(samples),
+            "batch_search": lambda model: batch_search(
                 BatchSpec((14.0,), (0.0,), (0.3,), (MlpEstimator(model),), reps=1),
                 SearchConfig(estimator=ModelBasedEstimator()),
                 GEOM,
                 PressureFieldParams(),
             ),
         }
-        message = f"expected 2 network outputs, got {width}"
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            calls[path]()
+        rule = f"a network must map 4 inputs to 2 outputs, got 4 -> {width}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(rule)}$"):
+            calls[path](init_model(0, layer_sizes=(4, 8, width)))
 
     def test_rows_outside_the_dataset_ranges_are_refused(self):
         rows = np.array([[96.0, 97.0, 96.0, 95.0, 101.325, -1.0, 400.0],
@@ -847,20 +848,20 @@ class TestCollectorState:
         assert seen == [False, False, False]
 
 
-# Sizes the row kernel is checked at: one neuron per layer, a small net,
-# and the default shape.
-KERNEL_SIZES = [(1, 1, 1), (4, 8, 2), (4, 16, 32, 16, 2)]
+# Sizes the row kernel is checked at: one hidden neuron, a small net, and
+# the default shape.
+KERNEL_SIZES = [(4, 1, 2), (4, 8, 2), (4, 16, 32, 16, 2)]
 
 
 @st.composite
 def random_models(draw, sizes=KERNEL_SIZES):
     """A model of one of ``sizes`` with normal parameters scaled by 1e-12 (its
-    outputs fall below EPS_ZERO) up to 1e2; 4-input ones may carry stats."""
+    outputs fall below EPS_ZERO) up to 1e2; it may carry stats."""
     layer_sizes = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = rng.standard_normal(_n_params(layer_sizes)) * 10.0 ** draw(st.integers(-12, 2))
     stats = None
-    if layer_sizes[0] == 4 and draw(st.booleans()):
+    if draw(st.booleans()):
         stats = FeatureStats(
             mean=tuple(rng.uniform(0.0, 200.0, 4)), std=tuple(rng.uniform(0.1, 50.0, 4))
         )
@@ -919,26 +920,27 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("single", [predict_angle, network_output])
     @pytest.mark.parametrize(
-        "model, frame, message",
+        "make_model, frame, message",
         [
             # A tiny spread sends the standardized inputs past the float range.
             (
-                init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
+                lambda: init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4)),
                 SensorFrame((1e10,) * 4, 1e10),
                 "inputs must be finite",
             ),
+            # A 3-input model is refused where it is built, before any frame.
             (
-                init_model(0, layer_sizes=(3, 8, 2)),
+                lambda: init_model(0, layer_sizes=(3, 8, 2)),
                 SensorFrame((96.0,) * 4, 101.325),
-                "expected 3 inputs",
+                "a network must map 4 inputs to 2 outputs, got 3 -> 2",
             ),
         ],
         ids=["standardized-input-overflows", "three-input-model"],
     )
-    def test_rejected_frame_raises_its_error(self, single, model, frame, message):
+    def test_rejected_frame_raises_its_error(self, single, make_model, frame, message):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match=re.escape(message)):
-                single(model, frame)
+                single(make_model(), frame)
 
     @pytest.mark.parametrize("single", [predict_angle, network_output])
     def test_overflowing_standardized_input_warns_of_nothing(self, single):

@@ -2,8 +2,10 @@ import copy
 import json
 import math
 import pickle
+import re
 import struct
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +59,10 @@ from helpers import (
 
 NOISELESS = PressureFieldParams(noise_sigma_kpa=0.0)
 DIVERGED = "squared-gradient average must be finite and >= 0"
+
+
+# A 4-1-2 network: W0 = [[1, 0, 0, 0]], b0 = [0], W1 = [[1], [0]], b1 = [0, 0].
+RELU_TOY_PARAMS = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def zero_model(sizes=(4, 16, 32, 16, 2)):
@@ -161,10 +167,28 @@ class TestModelValidation:
             init_model(0, layer_sizes=sizes)
 
     def test_rejects_stats_of_another_width(self):
-        stats = FeatureStats(mean=(90.0, 91.0, 92.0, 93.0), std=(1.0, 1.0, 1.0, 1.0))
-        with pytest.raises(InvalidInputError) as exc_info:
-            MlpModel(layer_sizes=(3, 2), params=np.zeros(8), stats=stats)
-        assert str(exc_info.value) == "stats cover 4 channels, model takes 3"
+        # A FeatureStats covers the 4 channels, and no other stats are taken:
+        # a tuple once raised a bare AttributeError.
+        three = SimpleNamespace(mean=(90.0, 91.0, 92.0), std=(1.0, 1.0, 1.0))
+        for stats, kind in (((1, 2), "tuple"), (three, "SimpleNamespace")):
+            with pytest.raises(InvalidInputError) as exc_info:
+                MlpModel(layer_sizes=(4, 16, 32, 16, 2), params=np.zeros(1_186), stats=stats)
+            assert str(exc_info.value) == f"stats must be a FeatureStats or None, got {kind}"
+
+    @pytest.mark.parametrize("sizes", [(3, 8, 2), (4, 8, 3), (4, 8, 1), (1, 1, 1)], ids=str)
+    def test_only_a_4_in_2_out_network_builds(self, tmp_path, sizes):
+        # The one shape rule: no model of another width is built in memory,
+        # so none reaches inference, scoring or save_model; a file is refused
+        # from its header.
+        rule = f"a network must map 4 inputs to 2 outputs, got {sizes[0]} -> {sizes[-1]}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(rule)}$"):
+            init_model(0, layer_sizes=sizes)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(rule)}$"):
+            zero_model(sizes)
+        path = tmp_path / "m.cupmlp"
+        write_model_with_sizes(path, sizes, standardized=False)
+        with pytest.raises(ModelFormatError, match=f"^invalid model file header: {re.escape(rule)}$"):
+            load_model(path)
 
     def test_stats_must_cover_four_channels(self):
         with pytest.raises(InvalidInputError) as exc_info:
@@ -183,10 +207,10 @@ class TestForward:
         assert np.array_equal(out, np.zeros(2))
 
     def test_relu_gates_negative_preactivation(self):
-        # W0 = [[1]], b0 = [0], W1 = [[1]], b1 = [0]
-        toy = MlpModel(layer_sizes=(1, 1, 1), params=np.array([1.0, 0.0, 1.0, 0.0]))
-        assert forward(toy, [-3.0])[0] == 0.0
-        assert forward(toy, [2.5])[0] == 2.5
+        # The first input through one ReLU unit to the first output.
+        toy = MlpModel(layer_sizes=(4, 1, 2), params=RELU_TOY_PARAMS)
+        assert forward(toy, [-3.0, 0.0, 0.0, 0.0]).tolist() == [0.0, 0.0]
+        assert forward(toy, [2.5, 0.0, 0.0, 0.0]).tolist() == [2.5, 0.0]
 
     def test_matches_straight_line_reimplementation(self):
         model = init_model(99)
@@ -214,6 +238,29 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             forward(init_model(0), [1.0, 2.0, 3.0, float("nan")])
 
+    @pytest.mark.parametrize(
+        "inputs, dtype",
+        [
+            (["1", "2", "3", "4"], "<U1"),
+            (["a", "b", "c", "d"], "<U1"),
+            ([b"1", b"2", b"3", b"4"], "|S1"),
+            ([1j, 2.0, 3.0, 4.0], "complex128"),
+            ([math.nan, 2.0, 3.0, None], "object"),
+        ],
+        ids=["numeric-text", "text", "bytes", "complex", "none"],
+    )
+    def test_rejects_what_is_not_a_number(self, inputs, dtype):
+        # As errors.as_real: text is not a number, though numpy would parse it.
+        with pytest.raises(InvalidInputError) as exc_info:
+            forward(init_model(0), inputs)
+        assert str(exc_info.value) == f"inputs must be real numbers, got dtype {dtype}"
+
+    def test_takes_bools_and_integers_as_floats(self):
+        model = init_model(0)
+        want = forward(model, [1.0, 0.0, 1.0, 1.0]).tobytes()
+        for inputs in ([True, False, True, True], [1, 0, 1, 1], np.array([1, 0, 1, 1], np.uint8)):
+            assert forward(model, inputs).tobytes() == want
+
 
 class TestEncoding:
     def test_cardinal_points(self):
@@ -226,6 +273,11 @@ class TestEncoding:
 
     def test_third_quadrant(self):
         assert decode_estimate((-0.7071, -0.7071)).phi_pred.degrees == pytest.approx(225.0)
+
+    @pytest.mark.parametrize("width", [0, 1, 3])
+    def test_another_number_of_outputs_is_named(self, width):
+        with pytest.raises(InvalidInputError, match=f"^expected 2 network outputs, got {width}$"):
+            decode_estimate([0.5] * width)
 
     def test_zero_vector_has_no_angle(self):
         assert decode_estimate((0.0, 0.0)).phi_pred is None
@@ -256,6 +308,13 @@ class TestLoss:
         with pytest.raises(InvalidInputError) as exc_info:
             loss((0.3, -0.8), (0.3, -0.8, 0.0))
         assert str(exc_info.value) == "shape mismatch (2,) vs (3,)"
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2)])
+    def test_empty_batch_rejected(self, shape):
+        # Its mean was NaN, with numpy's "Mean of empty slice" warning.
+        with pytest.raises(InvalidInputError) as exc_info:
+            loss(np.empty(shape), np.empty(shape))
+        assert str(exc_info.value) == "loss requires a non-empty batch"
 
 
 class TestBackward:
@@ -297,12 +356,16 @@ class TestBackward:
         ],
     )
     def test_relu_subgradient_at_the_kink(self, x, want_w, want_b):
-        # One ReLU unit between identity layers, target 1: the hidden layer
-        # passes gradient only where its pre-activation x is > 0.
-        model = MlpModel((1, 1, 1), [1.0, 0.0, 1.0, 0.0])
-        grad_w, grad_b = backward(model, [[x]], [[1.0]])
-        assert [g.tolist() for g in grad_w] == want_w
-        assert [g.tolist() for g in grad_b] == want_b
+        # One ReLU unit between identity paths from the first input to the
+        # first output, target (1, 0): the hidden layer passes gradient only
+        # where its pre-activation x is > 0. The want lists are the gradients
+        # of those paths; every other gradient is 0.
+        model = MlpModel((4, 1, 2), RELU_TOY_PARAMS)
+        (gw0, gw1), (gb0, gb1) = backward(model, [[x, 0.0, 0.0, 0.0]], [[1.0, 0.0]])
+        assert [gw0[:, :1].tolist(), gw1[:1].tolist()] == want_w
+        assert [gb0.tolist(), gb1[:1].tolist()] == want_b
+        assert gw0[:, 1:].tolist() == [[0.0, 0.0, 0.0]]
+        assert gw1[1:].tolist() == [[0.0]] and gb1[1:].tolist() == [0.0]
 
     def test_matches_finite_differences_quick(self):
         checked, _, worst = gradient_check_trials(20, base_seed=50_000)
@@ -745,11 +808,16 @@ class TestPersistence:
 
     @pytest.mark.parametrize("sizes", [(3, 8, 2), (4, 8, 3), (1, 1, 1)], ids=str)
     def test_save_refuses_what_load_refuses_and_writes_nothing(self, tmp_path, sizes):
-        # A model of another width trains in memory but has no model file.
+        # A model of another width is refused where it is built, so it never
+        # reaches save_model; a file of those sizes is refused on load.
+        rule = f"a network must map 4 inputs to 2 outputs, got {sizes[0]} -> {sizes[-1]}"
         path = tmp_path / "m.cupmlp"
-        with pytest.raises(ModelFormatError, match="4 inputs to 2 outputs"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(rule)}$"):
             save_model(init_model(0, layer_sizes=sizes), path, metadata={"epochs": 1})
         assert list(tmp_path.iterdir()) == []
+        write_model_with_sizes(path, sizes, standardized=False)
+        with pytest.raises(ModelFormatError, match=re.escape(rule)):
+            load_model(path)
         model = init_model(0, layer_sizes=(4, 8, 2))
         save_model(model, path)
         loaded = load_model(path)

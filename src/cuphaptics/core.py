@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
-from .errors import InvalidInputError, as_real
+from .errors import InvalidInputError, as_real, as_reals
 
 if TYPE_CHECKING:
     from .dataset import Samples
@@ -74,7 +74,7 @@ class Angle:
 
 def angular_errors(pred_deg: np.ndarray, true_deg: np.ndarray) -> np.ndarray:
     """Elementwise wrap-aware separation of angles in [0, 360), within [0, 180]."""
-    d = np.abs(np.asarray(pred_deg, dtype=np.float64) - true_deg)
+    d = np.abs(as_reals("pred_deg", pred_deg) - as_reals("true_deg", true_deg))
     return np.minimum(d, 360.0 - d)
 
 

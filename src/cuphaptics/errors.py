@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the number checks of its configs."""
+"""Exception types shared across the package, and its number and array checks."""
 
 import math
 import operator
+
+import numpy as np
 
 
 class CupHapticsError(Exception):
@@ -33,6 +35,21 @@ def as_real(value: object) -> float:
     if isinstance(value, (str, bytes, bytearray)):
         raise TypeError(f"text is not a real number: {value!r}")
     return float(value)  # type: ignore[arg-type]
+
+
+def as_reals(name: str, values: object, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
+    """``values`` as a float64 array, the same one if it is; InvalidInputError unless
+    numpy reads bools, integers or floats (not text, bytes or None) of ``shape``,
+    if given, where None matches any length. The array form of ``as_real``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be real numbers, got dtype {array.dtype}")
+    if shape is not None and (
+        array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape))
+    ):
+        want = str(shape).replace("None", "n")
+        raise InvalidInputError(f"{name} must have shape {want}, got {array.shape}")
+    return array.astype(np.float64, copy=False)
 
 
 def require_real(name: str, value: object, low=0.0, high=math.inf, *, open_low=True) -> float:

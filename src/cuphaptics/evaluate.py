@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Angle, ModelBasedEstimator, _rmse, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
-from .errors import ConfigError, InvalidInputError, require_count
+from .errors import ConfigError, InvalidInputError, as_reals, require_count
 from .mlp import MlpEstimator, MlpModel, TrainConfig, _lockstep, _SeedRun
 
 MLP_METHOD = "mlp"
@@ -76,12 +76,9 @@ class EvalReport:
     mlp: MethodSummary
     model_based: MethodSummary
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
         # Field order fixed by the dataclass definitions -> stable output.
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return json.dumps(asdict(self), indent=2, sort_keys=False)
 
 
 def _errors(pairs: Sequence[PredictionPair], metric: str) -> np.ndarray:
@@ -251,18 +248,22 @@ def export_scatter(
     results: Mapping[str, tuple[np.ndarray, np.ndarray]], path: str | Path
 ) -> None:
     """Write the defined (non-NaN) predictions as `phi_true_deg,phi_pred_deg,method` rows.
-    A method whose two columns differ in length raises before the file is opened."""
+    A column ``as_reals`` refuses, or a method's two of unequal length, raises before writing."""
+    columns = {}
     for method, (phi_true, phi_pred) in results.items():
+        phi_true = as_reals(f"{method} phi_true_deg", phi_true, (None,))
+        phi_pred = as_reals(f"{method} phi_pred_deg", phi_pred, (None,))
         if len(phi_true) != len(phi_pred):
             raise InvalidInputError(
                 f"{method}: {len(phi_true)} true yaws but {len(phi_pred)} predictions"
             )
+        columns[method] = phi_true, phi_pred
     write_table(
         path,
         ("phi_true_deg", "phi_pred_deg", "method"),
         (
             (t, p, method)
-            for method, (phi_true, phi_pred) in results.items()
+            for method, (phi_true, phi_pred) in columns.items()
             for t, p in zip(phi_true.tolist(), phi_pred.tolist())
             if not math.isnan(p)
         ),

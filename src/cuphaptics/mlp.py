@@ -77,6 +77,7 @@ from .errors import (
     DegenerateChannelError,
     InvalidInputError,
     ModelFormatError,
+    as_reals,
     require_count,
     require_real,
 )
@@ -159,12 +160,7 @@ class MlpModel:
 
     def __post_init__(self) -> None:
         sizes = _checked_sizes(self.layer_sizes)
-        params = np.asarray(self.params, dtype=np.float64)
-        if params.shape != (_n_params(sizes),):
-            raise InvalidInputError(
-                f"params for sizes {sizes} must have shape ({_n_params(sizes)},), "
-                f"got {params.shape}"
-            )
+        params = as_reals("params", self.params, (_n_params(sizes),))
         if not np.isfinite(params).all():
             raise InvalidInputError("non-finite parameters")
         if not (self.stats is None or isinstance(self.stats, FeatureStats)):
@@ -308,16 +304,9 @@ def _forward(plan: _Plan, x: np.ndarray, out: list | None = None) -> list[np.nda
 
 
 def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
-    """Network output for one input vector (ReLU hidden, linear output); text
-    and other values that are not bool, integer or float are refused."""
-    x = np.asarray(inputs)
-    if x.dtype.kind not in "biuf":
-        raise InvalidInputError(f"inputs must be real numbers, got dtype {x.dtype}")
-    x = x.astype(np.float64, copy=False)
-    if x.shape != (model.layer_sizes[0],):
-        raise InvalidInputError(
-            f"expected {model.layer_sizes[0]} inputs, got shape {x.shape}"
-        )
+    """Network output for one input vector (ReLU hidden, linear output): 4
+    finite numbers, as ``as_reals`` reads them."""
+    x = as_reals("inputs", inputs, (4,))
     if not all(map(math.isfinite, x.tolist())):
         raise InvalidInputError("inputs must be finite")
     return _forward(model._layers, x)[-1]
@@ -325,16 +314,13 @@ def forward(model: MlpModel, inputs: Sequence[float]) -> np.ndarray:
 
 def target_encoding(phi_deg: np.ndarray) -> np.ndarray:
     """Unit-circle targets (cos phi, sin phi), one row per yaw in degrees."""
-    rad = np.radians(phi_deg)
+    rad = np.radians(as_reals("phi_deg", phi_deg, (None,)))
     return np.stack((np.cos(rad), np.sin(rad)), axis=1)
 
 
 def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
     """Direction estimate for a 2-vector output: the vector and its angle."""
-    values = [float(v) for v in output]
-    if len(values) != 2:
-        raise InvalidInputError(f"expected 2 network outputs, got {len(values)}")
-    x, y = values
+    x, y = as_reals("output", output, (2,)).tolist()
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"output must be finite, got ({x}, {y})")
     return DirectionEstimate(v_pred=(x, y), phi_pred=direction_angle(x, y))
@@ -342,8 +328,7 @@ def decode_estimate(output: Sequence[float]) -> DirectionEstimate:
 
 def loss(pred: Sequence[float], target: Sequence[float]) -> float:
     """MSE over the two components: ((p1-t1)^2 + (p2-t2)^2) / 2."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
+    p, t = as_reals("pred", pred), as_reals("target", target)
     if p.shape != t.shape:
         raise InvalidInputError(f"shape mismatch {p.shape} vs {t.shape}")
     if not p.size:
@@ -391,13 +376,11 @@ def _backward_arrays(
 def backward(
     model: MlpModel, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the mean batch loss w.r.t. every weight and bias.
-
-    ReLU's subgradient at exactly 0 is taken as 0. Returns
-    (grad_weights, grad_biases) with shapes matching the model.
-    """
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    """Gradients of the mean batch loss over (n, 4) inputs and (n, 2) targets
+    w.r.t. every weight and bias; ReLU's subgradient at exactly 0 is taken as 0.
+    Returns (grad_weights, grad_biases) with shapes matching the model."""
+    x = as_reals("inputs", inputs, (None, 4))
+    t = as_reals("targets", targets, (None, 2))
     if x.shape[0] == 0:
         raise InvalidInputError("backward requires a non-empty batch")
     if x.shape[0] != t.shape[0]:
@@ -415,16 +398,20 @@ def rmsprop_step(
     """One RMSprop update of ``params`` and the squared-gradient average ``v``,
     both in place, with ``config``'s lr, rho and eps; ``grads`` is overwritten.
 
-    The three float64 arrays share one shape. The IEEE operations and their
-    order are those of v <- rho*v + ((1-rho)*g)*g and
+    The three must be float64 ndarrays of one shape, or none is written. The
+    IEEE operations and their order are those of v <- rho*v + ((1-rho)*g)*g and
     theta <- theta - (lr*g) / (sqrt(v) + eps), so the bits equal that formula
     evaluated into fresh arrays. An average that is not finite and >= 0 (the
     run diverged) raises before ``params`` is touched.
     """
-    if not params.shape == grads.shape == v.shape:
-        raise InvalidInputError(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, v {v.shape}"
-        )
+    if not (
+        type(params) is type(grads) is type(v) is np.ndarray
+        and params.shape == grads.shape == v.shape
+        and params.dtype == grads.dtype == v.dtype == np.float64
+    ):
+        arrays = params, grads, v
+        got = [f"{getattr(a, 'dtype', type(a).__name__)}{getattr(a, 'shape', '')}" for a in arrays]
+        raise InvalidInputError(f"shape mismatch: need float64 ndarrays of one shape, got {got}")
     scratch = np.multiply(grads, 1.0 - config.rho, out=np.empty_like(grads))
     scratch *= grads
     v *= config.rho

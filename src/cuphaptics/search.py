@@ -102,9 +102,10 @@ def search_step(
     cup cannot overshoot past the fully-sealed position along the
     normal); phi is unchanged.
     """
+    step = require_real("step_size", step_size)
     if estimate.phi_pred is None:
         raise InvalidInputError("search_step requires a defined direction estimate")
-    new_delta = _next_delta(pose.delta, estimate.phi_pred.degrees, pose.phi.degrees, step_size)
+    new_delta = _next_delta(pose.delta, estimate.phi_pred.degrees, pose.phi.degrees, step)
     return GroundTruthPose(delta=new_delta, phi=pose.phi)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame
 from .dataset import Samples
-from .errors import ConfigError, InvalidInputError, require_count, require_real
+from .errors import ConfigError, InvalidInputError, as_reals, require_count, require_real
 from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
 
 if TYPE_CHECKING:
@@ -102,8 +102,8 @@ def coverage_depth(geom: CupGeometry, delta: ArrayLike, phi_deg: ArrayLike) -> n
     ``phi_deg`` broadcast to some shape (...); the result is (..., 4), one
     column per chamber. Positive means the chamber center is over the plate.
     """
-    reach = geom.r_cup_mm - np.asarray(delta, dtype=np.float64)
-    phi = np.radians(phi_deg)
+    reach = geom.r_cup_mm - as_reals("delta", delta)
+    phi = np.radians(as_reals("phi_deg", phi_deg))
     return geom.r_chamber_mm * np.cos(_CHAMBER_ANGLES_RAD - phi[..., None]) + reach[..., None]
 
 
@@ -129,11 +129,11 @@ def chamber_vacuum(
     that cannot overflow. When noise_sigma_kpa > 0, ``rng`` gives one
     normal draw per element of ``d``, in C order.
     """
-    return _vacuum(params, d, sensor_noise(params.noise_sigma_kpa, rng, np.shape(d)))
+    d = as_reals("d", d)
+    return _vacuum(params, d, sensor_noise(params.noise_sigma_kpa, rng, d.shape))
 
 
-def _vacuum(params: PressureFieldParams, d: ArrayLike, noise: np.ndarray | None) -> np.ndarray:
-    d = np.asarray(d, dtype=np.float64)
+def _vacuum(params: PressureFieldParams, d: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
     if not np.isfinite(d).all():
         raise InvalidInputError("coverage depth must be finite")
     half_t = d * (0.5 / params.transition_width_mm)

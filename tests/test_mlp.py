@@ -276,7 +276,7 @@ class TestEncoding:
 
     @pytest.mark.parametrize("width", [0, 1, 3])
     def test_another_number_of_outputs_is_named(self, width):
-        with pytest.raises(InvalidInputError, match=f"^expected 2 network outputs, got {width}$"):
+        with pytest.raises(InvalidInputError, match=rf"^output must have shape \(2,\), got \({width},\)$"):
             decode_estimate([0.5] * width)
 
     def test_zero_vector_has_no_angle(self):
@@ -428,6 +428,25 @@ class TestRmsprop:
             rmsprop_step(np.zeros(3), np.zeros(2), np.zeros(3), TrainConfig())
         with pytest.raises(InvalidInputError, match="shape mismatch"):
             rmsprop_step(np.zeros(3), np.zeros(3), np.zeros(2), TrainConfig())
+
+    @pytest.mark.parametrize(
+        "params, grads, v",
+        [
+            (np.zeros(3, dtype=np.int64), np.ones(3), np.zeros(3)),
+            ([0.0, 0.0, 0.0], np.ones(3), np.zeros(3)),
+            (np.zeros(3, dtype=np.float32), np.ones(3), np.zeros(3)),
+            (np.zeros(3), np.ones(3, dtype=np.int64), np.zeros(3)),
+            (np.zeros(3), np.ones(3), np.zeros(3, dtype=np.int64)),
+        ],
+        ids=["int-params", "list-params", "float32-params", "int-grads", "int-v"],
+    )
+    def test_refuses_what_is_not_three_float64_arrays_before_any_write(self, params, grads, v):
+        # An int params array once raised numpy's UFuncTypeError after v and grads were written.
+        before = [np.array(a, copy=True) for a in (params, grads, v)]
+        with pytest.raises(InvalidInputError, match="^shape mismatch: need float64 ndarrays"):
+            rmsprop_step(params, grads, v, TrainConfig())
+        for a, was in zip((params, grads, v), before):
+            assert np.asarray(a).tobytes() == was.tobytes()
 
     def test_matches_the_formula_bit_for_bit(self):
         rng = np.random.default_rng(7)

@@ -98,6 +98,12 @@ class TestSearchStep:
         with pytest.raises(InvalidInputError):
             search_step(pose(10.0), absent, 2.0)
 
+    @pytest.mark.parametrize("step", [-1.0, 0.0, math.nan, math.inf, "2", None])
+    def test_refuses_the_steps_search_config_refuses(self, step):
+        # A negative step with a perfect estimate once moved the cup away (10 -> 11 mm).
+        with pytest.raises(ConfigError, match="^step_size must be "):
+            search_step(pose(10.0, 30.0), estimate_at(30.0), step)
+
 
 class TestRunSearch:
     def test_oracle_closed_form_step_count(self):

@@ -7,6 +7,8 @@ pairwise chamber sums give a vector that points toward the better seal.
 
 Everything here is an immutable value or a pure function. The value types
 store each number as a finite float, converted and then range-checked.
+``Angle`` is the one scalar yaw wrap, and ``_wrap_deg``, which wraps a column
+in place, its column form.
 
 ``ModelBasedEstimator`` and ``OracleEstimator`` answer for a ``Samples`` table
 through ``estimate_batch``, as ``mlp.MlpEstimator`` does beside ``predict_angle``:
@@ -58,14 +60,6 @@ class Angle:
         if wrapped == 360.0:  # fmod of a tiny negative can round up to 360
             wrapped = 0.0
         object.__setattr__(self, "degrees", wrapped)
-
-    @classmethod
-    def _wrapped(cls, degrees: float) -> Angle:
-        """The Angle of ``degrees``, unchecked: it must be what ``__init__``
-        stores, as ``_wrap_deg`` gives it for a finite yaw. Keeps the float."""
-        angle = object.__new__(cls)
-        object.__setattr__(angle, "degrees", degrees)
-        return angle
 
     @property
     def radians(self) -> float:
@@ -159,21 +153,19 @@ def _yaw_deg(x: float, y: float) -> float:
     return math.degrees(math.atan2(y, x))
 
 
-def _wrap_deg(deg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A column of yaws in degrees, each as ``Angle`` stores it, NaN staying
-    NaN: a new one, or ``out``, which may be ``deg`` itself."""
-    wrapped = np.remainder(deg, 360.0, out=out)
-    wrapped[wrapped == 360.0] = 0.0  # Angle's rule
-    return wrapped
+def _wrap_deg(deg: np.ndarray) -> np.ndarray:
+    """``deg``, a column of yaws in degrees, wrapped in place, each as ``Angle``
+    stores it, NaN staying NaN: ``Angle``'s rule in column form."""
+    np.remainder(deg, 360.0, out=deg)
+    deg[deg == 360.0] = 0.0  # Angle's rule
+    return deg
 
 
 def direction_angle(x: float, y: float) -> Angle | None:
     """Polar angle of the direction (x, y); None when its norm is ~zero or
-    (x, y) holds a NaN. ``_yaw_deg`` is NaN or finite, so no check is left."""
-    deg = _yaw_deg(x, y) % 360.0
-    if math.isnan(deg):
-        return None
-    return Angle._wrapped(0.0 if deg == 360.0 else deg)  # Angle's rule
+    (x, y) holds a NaN."""
+    deg = _yaw_deg(x, y)
+    return None if math.isnan(deg) else Angle(deg)
 
 
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
@@ -225,7 +217,7 @@ def _yaws(rows: Samples, x, y, ok, estimate: Callable[[SensorFrame], object]) ->
     yaw = np.fromiter(map(math.atan2, ys, xs), float, count=n)
     np.degrees(yaw, out=yaw)  # math.degrees' constant
     yaw[zero] = np.nan
-    return _wrap_deg(yaw, out=yaw)
+    return _wrap_deg(yaw)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ columns follow the CSV schema below. ``samples.table`` is that array,
 ``samples.p_ch``, ``samples.p_atm`` and ``samples.phi_deg`` are column
 views, and ``samples[i]`` builds the ``LabeledSample`` (frame and pose) of
 row i, so per-row objects exist only where a caller asks for one.
-``Samples`` holds only rows that a frame and a pose accept, the rule
-``read_csv`` applies to a file, with each yaw as ``Angle`` stores it; so
-the modules that generate, train on and score a dataset check no row.
+``Samples`` holds only rows that ``_labeled``, the one row rule, accepts
+(``read_csv``'s csv pass and the search's rejected step check rows by it
+too), with each yaw as ``Angle`` stores it; so the modules that generate,
+train on and score a dataset check no row.
 
 The on-disk format is a plain CSV with the exact header
 
@@ -65,7 +66,13 @@ class LabeledSample:
 
 
 def _labeled(row: Sequence[float]) -> LabeledSample:
+    """The ``LabeledSample`` of a CSV_COLUMNS row by the dataset's one row rule:
+    ``phi_deg`` in [0, 360], then ``SensorFrame``, then ``GroundTruthPose``. It
+    names ``Samples``' first refused row, checks each ``_csv_rows`` row and
+    each row of a search step the table path rejects."""
     *p_ch, p_atm, delta, phi = row
+    if not (0.0 <= phi <= 360.0):
+        raise InvalidInputError(f"phi_deg must be in [0, 360], got {phi}")
     return LabeledSample(
         frame=SensorFrame(p_ch=tuple(p_ch), p_atm=p_atm),
         pose=GroundTruthPose(delta=delta, phi=Angle(phi)),
@@ -74,16 +81,15 @@ def _labeled(row: Sequence[float]) -> LabeledSample:
 
 def _checked_table(table: object) -> np.ndarray:
     """``table`` itself if it is a float64 (n, 7) array; else InvalidInputError."""
-    if not (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.float64
-        and table.shape[1:] == (len(CSV_COLUMNS),)
-    ):
-        raise InvalidInputError(
-            f"samples table must be float64 of shape (n, {len(CSV_COLUMNS)}), "
-            f"got {np.asarray(table).dtype} of shape {np.shape(table)}"
-        )
-    return table
+    if not isinstance(table, np.ndarray):
+        got = type(table).__name__
+    elif table.dtype != np.float64 or table.shape[1:] != (len(CSV_COLUMNS),):
+        got = f"{table.dtype} of shape {table.shape}"
+    else:
+        return table
+    raise InvalidInputError(
+        f"samples table must be a float64 array of shape (n, {len(CSV_COLUMNS)}), got {got}"
+    )
 
 
 def _rows_ok(table: np.ndarray) -> np.ndarray:
@@ -99,11 +105,11 @@ class Samples:
     """A dataset as one read-only (n, 7) float64 table in CSV_COLUMNS order.
 
     A table from outside is checked a column at a time (``_rows_ok``), and
-    the first row refused replays the checks ``_csv_rows`` makes of a row,
-    raising ``InvalidInputError`` as ``row i: <message>``. It checks one
-    C-ordered copy, which no later write to the caller's array reaches, and
-    holds each yaw as ``Angle`` stores it, through ``_wrap_deg`` (the
-    column form of its rule: 360 as 0, -0.0 as +0.0). Indexing with an int
+    the first row refused goes through ``_labeled``, raising
+    ``InvalidInputError`` as ``row i: <message>``. It checks one C-ordered
+    copy, which no later write to the caller's array reaches, and holds
+    each yaw as ``Angle`` stores it, through ``_wrap_deg`` (the column form
+    of its rule: 360 as 0, -0.0 as +0.0). Indexing with an int
     gives that row's ``LabeledSample``; indexing with a slice, an index
     array or a mask gives another ``Samples``, of rows already checked.
     """
@@ -126,15 +132,12 @@ class Samples:
         ok = _rows_ok(table)
         if not ok.all():
             i = int(ok.argmin())
-            row = table[i].tolist()
             try:
-                if not (0.0 <= row[6] <= 360.0):
-                    raise InvalidInputError(f"phi_deg must be in [0, 360], got {row[6]}")
-                _labeled(row)  # SensorFrame, then GroundTruthPose
+                _labeled(table[i].tolist())
             except InvalidInputError as exc:
                 raise InvalidInputError(f"row {i}: {exc}") from None
             raise AssertionError(f"row {i} is refused by the table check but not by its row")
-        _wrap_deg(table[:, 6], out=table[:, 6])  # Angle's rule: 360 and -0.0 read +0.0
+        _wrap_deg(table[:, 6])  # Angle's rule: 360 and -0.0 read +0.0
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -325,9 +328,9 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
 def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
     """The table of the rows after the header, read on from ``reader`` by the
     csv module. Each row but a blank one is checked in turn: its column
-    count, each cell, its phi range, then ``_labeled``'s ``SensorFrame`` and
-    ``GroundTruthPose``. The first bad row raises its error at the file line
-    it starts on; a csv module or decoder error raises where it comes."""
+    count, each cell, then ``_labeled``'s row rule (a phi error names its
+    column). The first bad row raises its error at the file line it starts
+    on; a csv module or decoder error raises where it comes."""
     rows, end = [], reader.line_num
     for row in reader:
         line, end = end + 1, reader.line_num  # a quoted cell may span lines
@@ -336,13 +339,11 @@ def _csv_rows(reader: Iterator[list[str]]) -> np.ndarray:
         if len(row) != len(CSV_COLUMNS):
             raise CsvParseError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}", line=line)
         values = [_parse_cell(cell, line, col) for cell, col in zip(row, CSV_COLUMNS)]
-        if not (0.0 <= values[6] <= 360.0):
-            message = f"phi_deg must be in [0, 360], got {values[6]}"
-            raise CsvParseError(message, line=line, column="phi_deg")
         try:
-            _labeled(values)  # SensorFrame, then GroundTruthPose
+            _labeled(values)
         except InvalidInputError as exc:
-            raise CsvParseError(str(exc), line=line) from exc
+            column = "phi_deg" if str(exc).startswith("phi_deg") else None
+            raise CsvParseError(str(exc), line=line, column=column) from exc
         rows.append(values)
     return np.array(rows or np.empty((0, len(CSV_COLUMNS))), dtype=np.float64)  # owns its data
 

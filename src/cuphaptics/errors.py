@@ -39,9 +39,12 @@ def as_real(value: object) -> float:
 
 def as_reals(name: str, values: object, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
     """``values`` as a float64 array, the same one if it is; InvalidInputError unless
-    numpy reads bools, integers or floats (not text, bytes or None) of ``shape``,
-    if given, where None matches any length. The array form of ``as_real``."""
-    array = np.asarray(values)
+    numpy reads bools, integers or floats (not text, bytes, None or a ragged nesting)
+    of ``shape``, if given, where None matches any length. The array form of ``as_real``."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # numpy refuses a ragged nesting
+        raise InvalidInputError(f"{name} must be an array, got a ragged nesting") from exc
     if array.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must be real numbers, got dtype {array.dtype}")
     if shape is not None and (

@@ -671,8 +671,6 @@ def load_model(path: str | Path) -> MlpModel:
         raise ModelFormatError(f"implausible layer count {depth}")
     _require(buf, head, 4 * depth)
     sizes = struct.unpack_from(f"<{depth}I", buf, head)
-    if any(s < 1 for s in sizes):
-        raise ModelFormatError(f"non-positive layer size in {sizes}")
     try:
         _checked_sizes(sizes)  # before any float is read
     except InvalidInputError as exc:

@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import Angle, DirectionEstimate, GroundTruthPose, SensorFrame
-from .dataset import Samples, write_table
+from .core import Angle, DirectionEstimate, GroundTruthPose
+from .dataset import Samples, _labeled, write_table
 from .errors import ConfigError, InvalidInputError, require_count, require_real
 from .rng import SEARCH_STEP, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures
@@ -270,17 +270,13 @@ def _lockstep(
         rejected = {}
         if new is None or np.isinf(new).any():  # each row alone, as the single-frame loop runs it
             yaw, new = np.full(len(live), np.nan), d.copy()
-            for i, (*p, p_atm, d_i, f_i) in enumerate(table.tolist()):
+            for i, row in enumerate(table.tolist()):
                 try:
-                    SensorFrame(p_ch=tuple(p), p_atm=p_atm)
-                    try:
-                        one = Samples(table[i : i + 1])
-                    except InvalidInputError as error:
-                        raise AssertionError("SensorFrame accepts, Samples refuses") from error
-                    (y,) = est.estimate_batch(one).tolist()
-                    n = _next_delta(d_i, y, f_i, step)
+                    pose = _labeled(row).pose  # the frame's own error, unprefixed
+                    (y,) = est.estimate_batch(Samples(table[i : i + 1])).tolist()
+                    n = _next_delta(pose.delta, y, pose.phi.degrees, step)
                     if not math.isnan(y):  # with no gradient the loop stops before it steps
-                        GroundTruthPose(delta=n, phi=Angle(f_i))
+                        GroundTruthPose(delta=n, phi=pose.phi)
                     yaw[i], new[i] = y, n
                 except InvalidInputError as error:
                     rejected[live[i]] = error

@@ -1,8 +1,8 @@
 """One array rule: every caller array the package reads goes through
-``errors.as_reals``. Text, None and bytes, which ``np.asarray(..., np.float64)``
-parsed or failed on with a bare numpy error, raise ``InvalidInputError`` naming
-the argument; a wrong shape is named where the edge has a shape; and bools and
-integers read as the floats they equal."""
+``errors.as_reals``. Text, None, bytes and ragged nestings, which
+``np.asarray(..., np.float64)`` parsed or failed on with a bare numpy error,
+raise ``InvalidInputError`` naming the argument; a wrong shape is named where
+the edge has a shape; and bools and integers read as the floats they equal."""
 
 import re
 
@@ -118,6 +118,17 @@ def test_refuses_what_is_not_a_number_naming_the_argument(edge, bad, tmp_path):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be real numbers, got dtype "):
         call(BAD_VALUES[bad](value), path)
     assert not path.exists()  # export_scatter opens no file before its columns pass
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_refuses_a_ragged_nesting_naming_the_argument(edge, tmp_path):
+    # numpy's asarray raises a bare ValueError on it ("inhomogeneous shape")
+    call, name, value, _ = EDGES[edge]
+    cells = np.asarray(value).tolist()
+    path = tmp_path / "scatter.csv"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be an array, got a ragged"):
+        call([cells, cells[:1]], path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("edge", [e for e, (*_, wrong) in EDGES.items() if wrong is not None])

@@ -218,6 +218,21 @@ class TestSamples:
             Samples(table)
 
     @pytest.mark.parametrize(
+        "table, got",
+        [
+            ([[0.0] * 7], "list"),
+            ([[1.0] * 7, [1.0]], "list"),  # ragged: no numpy error from the message
+            (np.zeros((3, 7), dtype=np.float32), "float32 of shape (3, 7)"),
+        ],
+        ids=["list", "ragged-list", "float32"],
+    )
+    def test_a_bad_table_is_named_by_what_it_is(self, table, got):
+        with pytest.raises(InvalidInputError) as exc_info:
+            Samples(table)
+        want = f"samples table must be a float64 array of shape (n, 7), got {got}"
+        assert str(exc_info.value) == want
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ([row_at(phi=400.0), row_at(delta=-3.0)],

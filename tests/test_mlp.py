@@ -930,7 +930,7 @@ class TestPersistence:
             (0, "<B", 255, "unknown input-mode byte 255"),
             (1, "<I", 1, "implausible layer count 1"),
             (1, "<I", 65, "implausible layer count 65"),
-            (9, "<I", 0, "non-positive layer size in (4, 0, 2)"),
+            (9, "<I", 0, "invalid model file header: bad layer_sizes (4, 0, 2)"),
         ],
         ids=["mode-255", "depth-1", "depth-65", "zero-width"],
     )

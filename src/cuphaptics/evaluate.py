@@ -27,7 +27,7 @@ import numpy as np
 from .core import Angle, ModelBasedEstimator, _rmse, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError, as_reals, require_count
-from .mlp import MlpEstimator, MlpModel, TrainConfig, _lockstep, _SeedRun
+from .mlp import MlpEstimator, MlpModel, TrainConfig, _lockstep, _SeedRun, _stacks
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
@@ -212,21 +212,27 @@ def run_comparison(
     Also returns the first seed's (true, predicted) yaw columns for scatter export.
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition. The seeds' networks
-    train together in lockstep, each as ``train`` would train it alone;
-    a seed's training rows go once its run is built, before the next split,
-    and ``samples`` goes after the last split, before training.
+    train together in lockstep, each as ``train`` would train it alone.
+    Every seed's training fold has ``round(n * train_fraction)`` rows, so
+    the lockstep's stacks, the one copy of those rows, are allocated at
+    the first split and each run writes its row; a seed's training rows
+    go once its run is built, before the next split, ``samples`` goes
+    after the last split, before training, and the stacks go before scoring.
     A seed that repeats another (mod 2**64, which keys its streams) would
     count one run twice, so it is a ConfigError.
     """
     _check_seeds(seeds)
     n_samples, runs = len(samples), []
-    for i, seed in enumerate(seeds, 1):  # a run keeps its validation rows and arrays only
+    for i, seed in enumerate(seeds):  # a run keeps its validation rows and arrays only
         fold = split(samples, replace(split_spec, seed=seed))
-        if i == len(seeds):  # nothing reads the table after its last split
+        if i == 0:
+            stacks = _stacks(len(seeds), len(fold[0]))
+        if i == len(seeds) - 1:  # nothing reads the table after its last split
             del samples
-        runs.append(_SeedRun(fold, seed))
+        runs.append(_SeedRun(fold, seed, *(stack[i] for stack in stacks)))
         del fold  # this seed's training rows, before the next split
-    trained = _lockstep(runs, train_config)
+    trained = _lockstep(runs, *stacks, train_config)
+    del stacks
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns
     for seed, (model, _), val_set in zip(seeds, trained, [run.val_set for run in runs]):
         estimators = {MLP_METHOD: MlpEstimator(model), MODEL_BASED_METHOD: ModelBasedEstimator()}

@@ -41,11 +41,15 @@ are the rows of one (S, P) array, the forward and backward passes run on a
 leading seed axis, and ``rmsprop_step`` updates the stack in place. numpy
 runs each network's products and sums as it would for that network alone,
 so every fold's model and history equal a solo ``train`` bit for bit;
-``train`` is the one-fold case. The validation fold is scored at each epoch's
-end in fixed chunks; the training loss is accumulated from the mini-batches.
+``train`` is the one-fold case. The lockstep's (S, n, 4) input and (S, n, 2)
+target stacks are the one copy of the training folds: each fold's run writes
+its row, and each epoch re-orders the row in place into that epoch's shuffle.
+The validation fold is scored at each epoch's end in fixed chunks; the
+training loss is accumulated from the mini-batches.
 
 ``MlpEstimator``, beside ``predict_angle``, is the table path: it decodes the
-``_outputs_by_row`` rows of a ``Samples`` through ``core._yaws``, as ``direction_angle`` would.
+``_outputs_by_row`` rows of a ``Samples`` through ``core._yaws``, as ``direction_angle`` would;
+a table runs through the network ``CHUNK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ MODEL_MAGIC = b"CUPMLP1"
 # Rows per forward call when training scores a validation fold; small
 # enough that OpenBLAS keeps each product on one thread (M*N*K at most
 # 4 * 65,536), so the package imports numpy with a one-thread OpenBLAS
-# (see ``cuphaptics/__init__.py``).
+# (see ``cuphaptics/__init__.py``). It also bounds a table's pass, whose
+# layer outputs would otherwise all be held at once.
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
 _EMPTY_FOLD = "train and validation sets must both be non-empty"
@@ -425,31 +430,53 @@ def rmsprop_step(
     params -= grads
 
 
-def _model_inputs(model: MlpModel, p_ch: np.ndarray) -> np.ndarray:
+def _model_inputs(model: MlpModel, p_ch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Chamber pressures (last axis) as the network takes them: z-scored
-    under the model's stats when it has them."""
+    under the model's stats when it has them; written into ``out`` when given."""
     stats = model.stats
-    return p_ch if stats is None else (p_ch - stats.mean) / stats.std
+    if stats is None and out is None:
+        return p_ch
+    if stats is None:
+        out[...] = p_ch
+        return out
+    x = np.subtract(p_ch, stats.mean, out=out)
+    x /= stats.std
+    return x
 
 
-def _fold_arrays(part: Samples, model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
-    """A fold's inputs as ``model`` takes them, and its unit-circle targets
-    (cos phi, sin phi)."""
-    x = _model_inputs(model, np.ascontiguousarray(part.p_ch))
-    return x, target_encoding(part.phi_deg)
+def _stacks(folds: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (folds, n, 4) input and (folds, n, 2) target stacks, unfilled: the
+    lockstep's one copy of each fold's training rows, a row per fold."""
+    return np.empty((folds, n, 4)), np.empty((folds, n, 2))
+
+
+def _chunked_outputs(plan: _Plan, x: np.ndarray) -> np.ndarray:
+    """Output-layer values for ``x``, ``CHUNK_ROWS`` entries of its first axis
+    per forward pass, written into one array."""
+    out = np.empty((*x.shape[:-1], 2))
+    for i in range(0, len(x), CHUNK_ROWS):
+        out[i : i + CHUNK_ROWS] = _forward(plan, x[i : i + CHUNK_ROWS])[-1]
+    return out
 
 
 class _SeedRun:
-    """One fold of a lockstep run: its arrays, its validation rows, its shuffle
-    stream, and its per-epoch record with the best checkpoint so far."""
+    """One fold of a lockstep run: its validation rows and arrays, its shuffle
+    stream, and its per-epoch record with the best checkpoint so far. Its
+    z-scored training inputs and unit-circle targets go into ``x_row`` and
+    ``t_row``, its rows of the lockstep's stacks; the run keeps only their count."""
 
-    def __init__(self, fold: tuple[Samples, Samples], seed: int):
+    def __init__(
+        self, fold: tuple[Samples, Samples], seed: int, x_row: np.ndarray, t_row: np.ndarray
+    ):
         train_set, val_set = fold
         if not (len(train_set) and len(val_set)):
             raise ConfigError(_EMPTY_FOLD)
         self.model0 = init_model(seed, stats=feature_stats(train_set))
-        self.x_train, self.t_train = _fold_arrays(train_set, self.model0)
-        self.x_val, self.t_val = _fold_arrays(val_set, self.model0)
+        _model_inputs(self.model0, train_set.p_ch, out=x_row)
+        t_row[...] = target_encoding(train_set.phi_deg)
+        self.n = len(train_set)
+        self.x_val = _model_inputs(self.model0, val_set.p_ch)
+        self.t_val = target_encoding(val_set.phi_deg)
         self.val_set = val_set
         self.shuffle_rng = substream(seed, SHUFFLE)
         self.initial_val = self.best_val = loss(self._val_outputs(self.model0.params), self.t_val)
@@ -461,16 +488,12 @@ class _SeedRun:
 
     def _val_outputs(self, params: np.ndarray) -> np.ndarray:
         """Outputs for the validation fold, ``CHUNK_ROWS`` rows per pass."""
-        plan = _plan(*_layer_views(params, self.model0.layer_sizes))
-        x = self.x_val
-        return np.concatenate(
-            [_forward(plan, x[i : i + CHUNK_ROWS])[-1] for i in range(0, len(x), CHUNK_ROWS)]
-        )
+        return _chunked_outputs(_plan(*_layer_views(params, self.model0.layer_sizes)), self.x_val)
 
     def end_epoch(self, epoch: int, params: np.ndarray, sq_sum: float, patience: int) -> bool:
         """Record ``epoch``'s losses (training from its squared residuals); True once
         more than ``patience`` epochs in a row have not improved validation loss."""
-        self.train_loss.append(float(sq_sum) / (2 * len(self.x_train)))
+        self.train_loss.append(float(sq_sum) / (2 * self.n))
         val_out = self._val_outputs(params)
         val_loss = loss(val_out, self.t_val)
         # Decoded validation angles; ~zero output vectors carry none.
@@ -515,7 +538,8 @@ def train_many(
     products, sums and updates are the same operations. Each fold shuffles
     from its own stream and stops early on its own; a stopped fold keeps
     its best checkpoint and leaves the stack. The training folds must all
-    have one size, so that their mini-batches line up.
+    have one size, so that their mini-batches line up; their z-scored inputs
+    and targets are held once, as the rows of two (S, n, ...) stacks.
     """
     if not folds or len(folds) != len(seeds):
         raise ConfigError(f"need one seed per fold, got {len(folds)} folds, {len(seeds)} seeds")
@@ -523,16 +547,26 @@ def train_many(
         raise ConfigError(_EMPTY_FOLD)
     if len({len(train_set) for train_set, _ in folds}) > 1:
         raise ConfigError("lockstep training needs training folds of one size")
-    return _lockstep([_SeedRun(fold, seed) for fold, seed in zip(folds, seeds)], config)
+    x, t = _stacks(len(folds), len(folds[0][0]))
+    runs = [_SeedRun(fold, seed, *rows) for fold, seed, rows in zip(folds, seeds, zip(x, t))]
+    return _lockstep(runs, x, t, config)
 
 
-def _lockstep(runs: list[_SeedRun], config: TrainConfig) -> list[tuple[MlpModel, TrainHistory]]:
-    """``train_many``'s epochs, over built runs whose training folds share one size."""
-    n = len(runs[0].x_train)
+def _lockstep(
+    runs: list[_SeedRun], x_all: np.ndarray, t_all: np.ndarray, config: TrainConfig
+) -> list[tuple[MlpModel, TrainHistory]]:
+    """``train_many``'s epochs, over built runs whose training rows are the rows
+    of the (S, n, 4) and (S, n, 2) stacks ``x_all`` and ``t_all``, in run order.
+
+    Each epoch gathers each fold's row into itself in that epoch's shuffled
+    order, so its batches hold the rows that the order picks from the fold;
+    ``np.take`` buffers the overlap. When folds stop, the live folds' rows
+    move to the front of the stacks."""
+    n = x_all.shape[1]
     sizes = DEFAULT_LAYER_SIZES
-    # Each live fold's training set in this epoch's order, stacked.
-    x_epoch = np.empty((len(runs), n, sizes[0]))
-    t_epoch = np.empty((len(runs), n, sizes[-1]))
+    rows = np.arange(n)
+    # where[i, k]: the position of fold i's training row k in its row of the stacks.
+    where = np.tile(rows, (len(runs), 1))
 
     live, batches, size = runs, None, config.batch_size
     # Parameters and RMSprop averages, one row per live fold.
@@ -540,19 +574,21 @@ def _lockstep(runs: list[_SeedRun], config: TrainConfig) -> list[tuple[MlpModel,
     v = np.zeros_like(params)
     for epoch in range(1, config.max_epochs + 1):
         if batches is None:  # a new live set; its plan and gradient views alias params
-            # and grads. Batches slice the epoch order; one length shares work arrays.
+            # and grads. Batches slice the stacks; one length shares work arrays.
             grads = np.empty_like(params)
             plan = _plan(*_layer_views(params, sizes))
             grad_w, grad_b = _layer_views(grads, sizes)
-            x, t, batch_sq = x_epoch[: len(live)], t_epoch[: len(live)], np.empty(len(live))
+            x, t, batch_sq = x_all[: len(live)], t_all[: len(live)], np.empty(len(live))
             batches = [(x[:, i : i + size], t[:, i : i + size]) for i in range(0, n, size)]
             work = {s: _work_arrays(s, sizes) for s in {xb.shape for xb, _ in batches}}
             batches = [(xb, tb, work[xb.shape]) for xb, tb in batches]
         sq_sum = np.zeros(len(live))  # per fold, the epoch's squared residuals
-        for i, run in enumerate(live):
+        for run, x_row, t_row, pos in zip(live, x, t, where):
             order = run.shuffle_rng.permutation(n)
-            np.take(run.x_train, order, axis=0, out=x[i])
-            np.take(run.t_train, order, axis=0, out=t[i])
+            step = pos[order]  # row j becomes training row order[j]
+            np.take(x_row, step, axis=0, out=x_row)
+            np.take(t_row, step, axis=0, out=t_row)
+            pos[order] = rows
         for xb, tb, arrays in batches:
             diff = _backward_arrays(plan, xb, tb, grad_w, grad_b, arrays)
             sq_sum += np.add.reduce(np.square(diff, out=diff), axis=(-2, -1), out=batch_sq)
@@ -562,9 +598,13 @@ def _lockstep(runs: list[_SeedRun], config: TrainConfig) -> list[tuple[MlpModel,
             for run, row, sq in zip(live, params, sq_sum)
         ]
         if not all(going):
-            live = [run for run, keep in zip(live, going) if keep]
+            kept = [i for i, keep in enumerate(going) if keep]
+            live = [live[i] for i in kept]
             if not live:
                 break
+            for j, i in enumerate(kept):  # ascending, so no row is read after it is written
+                if j != i:
+                    x_all[j], t_all[j], where[j] = x_all[i], t_all[i], where[i]
             params, v, batches = params[going], v[going], None
     return [run.result() for run in runs]
 
@@ -598,9 +638,10 @@ def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
 
 
 def _outputs_by_row(model: MlpModel, p_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked inputs and (n, 2) outputs, each row as ``network_output`` runs it."""
+    """Unchecked inputs and (n, 2) outputs, each row as ``network_output`` runs
+    it: a stack of one-row products, ``CHUNK_ROWS`` rows per pass."""
     x = _model_inputs(model, p_ch)
-    return x, _forward(model._layers, x[:, None, :])[-1][:, 0]
+    return x, _chunked_outputs(model._layers, x[:, None, :])[:, 0]
 
 
 def predict_angle(model: MlpModel, frame: SensorFrame) -> Angle | None:

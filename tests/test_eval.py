@@ -57,7 +57,15 @@ from cuphaptics import (
 )
 import cuphaptics
 from cuphaptics import evaluate as evaluate_module
-from cuphaptics.mlp import _forward, _layer_views, _n_params, _outputs_by_row, _plan
+from cuphaptics.mlp import (
+    CHUNK_ROWS,
+    _forward,
+    _layer_views,
+    _model_inputs,
+    _n_params,
+    _outputs_by_row,
+    _plan,
+)
 from helpers import equal_chamber_rows
 
 GEOM = CupGeometry()
@@ -663,6 +671,30 @@ class TestMlpColumns:
                          [96.0, 97.0, 96.0, 95.0, 101.325, 1.0, -30.0]])
         with pytest.raises(InvalidInputError, match=r"^row 0: phi_deg must be in \[0, 360\]"):
             evaluate_mlp(RAW_MODEL, Samples(rows))
+
+
+class TestTableChunks:
+    """A table is scored ``CHUNK_ROWS`` rows per pass; every row is its own
+    product, so no chunk edge changes a bit."""
+
+    SAMPLES = generate_dataset(
+        GEOM, PressureFieldParams(), GenerationConfig(n_samples=2 * CHUNK_ROWS + 123, seed=8)
+    )
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 123])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_chunk_edges_keep_the_single_frame_bits(self, name, n):
+        model, rows = MODELS[name], self.SAMPLES[:n]
+        yaws = MlpEstimator(model).estimate_batch(rows)
+        want = [predict_angle(model, s.frame) for s in rows]
+        assert [None if math.isnan(y) else y.hex() for y in yaws.tolist()] == [
+            bits(a) for a in want
+        ]
+        # The same one-row products as a single unchunked stack.
+        whole = _forward(model._layers, _model_inputs(model, rows.p_ch)[:, None, :])[-1][:, 0]
+        _, chunked = _outputs_by_row(model, rows.p_ch)
+        assert chunked.shape == (n, 2)
+        assert chunked.tobytes() == whole.tobytes()
 
 
 # A network whose inputs overflow at 1e10 kPa and whose outputs overflow at 1 kPa.

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -639,10 +640,41 @@ class TestTrainMany:
         with pytest.raises(ConfigError, match="one seed per fold"):
             train_many([], TrainConfig(), ())
 
+    def test_training_rows_are_held_once(self, monkeypatch):
+        # Each fold's z-scored inputs and targets live only in the lockstep's
+        # stacks, re-ordered in place. From the call to the first RMSprop
+        # step, the traced peak stays under the stacks, one fold's np.take
+        # buffer (its inputs), the validation folds' inputs and targets, and
+        # 768 KiB for the rest: parameters, work arrays, streams, and the
+        # int64 shuffle orders and row positions (about 300 KiB and 225 KiB
+        # here). A second copy of the training rows (675 KiB) exceeds it.
+        class FirstStep(Exception):
+            pass
+
+        def traced_step(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise FirstStep
+
+        folds = lockstep_folds(self.SEEDS, n=6000)
+        n, n_val = len(folds[0][0]), sum(len(val_set) for _, val_set in folds)
+        monkeypatch.setattr(mlp, "rmsprop_step", traced_step)
+        peaks = []
+        for _ in range(2):  # the first call's lazy allocations are not counted
+            tracemalloc.start()
+            try:
+                with pytest.raises(FirstStep):
+                    train_many(folds, TrainConfig(), self.SEEDS)
+            finally:
+                tracemalloc.stop()
+        stacks, gather, val = len(folds) * n * 6 * 8, n * 4 * 8, n_val * 6 * 8
+        assert n == 4800 and len(peaks) == 2
+        assert peaks[1] < stacks + gather + val + 768 * 1024
+
     def test_chunked_pass_equals_one_forward_pass(self):
         rows = 2 * CHUNK_ROWS + 123
         samples = small_dataset(n=rows + 50)
-        run = mlp._SeedRun((samples[:50], samples[50:]), 8)
+        x, t = mlp._stacks(1, 50)
+        run = mlp._SeedRun((samples[:50], samples[50:]), 8, x[0], t[0])
         chunked = run._val_outputs(run.model0.params)
         whole = mlp._forward(run.model0._layers, run.x_val)[-1]
         assert chunked.shape == (rows, 2)

@@ -160,6 +160,8 @@ class Samples:
         return self.table.shape[0]
 
     def __getitem__(self, key) -> LabeledSample | Samples:
+        if isinstance(key, (bool, np.bool_)):  # neither a row number nor a cut
+            raise InvalidInputError(f"samples index must not be a bool, got {type(key).__name__}")
         if isinstance(key, (int, np.integer)):
             return _labeled(self.table[key].tolist())
         cut = object.__new__(Samples)  # rows of a checked table: no second check

@@ -20,14 +20,14 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import Angle, ModelBasedEstimator, _rmse, angular_errors
 from .dataset import Samples, SplitSpec, split, write_table
 from .errors import ConfigError, InvalidInputError, as_reals, require_count
-from .mlp import MlpEstimator, MlpModel, TrainConfig, _lockstep, _SeedRun, _stacks
+from .mlp import MlpEstimator, MlpModel, TrainConfig, train_many
 
 MLP_METHOD = "mlp"
 MODEL_BASED_METHOD = "model_based"
@@ -189,16 +189,33 @@ def _summarize(method: str, rows: Sequence[SeedMetrics]) -> MethodSummary:
     )
 
 
-def _check_seeds(seeds: Sequence[int]) -> None:
-    """ConfigError unless ``seeds`` names one or more distinct runs: integers
-    that differ mod 2**64, which keys their streams."""
-    if not seeds:
+def _check_seeds(seeds: Sequence[int]) -> tuple[int, ...]:
+    """``seeds`` as ints; ConfigError unless they name one or more distinct
+    runs: integers that differ mod 2**64, which keys their streams."""
+    if len(seeds) == 0:
         raise ConfigError("need at least one seed")
-    keys = [require_count("seed", seed) % 2**64 for seed in seeds]
+    ints = tuple(require_count("seed", seed) for seed in seeds)
+    keys = [seed % 2**64 for seed in ints]
     for i, key in enumerate(keys):
         if (j := keys.index(key)) < i:
-            alias = "" if seeds[j] == seeds[i] else f" ({seeds[j]} mod 2**64)"
-            raise ConfigError(f"seed {seeds[i]} is repeated{alias}; each seed is one run")
+            alias = "" if ints[j] == ints[i] else f" ({ints[j]} mod 2**64)"
+            raise ConfigError(f"seed {ints[i]} is repeated{alias}; each seed is one run")
+    return ints
+
+
+def _splits(
+    samples: Samples, split_spec: SplitSpec, seeds: Sequence[int], val_sets: list[Samples]
+) -> Iterator[tuple[Samples, Samples]]:
+    """Each seed's (train, validation) split, made when it is read; each
+    validation set is appended to ``val_sets``. The table goes after its last
+    split, and each fold once the reader asks for the next."""
+    for i, seed in enumerate(seeds):
+        fold = split(samples, replace(split_spec, seed=seed))
+        if i == len(seeds) - 1:  # nothing reads the table after its last split
+            del samples
+        val_sets.append(fold[1])
+        yield fold
+        del fold  # this seed's training rows, before the next split
 
 
 def run_comparison(
@@ -212,37 +229,29 @@ def run_comparison(
     Also returns the first seed's (true, predicted) yaw columns for scatter export.
     Each seed drives both the fold shuffle and the training run, so one
     integer fully reproduces a pipeline repetition. The seeds' networks
-    train together in lockstep, each as ``train`` would train it alone.
-    Every seed's training fold has ``round(n * train_fraction)`` rows, so
-    the lockstep's stacks, the one copy of those rows, are allocated at
-    the first split and each run writes its row; a seed's training rows
-    go once its run is built, before the next split, ``samples`` goes
-    after the last split, before training, and the stacks go before scoring.
-    A seed that repeats another (mod 2**64, which keys its streams) would
-    count one run twice, so it is a ConfigError.
+    train together in lockstep, each as ``train`` would train it alone:
+    ``train_many`` is handed a generator of the splits, which it reads one
+    fold at a time, so a seed's training rows go before the next split.
+    The generator holds the only reference to ``samples`` here, which it
+    drops after the last split, before training; ``train_many``'s stacks go
+    before scoring. A seed that repeats another (mod 2**64, which keys its
+    streams) would count one run twice, so it is a ConfigError.
     """
-    _check_seeds(seeds)
-    n_samples, runs = len(samples), []
-    for i, seed in enumerate(seeds):  # a run keeps its validation rows and arrays only
-        fold = split(samples, replace(split_spec, seed=seed))
-        if i == 0:
-            stacks = _stacks(len(seeds), len(fold[0]))
-        if i == len(seeds) - 1:  # nothing reads the table after its last split
-            del samples
-        runs.append(_SeedRun(fold, seed, *(stack[i] for stack in stacks)))
-        del fold  # this seed's training rows, before the next split
-    trained = _lockstep(runs, *stacks, train_config)
-    del stacks
+    seeds = _check_seeds(seeds)
+    n_samples, val_sets = len(samples), []
+    folds = _splits(samples, split_spec, seeds, val_sets)
+    del samples  # the generator's is the last reference
+    trained = train_many(folds, train_config, seeds)
     metrics, first = [], None  # each seed's metrics per method; the first seed's columns
-    for seed, (model, _), val_set in zip(seeds, trained, [run.val_set for run in runs]):
+    for seed, (model, _), val_set in zip(seeds, trained, val_sets):
         estimators = {MLP_METHOD: MlpEstimator(model), MODEL_BASED_METHOD: ModelBasedEstimator()}
         columns = {m: (val_set.phi_deg, e.estimate_batch(val_set)) for m, e in estimators.items()}
         metrics.append({m: _seed_metrics(m, seed, *c) for m, c in columns.items()})
         first = first or columns
     report = EvalReport(
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         n_samples=n_samples,
-        n_validation=len(runs[0].val_set),
+        n_validation=len(val_sets[0]),
         single_run=len(seeds) == 1,
         mlp=_summarize(MLP_METHOD, [row[MLP_METHOD] for row in metrics]),
         model_based=_summarize(MODEL_BASED_METHOD, [row[MODEL_BASED_METHOD] for row in metrics]),

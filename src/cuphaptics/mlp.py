@@ -41,9 +41,9 @@ are the rows of one (S, P) array, the forward and backward passes run on a
 leading seed axis, and ``rmsprop_step`` updates the stack in place. numpy
 runs each network's products and sums as it would for that network alone,
 so every fold's model and history equal a solo ``train`` bit for bit;
-``train`` is the one-fold case. The lockstep's (S, n, 4) input and (S, n, 2)
-target stacks are the one copy of the training folds: each fold's run writes
-its row, and each epoch re-orders the row in place into that epoch's shuffle.
+``train`` is the one-fold case. It reads folds one at a time (``compare`` passes
+a generator of its splits), each into its row of the (S, n, 4) input and (S, n, 2)
+target stacks, the one copy of the training folds; each epoch re-orders the rows.
 The validation fold is scored at each epoch's end in fixed chunks; the
 training loss is accumulated from the mini-batches.
 
@@ -60,7 +60,7 @@ import operator
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,7 +96,6 @@ MODEL_MAGIC = b"CUPMLP1"
 # layer outputs would otherwise all be held at once.
 CHUNK_ROWS = 512
 _V_INVALID = "squared-gradient average must be finite and >= 0"
-_EMPTY_FOLD = "train and validation sets must both be non-empty"
 _ZERO = np.zeros(())  # ReLU's bound, a float64 array ufuncs take unconverted
 _ZERO.flags.writeable = False
 # A forward plan: (W.T, b) per layer, the input of ``_forward``.
@@ -444,12 +443,6 @@ def _model_inputs(model: MlpModel, p_ch: np.ndarray, out: np.ndarray | None = No
     return x
 
 
-def _stacks(folds: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (folds, n, 4) input and (folds, n, 2) target stacks, unfilled: the
-    lockstep's one copy of each fold's training rows, a row per fold."""
-    return np.empty((folds, n, 4)), np.empty((folds, n, 2))
-
-
 def _chunked_outputs(plan: _Plan, x: np.ndarray) -> np.ndarray:
     """Output-layer values for ``x``, ``CHUNK_ROWS`` entries of its first axis
     per forward pass, written into one array."""
@@ -470,7 +463,7 @@ class _SeedRun:
     ):
         train_set, val_set = fold
         if not (len(train_set) and len(val_set)):
-            raise ConfigError(_EMPTY_FOLD)
+            raise ConfigError("train and validation sets must both be non-empty")
         self.model0 = init_model(seed, stats=feature_stats(train_set))
         _model_inputs(self.model0, train_set.p_ch, out=x_row)
         t_row[...] = target_encoding(train_set.phi_deg)
@@ -525,49 +518,47 @@ class _SeedRun:
 
 
 def train_many(
-    folds: Sequence[tuple[Samples, Samples]],
+    folds: Iterable[tuple[Samples, Samples]],
     config: TrainConfig,
     seeds: Sequence[int],
 ) -> list[tuple[MlpModel, TrainHistory]]:
     """Train one model per (train, validation) fold, all folds in lockstep.
 
     Fold i trains under ``seeds[i]`` in place of ``config.seed``, and its
-    result equals ``train(*folds[i], replace(config, seed=seeds[i]))`` bit
+    result equals ``train(*fold_i, replace(config, seed=seeds[i]))`` bit
     for bit: the S networks run as one (S, P) parameter stack through the
     forward, backward and RMSprop code of a lone network, whose per-network
     products, sums and updates are the same operations. Each fold shuffles
     from its own stream and stops early on its own; a stopped fold keeps
     its best checkpoint and leaves the stack. The training folds must all
-    have one size, so that their mini-batches line up; their z-scored inputs
-    and targets are held once, as the rows of two (S, n, ...) stacks.
+    have one size, so that their mini-batches line up.
+
+    ``folds`` is read one fold at a time, at most ``len(seeds) + 1`` of them.
+    The first allocates the (S, n, 4) input and (S, n, 2) target stacks, the
+    one copy of the training folds; each fold's run writes its z-scored row,
+    and the fold is dropped before the next is read, so a generator of splits
+    keeps one training fold alive. The stacks go when this returns. Each epoch
+    gathers each fold's row into itself in its shuffled order (``np.take``
+    buffers the overlap); when folds stop, the live rows move to the front.
     """
-    if not folds or len(folds) != len(seeds):
-        raise ConfigError(f"need one seed per fold, got {len(folds)} folds, {len(seeds)} seeds")
-    if not all(len(train_set) and len(val_set) for train_set, val_set in folds):
-        raise ConfigError(_EMPTY_FOLD)
-    if len({len(train_set) for train_set, _ in folds}) > 1:
-        raise ConfigError("lockstep training needs training folds of one size")
-    x, t = _stacks(len(folds), len(folds[0][0]))
-    runs = [_SeedRun(fold, seed, *rows) for fold, seed, rows in zip(folds, seeds, zip(x, t))]
-    return _lockstep(runs, x, t, config)
-
-
-def _lockstep(
-    runs: list[_SeedRun], x_all: np.ndarray, t_all: np.ndarray, config: TrainConfig
-) -> list[tuple[MlpModel, TrainHistory]]:
-    """``train_many``'s epochs, over built runs whose training rows are the rows
-    of the (S, n, 4) and (S, n, 2) stacks ``x_all`` and ``t_all``, in run order.
-
-    Each epoch gathers each fold's row into itself in that epoch's shuffled
-    order, so its batches hold the rows that the order picks from the fold;
-    ``np.take`` buffers the overlap. When folds stop, the live folds' rows
-    move to the front of the stacks."""
-    n = x_all.shape[1]
+    runs: list[_SeedRun] = []
+    for fold in folds:  # not enumerate: its reused result tuple would keep the fold
+        i = len(runs)
+        if i == len(seeds):  # reading it also ends a generator of folds
+            raise ConfigError(f"need one seed per fold, got more than {i} folds, {i} seeds")
+        if i == 0:
+            n = len(fold[0])
+            x_all, t_all = np.empty((len(seeds), n, 4)), np.empty((len(seeds), n, 2))
+        elif len(fold[0]) != n:
+            raise ConfigError("lockstep training needs training folds of one size")
+        runs.append(_SeedRun(fold, seeds[i], x_all[i], t_all[i]))
+        del fold  # this fold's training rows, before the next is read
+    if not runs or len(runs) < len(seeds):
+        raise ConfigError(f"need one seed per fold, got {len(runs)} folds, {len(seeds)} seeds")
     sizes = DEFAULT_LAYER_SIZES
     rows = np.arange(n)
     # where[i, k]: the position of fold i's training row k in its row of the stacks.
     where = np.tile(rows, (len(runs), 1))
-
     live, batches, size = runs, None, config.batch_size
     # Parameters and RMSprop averages, one row per live fold.
     params = np.stack([run.model0.params for run in live])

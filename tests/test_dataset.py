@@ -161,6 +161,13 @@ class TestSamples:
         with pytest.raises(IndexError):
             samples[-len(samples) - 1 - offset]
 
+    @pytest.mark.parametrize("key", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_a_bool_key_is_refused_by_its_type(self, key):
+        # bool is an int, and np.bool_ a 0-d index mask: neither names a row.
+        message = f"^samples index must not be a bool, got {type(key).__name__}$"
+        with pytest.raises(InvalidInputError, match=message):
+            small_samples()[key]
+
     def test_slice_gives_samples(self):
         samples = small_samples()
         part = samples[2:5]

@@ -219,6 +219,12 @@ class TestCompare:
         with pytest.raises(ConfigError):
             run_comparison(samples, SplitSpec(), quick_config(), seeds=[])
 
+    @pytest.mark.parametrize("seeds", [np.array([0]), np.array([1, 2])], ids=["one", "two"])
+    def test_an_array_of_seeds_is_counted_by_its_length(self, samples, seeds):
+        report, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds)
+        listed, _ = run_comparison(samples, SplitSpec(), quick_config(), seeds.tolist())
+        assert report.to_json() == listed.to_json()
+
     @pytest.mark.parametrize(
         "seeds, message",
         [
@@ -232,7 +238,7 @@ class TestCompare:
         def no_training(*args):
             raise AssertionError("trained despite a repeated seed")
 
-        monkeypatch.setattr(evaluate_module, "_lockstep", no_training)
+        monkeypatch.setattr(evaluate_module, "train_many", no_training)
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_comparison(samples, SplitSpec(), quick_config(), seeds=seeds)
 
@@ -300,6 +306,38 @@ class TestCompare:
             generate_dataset(GEOM, PressureFieldParams(), config), SplitSpec(), quick_config(), seeds
         )
         assert checked and report.seeds == seeds and report.n_samples == 100
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before CPython 3.11 the caller's frame holds a call's arguments until it "
+        "returns, so run_comparison cannot free a table passed straight in",
+    )
+    def test_one_training_fold_is_alive_and_the_table_goes_after_its_last_split(
+        self, monkeypatch
+    ):
+        # Each split is made once the last training fold is unreachable, and
+        # the last seed's run is built once the table is.
+        tables, training, at_split, at_run = [], [], [], []
+
+        def recorded(table, spec):
+            at_split.append(any(ref() is not None for ref in training))
+            tables.append(weakref.ref(table))
+            train_set, val_set = split(table, spec)
+            training.append(weakref.ref(train_set))
+            return train_set, val_set
+
+        def checked_stats(train_set):
+            at_run.append(tables[-1]() is not None)
+            return feature_stats(train_set)
+
+        feature_stats = cuphaptics.mlp.feature_stats
+        monkeypatch.setattr(evaluate_module, "split", recorded)
+        monkeypatch.setattr(cuphaptics.mlp, "feature_stats", checked_stats)
+        config, seeds = GenerationConfig(n_samples=100, seed=6), (1, 2, 3)
+        run_comparison(
+            generate_dataset(GEOM, PressureFieldParams(), config), SplitSpec(), quick_config(), seeds
+        )
+        assert at_split == [False, False, False] and at_run == [True, True, False]
 
     @pytest.mark.parametrize("fraction", [0.99, 0.01], ids=["no-validation", "no-training"])
     def test_empty_fold_is_refused_before_any_run(self, samples, fraction):

@@ -5,6 +5,7 @@ import pickle
 import re
 import struct
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -588,6 +589,21 @@ def lockstep_folds(seeds, n=300):
     return [split_samples(samples, SplitSpec(seed=seed)) for seed in seeds]
 
 
+def recorded_split(samples, seed, refs):
+    """``samples`` split under ``seed``, with a weak reference to its training set in ``refs``."""
+    train_set, val_set = split_samples(samples, SplitSpec(seed=seed))
+    refs.append(weakref.ref(train_set))
+    return train_set, val_set
+
+
+def lazy_folds(samples, count, refs, alive):
+    """``count`` folds, each split when it is read; before each split, whether
+    an earlier training set is still reachable goes into ``alive``."""
+    for seed in range(1, count + 1):
+        alive.append(any(ref() is not None for ref in refs))
+        yield recorded_split(samples, seed, refs)
+
+
 class TestTrainMany:
     SEEDS = (3, 4, 5)
 
@@ -640,6 +656,21 @@ class TestTrainMany:
         with pytest.raises(ConfigError, match="one seed per fold"):
             train_many([], TrainConfig(), ())
 
+    def test_folds_are_read_one_at_a_time(self):
+        # Each fold is split when it is read; the next is asked for only once
+        # the last one's training Samples is unreachable.
+        samples, refs, alive = small_dataset(n=300), [], []
+        train_many(lazy_folds(samples, 3, refs, alive), TrainConfig(max_epochs=1), (1, 2, 3))
+        assert len(refs) == 3 and alive == [False, False, False]
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("count", [1, 3, 100], ids=["fewer", "one-more", "many-more"])
+    def test_a_fold_count_other_than_the_seeds_stops_the_reading(self, count):
+        samples, refs, alive = small_dataset(n=300), [], []
+        with pytest.raises(ConfigError, match="one seed per fold"):
+            train_many(lazy_folds(samples, count, refs, alive), TrainConfig(max_epochs=1), (1, 2))
+        assert len(refs) == min(count, 3)  # at most len(seeds) + 1 reads
+
     def test_training_rows_are_held_once(self, monkeypatch):
         # Each fold's z-scored inputs and targets live only in the lockstep's
         # stacks, re-ordered in place. From the call to the first RMSprop
@@ -673,7 +704,7 @@ class TestTrainMany:
     def test_chunked_pass_equals_one_forward_pass(self):
         rows = 2 * CHUNK_ROWS + 123
         samples = small_dataset(n=rows + 50)
-        x, t = mlp._stacks(1, 50)
+        x, t = np.empty((1, 50, 4)), np.empty((1, 50, 2))
         run = mlp._SeedRun((samples[:50], samples[50:]), 8, x[0], t[0])
         chunked = run._val_outputs(run.model0.params)
         whole = mlp._forward(run.model0._layers, run.x_val)[-1]

@@ -17,7 +17,15 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import ModelBasedEstimator, OracleEstimator, SensorFrame, _rmse, estimate_direction
+from .core import (
+    Angle,
+    GroundTruthPose,
+    ModelBasedEstimator,
+    OracleEstimator,
+    SensorFrame,
+    _rmse,
+    estimate_direction,
+)
 from .dataset import SplitSpec, read_csv, split, write_csv
 from .errors import ConfigError, CupHapticsError, InvalidInputError, require_count
 from .evaluate import (
@@ -166,7 +174,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.estimator == "mlp" and args.model is None:
         raise ConfigError("--model is required when --estimator mlp")
     # The closed form stands in for the network while the flags are checked,
-    # so a bad flag is a usage error before the model file is read.
+    # and the start pose and noise level get batch_search's checks here, so a
+    # bad flag is a usage error before the model file is read.
     estimator = OracleEstimator() if args.estimator == "oracle" else ModelBasedEstimator()
     config = SearchConfig(
         estimator=estimator,
@@ -184,9 +193,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=args.seed,
     )
+    GroundTruthPose(delta=args.delta0, phi=Angle(spec.phi0_values_deg[0]))
+    params = PressureFieldParams(noise_sigma_kpa=args.noise_sigma)
     if args.estimator == "mlp":  # batch_search reads only the step policy from config
         spec = replace(spec, estimators=(MlpEstimator(model=load_model(args.model)),))
-    rows = batch_search(spec, config, CupGeometry(), PressureFieldParams())  # the grid sets noise
+    rows = batch_search(spec, config, CupGeometry(), params)
     path = _out_dir(args) / SEARCH_FILENAME
     write_batch_csv(rows, path)
     overall = sum(r.success_rate for r in rows) / len(rows)

@@ -168,6 +168,13 @@ def direction_angle(x: float, y: float) -> Angle | None:
     return None if math.isnan(deg) else Angle(deg)
 
 
+def _pair_sums(gauges):
+    """The closed form's vector (x, y) from the four gauge pressures: a frame's
+    floats or a table's columns, which ``+`` and ``-`` round alike."""
+    p1, p2, p3, p4 = gauges
+    return (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+
+
 def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
     """Direction estimate from pairwise chamber-sum differences.
 
@@ -177,8 +184,7 @@ def estimate_direction(frame: SensorFrame) -> DirectionEstimate:
     minus (1, 2). A zero vector is a valid outcome and yields no angle; a
     vector whose sums overflow is rejected.
     """
-    p1, p2, p3, p4 = [frame.p_atm - p for p in frame.p_ch]
-    x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+    x, y = _pair_sums([frame.p_atm - p for p in frame.p_ch])
     if not (math.isfinite(x) and math.isfinite(y)):  # the first non-finite one is named
         name, value = ("y", y) if math.isfinite(x) else ("x", x)
         raise InvalidInputError(f"vector {name} must be finite, got {value!r}")
@@ -227,10 +233,9 @@ class ModelBasedEstimator:
     name: str = "model_based"
 
     def estimate_batch(self, rows: Samples) -> np.ndarray:
-        # estimate_direction's float operations in its order, a column at a time
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-            p1, p2, p3, p4 = (rows.p_atm - rows.p_ch).T
-            x, y = (p1 + p4) - (p2 + p3), (p3 + p4) - (p1 + p2)
+            gauges = rows.p_atm - rows.p_ch  # kept to the end; freed early, peak RSS rose
+            x, y = _pair_sums(gauges.T)
         return _yaws(rows, x, y, True, estimate_direction)
 
 

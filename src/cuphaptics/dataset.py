@@ -41,6 +41,7 @@ from .errors import (
     ConfigError,
     CsvParseError,
     InvalidInputError,
+    _hold,
     require_count,
     require_real,
 )
@@ -183,8 +184,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_real("train_fraction", self.train_fraction, high=1.0)
-        require_count("seed", self.seed)
+        _hold(
+            self,
+            train_fraction=require_real("train_fraction", self.train_fraction, high=1.0),
+            seed=require_count("seed", self.seed),
+        )
 
 
 # Rows per block: one numpy pass or one %-format call. The numpy pass's

@@ -71,6 +71,13 @@ def require_real(name: str, value: object, low=0.0, high=math.inf, *, open_low=T
     return real
 
 
+def _hold(config: object, **checked: object) -> None:
+    """Store each checked value on ``config``, a frozen dataclass, in place of the
+    caller's: the int or float that ``require_count`` or ``require_real`` returned."""
+    for name, value in checked.items():
+        object.__setattr__(config, name, value)
+
+
 class CsvParseError(CupHapticsError):
     """A dataset file failed to parse.
 

@@ -26,15 +26,16 @@ views into it, so every stage agrees on the order by construction.
 A JSON sidecar (same path + ".json") carries training config and metrics
 when the caller supplies them. Each model makes its forward plan when it
 is built: per layer, W.T and b as views into ``params``. One forward kernel
-runs every pass: single frames, z-scored on their floats, with
-``ndarray.dot``; tables, as a stack of one-row ``matmul`` products with
-single-frame bits (an n-row product may not keep them); and training's
-forward half and validation pass, on plans built the same way from the
-parameters being trained; training's steps pass it output arrays (``out=``),
-allocated once per live set of folds and batch length, which get the bits
-of fresh ones. Training always z-scores inputs under the training fold's
-``feature_stats``, which the model and its file keep; a model without stats
-(mode 0) takes raw kPa values.
+runs every pass: single frames, with ``ndarray.dot``; tables, as a stack of
+one-row ``matmul`` products with single-frame bits (an n-row product may not
+keep them); and training's forward half and validation pass, on plans built
+the same way from the parameters being trained; training's steps pass it
+output arrays (``out=``), allocated once per live set of folds and batch
+length, which get the bits of fresh ones. Training always z-scores inputs
+under the training fold's ``feature_stats``, which the model and its file
+keep; ``_zscored`` is that rule, written once and run on a frame's four
+floats or a table's four columns, so both get the same bits. A model
+without stats (mode 0) takes raw kPa values.
 
 ``train_many`` trains several folds' networks in lockstep: their parameters
 are the rows of one (S, P) array, the forward and backward passes run on a
@@ -81,6 +82,7 @@ from .errors import (
     DegenerateChannelError,
     InvalidInputError,
     ModelFormatError,
+    _hold,
     as_reals,
     require_count,
     require_real,
@@ -197,13 +199,16 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        require_count("batch_size", self.batch_size, 1)
-        require_count("max_epochs", self.max_epochs, 1)
-        require_count("patience", self.patience, 0)
-        require_count("seed", self.seed)
-        require_real("lr", self.lr)
-        require_real("rho", self.rho, high=1.0)
-        require_real("eps", self.eps)
+        _hold(
+            self,
+            batch_size=require_count("batch_size", self.batch_size, 1),
+            max_epochs=require_count("max_epochs", self.max_epochs, 1),
+            patience=require_count("patience", self.patience, 0),
+            seed=require_count("seed", self.seed),
+            lr=require_real("lr", self.lr),
+            rho=require_real("rho", self.rho, high=1.0),
+            eps=require_real("eps", self.eps),
+        )
 
 
 @dataclass(frozen=True)
@@ -429,18 +434,18 @@ def rmsprop_step(
     params -= grads
 
 
+def _zscored(channels, stats: FeatureStats) -> list:
+    """The four channels z-scored under ``stats``: a frame's floats, or a
+    table's columns, which ``-`` and ``/`` round alike."""
+    return [(p - m) / s for p, m, s in zip(channels, stats.mean, stats.std)]
+
+
 def _model_inputs(model: MlpModel, p_ch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Chamber pressures (last axis) as the network takes them: z-scored
-    under the model's stats when it has them; written into ``out`` when given."""
-    stats = model.stats
-    if stats is None and out is None:
+    """Chamber pressures (last axis) as the network takes them: z-scored by
+    ``_zscored`` and written into ``out`` when given; as they are without stats."""
+    if model.stats is None:
         return p_ch
-    if stats is None:
-        out[...] = p_ch
-        return out
-    x = np.subtract(p_ch, stats.mean, out=out)
-    x /= stats.std
-    return x
+    return np.stack(_zscored(p_ch.T, model.stats), axis=-1, out=out)
 
 
 def _chunked_outputs(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -618,11 +623,9 @@ def train(
 
 
 def network_output(model: MlpModel, frame: SensorFrame) -> np.ndarray:
-    """Raw 2-vector output for a frame, standardized if the model has stats: on
-    its floats, which round as ``_model_inputs``' columns and overflow silently."""
-    z = frame.p_ch
-    if model.stats is not None:
-        z = [(p - m) / s for p, m, s in zip(z, model.stats.mean, model.stats.std)]
+    """Raw 2-vector output for a frame, z-scored by ``_zscored`` if the model has
+    stats: on its four floats, which overflow to inf without a warning."""
+    z = frame.p_ch if model.stats is None else _zscored(frame.p_ch, model.stats)
     if not all(map(math.isfinite, z)):
         return forward(model, z)  # raises forward's error
     return _forward(model._layers, np.array(z))[-1]

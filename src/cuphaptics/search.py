@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import Angle, DirectionEstimate, GroundTruthPose
 from .dataset import Samples, _labeled, write_table
-from .errors import ConfigError, InvalidInputError, require_count, require_real
+from .errors import ConfigError, InvalidInputError, _hold, require_count, require_real
 from .rng import SEARCH_STEP, substream
 from .synth import CupGeometry, PressureFieldParams, _chamber_pressures
 from .synth import synth_frame  # noqa: F401  perfbench's tracer test reads it here
@@ -78,10 +78,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         _require_estimator("estimator", self.estimator)
-        require_real("step_size_mm", self.step_size_mm)
-        require_count("max_steps", self.max_steps, 1)
-        require_count("seed", self.seed)
-        require_real("success_delta_mm", self.success_delta_mm, open_low=False)
+        _hold(
+            self,
+            step_size_mm=require_real("step_size_mm", self.step_size_mm),
+            max_steps=require_count("max_steps", self.max_steps, 1),
+            seed=require_count("seed", self.seed),
+            success_delta_mm=require_real("success_delta_mm", self.success_delta_mm, open_low=False),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,7 @@ class BatchSpec:
             raise ConfigError("batch grid must be non-empty on every axis")
         for i, est in enumerate(self.estimators):
             _require_estimator(f"estimators[{i}]", est)
-        require_count("reps", self.reps, 1)
-        require_count("seed", self.seed)
+        _hold(self, reps=require_count("reps", self.reps, 1), seed=require_count("seed", self.seed))
 
 
 @dataclass(frozen=True)

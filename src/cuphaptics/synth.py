@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import PRESSURE_TOLERANCE_KPA, GroundTruthPose, SensorFrame
 from .dataset import Samples
-from .errors import ConfigError, InvalidInputError, as_reals, require_count, require_real
+from .errors import ConfigError, InvalidInputError, _hold, as_reals, require_count, require_real
 from .rng import DATASET_DELTA, DATASET_NOISE, DATASET_PHI, substream
 
 if TYPE_CHECKING:
@@ -51,7 +51,8 @@ class CupGeometry:
 
     def __post_init__(self) -> None:
         r_cup = require_real("r_cup_mm", self.r_cup_mm)
-        require_real("r_chamber_mm", self.r_chamber_mm, high=r_cup)
+        r_chamber = require_real("r_chamber_mm", self.r_chamber_mm, high=r_cup)
+        _hold(self, r_cup_mm=r_cup, r_chamber_mm=r_chamber)
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,17 @@ class PressureFieldParams:
     p_atm_kpa: float = 101.325
 
     def __post_init__(self) -> None:
-        require_real("p_max_kpa", self.p_max_kpa)
-        require_real("transition_width_mm", self.transition_width_mm)
+        p_max = require_real("p_max_kpa", self.p_max_kpa)
+        width = require_real("transition_width_mm", self.transition_width_mm)
         if self.response not in ("affine", "sigmoid"):
             raise ConfigError(f"unknown response {self.response!r}")
-        require_real("noise_sigma_kpa", self.noise_sigma_kpa, open_low=False)
-        require_real("p_atm_kpa", self.p_atm_kpa, open_low=False)
+        _hold(
+            self,
+            p_max_kpa=p_max,
+            transition_width_mm=width,
+            noise_sigma_kpa=require_real("noise_sigma_kpa", self.noise_sigma_kpa, open_low=False),
+            p_atm_kpa=require_real("p_atm_kpa", self.p_atm_kpa, open_low=False),
+        )
 
 
 @dataclass(frozen=True)
@@ -83,16 +89,18 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_count("n_samples", self.n_samples, 1)
-        require_count("seed", self.seed)
+        n_samples = require_count("n_samples", self.n_samples, 1)
+        seed = require_count("seed", self.seed)
         name = "delta_range_mm"
         try:  # 0 <= d_lo <= d_hi < inf
             d_lo, d_hi = self.delta_range_mm
-            require_real(name, d_hi, require_real(name, d_lo, open_low=False), open_low=False)
+            d_lo = require_real(name, d_lo, open_low=False)
+            d_hi = require_real(name, d_hi, d_lo, open_low=False)
         except (ConfigError, TypeError, ValueError):
             raise ConfigError(f"bad {name} {self.delta_range_mm}") from None
         if self.sampling not in ("uniform_random", "grid"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
+        _hold(self, n_samples=n_samples, seed=seed, delta_range_mm=(d_lo, d_hi))
 
 
 def coverage_depth(geom: CupGeometry, delta: ArrayLike, phi_deg: ArrayLike) -> np.ndarray:

@@ -648,6 +648,9 @@ class TestFlagsBeforeData:
             ("--step", "nan", "error: step_size_mm must be finite and > 0, got nan\n"),
             ("--phi-points", "0", "error: --phi-points must be >= 1, got 0\n"),
             ("--reps", "0", "error: reps must be >= 1, got 0\n"),
+            ("--delta0", "-1", "error: delta must be >= 0 mm, got -1.0\n"),
+            ("--delta0", "nan", "error: delta must be finite, got nan\n"),
+            ("--noise-sigma", "-1", "error: noise_sigma_kpa must be finite and >= 0, got -1.0\n"),
         ],
     )
     def test_search_checks_flags_before_loading_the_model(

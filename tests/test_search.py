@@ -3,6 +3,8 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from cuphaptics import (
     train,
     write_batch_csv,
 )
-from cuphaptics import GenerationConfig, Samples, SplitSpec
+from cuphaptics import GenerationConfig, Samples, SplitSpec, split
 from cuphaptics.core import EPS_ZERO, _yaw_deg, _yaws
 from cuphaptics.rng import SEARCH_STEP, substream
 import cuphaptics
@@ -248,6 +250,56 @@ def test_configs_reject_non_integer_counts(make, field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
         make(**{field: value})
     assert getattr(make(**{field: np.int64(3)}), field) == 3  # numpy integers pass
+
+
+def searcher(**kw):
+    return SearchConfig(estimator=ModelBasedEstimator(), **kw)
+
+
+def trainer(**kw):
+    return TrainConfig(max_epochs=1, **kw)
+
+
+SMALL = GenerationConfig(n_samples=40, seed=3)
+SMALL_SET = generate_dataset(GEOM, NOISELESS, SMALL)
+# Per config maker, a call of the code that reads its fields.
+RUN_WITH = {
+    CupGeometry: lambda c: generate_dataset(c, NOISELESS, SMALL),
+    PressureFieldParams: lambda c: generate_dataset(GEOM, c, SMALL),
+    GenerationConfig: lambda c: generate_dataset(GEOM, NOISELESS, c),
+    SplitSpec: lambda c: split(SMALL_SET, c),
+    trainer: lambda c: train(*split(SMALL_SET, SplitSpec()), c),
+    searcher: lambda c: run_search(GroundTruthPose(14.0, Angle(30.0)), c, GEOM, NOISELESS),
+}
+
+
+# Every library config holds the float its number check returns, not the
+# caller's object: a Fraction or a Decimal passes the check, so the code that
+# reads the field must get a float, or numpy and float arithmetic refuse it.
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (CupGeometry, "r_cup_mm", Decimal("15")),
+        (CupGeometry, "r_chamber_mm", Fraction(10)),
+        (PressureFieldParams, "p_max_kpa", Decimal("10")),
+        (PressureFieldParams, "transition_width_mm", Fraction(4)),
+        (PressureFieldParams, "noise_sigma_kpa", Decimal("0.3")),
+        (PressureFieldParams, "p_atm_kpa", Fraction(101325, 1000)),
+        (GenerationConfig, "delta_range_mm", (Fraction(7), Decimal("14"))),
+        (SplitSpec, "train_fraction", Fraction(4, 5)),
+        (trainer, "lr", Fraction(1, 1000)),
+        (trainer, "rho", Decimal("0.9")),
+        (trainer, "eps", Fraction(1, 10**8)),
+        (searcher, "step_size_mm", Decimal("2")),
+        (searcher, "step_size_mm", Fraction(2)),
+        (searcher, "success_delta_mm", Decimal("7")),
+    ],
+)
+def test_configs_hold_the_float_their_check_returns(make, field, value):
+    config = make(**{field: value})
+    want = tuple(map(float, value)) if isinstance(value, tuple) else float(value)
+    assert repr(getattr(config, field)) == repr(want)
+    RUN_WITH[make](config)
 
 
 def rows_a_rollout_at_a_time(spec, config, params):
@@ -652,10 +704,16 @@ class TestBatchSearch:
 
 
 STATS = FeatureStats(mean=(90.0, 92.0, 94.0, 96.0), std=(3.0, 4.0, 5.0, 6.0))
+# A spread of 1e-300 z-scores a chamber to about 1e302, near the float range
+# (it overflows from 1.8e8 kPa); a first layer scaled by 1e-300 keeps the
+# network's outputs finite there.
+TINY_SPREAD = init_model(6, stats=FeatureStats(mean=(0.0,) * 4, std=(1e-300,) * 4))
+TINY_SPREAD.weights[0][...] *= 1e-300
 ESTIMATORS = {
     "model_based": ModelBasedEstimator(),
     "mlp_raw": MlpEstimator(init_model(4)),
     "mlp_std": MlpEstimator(init_model(5, stats=STATS)),
+    "mlp_tiny_spread": MlpEstimator(TINY_SPREAD),
     "oracle": OracleEstimator(),
 }
 # Four equal chambers: the closed form has no direction to give.
@@ -686,6 +744,30 @@ class TestEstimateBatch:
         ]
         if name == "model_based":
             assert math.isnan(yaw[-2]) and yaw[-1].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize(
+        "module, rule, est",
+        [
+            (cuphaptics.mlp, "_zscored", ESTIMATORS["mlp_std"]),
+            (cuphaptics.core, "_pair_sums", ESTIMATORS["model_based"]),
+        ],
+        ids=["z-score", "pair-sums"],
+    )
+    def test_one_rule_serves_the_frame_and_the_table(self, monkeypatch, table, module, rule, est):
+        # Each formula is one function, run on a frame's four floats and on a
+        # table's four columns, so the two paths cannot drift apart.
+        kinds, original = [], getattr(module, rule)
+
+        def recording(values, *rest):
+            kinds.append(type(values[0]))
+            return original(values, *rest)
+
+        monkeypatch.setattr(module, rule, recording)
+        want = frame_yaw(est, table[0].frame, table[0].pose)
+        assert kinds == [float]
+        yaw = est.estimate_batch(table)
+        assert kinds == [float, np.ndarray]
+        assert yaw[0].hex() == want.degrees.hex()
 
     @pytest.mark.parametrize(
         "est, row, p_atm, message",
